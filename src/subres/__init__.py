@@ -49,7 +49,7 @@ from .roots_formulas import VARIANTS, sres_dm1_hermite, sres_one, sres_roots
 from .rootsets import MultiRootSet, pairing_R, poly_from_roots
 from .scalar import ParamPoly, Rat, Scalar, as_scalar, is_rational, param, rat, substitute_scalar
 from .subresultants import resultant, sres_coeff, sylv_double_sum, sylvester_identity_scale
-from .unipoly import NEG_INF, UniPoly, taylor_coeff, unipoly_from_scalar
+from .unipoly import NEG_INF, UniPoly, taylor_coeff
 from .verify import Check, mv_checks, random_pair, random_rootset, univariate_checks
 
 __version__ = "0.1.0"
@@ -68,7 +68,6 @@ __all__ = [
     "UniPoly",
     "NEG_INF",
     "taylor_coeff",
-    "unipoly_from_scalar",
     "MultiPoly",
     # linear algebra
     "ExactMatrix",

@@ -2,23 +2,19 @@
 
 The determinant uses Bareiss elimination: every division is by the
 previous pivot and is exact in the coefficient ring, so the routine works
-unchanged over the rationals and over parameter polynomials.
+unchanged over the rationals and over parameter polynomials.  A matrix
+with entries polynomial in a main variable x gets its determinant through
+``det_in_x``: scalar determinants at integer values of x, then Newton
+interpolation, so x never enters the scalar domain.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, List, Sequence
 
-from .errors import DomainError, StructuralError
-from .scalar import ParamPoly, Rat, Scalar, as_scalar, is_rational
-
-
-def _div(a: Scalar, b: Scalar) -> Scalar:
-    if isinstance(a, ParamPoly) or isinstance(b, ParamPoly):
-        if not isinstance(a, ParamPoly):
-            a = ParamPoly.constant(a)
-        return a / b
-    return a / b
+from .errors import DomainError
+from .scalar import ParamPoly, Rat, Scalar, as_scalar
+from .unipoly import UniPoly
 
 
 class ExactMatrix:
@@ -106,7 +102,7 @@ class ExactMatrix:
                 continue
             m[r], m[p] = m[p], m[r]
             inv = m[r][c]
-            m[r] = [_div(v, inv) for v in m[r]]
+            m[r] = [v / inv for v in m[r]]
             for i in range(nr):
                 if i != r and m[i][c]:
                     f = m[i][c]
@@ -159,7 +155,29 @@ def det_exact(m: ExactMatrix) -> Scalar:
             row_i = a[i]
             row_k = a[k]
             for j in range(k + 1, n):
-                row_i[j] = _div(pivot * row_i[j] - aik * row_k[j], prev)
+                row_i[j] = (pivot * row_i[j] - aik * row_k[j]) / prev
             row_i[k] = Rat(0)
         prev = pivot
     return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
+
+
+def det_in_x(build: Callable[[Scalar], ExactMatrix], deg: int, den: Scalar = 1) -> UniPoly:
+    """det(M(x)) / den as a polynomial in x of degree at most ``deg``.
+
+    ``build(c)`` returns M at x = c.  The determinant is taken at
+    x = 0, 1, ..., deg and interpolated in Newton form; with equally spaced
+    nodes every divided difference divides by an integer.  ``den`` must
+    divide det(M(x)) exactly, as the closed-form Vandermonde determinants
+    do.  Coefficients free of parameters come back rational.
+    """
+    diffs = [det_exact(build(Rat(c))) / den for c in range(deg + 1)]
+    for j in range(1, deg + 1):
+        for i in range(deg, j - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / j
+    out = UniPoly([diffs[deg]])
+    for k in range(deg - 1, -1, -1):
+        out = out * UniPoly([-k, 1]) + diffs[k]
+    return UniPoly(
+        c.constant_value() if isinstance(c, ParamPoly) and c.is_constant() else c
+        for c in out.coeffs
+    )

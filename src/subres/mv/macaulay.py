@@ -16,7 +16,7 @@ from ..combinat import canon_key, monomials_of_degree
 from ..errors import DomainError, StructuralError
 from ..matrix import ExactMatrix, det_exact
 from ..multipoly import MultiPoly
-from ..scalar import ParamPoly, Rat, Scalar
+from ..scalar import Rat, Scalar
 from .hilbert import MonomialSet, hilbert_function, tau
 
 Expo = Tuple[int, ...]
@@ -144,12 +144,7 @@ def delta_s(sys: MVSystem, t: int, s_cols: Sequence[Expo]) -> Scalar:
     e = extraneous_factor(sys, t)
     if not e:
         raise DomainError("extraneous factor vanishes; perturb the system before dividing")
-    det = det_exact(macaulay_matrix(sys, t, s_cols))
-    if isinstance(det, ParamPoly) or isinstance(e, ParamPoly):
-        if not isinstance(det, ParamPoly):
-            det = ParamPoly.constant(det)
-        return det / e
-    return det / e
+    return det_exact(macaulay_matrix(sys, t, s_cols)) / e
 
 
 def leading_form_subres(

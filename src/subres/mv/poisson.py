@@ -15,7 +15,7 @@ from typing import Sequence
 from ..errors import DomainError, StructuralError
 from ..matrix import ExactMatrix, det_exact
 from ..multipoly import MultiPoly
-from ..scalar import ParamPoly, Rat, Scalar
+from ..scalar import Rat, Scalar
 from .duality import DualBasis, dual_eval
 from .hilbert import MonomialSets, build_monomial_sets
 from .macaulay import MVSystem, leading_form_subres
@@ -96,9 +96,4 @@ def poisson_delta(
     d_last = sys.degrees[-1]
     for j in range(max(0, t - d_last + 1), t + 1):
         factor = factor * leading_form_subres(forms, sys.degrees[:-1], j, sets.tj[j].monomials)
-    num = factor * det_os
-    if isinstance(num, ParamPoly) or isinstance(det_vt, ParamPoly):
-        if not isinstance(num, ParamPoly):
-            num = ParamPoly.constant(num)
-        return num / det_vt
-    return num / det_vt
+    return factor * det_os / det_vt

@@ -10,9 +10,12 @@ polynomials behind two root sets A and B (total multiplicities d <= e):
 - ``wronskian-full``: (d+e) rows; a Wronskian block of (x - z) over A on
   top of paired Vandermonde blocks.
 
-The variable x rides inside the scalar domain as a reserved parameter and
-the determinant is normalized by the closed-form Vandermonde determinants,
-a division that is exact by construction.
+Only the border column, or the Wronskian of x - z, depends on x, so
+each determinant is a polynomial of degree at most t in x.  ``det_in_x``
+takes it at t+1 integer values of x and interpolates, so x never enters
+the scalar domain and roots may carry any parameter names.  Each value is
+divided by the closed-form Vandermonde determinants, a division that is
+exact by construction.
 
 Two closed-form specializations avoid determinants entirely: the order
 d-1 subresultant is the Hermite interpolant of g on A, and the order-1
@@ -31,38 +34,19 @@ from .confluent import (
     wronskian,
 )
 from .errors import DomainError
-from .matrix import ExactMatrix, det_exact
+from .matrix import ExactMatrix, det_in_x
 from .rootsets import MultiRootSet, poly_from_roots
-from .scalar import ParamPoly, Rat, Scalar, param
+from .scalar import Rat, Scalar
 from .subresultants import _check_t
-from .unipoly import UniPoly, taylor_coeff, unipoly_from_scalar
-
-X_NAME = "x"
+from .unipoly import UniPoly, taylor_coeff
 
 VARIANTS = ("compact", "block", "wronskian-full")
-
-
-def _x_border(t: int) -> list:
-    x = param(X_NAME)
-    return [x**k for k in range(t + 1)]
-
-
-def _forbid_x(a: MultiRootSet) -> None:
-    for root in a.roots:
-        if isinstance(root, ParamPoly) and X_NAME in root.parameters():
-            raise DomainError("the parameter name %r is reserved for the main variable" % X_NAME)
-
-
-def _as_unipoly(s: Scalar) -> UniPoly:
-    return unipoly_from_scalar(s, X_NAME)
 
 
 def sres_roots(a: MultiRootSet, b: MultiRootSet, t: int, variant: str = "compact") -> UniPoly:
     """Order-t subresultant of the monic polynomials with roots A and B."""
     if variant not in VARIANTS:
         raise DomainError("unknown variant %r; pick one of %s" % (variant, ", ".join(VARIANTS)))
-    _forbid_x(a)
-    _forbid_x(b)
     d, e = a.total, b.total
     _check_t(d, e, t)
     if variant == "compact":
@@ -76,58 +60,45 @@ def _sres_compact(a: MultiRootSet, b: MultiRootSet, t: int) -> UniPoly:
     d = a.total
     g = poly_from_roots(b)
     top = vandermonde_confluent(a, t + 1).rows
-    bottom = wronskian(g, a, d - t).rows
-    border = _x_border(t)
-    rows = [row + [border[k]] for k, row in enumerate(top)]
-    rows += [row + [Rat(0)] for row in bottom]
-    det = det_exact(ExactMatrix(rows))
-    det = _sdiv(det, vandermonde_det_closed(a))
-    if (d - t) % 2:
-        det = -det
-    return _as_unipoly(det)
+    bottom = [row + [Rat(0)] for row in wronskian(g, a, d - t).rows]
+
+    def build(c):
+        return ExactMatrix([row + [c**k] for k, row in enumerate(top)] + bottom)
+
+    det = det_in_x(build, t, vandermonde_det_closed(a))
+    return -det if (d - t) % 2 else det
 
 
 def _sres_block(a: MultiRootSet, b: MultiRootSet, t: int) -> UniPoly:
     d, e = a.total, b.total
     u = d + e - t
-    va_top = vandermonde_confluent(a, t + 1).rows
+    zero_b = [Rat(0)] * e
+    top = [row + zero_b for row in vandermonde_confluent(a, t + 1).rows]
     va = vandermonde_confluent(a, u).rows
     vb = vandermonde_confluent(b, u).rows
-    border = _x_border(t)
-    zero_b = [Rat(0)] * e
-    rows = [row + zero_b + [border[k]] for k, row in enumerate(va_top)]
-    rows += [ra + rb + [Rat(0)] for ra, rb in zip(va, vb)]
-    det = det_exact(ExactMatrix(rows))
-    det = _sdiv(det, vandermonde_det_closed(a) * vandermonde_det_closed(b))
-    c = max(e % 2, (d - t) % 2)
-    if c:
-        det = -det
-    return _as_unipoly(det)
+    bottom = [ra + rb + [Rat(0)] for ra, rb in zip(va, vb)]
+
+    def build(c):
+        return ExactMatrix([row + [c**k] for k, row in enumerate(top)] + bottom)
+
+    det = det_in_x(build, t, vandermonde_det_closed(a) * vandermonde_det_closed(b))
+    return -det if e % 2 or (d - t) % 2 else det
 
 
 def _sres_wronskian_full(a: MultiRootSet, b: MultiRootSet, t: int) -> UniPoly:
     d, e = a.total, b.total
     u = d + e - t
-    h = UniPoly([param(X_NAME), -1])
-    w = wronskian(h, a, t).rows
+    zero_b = [Rat(0)] * e
     va = vandermonde_confluent(a, u).rows
     vb = vandermonde_confluent(b, u).rows
-    zero_b = [Rat(0)] * e
-    rows = [row + zero_b for row in w]
-    rows += [ra + rb for ra, rb in zip(va, vb)]
-    det = det_exact(ExactMatrix(rows))
-    det = _sdiv(det, vandermonde_det_closed(a) * vandermonde_det_closed(b))
-    if ((d - t) * e) % 2:
-        det = -det
-    return _as_unipoly(det)
+    bottom = [ra + rb for ra, rb in zip(va, vb)]
 
+    def build(c):
+        w = wronskian(UniPoly([c, -1]), a, t).rows
+        return ExactMatrix([row + zero_b for row in w] + bottom)
 
-def _sdiv(num: Scalar, den: Scalar) -> Scalar:
-    if isinstance(num, ParamPoly) or isinstance(den, ParamPoly):
-        if not isinstance(num, ParamPoly):
-            num = ParamPoly.constant(num)
-        return num / den
-    return num / den
+    det = det_in_x(build, t, vandermonde_det_closed(a) * vandermonde_det_closed(b))
+    return -det if ((d - t) * e) % 2 else det
 
 
 def sres_dm1_hermite(a: MultiRootSet, b: MultiRootSet) -> UniPoly:
@@ -178,7 +149,7 @@ def sres_one(a: MultiRootSet, b: MultiRootSet) -> UniPoly:
         for idx, (alpha_j, d_j) in enumerate(a, start=1):
             if idx != i:
                 fi_at = fi_at * (alpha_i - alpha_j) ** d_j
-        term = lin * _sdiv(scale, fi_at)
+        term = lin * (scale / fi_at)
         if (d - d_i) % 2:
             term = -term
         total = total + term
@@ -211,7 +182,7 @@ def _sres_one_sum(a: MultiRootSet, b: MultiRootSet, i: int, k: int, g_at: Scalar
                     den_a = den_a * d_fac
                 else:
                     den_b = den_b * d_fac
-        term = _sdiv(num, den_b) if den_b != 1 else num
-        term = _sdiv(term, den_a) if den_a != 1 else term
+        term = num / den_b if den_b != 1 else num
+        term = term / den_a if den_a != 1 else term
         total = total + term
     return total

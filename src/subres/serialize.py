@@ -79,11 +79,17 @@ def _tokenize(text: str):
     return out
 
 
+# Each parenthesis level costs four Python frames in the recursive descent
+# below; this keeps the parser well inside the interpreter's recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -145,7 +151,13 @@ class _Parser:
             return ParamPoly.variable(val)
         if (kind, val) == ("op", "("):
             self.take()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise DomainError(
+                    "scalar parse error: parentheses nested deeper than %d" % MAX_NESTING
+                )
             inner = self.expr()
+            self.depth -= 1
             if self.peek() != ("op", ")"):
                 self.fail("')'")
             self.take()

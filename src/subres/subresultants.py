@@ -4,9 +4,10 @@
 (degree d) and g (degree e) is the determinant of the (d+e-2t)-row matrix
 whose rows hold the coefficients of x^(e-t-1)f, ..., f, x^(d-t-1)g, ..., g
 on the monomials x^(d+e-t-1), ..., x^(t+1), with the polynomial itself in
-the final column.  Expanding along that column gives scalar minors times
-shifted copies of f and g, which keeps the determinant work inside the
-scalar domain.
+the final column.  Subtracting the monomial columns from that column
+leaves only the monomials x^t, ..., 1 in it, so the determinant is a
+polynomial of degree at most t; ``det_in_x`` takes it at t+1 integer
+values of x and interpolates.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import DomainError
-from .matrix import ExactMatrix, det_exact
+from .matrix import ExactMatrix, det_in_x
 from .rootsets import MultiRootSet
 from .scalar import Rat, Scalar
 from .unipoly import UniPoly
@@ -37,22 +38,15 @@ def sres_coeff(f: UniPoly, g: UniPoly, t: int) -> UniPoly:
     d, e = f.degree, g.degree
     _check_t(d, e, t)
     d, e = int(d), int(e)
-    n = d + e - 2 * t
     polys = [f.mul_xk(e - t - 1 - i) for i in range(e - t)]
     polys += [g.mul_xk(d - t - 1 - i) for i in range(d - t)]
     monomials = list(range(d + e - t - 1, t, -1))
     scalar_rows = [[p.coeff(k) for k in monomials] for p in polys]
-    out = UniPoly.zero()
-    for r in range(n):
-        minor_rows = scalar_rows[:r] + scalar_rows[r + 1 :]
-        minor = det_exact(ExactMatrix(minor_rows)) if n > 1 else Rat(1)
-        if not minor:
-            continue
-        sign = 1 if (r + n - 1) % 2 == 0 else -1
-        out = out + polys[r] * (minor if sign > 0 else -minor)
-    if out.degree > t:
-        raise AssertionError("subresultant degree exceeds its order")
-    return out
+
+    def build(c):
+        return ExactMatrix([row + [p(c)] for row, p in zip(scalar_rows, polys)])
+
+    return det_in_x(build, t)
 
 
 def resultant(f: UniPoly, g: UniPoly) -> Scalar:

@@ -171,29 +171,3 @@ def taylor_coeff(p: UniPoly, a: Scalar, j: int) -> Scalar:
             acc = acc + c * comb(k, j) * a ** (k - j)
     return acc
 
-
-def unipoly_from_scalar(s: Scalar, var: str) -> UniPoly:
-    """Split a scalar into a polynomial in ``var``.
-
-    The remaining parameters stay inside the coefficients.  A rational
-    scalar turns into a constant polynomial.
-    """
-    if not isinstance(s, ParamPoly):
-        return UniPoly([as_scalar(s)])
-    buckets: dict[int, dict] = {}
-    for key, c in s.terms.items():
-        k = 0
-        rest = []
-        for name, e in key:
-            if name == var:
-                k = e
-            else:
-                rest.append((name, e))
-        buckets.setdefault(k, {})[tuple(rest)] = c
-    if not buckets:
-        return UniPoly()
-    coeffs = []
-    for k in range(max(buckets) + 1):
-        part = ParamPoly(buckets.get(k, {}))
-        coeffs.append(part.constant_value() if part.is_constant() else part)
-    return UniPoly(coeffs)

@@ -217,6 +217,14 @@ class TestErrorReporting:
         assert code == 2
         assert "error:" in err
 
+    def test_deeply_nested_scalar_exit_two(self, capsys):
+        root = "(" * 3000 + "1" + ")" * 3000
+        argv = ["roots", "--A", json.dumps([[root, 1]]), "--B", '[["0",2]]', "-t", "0"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert err.startswith("error:") and "nested deeper" in err
+        assert out == ""
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["coeffs", "--f", "@/nonexistent.json", "--g", "[1]", "-t", "0"])
         assert code == 2

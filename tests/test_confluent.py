@@ -20,7 +20,6 @@ from subres import (
     param,
     poly_from_roots,
     taylor_coeff,
-    unipoly_from_scalar,
     vandermonde_confluent,
     vandermonde_det_closed,
     vprime,

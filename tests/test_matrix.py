@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import rationals
 from oracles import det_cofactor, matrix_rows
-from subres import DomainError, ExactMatrix, Rat, det_exact, param
+from subres import DomainError, ExactMatrix, ParamPoly, Rat, UniPoly, det_exact, param
+from subres.matrix import det_in_x
 
 
 def random_matrix(rng, n, bound=9):
@@ -75,6 +76,44 @@ class TestDeterminant:
         ]
         m = ExactMatrix(rows)
         assert det_exact(m) == det_exact(m.transpose())
+
+
+class TestDetInX:
+    @staticmethod
+    def x_rows(rng, n, x_rows, extra=Rat(0)):
+        """n x n UniPoly rows; the first x_rows rows are linear in x."""
+        def entry(i):
+            lin = Rat(rng.randint(-3, 3)) if i < x_rows else Rat(0)
+            return UniPoly([Rat(rng.randint(-4, 4), rng.randint(1, 2)) + extra, lin])
+
+        return [[entry(i) for _ in range(n)] for i in range(n)]
+
+    @staticmethod
+    def at(rows):
+        return lambda c: ExactMatrix([[p(c) for p in row] for row in rows])
+
+    def test_matches_cofactor_oracle(self):
+        rng = random.Random(314)
+        for n in range(1, 6):
+            for x_rows in range(n + 1):
+                rows = self.x_rows(rng, n, x_rows)
+                assert det_in_x(self.at(rows), x_rows) == det_cofactor(rows)
+
+    def test_parameter_entries_and_exact_divisor(self):
+        rng = random.Random(2718)
+        a = param("a")
+        rows = self.x_rows(rng, 4, 3, extra=a)
+        want = det_cofactor(rows)
+        assert det_in_x(self.at(rows), 3) == want
+        scaled = [[p * (a + 1) for p in rows[0]]] + rows[1:]
+        assert det_in_x(self.at(scaled), 3, a + 1) == want
+
+    def test_parameter_free_coefficients_are_rational(self):
+        a = param("a")
+        rows = [[UniPoly([a, 1]), UniPoly([a])], [UniPoly([Rat(1)]), UniPoly([Rat(1)])]]
+        got = det_in_x(self.at(rows), 1)
+        assert got == UniPoly([Rat(0), Rat(1)])
+        assert not any(isinstance(c, ParamPoly) for c in got.coeffs)
 
 
 class TestStructure:

@@ -79,10 +79,16 @@ class TestSresRoots:
         with pytest.raises(DomainError):
             sres_roots(rs((1, 2)), rs((0, 2)), 2, "compact")  # t = d = e
 
-    def test_reserved_parameter_name_rejected(self):
+    def test_root_named_x_matches_coefficient_side(self):
+        # The main variable never enters the scalar domain, so a root may
+        # be the parameter x itself.
         x = param("x")
-        with pytest.raises(DomainError):
-            sres_roots(MultiRootSet([(x, 1)]), rs((0, 2)), 0, "compact")
+        a, b = MultiRootSet([(x, 2), (Rat(1), 1)]), rs((0, 1), (2, 2), (3, 1))
+        f, g = poly_from_roots(a), poly_from_roots(b)
+        for t in range(a.total + 1):
+            want = sres_coeff(f, g, t)
+            for variant in VARIANTS:
+                assert sres_roots(a, b, t, variant) == want
 
 
 class TestHermiteCase:

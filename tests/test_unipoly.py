@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import rationals
-from subres import NEG_INF, DomainError, Rat, UniPoly, param, taylor_coeff, unipoly_from_scalar
+from subres import NEG_INF, DomainError, Rat, UniPoly, param, taylor_coeff
 
 
 def poly(*ascending):
@@ -84,18 +84,3 @@ class TestTaylorCoeff:
             rebuilt = rebuilt + shift ** j * UniPoly([taylor_coeff(p, a, j)])
         assert rebuilt == p
 
-
-class TestFromScalar:
-    def test_embeds_x_parameter(self):
-        x = param("x")
-        s = x ** 2 - 3 * x + Rat(1, 2)
-        assert unipoly_from_scalar(s, "x") == poly(Rat(1, 2), -3, 1)
-
-    def test_other_parameters_stay_in_coefficients(self):
-        x, c = param("x"), param("c")
-        s = c * x + 1
-        p = unipoly_from_scalar(s, "x")
-        assert p.degree == 1 and p.coeff(1) == c
-
-    def test_rational_is_constant(self):
-        assert unipoly_from_scalar(Rat(5, 3), "x") == poly(Rat(5, 3))
