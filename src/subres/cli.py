@@ -17,7 +17,7 @@ import json
 import sys
 from typing import Optional
 
-from .confluent import vandermonde_confluent, wronskian
+from .confluent import wronskian
 from .errors import DomainError, StructuralError
 from .matrix import det_exact
 from .mv.duality import assemble_dual_basis, inverse_system
@@ -27,6 +27,7 @@ from .mv.poisson import poisson_delta
 from .roots_formulas import VARIANTS, sres_dm1_hermite, sres_one, sres_roots
 from .serialize import (
     SystemDocument,
+    _exponent_vector,
     functional_to_json,
     matrix_to_json,
     parse_multipoly,
@@ -39,6 +40,7 @@ from .serialize import (
     unipoly_to_json,
 )
 from .subresultants import sres_coeff, sylv_double_sum
+from .unipoly import UniPoly
 from .verify import mv_checks, resolved_groups, univariate_checks
 
 __all__ = ["main"]
@@ -71,10 +73,7 @@ def _system_document(args) -> SystemDocument:
         raw = _load(args.S)
         if not isinstance(raw, list):
             raise DomainError("--S must be an array of exponent vectors")
-        s_cols = tuple(tuple(g) for g in raw)
-        for g in s_cols:
-            if any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in g):
-                raise DomainError("--S exponents must be nonnegative integers")
+        s_cols = tuple(_exponent_vector(g, doc.system.n) for g in raw)
     return SystemDocument(doc.system, t, s_cols, doc.roots, doc.t_override)
 
 
@@ -111,19 +110,10 @@ def _cmd_dsum(args):
     return unipoly_to_json(sylv_double_sum(a, b, args.p, args.q)), 0
 
 
-def _cmd_vandermonde(args):
-    a = parse_rootset(_load(args.A))
-    u = args.u if args.u is not None else a.total
-    m = vandermonde_confluent(a, u)
-    doc = {"matrix": matrix_to_json(m)}
-    if m.nrows == m.ncols:
-        doc["det"] = scalar_to_str(det_exact(m))
-    return doc, 0
-
-
 def _cmd_wronskian(args):
+    """Also serves `vandermonde`: the confluent Vandermonde matrix is the Wronskian of 1."""
     a = parse_rootset(_load(args.A))
-    h = parse_unipoly(_load(args.h)) if args.h is not None else parse_unipoly([1])
+    h = parse_unipoly(_load(args.h)) if args.h is not None else UniPoly([1])
     u = args.u if args.u is not None else a.total
     m = wronskian(h, a, u)
     doc = {"matrix": matrix_to_json(m)}
@@ -229,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vandermonde", help="confluent Vandermonde matrix of a root set")
     p.add_argument("--A", required=True)
     p.add_argument("-u", type=int, default=None, help="row count (default: total multiplicity)")
-    p.set_defaults(func=_cmd_vandermonde)
+    p.set_defaults(func=_cmd_wronskian, h=None)
 
     p = sub.add_parser("wronskian", help="generalized Wronskian matrix of z^k h at a root set")
     p.add_argument("--A", required=True)

@@ -13,34 +13,18 @@ from typing import Mapping, Tuple
 
 from .combinat import compositions
 from .errors import DomainError
-from .matrix import ExactMatrix, det_exact
+from .matrix import ExactMatrix
 from .rootsets import MultiRootSet
 from .scalar import Rat, Scalar
 from .unipoly import UniPoly, taylor_coeff
 
 
-def _pow(base: Scalar, e: int) -> Scalar:
-    return base**e if e else Rat(1)
-
-
 def vandermonde_confluent(a: MultiRootSet, u: int) -> ExactMatrix:
     """u x d matrix; block i has columns binom(k,j) alpha_i^(k-j), j < d_i.
 
-    Entries with k < j are zero, and the exponent never goes negative.
+    This is the generalized Wronskian of the constant 1.
     """
-    if not isinstance(u, int) or u < 0:
-        raise DomainError("row count u must be a nonnegative int")
-    rows = []
-    for k in range(u):
-        row = []
-        for alpha, d in a:
-            for j in range(d):
-                if k < j:
-                    row.append(Rat(0))
-                else:
-                    row.append(comb(k, j) * _pow(alpha, k - j))
-        rows.append(row)
-    return ExactMatrix(rows)
+    return wronskian(UniPoly([1]), a, u)
 
 
 def vandermonde_det_closed(a: MultiRootSet) -> Scalar:
@@ -60,19 +44,23 @@ def wronskian(h: UniPoly, a: MultiRootSet, u: int) -> ExactMatrix:
 
     Row k, block i, inner column j holds the coefficient of (z-alpha_i)^j
     in z^k h; the polynomial h may carry extra parameters in its
-    coefficients.
+    coefficients.  Row 0 expands h around each root, and since
+    z p = (z-alpha) p + alpha p each later row follows from the one above.
     """
     if not isinstance(u, int) or u < 0:
         raise DomainError("row count u must be a nonnegative int")
+    blocks = [[taylor_coeff(h, alpha, j) for j in range(d)] for alpha, d in a]
     rows = []
-    shifted = h
     for k in range(u):
-        row = []
-        for alpha, d in a:
-            for j in range(d):
-                row.append(taylor_coeff(shifted, alpha, j))
-        rows.append(row)
-        shifted = shifted.mul_xk(1)
+        if k:
+            blocks = [
+                [
+                    (block[j - 1] if j else Rat(0)) + (alpha * block[j] if block[j] else Rat(0))
+                    for j in range(d)
+                ]
+                for (alpha, d), block in zip(a, blocks)
+            ]
+        rows.append([v for block in blocks for v in block])
     return ExactMatrix(rows)
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 from .errors import DomainError
 from .scalar import Rat, Scalar, as_scalar
@@ -96,6 +96,8 @@ class MultiPoly:
     def shift(self, expo: Expo) -> "MultiPoly":
         """Multiply by the monomial x^expo."""
         expo = tuple(expo)
+        if len(expo) != self.n:
+            raise DomainError("shift exponent %r for %d variables" % (expo, self.n))
         return MultiPoly(self.n, {tuple(a + b for a, b in zip(k, expo)): c for k, c in self.terms.items()})
 
     def coeff(self, expo: Expo) -> Scalar:

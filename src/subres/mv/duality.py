@@ -11,6 +11,7 @@ variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import comb
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -123,6 +124,15 @@ def sigma_shift(func: DualFunctional, beta: Expo) -> Optional[DualFunctional]:
     return DualFunctional(func.point, out)
 
 
+def _translate(g: MultiPoly, point: Point) -> MultiPoly:
+    """g(point + y) as a polynomial in y."""
+    out: dict = {}
+    for gamma, c in g.terms.items():
+        for alpha in product(*(range(e + 1) for e in gamma)):
+            out[alpha] = out.get(alpha, Rat(0)) + c * _deriv_monomial_at(gamma, alpha, point)
+    return MultiPoly(g.n, out)
+
+
 @dataclass(frozen=True)
 class InverseSystemResult:
     """Basis of the local dual space, with a truncation marker.
@@ -153,10 +163,13 @@ def inverse_system(
 ) -> InverseSystemResult:
     """All functionals up to the stabilization order that kill the ideal.
 
-    Closedness of the conditions under multiplication by monomials is
-    enforced by requiring annihilation of x^beta g for every generator g
-    and every |beta| up to the current order; the dimension stalling
-    between two consecutive orders ends the search.
+    Each generator g is written once in local coordinates y = x - point,
+    where the coefficient of y^alpha in g(point + y) is the value of the
+    functional d_alpha on g.  Closedness of the conditions under
+    multiplication by monomials is enforced by requiring annihilation of
+    y^beta g(point + y) for every generator and every |beta| up to the
+    current order; these span the same conditions as x^beta g.  The
+    dimension stalling between two consecutive orders ends the search.
     """
     if not generators:
         raise DomainError("need at least one generator")
@@ -169,8 +182,9 @@ def inverse_system(
         point = Point(point)
     if point.n != n:
         raise DomainError("point has %d coordinates, expected %d" % (point.n, n))
-    for g in generators:
-        if g(point.coords) != 0:
+    local = [_translate(g, point) for g in generators]
+    for g, g_p in zip(generators, local):
+        if g_p.coeff((0,) * n):
             raise DomainError("the point is not a common root: %s does not vanish" % g)
     if order_bound is None:
         order_bound = sum(max(int(g.total_degree()), 1) - 1 for g in generators) + 1
@@ -180,18 +194,10 @@ def inverse_system(
     for order in range(order_bound + 1):
         columns = monomials_up_to_degree(n, order)
         rows = []
-        for g in generators:
-            for beta in monomials_up_to_degree(n, order):
-                shifted = g.shift(beta)
-                row = []
-                for alpha in columns:
-                    acc: Scalar = Rat(0)
-                    for gamma, c in shifted.terms.items():
-                        v = _deriv_monomial_at(gamma, alpha, point)
-                        if v:
-                            acc = acc + c * v
-                    row.append(acc)
-                rows.append(row)
+        for g_p in local:
+            for beta in columns:
+                shifted = g_p.shift(beta)
+                rows.append([shifted.coeff(alpha) for alpha in columns])
         kernel = ExactMatrix(rows).nullspace()
         dim = len(kernel)
         if prev_dim is not None and dim == prev_dim:

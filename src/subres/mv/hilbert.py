@@ -10,12 +10,12 @@ module assembles the monomial families T_j, T, T*, R used downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from math import prod
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from ..combinat import canon_key, monomials_of_degree
+from ..combinat import monomials_of_degree
 from ..errors import DomainError
 
 Expo = Tuple[int, ...]

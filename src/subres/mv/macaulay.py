@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from ..combinat import canon_key, monomials_of_degree
+from ..combinat import monomials_of_degree
 from ..errors import DomainError, StructuralError
 from ..matrix import ExactMatrix, det_exact
 from ..multipoly import MultiPoly
 from ..scalar import Rat, Scalar
-from .hilbert import MonomialSet, hilbert_function, tau
+from .hilbert import hilbert_function, tau
 
 Expo = Tuple[int, ...]
 
@@ -80,15 +80,24 @@ def _column_class(gamma: Expo, degrees: Sequence[int]) -> int | None:
     return None
 
 
-def macaulay_matrix(sys: MVSystem, t: int, s_cols: Sequence[Expo]) -> ExactMatrix:
-    """The square degree-t matrix with the k columns of S deleted.
+def _square_matrix(polys, degrees, t: int, nvars: int, deleted) -> ExactMatrix:
+    """Rows x^beta p_i over the admissible beta of each polynomial; columns
+    the degree-t monomials in nvars variables outside ``deleted``."""
+    columns = [m for m in monomials_of_degree(nvars, t) if m not in deleted]
+    rows = []
+    for i, p in enumerate(polys):
+        for beta in _row_indices(degrees, t, i, nvars):
+            shifted = p.shift(beta)
+            rows.append([shifted.coeff(c) for c in columns])
+    if len(rows) != len(columns):
+        raise StructuralError(
+            "matrix is not square: %d rows vs %d columns" % (len(rows), len(columns))
+        )
+    return ExactMatrix(rows)
 
-    ``s_cols`` lists dehomogenized monomials (exponents in the n affine
-    variables, |gamma| <= t); each corresponds to the degree-t column
-    x^gamma x_{n+1}^(t - |gamma|).
-    """
-    n = sys.n
-    k = hilbert_function(sys.degrees, t)
+
+def _check_s(s_cols: Sequence[Expo], k: int, n: int, t: int) -> list:
+    """S as a list of k distinct exponent vectors in n variables of degree <= t."""
     s_list = [tuple(g) for g in s_cols]
     if len(set(s_list)) != len(s_list):
         raise DomainError("S has repeated monomials")
@@ -97,19 +106,21 @@ def macaulay_matrix(sys: MVSystem, t: int, s_cols: Sequence[Expo]) -> ExactMatri
     for g in s_list:
         if len(g) != n or any(e < 0 for e in g) or sum(g) > t:
             raise DomainError("S monomial %r must use %d variables with degree <= %d" % (g, n, t))
-    s_h = {g + (t - sum(g),) for g in s_list}
-    columns = [m for m in monomials_of_degree(n + 1, t) if m not in s_h]
+    return s_list
+
+
+def macaulay_matrix(sys: MVSystem, t: int, s_cols: Sequence[Expo]) -> ExactMatrix:
+    """The square degree-t matrix with the k columns of S deleted.
+
+    ``s_cols`` lists dehomogenized monomials (exponents in the n affine
+    variables, |gamma| <= t); each corresponds to the degree-t column
+    x^gamma x_{n+1}^(t - |gamma|).
+    """
+    n = sys.n
+    s_list = _check_s(s_cols, hilbert_function(sys.degrees, t), n, t)
     homog = [p.homogenize(d) for p, d in zip(sys.polys, sys.degrees)]
-    rows = []
-    for i in range(n + 1):
-        for beta in _row_indices(sys.degrees, t, i, n + 1):
-            shifted = homog[i].shift(beta)
-            rows.append([shifted.coeff(c) for c in columns])
-    if len(rows) != len(columns):
-        raise StructuralError(
-            "matrix is not square: %d rows vs %d columns" % (len(rows), len(columns))
-        )
-    return ExactMatrix(rows)
+    deleted = {g + (t - sum(g),) for g in s_list}
+    return _square_matrix(homog, sys.degrees, t, n + 1, deleted)
 
 
 def extraneous_factor(sys: MVSystem, t: int) -> Scalar:
@@ -138,12 +149,18 @@ def extraneous_factor(sys: MVSystem, t: int) -> Scalar:
     return det_exact(ExactMatrix(rows))
 
 
-def delta_s(sys: MVSystem, t: int, s_cols: Sequence[Expo]) -> Scalar:
-    """Subresultant of order (t, S): det of the S-deleted matrix divided by
-    the extraneous factor, an exact division."""
+def _extraneous_divisor(sys: MVSystem, t: int) -> Scalar:
+    """The extraneous factor, refused when it vanishes."""
     e = extraneous_factor(sys, t)
     if not e:
         raise DomainError("extraneous factor vanishes; perturb the system before dividing")
+    return e
+
+
+def delta_s(sys: MVSystem, t: int, s_cols: Sequence[Expo]) -> Scalar:
+    """Subresultant of order (t, S): det of the S-deleted matrix divided by
+    the extraneous factor, an exact division."""
+    e = _extraneous_divisor(sys, t)
     return det_exact(macaulay_matrix(sys, t, s_cols)) / e
 
 
@@ -173,15 +190,4 @@ def leading_form_subres(
     for m in t_list:
         if m not in degree_j:
             raise DomainError("T_j monomial %r is not a degree-%d monomial" % (m, j))
-    t_set = set(t_list)
-    columns = [m for m in degree_j if m not in t_set]
-    rows = []
-    for i in range(n):
-        for beta in _row_indices(degrees, j, i, n):
-            shifted = forms[i].shift(beta)
-            rows.append([shifted.coeff(c) for c in columns])
-    if len(rows) != len(columns):
-        raise StructuralError(
-            "leading-form matrix is not square: %d rows vs %d columns" % (len(rows), len(columns))
-        )
-    return det_exact(ExactMatrix(rows))
+    return det_exact(_square_matrix(forms, degrees, j, n, set(t_list)))

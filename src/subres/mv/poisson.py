@@ -18,29 +18,27 @@ from ..multipoly import MultiPoly
 from ..scalar import Rat, Scalar
 from .duality import DualBasis, dual_eval
 from .hilbert import MonomialSets, build_monomial_sets
-from .macaulay import MVSystem, leading_form_subres
+from .macaulay import MVSystem, _check_s, leading_form_subres
 
 Expo = tuple
 
 
-def dual_vandermonde(monomials: Sequence[Expo], basis: DualBasis) -> ExactMatrix:
-    """Rows indexed by monomials, columns by functionals; entry L(x^alpha)."""
-    funcs = basis.functionals
-    rows = []
-    for expo in monomials:
-        mono = MultiPoly.monomial(tuple(expo))
-        rows.append([dual_eval(f, mono) for f in funcs])
-    return ExactMatrix(rows)
-
-
 def dual_wronskian(h: MultiPoly, monomials: Sequence[Expo], basis: DualBasis) -> ExactMatrix:
-    """Like dual_vandermonde but on the multiples x^alpha h."""
+    """Rows indexed by monomials, columns by functionals; entry L(x^alpha h)."""
     funcs = basis.functionals
     rows = []
     for expo in monomials:
         shifted = h.shift(tuple(expo))
         rows.append([dual_eval(f, shifted) for f in funcs])
     return ExactMatrix(rows)
+
+
+def dual_vandermonde(monomials: Sequence[Expo], basis: DualBasis) -> ExactMatrix:
+    """dual_wronskian of the constant 1: entry L(x^alpha)."""
+    funcs = basis.functionals
+    if not funcs:
+        return ExactMatrix([[] for _ in monomials])
+    return dual_wronskian(MultiPoly.constant(funcs[0].point.n, Rat(1)), monomials, basis)
 
 
 def poisson_delta(
@@ -60,14 +58,7 @@ def poisson_delta(
     combo = sets.combinatorics
     if combo.degrees != tuple(sys.degrees) or combo.t != t:
         raise DomainError("monomial sets were built for a different system or order")
-    s_list = [tuple(g) for g in s_cols]
-    if len(set(s_list)) != len(s_list):
-        raise DomainError("S has repeated monomials")
-    if len(s_list) != combo.k:
-        raise DomainError("S must have exactly k = %d monomials, got %d" % (combo.k, len(s_list)))
-    for g in s_list:
-        if len(g) != sys.n or any(e < 0 for e in g) or sum(g) > t:
-            raise DomainError("S monomial %r must use %d variables with degree <= %d" % (g, sys.n, t))
+    s_list = _check_s(s_cols, combo.k, sys.n, t)
     if len(basis) != combo.bezout:
         raise DomainError(
             "dual basis has %d functionals, expected the degree product %d"
@@ -80,12 +71,10 @@ def poisson_delta(
             "V_T is singular: T is not a basis of the quotient for this dual basis; "
             "supply a different T_j override"
         )
-    rows = []
-    rows += dual_vandermonde(s_list, basis).rows if s_list else []
-    rows += dual_vandermonde(sets.T_star.monomials, basis).rows if sets.T_star.monomials else []
-    f_last = sys.polys[-1]
-    rows += dual_wronskian(f_last, sets.R.monomials, basis).rows if sets.R.monomials else []
-    o_s = ExactMatrix(rows)
+    o_s = ExactMatrix(
+        dual_vandermonde(s_list + list(sets.T_star.monomials), basis).rows
+        + dual_wronskian(sys.polys[-1], sets.R.monomials, basis).rows
+    )
     if o_s.nrows != combo.bezout:
         raise StructuralError(
             "O_S has %d rows, expected %d" % (o_s.nrows, combo.bezout)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from .errors import DomainError
 from .scalar import Rat, Scalar, as_scalar

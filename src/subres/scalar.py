@@ -9,7 +9,7 @@ compares equal to the matching rational but keeps its type.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import DomainError
 

@@ -7,7 +7,7 @@ polynomial has an empty coefficient tuple and degree -inf.
 from __future__ import annotations
 
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DomainError
 from .scalar import ParamPoly, Rat, Scalar, as_scalar, is_rational

@@ -24,7 +24,7 @@ from .errors import DomainError, StructuralError
 from .matrix import ExactMatrix, det_exact
 from .mv.duality import assemble_dual_basis, dual_eval, inverse_system
 from .mv.hilbert import build_monomial_sets
-from .mv.macaulay import delta_s, extraneous_factor, macaulay_matrix
+from .mv.macaulay import _extraneous_divisor, macaulay_matrix
 from .mv.poisson import poisson_delta
 from .roots_formulas import VARIANTS, sres_dm1_hermite, sres_one, sres_roots
 from .rootsets import MultiRootSet, pairing_R, poly_from_roots
@@ -75,6 +75,12 @@ def _record(checks: List[Check], name: str, ok: bool, detail: str = "") -> None:
     checks.append(Check(name, bool(ok), "" if ok else detail))
 
 
+def _match(checks: List[Check], name: str, got, want) -> None:
+    """Record got == want; both values are spelled out only on a mismatch."""
+    ok = got == want
+    _record(checks, name, ok, "" if ok else "got %s, want %s" % (got, want))
+
+
 def _valid_t_range(d: int, e: int) -> range:
     return range(0, d + 1) if d < e else range(0, d)
 
@@ -94,67 +100,56 @@ def univariate_checks(a: MultiRootSet, b: MultiRootSet) -> List[Check]:
 
     for t, want in coeff_side.items():
         for variant in VARIANTS:
-            got = sres_roots(a, b, t, variant)
-            _record(
+            _match(
                 checks,
                 "t=%d %s matches coefficient determinant" % (t, variant),
-                got == want,
-                "got %s, want %s" % (got, want),
+                sres_roots(a, b, t, variant),
+                want,
             )
 
-    want = coeff_side[d - 1]
-    got = sres_dm1_hermite(a, b)
-    _record(
+    _match(
         checks,
         "t=d-1 Hermite interpolant matches coefficient determinant",
-        got == want,
-        "got %s, want %s" % (got, want),
+        sres_dm1_hermite(a, b),
+        coeff_side[d - 1],
     )
 
     disjoint = not any(ra == rb for ra, _ in a for rb, _ in b)
     if disjoint and d >= 2:
-        want = coeff_side[1]
-        got = sres_one(a, b)
-        _record(
+        _match(
             checks,
             "t=1 pole formula matches coefficient determinant",
-            got == want,
-            "got %s, want %s" % (got, want),
+            sres_one(a, b),
+            coeff_side[1],
         )
 
-    res = resultant(f, g)
-    pairing = pairing_R(a, b)
-    _record(
+    _match(
         checks,
         "resultant matches the root-difference product",
-        res == pairing,
-        "got %s, want %s" % (res, pairing),
+        resultant(f, g),
+        pairing_R(a, b),
     )
 
     for name, rs in (("A", a), ("B", b)):
-        got = det_exact(vandermonde_confluent(rs, rs.total))
-        want = vandermonde_det_closed(rs)
-        _record(
+        _match(
             checks,
             "confluent Vandermonde determinant of %s matches closed form" % name,
-            got == want,
-            "got %s, want %s" % (got, want),
+            det_exact(vandermonde_confluent(rs, rs.total)),
+            vandermonde_det_closed(rs),
         )
-    got = det_exact(wronskian(g, a, d))
-    want = wronskian_det_closed(g, a)
-    _record(
+    _match(
         checks,
         "generalized Wronskian determinant matches closed form",
-        got == want,
-        "got %s, want %s" % (got, want),
+        det_exact(wronskian(g, a, d)),
+        wronskian_det_closed(g, a),
     )
-    inv = confluent_inverse(a)
-    prod = inv @ vandermonde_confluent(a, d)
+    prod = confluent_inverse(a) @ vandermonde_confluent(a, d)
+    ok = prod == ExactMatrix.identity(d)
     _record(
         checks,
         "basic Hermite coefficients invert the confluent Vandermonde",
-        prod == ExactMatrix.identity(d),
-        "product %s" % prod.pretty(),
+        ok,
+        "" if ok else "product %s" % prod.pretty(),
     )
 
     if all(m == 1 for _, m in a) and all(m == 1 for _, m in b) and disjoint:
@@ -164,13 +159,11 @@ def univariate_checks(a: MultiRootSet, b: MultiRootSet) -> List[Check]:
                 if q > e:
                     continue
                 sign, scale = sylvester_identity_scale(d, t, p)
-                got = sylv_double_sum(a, b, p, q)
-                expect = want * (sign * scale)
-                _record(
+                _match(
                     checks,
                     "double sum (p=%d,q=%d) matches scaled subresultant" % (p, q),
-                    got == expect,
-                    "got %s, want %s" % (got, expect),
+                    sylv_double_sum(a, b, p, q),
+                    want * (sign * scale),
                 )
     return checks
 
@@ -202,13 +195,14 @@ def mv_checks(doc: SystemDocument) -> List[Check]:
     _record(checks, "subresultant matrix is square", m.nrows == m.ncols,
             "%dx%d" % (m.nrows, m.ncols))
     det = det_exact(m)
-    e_factor = extraneous_factor(sys, t)
-    delta = delta_s(sys, t, s_cols)
+    e_factor = _extraneous_divisor(sys, t)
+    delta = det / e_factor
+    ok = det == e_factor * delta
     _record(
         checks,
         "determinant splits as extraneous factor times subresultant",
-        det == e_factor * delta,
-        "det %s, E*delta %s" % (det, e_factor * delta),
+        ok,
+        "" if ok else "det %s, E*delta %s" % (det, e_factor * delta),
     )
 
     if doc.roots is not None:
@@ -243,11 +237,12 @@ def mv_checks(doc: SystemDocument) -> List[Check]:
                 str(ex),
             )
         else:
+            ok = quotient == delta or quotient == -delta
             _record(
                 checks,
                 "dual-basis quotient matches the Macaulay subresultant up to sign",
-                quotient == delta or quotient == -delta,
-                "poisson %s, macaulay %s" % (quotient, delta),
+                ok,
+                "" if ok else "poisson %s, macaulay %s" % (quotient, delta),
             )
     return checks
 

@@ -2,16 +2,17 @@
 
 Everything here is deliberately naive and shares no code path with the
 package: determinants by cofactor expansion, Hilbert counting through a
-power series, Hermite interpolation through the bordered determinant, and
-a tiny dense Gaussian solver.  Slow is fine; different is the point.
+power series, confluent Vandermonde entries by their binomial formula,
+Hermite interpolation through the bordered determinant, and a tiny dense
+Gaussian solver.  Slow is fine; different is the point.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
+from math import comb
 
 from subres import ExactMatrix, MultiRootSet, ParamPoly, Rat, UniPoly, param
-from subres.confluent import vandermonde_confluent
 
 
 def det_cofactor(rows):
@@ -71,21 +72,29 @@ def solve_gauss(rows, rhs):
     return [aug[i][n] for i in range(n)]
 
 
+def vandermonde_binomial(a: MultiRootSet, u: int):
+    """Confluent Vandermonde rows: block i, column j of row k is binom(k,j) alpha_i^(k-j)."""
+    return [
+        [comb(k, j) * alpha ** (k - j) if k >= j else Rat(0) for alpha, d in a for j in range(d)]
+        for k in range(u)
+    ]
+
+
 def hermite_bordered(a: MultiRootSet, data) -> UniPoly:
     """Interpolant via the bordered determinant: det(V) p = -det([V | x-col; y-row | 0])."""
     d = a.total
-    v = vandermonde_confluent(a, d)
+    v = vandermonde_binomial(a, d)
     x = param("x")
     rows = []
     for k in range(d):
-        rows.append([v[k, c] for c in range(d)] + [x ** k])
+        rows.append(v[k] + [x ** k])
     yrow = []
     for i, (_, mult) in enumerate(a, start=1):
         for j in range(mult):
             yrow.append(data[(i, j)])
     rows.append(yrow + [Rat(0)])
     bordered = det_cofactor(rows)
-    detv = det_cofactor(matrix_rows(v))
+    detv = det_cofactor(v)
     quotient = (-bordered) / detv
     if not isinstance(quotient, ParamPoly):
         return UniPoly([quotient])

@@ -114,6 +114,15 @@ class TestMultivariateCommands:
         got = out_json(capsys, ["mv", "--system", doc, "-t", "2", "--S", "[[0,2]]"])
         assert got == "-1"  # delta with S={x2^2} is -c0^3
 
+    @pytest.mark.parametrize("command", ["mv", "verify"])
+    @pytest.mark.parametrize("bad_s", ["[1]", "[[0, -1]]", "[[0, true]]", "[[0, 2, 0]]", "{}"])
+    def test_bad_s_flag_is_domain_error(self, capsys, command, bad_s):
+        doc = json.dumps(system_doc(c=(1, 1, 1)))
+        code, out, err = run(capsys, [command, "--system", doc, "--S", bad_s])
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
     def test_mv_missing_t_is_domain_error(self, capsys):
         doc = json.dumps(system_doc(with_runparams=False, with_roots=False))
         code, _, err = run(capsys, ["mv", "--system", doc])

@@ -4,9 +4,16 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import rootsets
-from oracles import det_cofactor, hermite_bordered, lagrange_interpolant, matrix_rows
+from conftest import rationals, rootsets
+from oracles import (
+    det_cofactor,
+    hermite_bordered,
+    lagrange_interpolant,
+    matrix_rows,
+    vandermonde_binomial,
+)
 from subres import (
     DomainError,
     ExactMatrix,
@@ -69,7 +76,26 @@ class TestVandermonde:
         assert det_exact(m) == vandermonde_det_closed(a)
 
 
+    @given(rootsets(max_blocks=4), st.integers(0, 8))
+    def test_matches_binomial_entry_formula(self, a, u):
+        assert matrix_rows(vandermonde_confluent(a, u)) == vandermonde_binomial(a, u)
+
+    def test_parametric_roots_match_binomial_entry_formula(self):
+        s = param("s")
+        a = MultiRootSet([(s, 3), (s + 1, 2), (Rat(-2), 1)])
+        for u in range(9):
+            assert matrix_rows(vandermonde_confluent(a, u)) == vandermonde_binomial(a, u)
+
+
 class TestWronskian:
+    @given(rootsets(), st.lists(rationals(), min_size=1, max_size=4), st.integers(0, 7))
+    def test_rows_are_taylor_data_of_shifted_multiples(self, a, coeffs, u):
+        h = UniPoly(coeffs + [param("c")])
+        m = wronskian(h, a, u)
+        for k in range(u):
+            want = [taylor_coeff(h.mul_xk(k), alpha, j) for alpha, d in a for j in range(d)]
+            assert m.rows[k] == want
+
     def test_displayed_x_minus_z_block(self):
         x = param("x")
         h = UniPoly([x, Rat(-1)])  # x - z as a polynomial in z

@@ -28,6 +28,25 @@ def circle_line_pair():
     return f1, f2
 
 
+def quartic_pair():
+    f1 = MultiPoly(2, {(1, 2): Rat(2), (4, 0): Rat(5)})
+    f2 = MultiPoly(2, {(2, 1): Rat(2), (0, 4): Rat(5)})
+    return f1, f2
+
+
+def moved(g, point):
+    """g(x - point): at the point it has the local structure g has at the origin."""
+    out = MultiPoly(g.n)
+    for expo, c in g.terms.items():
+        term = MultiPoly.constant(g.n, c)
+        for i, (e, p) in enumerate(zip(expo, point)):
+            unit = tuple(int(k == i) for k in range(g.n))
+            for _ in range(e):
+                term = term * MultiPoly(g.n, {unit: Rat(1), (0,) * g.n: -p})
+        out = out + term
+    return out
+
+
 def rank(rows):
     if not rows:
         return 0
@@ -159,6 +178,17 @@ class TestInverseSystem:
                 shifted = sigma_shift(L, unit)
                 if shifted is not None:
                     assert rank(rows + [as_vector(shifted, order)]) == base_rank
+
+    @pytest.mark.parametrize("pair", [circle_line_pair, quartic_pair])
+    def test_moved_to_rational_point_keeps_local_structure(self, pair):
+        p = (Rat(3, 2), Rat(-2, 3))
+        at_origin = inverse_system(list(pair()), (0, 0))
+        at_p = inverse_system([moved(g, p) for g in pair()], p)
+        assert at_p.dimension == at_origin.dimension
+        assert at_p.order_stabilized == at_origin.order_stabilized
+        assert not at_p.truncated
+        assert [f.terms for f in at_p] == [f.terms for f in at_origin]
+        assert all(f.point.coords == p for f in at_p)
 
     def test_truncation_flag(self):
         f1 = MultiPoly(2, {(1, 2): Rat(2), (4, 0): Rat(5)})

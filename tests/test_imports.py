@@ -1,0 +1,53 @@
+"""Every name a module under src/subres imports is used in that module.
+
+Package ``__init__`` files re-export what they import and are skipped.
+Names are taken from the syntax tree, string annotations included, so the
+check needs nothing beyond the standard library.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "subres"
+MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            yield node.annotation
+
+
+def used_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+    for ann in annotations(tree):
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                yield from used_names(ast.parse(node.value, mode="eval"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unused = sorted(set(imported_names(tree)) - set(used_names(tree)))
+    assert not unused, "unused imports in %s: %s" % (path.name, ", ".join(unused))
+
+
+def test_scan_sees_the_package():
+    assert len(MODULES) >= 15

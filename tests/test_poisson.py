@@ -4,7 +4,14 @@ import pytest
 
 from subres import DomainError, MultiPoly, ParamPoly, Rat, StructuralError, param
 from subres.matrix import ExactMatrix, det_exact
-from subres.mv.duality import DualFunctional, Point, assemble_dual_basis, inverse_system
+from subres.mv.duality import (
+    DualBasis,
+    DualFunctional,
+    Point,
+    assemble_dual_basis,
+    dual_eval,
+    inverse_system,
+)
 from subres.mv.hilbert import build_monomial_sets
 from subres.mv.macaulay import MVSystem, delta_s
 from subres.mv.poisson import dual_vandermonde, dual_wronskian, poisson_delta
@@ -54,6 +61,20 @@ class TestDualVandermonde:
             ["0", "0", "0", "4"],
         ]
         assert det_exact(vt) == Rat(4)
+
+    @pytest.mark.parametrize("basis", [circle_line_basis(), split_points()[1]])
+    def test_entries_are_functional_values(self, basis):
+        monos = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 3)]
+        got = dual_vandermonde(monos, basis).rows
+        assert got == [[dual_eval(f, MultiPoly.monomial(e)) for f in basis] for e in monos]
+
+    def test_monomial_in_the_wrong_variable_count_rejected(self):
+        with pytest.raises(DomainError):
+            dual_vandermonde([(1, 0, 0)], circle_line_basis())
+
+    def test_empty_basis_gives_empty_rows(self):
+        m = dual_vandermonde([(0, 0), (1, 0)], DualBasis(()))
+        assert (m.nrows, m.ncols) == (2, 0)
 
     def test_wronskian_with_unit_multiplier(self):
         basis = circle_line_basis()
