@@ -13,6 +13,7 @@ reference interchangeably.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -179,7 +180,9 @@ def _cmd_verify(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``sres`` parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sres",
         description="Exact subresultants from coefficients and from roots, cross-checked.",

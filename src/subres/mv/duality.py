@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import comb
+from math import comb, prod
 from typing import Mapping, Optional, Sequence, Tuple
 
 from ..combinat import canon_key, monomials_up_to_degree
@@ -170,6 +170,14 @@ def inverse_system(
     y^beta g(point + y) for every generator and every |beta| up to the
     current order; these span the same conditions as x^beta g.  The
     dimension stalling between two consecutive orders ends the search.
+
+    The default ``order_bound`` is the product of max(deg g, 1).  An
+    isolated root has multiplicity at most the product of the n largest
+    generator degrees (refined Bezout), which this product bounds, and
+    below the stabilization order the dimension grows by at least one per
+    order, so the search stalls by that order.  At a root that is not
+    isolated the dimension never stalls: the result is truncated at the
+    bound, or as soon as the dimension exceeds the degree product.
     """
     if not generators:
         raise DomainError("need at least one generator")
@@ -186,8 +194,9 @@ def inverse_system(
     for g, g_p in zip(generators, local):
         if g_p.coeff((0,) * n):
             raise DomainError("the point is not a common root: %s does not vanish" % g)
+    bezout = prod(max(int(g.total_degree()), 1) for g in generators)
     if order_bound is None:
-        order_bound = sum(max(int(g.total_degree()), 1) - 1 for g in generators) + 1
+        order_bound = bezout
     prev_dim = None
     prev_basis: list = []
     prev_columns: list = []
@@ -203,6 +212,9 @@ def inverse_system(
         if prev_dim is not None and dim == prev_dim:
             funcs = _kernel_to_functionals(prev_basis, prev_columns, point)
             return InverseSystemResult(tuple(funcs), False, order - 1)
+        if dim > bezout:
+            funcs = _kernel_to_functionals(kernel, columns, point)
+            return InverseSystemResult(tuple(funcs), True, None)
         prev_dim = dim
         prev_basis = kernel
         prev_columns = columns

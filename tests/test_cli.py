@@ -5,7 +5,7 @@ import json
 import pytest
 
 from subres import MultiRootSet, Rat
-from subres.cli import main
+from subres.cli import _build_parser, main
 from subres.roots_formulas import sres_one
 from subres.serialize import unipoly_to_json
 
@@ -174,6 +174,18 @@ class TestMultivariateCommands:
         assert got["truncated"] is True
         assert got["order"] is None
 
+    def test_dual_default_bound_reaches_stabilization(self, capsys):
+        gens = json.dumps(
+            [
+                [{"exponents": [2, 0], "coeff": "1"}],
+                [{"exponents": [0, 3], "coeff": "1"}, {"exponents": [1, 0], "coeff": "1"}],
+            ]
+        )
+        got = out_json(capsys, ["dual", "--generators", gens, "--point", '["0","0"]'])
+        assert got["truncated"] is False
+        assert got["dimension"] == 6
+        assert got["order"] == 5
+
 
 class TestVerifyCommand:
     def test_univariate_battery_passes(self, capsys):
@@ -238,6 +250,16 @@ class TestErrorReporting:
         code, _, err = run(capsys, ["coeffs", "--f", "@/nonexistent.json", "--g", "[1]", "-t", "0"])
         assert code == 2
         assert "cannot read" in err
+
+    def test_parser_reused_after_failed_parse(self, capsys):
+        argv = ["verify", "--A", "[[0,2],[1,1]]", "--B", "[[2,2],[3,2]]"]
+        first = run(capsys, argv)
+        with pytest.raises(SystemExit) as ex:
+            main(["verify", "--no-such-flag"])
+        assert ex.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, argv) == first
+        assert _build_parser() is _build_parser()
 
     def test_output_is_single_json_document(self, capsys):
         code, out, _ = run(capsys, ["coeffs", "--f", "[1,-2,1]", "--g", "[0,0,0,1]", "-t", "1"])

@@ -190,6 +190,28 @@ class TestInverseSystem:
         assert [f.terms for f in at_p] == [f.terms for f in at_origin]
         assert all(f.point.coords == p for f in at_p)
 
+    def test_default_bound_reaches_stabilization(self):
+        # Local ring C[x,y]/(x^2, y^3 + x) has basis 1, y, ..., y^5; the
+        # dual reaches order 5, beyond sum(deg g - 1) + 1 = 4.
+        f1 = MultiPoly(2, {(2, 0): Rat(1)})
+        f2 = MultiPoly(2, {(0, 3): Rat(1), (1, 0): Rat(1)})
+        res = inverse_system([f1, f2], (0, 0))
+        assert not res.truncated
+        assert res.dimension == 6
+        assert res.order_stabilized == 5
+        assert res.dimension == inverse_system([f1, f2], (0, 0), order_bound=6).dimension
+
+    def test_root_on_a_curve_stops_past_degree_product(self):
+        # x^3 y^2 and x^2 y^3 share both axes, so the origin is not isolated;
+        # the search stops once the dimension exceeds 5 * 5, not at order 25.
+        f1 = MultiPoly(2, {(3, 2): Rat(1)})
+        f2 = MultiPoly(2, {(2, 3): Rat(1)})
+        res = inverse_system([f1, f2], (0, 0))
+        assert res.truncated
+        assert res.order_stabilized is None
+        assert 25 < res.dimension < 35
+        assert max(f.order for f in res) < 9
+
     def test_truncation_flag(self):
         f1 = MultiPoly(2, {(1, 2): Rat(2), (4, 0): Rat(5)})
         f2 = MultiPoly(2, {(2, 1): Rat(2), (0, 4): Rat(5)})

@@ -12,6 +12,19 @@ from subres import DomainError, ExactMatrix, ParamPoly, Rat, UniPoly, det_exact,
 from subres.matrix import det_in_x
 
 
+# Integers, zeros (so leading pivots vanish) and rationals whose denominators
+# are built negative as often as positive.
+ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.builds(
+        Rat,
+        st.integers(-30, 30),
+        st.integers(1, 40).flatmap(lambda d: st.sampled_from([d, -d])),
+    ),
+)
+
+
 def random_matrix(rng, n, bound=9):
     return ExactMatrix(
         [[Rat(rng.randint(-bound, bound), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
@@ -76,6 +89,56 @@ class TestDeterminant:
         ]
         m = ExactMatrix(rows)
         assert det_exact(m) == det_exact(m.transpose())
+
+
+class TestIntegerScaling:
+    """Rational matrices are eliminated over the integers after row scaling."""
+
+    @given(st.integers(1, 5), st.data())
+    def test_matches_cofactor_oracle(self, n, data):
+        rows = [[data.draw(ENTRIES) for _ in range(n)] for _ in range(n)]
+        if data.draw(st.booleans()):
+            rows[0][0] = 0
+        if n > 1 and data.draw(st.booleans()):
+            factor = data.draw(ENTRIES)
+            rows[-1] = [factor * v for v in rows[0]]
+        m = ExactMatrix(rows)
+        got = det_exact(m)
+        assert got == det_cofactor(matrix_rows(m))
+        assert type(got) is type(Rat(0))
+
+    def test_zero_leading_pivots_swap_rows(self):
+        m = ExactMatrix([[0, 0, Rat(1, 3)], [0, Rat(-2, 5), 7], [Rat(3, -4), 1, 0]])
+        assert det_exact(m) == det_cofactor(matrix_rows(m)) == Rat(-1, 10)
+
+    @pytest.mark.parametrize(
+        "rows, want",
+        [
+            ([], 1),
+            ([[Rat(3, 7)]], Rat(3, 7)),
+            ([[5]], 5),
+            ([[Rat(1, 2), 1], [0, 2]], 1),
+            ([[Rat(1, 2), 1], [1, 2]], 0),
+        ],
+    )
+    def test_result_is_always_rational(self, rows, want):
+        got = det_exact(ExactMatrix(rows))
+        assert got == want
+        assert type(got) is type(Rat(0))
+
+    def test_parameter_entries_mixed_with_fractions(self):
+        rng = random.Random(4242)
+        a, b = param("a"), param("b")
+        for n in range(1, 5):
+            for _ in range(5):
+                rows = [
+                    [Rat(rng.randint(-6, 6), rng.choice([1, 2, -3, 5])) for _ in range(n)]
+                    for _ in range(n)
+                ]
+                rows[rng.randrange(n)][rng.randrange(n)] = a * Rat(1, 3) - b
+                rows[0][0] = 0
+                m = ExactMatrix(rows)
+                assert det_exact(m) == det_cofactor(matrix_rows(m))
 
 
 class TestDetInX:
