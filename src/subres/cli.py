@@ -4,7 +4,10 @@ One invocation runs one subcommand; the result document goes to standard
 output as a single JSON value and diagnostics go to standard error.  All
 rationals cross the boundary as strings.  Exit status: 0 on success, 1 when
 `verify` finds a disagreement, 2 on domain or parse errors, 3 on structural
-errors (non-square subresultant matrix, singular quotient-basis matrix).
+errors (non-square subresultant matrix, singular quotient-basis matrix), 4
+on an internal error, any other exception, reported on standard error as
+``error: internal: <Type>: <message>`` so that it never reads as a failed
+check.  ``sres --version`` prints the version and the rational backend.
 
 Every flag that takes a document accepts inline JSON or an ``@file``
 reference interchangeably.
@@ -18,6 +21,7 @@ import json
 import sys
 from typing import Optional
 
+from . import __version__
 from .confluent import wronskian
 from .errors import DomainError, StructuralError
 from .matrix import det_exact
@@ -26,6 +30,7 @@ from .mv.hilbert import build_monomial_sets
 from .mv.macaulay import delta_s
 from .mv.poisson import poisson_delta
 from .roots_formulas import VARIANTS, sres_dm1_hermite, sres_one, sres_roots
+from .scalar import Rat
 from .serialize import (
     SystemDocument,
     _exponent_vector,
@@ -187,6 +192,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="sres",
         description="Exact subresultants from coefficients and from roots, cross-checked.",
     )
+    backend = type(Rat(0))
+    parser.add_argument(
+        "--version",
+        action="version",
+        version="sres %s (rational backend: %s.%s)"
+        % (__version__, backend.__module__, backend.__qualname__),
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeffs", help="subresultant from coefficient determinants")
@@ -270,6 +282,9 @@ def main(argv: Optional[list] = None) -> int:
     except StructuralError as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 3
+    except Exception as ex:
+        print("error: internal: %s: %s" % (type(ex).__name__, ex), file=sys.stderr)
+        return 4
     json.dump(document, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return status

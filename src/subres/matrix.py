@@ -1,21 +1,24 @@
 """Exact dense matrices and a fraction-free determinant.
 
-The determinant uses Bareiss elimination: every division is by the
-previous pivot and is exact in the ring of the entries, so one elimination
-loop serves two rings.  A rational matrix is scaled row by row to integers
-and eliminated with exact integer division, then divided by the product
-of the row scales; a matrix with a parameter polynomial entry is
-eliminated over the parameter polynomials as it is.  A matrix
-with entries polynomial in a main variable x gets its determinant through
-``det_in_x``: scalar determinants at integer values of x, then Newton
-interpolation, so x never enters the scalar domain.
+The determinant uses Bareiss elimination over one ring, the integers:
+every division is by the previous pivot and is exact on any integer
+matrix.  A rational matrix is scaled row by row to integers, eliminated,
+and divided by the product of the row scales.  A matrix with a parameter
+polynomial entry is scaled the same way and then packed by Kronecker
+substitution: each parameter is evaluated at a power of two so large that
+the determinant's coefficients occupy disjoint, signed base-2^k digits of
+one integer.  Evaluation is a ring homomorphism, so the integer
+determinant of the packed matrix is the packed determinant, and its
+digits read back the polynomial.  A matrix with entries polynomial in a
+main variable x gets its determinant through ``det_in_x``: scalar
+determinants at integer values of x, then Newton interpolation, so x
+never enters the scalar domain.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from typing import Callable, Iterable, List, Sequence
+from typing import Callable, Iterable, List
 
 from .errors import DomainError
 from .scalar import ParamPoly, Rat, Scalar, as_scalar, is_rational
@@ -36,10 +39,6 @@ class ExactMatrix:
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
         return cls([[Rat(1) if i == j else Rat(0) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "ExactMatrix":
-        return cls([[Rat(0)] * ncols for _ in range(nrows)])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -69,27 +68,6 @@ class ExactMatrix:
                 row.append(acc)
             out.append(row)
         return ExactMatrix(out)
-
-    def submatrix(self, drop_row: int, drop_col: int) -> "ExactMatrix":
-        return ExactMatrix(
-            [
-                [v for j, v in enumerate(row) if j != drop_col]
-                for i, row in enumerate(self.rows)
-                if i != drop_row
-            ]
-        )
-
-    def select(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "ExactMatrix":
-        return ExactMatrix([[self.rows[i][j] for j in col_idx] for i in row_idx])
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
-
-    def det(self) -> Scalar:
-        return det_exact(self)
-
-    def map(self, fn: Callable[[Scalar], Scalar]) -> "ExactMatrix":
-        return ExactMatrix([[fn(v) for v in row] for row in self.rows])
 
     def nullspace(self) -> List[List[Scalar]]:
         """Kernel basis via Gauss-Jordan; one vector per free column.
@@ -134,20 +112,19 @@ class ExactMatrix:
 
 
 def det_exact(m: ExactMatrix) -> Scalar:
-    """Determinant by fraction-free Bareiss elimination.
+    """Determinant by fraction-free Bareiss elimination over the integers.
 
-    A matrix of rationals is scaled to integers first: each row is
-    multiplied by the lcm of its denominators, the integer determinant is
-    taken with exact floor division, and the product of the row scales
-    divides it back, so the result is always a rational and elimination
-    never normalises a fraction.  A matrix with a parameter polynomial
-    entry is eliminated as it is, dividing exactly with ``/``.  Both run
-    the same loop, ``_bareiss``.  The empty matrix has determinant one.
+    Each row is first multiplied by the lcm of the denominators in it, and
+    the product of these row scales divides the integer determinant back.
+    A matrix of rationals is eliminated as it is and gives a rational.  A
+    matrix with a parameter polynomial entry gives a ``ParamPoly``; its
+    entries are packed into integers first (``_det_packed``).  Both run the
+    same loop, ``_bareiss``.  The empty matrix has determinant one.
     """
     if m.nrows != m.ncols:
         raise DomainError("determinant of a non-square matrix (%d x %d)" % (m.nrows, m.ncols))
     if not all(is_rational(v) for row in m.rows for v in row):
-        return as_scalar(_bareiss([list(row) for row in m.rows], operator.truediv))
+        return _det_packed(m.rows)
     a = []
     scale = 1
     for row in m.rows:
@@ -157,16 +134,106 @@ def det_exact(m: ExactMatrix) -> Scalar:
         s = math.lcm(*[v.denominator for v in row])
         a.append([v.numerator * (s // v.denominator) for v in row])
         scale *= s
-    return Rat(_bareiss(a, operator.floordiv), scale)
+    return Rat(_bareiss(a), scale)
 
 
-def _bareiss(a: List[list], div):
-    """Determinant of the square rows ``a``, eliminated in place.
+def _det_packed(rows: List[list]) -> ParamPoly:
+    """Determinant of rows with a ``ParamPoly`` entry, by Kronecker substitution.
+
+    After row scaling every entry has integer coefficients.  Two bounds
+    hold for the determinant, both from its permutation expansion: its
+    degree in parameter p is at most D_p, the sum over the rows of the
+    largest degree in p of an entry of the row; and every coefficient is at
+    most B in absolute value, the product over the rows of the summed
+    coefficient 1-norms of the row's entries.  With k = B.bit_length() + 1,
+    each coefficient fits one balanced digit in [-2^(k-1), 2^(k-1)).  The
+    parameters, in sorted order, are evaluated at p_i = 2^(k * prod_{j<i}
+    (D_j + 1)), which gives each monomial of the determinant its own digit.
+    The packed determinant is the integer determinant of the packed
+    entries, so ``_bareiss`` takes it exactly, and ``_unpack`` reads it back.
+    """
+    terms = [
+        [v.terms.items() if isinstance(v, ParamPoly) else [((), v)] if v else () for v in row]
+        for row in rows
+    ]
+    names = sorted({name for row in terms for entry in row for key, _ in entry for name, _ in key})
+    pos = {name: i for i, name in enumerate(names)}
+    degrees = [0] * len(names)
+    scaled = []
+    scale = 1
+    bound = 1
+    for row in terms:
+        s = math.lcm(*[c.denominator for entry in row for _, c in entry])
+        top = [0] * len(names)
+        norm = 0
+        out = []
+        for entry in row:
+            ints = []
+            for key, c in entry:
+                z = c.numerator * (s // c.denominator)
+                norm += abs(z)
+                for name, e in key:
+                    i = pos[name]
+                    top[i] = max(top[i], e)
+                ints.append((key, z))
+            out.append(ints)
+        scaled.append(out)
+        degrees = [d + t for d, t in zip(degrees, top)]
+        scale *= s
+        bound *= norm
+    if not bound:
+        return ParamPoly()
+    k = bound.bit_length() + 1
+    shift = {}
+    stride = k
+    for name, d in zip(names, degrees):
+        shift[name] = stride
+        stride *= d + 1
+    a = [
+        [sum(z << sum(shift[name] * e for name, e in key) for key, z in entry) for entry in row]
+        for row in scaled
+    ]
+    return _unpack(_bareiss(a), k, names, degrees, scale)
+
+
+def _unpack(value: int, k: int, names: List[str], degrees: List[int], scale: int) -> ParamPoly:
+    """Read a packed determinant back as a ``ParamPoly`` divided by ``scale``.
+
+    Digit i, in balanced base 2^k, is the coefficient of the monomial whose
+    exponents are the mixed-radix digits of i with radices D_p + 1.  A
+    value with anything left over after the last digit broke its bounds,
+    and no polynomial is returned for it.
+    """
+    half = 1 << (k - 1)
+    mask = (1 << k) - 1
+    out = {}
+    for index in range(math.prod(d + 1 for d in degrees)):
+        if not value:
+            break
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << k
+        value = (value - digit) >> k
+        if digit:
+            key = []
+            rest = index
+            for name, d in zip(names, degrees):
+                rest, e = divmod(rest, d + 1)
+                if e:
+                    key.append((name, e))
+            out[tuple(key)] = Rat(digit, scale)
+    if value:
+        raise ArithmeticError("packed determinant exceeds its coefficient and degree bounds")
+    return ParamPoly(out)
+
+
+def _bareiss(a: List[list]) -> int:
+    """Determinant of the square integer rows ``a``, eliminated in place.
 
     Step k replaces each entry below and right of the pivot by
-    (pivot * a_ij - a_ik * a_kj) / previous pivot, a division that is exact
-    in the ring of the entries; ``div`` performs it.  Row swaps track the
-    sign; a zero pivot column means determinant 0.
+    (pivot * a_ij - a_ik * a_kj) // previous pivot, a division that is exact
+    on any integer matrix.  Row swaps track the sign; a zero pivot column
+    means determinant 0.
     """
     n = len(a)
     if n == 0:
@@ -186,7 +253,7 @@ def _bareiss(a: List[list], div):
             aik = a[i][k]
             row_i = a[i]
             for j in range(k + 1, n):
-                row_i[j] = div(pivot * row_i[j] - aik * row_k[j], prev)
+                row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // prev
         prev = pivot
     return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
 

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from subres import MultiRootSet, Rat
+from subres import MultiRootSet, Rat, __version__
+from subres import cli
 from subres.cli import _build_parser, main
 from subres.roots_formulas import sres_one
 from subres.serialize import unipoly_to_json
@@ -260,6 +261,30 @@ class TestErrorReporting:
         capsys.readouterr()
         assert run(capsys, argv) == first
         assert _build_parser() is _build_parser()
+
+    def test_internal_error_exit_four(self, capsys, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "sres_coeff", broken)
+        code, out, err = run(capsys, ["coeffs", "--f", "[1,-2,1]", "--g", "[0,0,0,1]", "-t", "1"])
+        assert code == 4
+        assert err == "error: internal: RuntimeError: boom\n"
+        assert out == ""
+
+    def test_version_names_the_rational_backend(self, capsys):
+        with pytest.raises(SystemExit) as ex:
+            main(["--version"])
+        assert ex.value.code == 0
+        backend = type(Rat(0))
+        want = "sres %s (rational backend: %s.%s)\n" % (
+            __version__,
+            backend.__module__,
+            backend.__qualname__,
+        )
+        assert capsys.readouterr().out == want
+        if backend.__module__ == "fractions":
+            assert want == "sres 0.1.0 (rational backend: fractions.Fraction)\n"
 
     def test_output_is_single_json_document(self, capsys):
         code, out, _ = run(capsys, ["coeffs", "--f", "[1,-2,1]", "--g", "[0,0,0,1]", "-t", "1"])

@@ -8,8 +8,17 @@ from hypothesis import strategies as st
 
 from conftest import rationals
 from oracles import det_cofactor, matrix_rows
-from subres import DomainError, ExactMatrix, ParamPoly, Rat, UniPoly, det_exact, param
-from subres.matrix import det_in_x
+from subres import (
+    DomainError,
+    ExactMatrix,
+    ParamPoly,
+    Rat,
+    UniPoly,
+    det_exact,
+    param,
+    substitute_scalar,
+)
+from subres.matrix import _unpack, det_in_x
 
 
 # Integers, zeros (so leading pivots vanish) and rationals whose denominators
@@ -23,6 +32,23 @@ ENTRIES = st.one_of(
         st.integers(1, 40).flatmap(lambda d: st.sampled_from([d, -d])),
     ),
 )
+
+# Rational coefficients: negative, non-integer, and now and then large.
+COEFFS = st.builds(
+    Rat,
+    st.one_of(st.integers(-12, 12), st.integers(-(10**12), 10**12)),
+    st.sampled_from([1, 2, 3, -4, 7]),
+)
+
+
+@st.composite
+def param_polys(draw, names):
+    """A ParamPoly of up to four terms in ``names``, each exponent at most 2."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        key = tuple((name, e) for name in names if (e := draw(st.integers(0, 2))))
+        terms[key] = draw(COEFFS)
+    return ParamPoly(terms)
 
 
 def random_matrix(rng, n, bound=9):
@@ -78,7 +104,7 @@ class TestDeterminant:
             m = ExactMatrix(rows)
             sym = det_exact(m)
             env = {"a": Rat(rng.randint(-3, 3)), "b": Rat(rng.randint(-3, 3))}
-            direct = det_exact(m.map(lambda s: s.substitute(env) if hasattr(s, "substitute") else s))
+            direct = det_exact(ExactMatrix([[substitute_scalar(v, env) for v in row] for row in rows]))
             subbed = sym.substitute(env) if hasattr(sym, "substitute") else sym
             assert subbed == direct
 
@@ -87,8 +113,7 @@ class TestDeterminant:
         rows = [
             [data.draw(rationals()) for _ in range(n)] for _ in range(n)
         ]
-        m = ExactMatrix(rows)
-        assert det_exact(m) == det_exact(m.transpose())
+        assert det_exact(ExactMatrix(rows)) == det_exact(ExactMatrix(list(zip(*rows))))
 
 
 class TestIntegerScaling:
@@ -141,6 +166,74 @@ class TestIntegerScaling:
                 assert det_exact(m) == det_cofactor(matrix_rows(m))
 
 
+class TestKroneckerPacking:
+    """Matrices with ParamPoly entries go through the same integer loop, packed."""
+
+    @staticmethod
+    def expected_type(rows):
+        if any(isinstance(v, ParamPoly) for row in rows for v in row):
+            return ParamPoly
+        return type(Rat(0))
+
+    @given(st.integers(1, 3), st.integers(0, 4), st.data())
+    def test_matches_cofactor_oracle(self, n_params, n, data):
+        names = ("a", "b", "c")[:n_params]
+        entry = st.one_of(ENTRIES, param_polys(names))
+        rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+        if n and data.draw(st.booleans()):
+            rows[0][0] = ParamPoly()
+        if n > 1 and data.draw(st.booleans()):
+            factor = data.draw(param_polys(names))
+            rows[-1] = [factor * v for v in rows[0]]
+        m = ExactMatrix(rows)
+        got = det_exact(m)
+        assert got == det_cofactor(matrix_rows(m))
+        assert type(got) is self.expected_type(m.rows)
+
+    def test_zero_polynomial_pivot_swaps_rows(self):
+        a, b = param("a"), param("b")
+        m = ExactMatrix([[ParamPoly(), a - 2, 1], [Rat(-1, 3), b, 0], [a * b, 0, Rat(5, 2)]])
+        got = det_exact(m)
+        assert got == det_cofactor(matrix_rows(m))
+        assert isinstance(got, ParamPoly) and got.parameters() == {"a", "b"}
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            [[param("a")]],
+            [[ParamPoly.constant(Rat(-7, 3))]],
+            [[ParamPoly()]],
+            [[param("a"), param("b")], [2 * param("a"), 2 * param("b")]],
+            [[param("a"), Rat(1, 2)], [0, 0]],
+            [[0, param("a")], [0, Rat(3)]],
+        ],
+    )
+    def test_small_and_singular_types(self, rows):
+        m = ExactMatrix(rows)
+        got = det_exact(m)
+        assert got == det_cofactor(matrix_rows(m))
+        assert type(got) is self.expected_type(m.rows)
+
+    def test_coefficient_bound_met_with_negative_sign(self):
+        # B = 3 * 5 and det = -15 p: the one coefficient sits on the bound.
+        p = param("p")
+        got = det_exact(ExactMatrix([[-3 * p, 0], [0, 5]]))
+        assert got == -15 * p
+        assert isinstance(got, ParamPoly)
+
+    def test_degree_bound_met_in_every_parameter(self):
+        a, b = param("a"), param("b")
+        m = ExactMatrix([[a**2 * b, -1], [Rat(1, 3), -(b**2)]])
+        assert det_exact(m) == -(a**2) * b**3 + Rat(1, 3)
+
+    def test_leftover_after_last_digit_raises(self):
+        # Two 4-bit digits in one parameter of degree 1, then something left.
+        assert _unpack(-3 << 4, 4, ["p"], [1], 1) == -3 * param("p")
+        with pytest.raises(ArithmeticError):
+            _unpack(1 << 8, 4, ["p"], [1], 1)
+
+
 class TestDetInX:
     @staticmethod
     def x_rows(rng, n, x_rows, extra=Rat(0)):
@@ -186,10 +279,11 @@ class TestStructure:
         assert m @ ExactMatrix.identity(4) == m
         assert ExactMatrix.identity(4) @ m == m
 
-    def test_select_and_submatrix(self):
+    def test_minor_from_indexing(self):
         m = ExactMatrix([[Rat(v) for v in row] for row in ((1, 2, 3), (4, 5, 6), (7, 8, 9))])
-        assert m.submatrix(1, 1) == ExactMatrix([[Rat(1), Rat(3)], [Rat(7), Rat(9)]])
-        assert m.select([0, 2], [0, 2]) == ExactMatrix([[Rat(1), Rat(3)], [Rat(7), Rat(9)]])
+        minor = ExactMatrix([[m[i, j] for j in (0, 2)] for i in (0, 2)])
+        assert minor == ExactMatrix([[Rat(1), Rat(3)], [Rat(7), Rat(9)]])
+        assert minor != ExactMatrix([[Rat(1), Rat(3)], [Rat(7), Rat(8)]])
 
     def test_nullspace_annihilates(self):
         m = ExactMatrix([[Rat(1), Rat(2), Rat(3)], [Rat(2), Rat(4), Rat(6)]])
@@ -219,6 +313,6 @@ class TestStructure:
             )
             kernel = m.nullspace()
             # rank + nullity = ncols; estimate rank through the kernel of the transpose
-            cokernel = m.transpose().nullspace()
+            cokernel = ExactMatrix(list(zip(*m.rows))).nullspace()
             rank = ncols - len(kernel)
             assert rank == nrows - len(cokernel)
