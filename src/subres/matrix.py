@@ -140,17 +140,28 @@ def det_exact(m: ExactMatrix) -> Scalar:
 def _det_packed(rows: List[list]) -> ParamPoly:
     """Determinant of rows with a ``ParamPoly`` entry, by Kronecker substitution.
 
-    After row scaling every entry has integer coefficients.  Two bounds
-    hold for the determinant, both from its permutation expansion: its
-    degree in parameter p is at most D_p, the sum over the rows of the
-    largest degree in p of an entry of the row; and every coefficient is at
-    most B in absolute value, the product over the rows of the summed
-    coefficient 1-norms of the row's entries.  With k = B.bit_length() + 1,
-    each coefficient fits one balanced digit in [-2^(k-1), 2^(k-1)).  The
-    parameters, in sorted order, are evaluated at p_i = 2^(k * prod_{j<i}
-    (D_j + 1)), which gives each monomial of the determinant its own digit.
-    The packed determinant is the integer determinant of the packed
-    entries, so ``_bareiss`` takes it exactly, and ``_unpack`` reads it back.
+    After row scaling every entry has integer coefficients.  The
+    determinant's permutation expansion takes one entry from each row and
+    each column, so its degree in parameter p is at most D_p, the sum over
+    the rows of the largest degree in p of an entry of the row, and also the
+    same sum over the columns; the smaller one is used.  A coefficient of
+    the determinant is its mean times a monomial's inverse over the unit
+    torus |p| = 1, where an entry is at most its coefficient 1-norm in
+    absolute value.  So by Hadamard's inequality every coefficient is at
+    most sqrt(prod over the rows of the summed squared 1-norms of the row's
+    entries), and likewise by columns; B is the smaller one, rounded down,
+    as the coefficients are integers.  With k = B.bit_length() + 1, each
+    coefficient fits one balanced digit in [-2^(k-1), 2^(k-1)).  The
+    parameters, in sorted order, are evaluated at
+    p_i = 2^(k * prod_{j<i} (D_j + 1)), which gives each monomial of the
+    determinant its own digit.  The packed determinant is the integer
+    determinant of the packed entries, so ``_bareiss`` takes it exactly,
+    and ``_unpack`` reads it back.
+
+    The packed integers have k * prod_p (D_p + 1) bits, dense in the
+    monomials however sparse the determinant is, so their size grows
+    exponentially with the number of distinct parameters.  A Vandermonde
+    matrix in roots a, b, c, d, e packs its determinant into 5^5 digits.
     """
     terms = [
         [v.terms.items() if isinstance(v, ParamPoly) else [((), v)] if v else () for v in row]
@@ -158,31 +169,43 @@ def _det_packed(rows: List[list]) -> ParamPoly:
     ]
     names = sorted({name for row in terms for entry in row for key, _ in entry for name, _ in key})
     pos = {name: i for i, name in enumerate(names)}
-    degrees = [0] * len(names)
+    by_rows = [0] * len(names)
+    col_tops = [[0] * len(names) for _ in rows]
+    col_squares = [0] * len(rows)
     scaled = []
     scale = 1
-    bound = 1
+    row_product = 1
     for row in terms:
         s = math.lcm(*[c.denominator for entry in row for _, c in entry])
         top = [0] * len(names)
-        norm = 0
+        squares = 0
         out = []
-        for entry in row:
+        for j, entry in enumerate(row):
+            col = col_tops[j]
             ints = []
+            norm = 0
             for key, c in entry:
                 z = c.numerator * (s // c.denominator)
                 norm += abs(z)
                 for name, e in key:
                     i = pos[name]
-                    top[i] = max(top[i], e)
+                    if e > top[i]:
+                        top[i] = e
+                    if e > col[i]:
+                        col[i] = e
                 ints.append((key, z))
+            squares += norm * norm
+            col_squares[j] += norm * norm
             out.append(ints)
         scaled.append(out)
-        degrees = [d + t for d, t in zip(degrees, top)]
+        by_rows = [d + t for d, t in zip(by_rows, top)]
         scale *= s
-        bound *= norm
-    if not bound:
+        row_product *= squares
+    product = min(row_product, math.prod(col_squares))
+    if not product:
         return ParamPoly()
+    bound = math.isqrt(product)
+    degrees = [min(r, sum(c)) for r, c in zip(by_rows, zip(*col_tops))]
     k = bound.bit_length() + 1
     shift = {}
     stride = k
@@ -200,30 +223,31 @@ def _unpack(value: int, k: int, names: List[str], degrees: List[int], scale: int
     """Read a packed determinant back as a ``ParamPoly`` divided by ``scale``.
 
     Digit i, in balanced base 2^k, is the coefficient of the monomial whose
-    exponents are the mixed-radix digits of i with radices D_p + 1.  A
-    value with anything left over after the last digit broke its bounds,
-    and no polynomial is returned for it.
+    exponents are the mixed-radix digits of i with radices D_p + 1.  Adding
+    2^(k-1) to each of the n digits turns them into the plain base-2^k
+    digits of one nonnegative integer below 2^(n k), which its binary
+    string splits in linear time.  A value outside that range has something
+    left over after the last digit, broke its bounds, and no polynomial is
+    returned for it.
     """
+    n = math.prod(d + 1 for d in degrees)
+    zero = "1" + "0" * (k - 1)
+    value += int(zero * n, 2)
+    if value < 0 or value.bit_length() > n * k:
+        raise ArithmeticError("packed determinant exceeds its coefficient and degree bounds")
+    bits = bin(value)[2:].zfill(n * k)
     half = 1 << (k - 1)
-    mask = (1 << k) - 1
     out = {}
-    for index in range(math.prod(d + 1 for d in degrees)):
-        if not value:
-            break
-        digit = value & mask
-        if digit >= half:
-            digit -= 1 << k
-        value = (value - digit) >> k
-        if digit:
+    for index, end in enumerate(range(n * k, 0, -k)):
+        chunk = bits[end - k : end]
+        if chunk != zero:
             key = []
             rest = index
             for name, d in zip(names, degrees):
                 rest, e = divmod(rest, d + 1)
                 if e:
                     key.append((name, e))
-            out[tuple(key)] = Rat(digit, scale)
-    if value:
-        raise ArithmeticError("packed determinant exceeds its coefficient and degree bounds")
+            out[tuple(key)] = Rat(int(chunk, 2) - half, scale)
     return ParamPoly(out)
 
 

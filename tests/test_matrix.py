@@ -18,7 +18,10 @@ from subres import (
     param,
     substitute_scalar,
 )
+from subres import matrix
+from subres.confluent import vandermonde_det_closed, wronskian, wronskian_det_closed
 from subres.matrix import _unpack, det_in_x
+from subres.rootsets import MultiRootSet
 
 
 # Integers, zeros (so leading pivots vanish) and rationals whose denominators
@@ -229,9 +232,49 @@ class TestKroneckerPacking:
 
     def test_leftover_after_last_digit_raises(self):
         # Two 4-bit digits in one parameter of degree 1, then something left.
-        assert _unpack(-3 << 4, 4, ["p"], [1], 1) == -3 * param("p")
-        with pytest.raises(ArithmeticError):
-            _unpack(1 << 8, 4, ["p"], [1], 1)
+        p = param("p")
+        assert _unpack(-3 << 4, 4, ["p"], [1], 1) == -3 * p
+        assert _unpack(7 + (7 << 4), 4, ["p"], [1], 1) == 7 + 7 * p
+        assert _unpack(-8 - (8 << 4), 4, ["p"], [1], 1) == -8 - 8 * p
+        for value in (1 << 8, 8 + (7 << 4), -(1 << 8), -9 - (8 << 4)):
+            with pytest.raises(ArithmeticError):
+                _unpack(value, 4, ["p"], [1], 1)
+
+    @staticmethod
+    def packed_degrees(monkeypatch, m):
+        seen = []
+
+        def spy(value, k, names, degrees, scale):
+            seen.append((names, degrees))
+            return _unpack(value, k, names, degrees, scale)
+
+        monkeypatch.setattr(matrix, "_unpack", spy)
+        got = det_exact(m)
+        return got, seen
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_many_parameters_pack_by_the_tighter_side(self, monkeypatch, transpose):
+        # A Vandermonde matrix has the powers of one root down a column:
+        # degree 4 in each root by columns, 0 + 1 + 2 + 3 + 4 = 10 by rows.
+        # With the row bound its five roots pack into 11^5 digits, not 5^5.
+        names = ["a", "b", "c", "d", "e"]
+        roots = MultiRootSet([(param(n), 1) for n in names])
+        rows = [[param(n) ** i for n in names] for i in range(5)]
+        if transpose:
+            rows = [list(col) for col in zip(*rows)]
+        got, seen = self.packed_degrees(monkeypatch, ExactMatrix(rows))
+        assert got == vandermonde_det_closed(roots)
+        assert seen == [(names, [4] * 5)]
+
+    def test_confluent_wronskian_in_four_parameters(self, monkeypatch):
+        # Row k of W(z - 2) holds the Taylor data of z^k (z - 2), of degree
+        # k + 1 - j in the root of inner column j.  By columns: 5 + 4 for the
+        # double root a and 5 for each simple one; by rows 1 + ... + 5 = 15.
+        a = MultiRootSet([(param("a"), 2), (param("b"), 1), (param("c") + 1, 1), (param("d"), 1)])
+        h = UniPoly([-2, 1])
+        got, seen = self.packed_degrees(monkeypatch, wronskian(h, a, a.total))
+        assert got == wronskian_det_closed(h, a)
+        assert seen == [(["a", "b", "c", "d"], [9, 5, 5, 5])]
 
 
 class TestDetInX:
