@@ -2,8 +2,10 @@
 """Random cross-check battery over the rationals.
 
 Draws random multiple-root pairs, runs every coefficient-side vs root-side
-comparison the preconditions allow, then replays the bundled two-variable
-example through the document-level battery.  Exits 1 if any check fails.
+comparison the preconditions allow, then replays two bundled two-variable
+systems through the document-level battery: the circle-line example, whose
+dual basis is given, and a grid system with one root of multiplicity 9,
+whose dual basis ``inverse_system`` computes.  Exits 1 if any check fails.
 """
 
 import argparse
@@ -48,6 +50,46 @@ BUNDLED_SYSTEM = {
 }
 
 
+# (x1 - 1/2)^3, (x2 + 1)^3 and a rational line: the root (1/2, -1) has
+# multiplicity 9, and its dual basis is left to inverse_system.  The leading
+# forms are x1^3 and x2^3, so the reduced monomials x1^a x2^b with a, b < 3
+# are a basis of the quotient and make V_T invertible.
+GRID_SYSTEM = {
+    "n": 2,
+    "variables": ["x1", "x2"],
+    "polynomials": [
+        [
+            {"exponents": [0, 0], "coeff": "-1/8"},
+            {"exponents": [1, 0], "coeff": "3/4"},
+            {"exponents": [2, 0], "coeff": "-3/2"},
+            {"exponents": [3, 0], "coeff": "1"},
+        ],
+        [
+            {"exponents": [0, 0], "coeff": "1"},
+            {"exponents": [0, 1], "coeff": "3"},
+            {"exponents": [0, 2], "coeff": "3"},
+            {"exponents": [0, 3], "coeff": "1"},
+        ],
+        [
+            {"exponents": [0, 0], "coeff": "2"},
+            {"exponents": [1, 0], "coeff": "-1"},
+            {"exponents": [0, 1], "coeff": "3/2"},
+        ],
+    ],
+    "degrees": [3, 3, 1],
+    "t": 2,
+    "S": [[0, 0], [1, 0], [0, 1]],
+    "T_override": {
+        "0": [[0, 0]],
+        "1": [[1, 0], [0, 1]],
+        "2": [[2, 0], [1, 1], [0, 2]],
+        "3": [[2, 1], [1, 2]],
+        "4": [[2, 2]],
+    },
+    "roots": [{"point": ["1/2", "-1"]}],
+}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description="cross-check root-side subresultant formulas against determinants"
@@ -69,14 +111,15 @@ def main(argv=None):
             total += 1
             if not check.ok:
                 failures.append(("pair %d: %s vs %s" % (i, a, b), check))
-    for check in mv_checks(parse_system(BUNDLED_SYSTEM)):
-        total += 1
-        if not check.ok:
-            failures.append(("bundled system", check))
+    for name, doc in (("bundled system", BUNDLED_SYSTEM), ("grid system", GRID_SYSTEM)):
+        for check in mv_checks(parse_system(doc)):
+            total += 1
+            if not check.ok:
+                failures.append((name, check))
     elapsed = time.perf_counter() - started
 
     print(
-        "%d checks on %d random pairs + 1 bundled system in %.2f s"
+        "%d checks on %d random pairs + 2 bundled systems in %.2f s"
         % (total, args.cases, elapsed)
     )
     for origin, check in failures:

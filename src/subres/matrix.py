@@ -12,13 +12,14 @@ determinant of the packed matrix is the packed determinant, and its
 digits read back the polynomial.  A matrix with entries polynomial in a
 main variable x gets its determinant through ``det_in_x``: scalar
 determinants at integer values of x, then Newton interpolation, so x
-never enters the scalar domain.
+never enters the scalar domain.  Kernels and reduced echelon forms come
+from one fraction-free Gauss-Jordan loop on the same integer-scaled rows.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, List
+from typing import Callable, Iterable, List, Tuple
 
 from .errors import DomainError
 from .scalar import ParamPoly, Rat, Scalar, as_scalar, is_rational
@@ -70,38 +71,26 @@ class ExactMatrix:
         return ExactMatrix(out)
 
     def nullspace(self) -> List[List[Scalar]]:
-        """Kernel basis via Gauss-Jordan; one vector per free column.
+        """Kernel basis, one vector per free column, by ``_gauss_jordan``.
 
-        A column whose entries are all zero yields the plain unit vector,
-        so distinguished generators survive untouched.
+        The vector of free column c is 1 at c, 0 at the other free
+        columns, and minus the reduced echelon entry in column c of the
+        pivot row at each pivot column: the reduced echelon form of the
+        kernel read from the last column backwards, which is unique.  A
+        column whose entries are all zero yields the plain unit vector, so
+        distinguished generators survive untouched.
         """
-        m = [list(r) for r in self.rows]
-        nr, nc = self.nrows, self.ncols
-        pivots: List[int] = []
-        r = 0
-        for c in range(nc):
-            p = next((i for i in range(r, nr) if m[i][c]), None)
-            if p is None:
-                continue
-            m[r], m[p] = m[p], m[r]
-            inv = m[r][c]
-            m[r] = [v / inv for v in m[r]]
-            for i in range(nr):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == nr:
-                break
-        free = [c for c in range(nc) if c not in pivots]
+        a, pivots, over = _gauss_jordan(self.rows)
         basis = []
-        for c in free:
-            v: List[Scalar] = [Rat(0)] * nc
-            v[c] = Rat(1)
-            for i, pc in enumerate(pivots):
-                v[pc] = -m[i][c]
-            basis.append(v)
+        taken = set(pivots)
+        for c in range(self.ncols):
+            if c not in taken:
+                v: List[Scalar] = [Rat(0)] * self.ncols
+                v[c] = Rat(1)
+                for row, pc in zip(a, pivots):
+                    if row[c]:
+                        v[pc] = over(-row[c])
+                basis.append(v)
         return basis
 
     def __repr__(self):
@@ -280,6 +269,68 @@ def _bareiss(a: List[list]) -> int:
                 row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // prev
         prev = pivot
     return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
+
+
+def reduced_echelon(rows: List[list]) -> List[List[Scalar]]:
+    """The nonzero rows of the reduced row echelon form of ``rows``."""
+    a, pivots, over = _gauss_jordan(rows)
+    zero = Rat(0)
+    return [[over(v) if v else zero for v in row] for row in a[: len(pivots)]]
+
+
+def _gauss_jordan(rows: List[list]) -> Tuple[list, List[int], Callable[[Scalar], Scalar]]:
+    """Fraction-free Gauss-Jordan elimination of ``rows``; the one kernel of
+    ``nullspace`` and ``reduced_echelon``.
+
+    Rational rows are scaled to integers, each by the lcm of its
+    denominators, which leaves the row space as it is; rows with a
+    ``ParamPoly`` entry are taken over the parameter polynomials.  Zero
+    rows are dropped.  Pivots are searched column by column, from the
+    first row not yet a pivot row down.  At pivot p in column c, every
+    other row becomes (p * row - row[c] * pivot_row) // prev, where prev
+    is the previous pivot, 1 at the start.  Every entry is then a minor
+    of the scaled matrix, so each division is exact, over the integers
+    and over the parameter polynomials alike, and each pivot row holds
+    the last pivot d on its pivot and d times the reduced echelon form.
+    Returns the rows, the pivot columns, and the map v -> v / d into the
+    scalar domain.
+    """
+    parametric = any(isinstance(v, ParamPoly) for row in rows for v in row)
+    if not parametric:
+        a = []
+        for row in rows:
+            s = math.lcm(*[v.denominator for v in row])
+            a.append([v.numerator * (s // v.denominator) for v in row])
+    else:
+        a = [[v if isinstance(v, ParamPoly) else ParamPoly.constant(v) for v in row] for row in rows]
+    a = [row for row in a if any(row)]
+    nr = len(a)
+    pivots: List[int] = []
+    prev = 1
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == nr:
+            break
+        p = next((i for i in range(r, nr) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        row_r = a[r]
+        pivot = row_r[c]
+        for i in range(nr):
+            if i == r:
+                continue
+            row_i = a[i]
+            f = row_i[c]
+            if f:
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(row_i, row_r)]
+            elif pivot != prev:
+                a[i] = [pivot * x // prev for x in row_i]
+        pivots.append(c)
+        prev = pivot
+    if parametric:
+        return a, pivots, lambda v: v / prev
+    return a, pivots, lambda v: Rat(v, prev)
 
 
 def det_in_x(build: Callable[[Scalar], ExactMatrix], deg: int, den: Scalar = 1) -> UniPoly:

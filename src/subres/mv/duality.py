@@ -3,21 +3,22 @@
 A functional is a rational combination of normalized partial derivative
 evaluations at one point; normalization divides the alpha-th derivative by
 alpha! so that applying d_alpha to x^gamma and evaluating at zero picks
-out delta_{alpha,gamma}.  The sigma operators lower derivative exponents
-and witness closedness of a local dual space under "division" by the
-variables.
+out delta_{alpha,gamma}.  In local coordinates y = x - point, d_alpha
+reads the coefficient of y^alpha.  The sigma operators lower derivative
+exponents and witness closedness of a local dual space under "division"
+by the variables; the integrals raise them, and ``inverse_system`` grows
+the dual space order by order with them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import comb, prod
 from typing import Mapping, Optional, Sequence, Tuple
 
-from ..combinat import canon_key, monomials_up_to_degree
+from ..combinat import canon_key
 from ..errors import DomainError
-from ..matrix import ExactMatrix
+from ..matrix import ExactMatrix, reduced_echelon
 from ..multipoly import MultiPoly
 from ..scalar import Rat, Scalar, as_scalar
 
@@ -124,12 +125,31 @@ def sigma_shift(func: DualFunctional, beta: Expo) -> Optional[DualFunctional]:
     return DualFunctional(func.point, out)
 
 
+def _binomial_tables(coords: Sequence[Scalar], tops: Sequence[int]) -> list:
+    """tables[i][a][k] = C(a, k) x_i^(a - k), the coefficient of y_i^k in
+    (x_i + y_i)^a, for a up to tops[i]."""
+    tables = []
+    for x, top in zip(coords, tops):
+        powers = [Rat(1)]
+        for _ in range(top):
+            powers.append(powers[-1] * x)
+        tables.append([[comb(a, k) * powers[a - k] for k in range(a + 1)] for a in range(top + 1)])
+    return tables
+
+
 def _translate(g: MultiPoly, point: Point) -> MultiPoly:
-    """g(point + y) as a polynomial in y."""
+    """g(point + y) as a polynomial in y, term by term from the tables of
+    the binomial expansion of each (x_i + y_i)^gamma_i."""
+    tables = _binomial_tables(point.coords, [max(e[i] for e in g.terms) for i in range(g.n)])
     out: dict = {}
     for gamma, c in g.terms.items():
-        for alpha in product(*(range(e + 1) for e in gamma)):
-            out[alpha] = out.get(alpha, Rat(0)) + c * _deriv_monomial_at(gamma, alpha, point)
+        partial = {(): c}
+        for table, e in zip(tables, gamma):
+            partial = {
+                key + (k,): v * t for key, v in partial.items() for k, t in enumerate(table[e]) if t
+            }
+        for alpha, v in partial.items():
+            out[alpha] = out.get(alpha, Rat(0)) + v
     return MultiPoly(g.n, out)
 
 
@@ -163,13 +183,25 @@ def inverse_system(
 ) -> InverseSystemResult:
     """All functionals up to the stabilization order that kill the ideal.
 
-    Each generator g is written once in local coordinates y = x - point,
-    where the coefficient of y^alpha in g(point + y) is the value of the
-    functional d_alpha on g.  Closedness of the conditions under
-    multiplication by monomials is enforced by requiring annihilation of
-    y^beta g(point + y) for every generator and every |beta| up to the
-    current order; these span the same conditions as x^beta g.  The
-    dimension stalling between two consecutive orders ends the search.
+    Works in local coordinates y = x - point, where d_alpha applied to a
+    polynomial reads the coefficient of y^alpha in its translate, and
+    grows D_k, the functionals of order at most k, by integration
+    (Mourrain, "Isolated points, duality and residues", JPAA 117-118,
+    1997; Mantzaflaris-Mourrain, ISSAC 2011).  D_0 is the evaluation.  A
+    functional of order at most k + 1 without constant term is
+    sum_i integral_i Lambda_i with every Lambda_i in D_k, where integral_i
+    raises d_alpha to d_(alpha + e_i) when alpha_1 = ... = alpha_(i-1) = 0
+    and drops it otherwise.  It lies in the dual exactly when the
+    Lambda_i commute, sigma_j Lambda_i = sigma_i Lambda_j for i < j (then
+    sigma_i of it is Lambda_i, so the space stays closed under
+    ``sigma_shift``), and it kills each generator g(point + y).  The
+    unknowns are the coordinates of the Lambda_i in the basis of D_k, and
+    dim D_(k+1) = 1 + the dimension of their kernel.  The dimension
+    stalling between two consecutive orders ends the search.  The basis
+    returned is the reduced echelon form of the dual space taken from the
+    last monomial of ``monomials_up_to_degree`` backwards, which is
+    unique: each functional ends in its own monomial with coefficient 1,
+    on which every other functional is zero.
 
     The default ``order_bound`` is the product of max(deg g, 1).  An
     isolated root has multiplicity at most the product of the n largest
@@ -197,38 +229,74 @@ def inverse_system(
     bezout = prod(max(int(g.total_degree()), 1) for g in generators)
     if order_bound is None:
         order_bound = bezout
-    prev_dim = None
-    prev_basis: list = []
-    prev_columns: list = []
-    for order in range(order_bound + 1):
-        columns = monomials_up_to_degree(n, order)
-        rows = []
-        for g_p in local:
-            for beta in columns:
-                shifted = g_p.shift(beta)
-                rows.append([shifted.coeff(alpha) for alpha in columns])
-        kernel = ExactMatrix(rows).nullspace()
-        dim = len(kernel)
-        if prev_dim is not None and dim == prev_dim:
-            funcs = _kernel_to_functionals(prev_basis, prev_columns, point)
-            return InverseSystemResult(tuple(funcs), False, order - 1)
-        if dim > bezout:
-            funcs = _kernel_to_functionals(kernel, columns, point)
-            return InverseSystemResult(tuple(funcs), True, None)
-        prev_dim = dim
-        prev_basis = kernel
-        prev_columns = columns
-    funcs = _kernel_to_functionals(prev_basis, prev_columns, point)
-    return InverseSystemResult(tuple(funcs), True, None)
+    basis = [{(0,) * n: Rat(1)}]
+    for order in range(1, order_bound + 1):
+        grown = _integrate(basis, local, n)
+        if len(grown) == len(basis):
+            return InverseSystemResult(_canonical(basis, point), False, order - 1)
+        if len(grown) > bezout:
+            return InverseSystemResult(_canonical(grown, point), True, None)
+        basis = grown
+    return InverseSystemResult(_canonical(basis, point), True, None)
 
 
-def _kernel_to_functionals(kernel, columns, point: Point):
-    funcs = []
-    for vec in kernel:
-        terms = {expo: c for expo, c in zip(columns, vec) if c}
-        funcs.append(DualFunctional(point, terms))
+def _integrate(basis: list, local: Sequence[MultiPoly], n: int) -> list:
+    """A basis of D_(k+1), as dicts from exponents to coefficients, from one
+    of D_k.  Unknown (i, m) is the coefficient of basis[m] in Lambda_i."""
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    integrals = []
+    lowered = []
+    for i, unit in enumerate(units):
+        integrals.append([
+            {tuple(a + u for a, u in zip(alpha, unit)): c for alpha, c in b.items() if not any(alpha[:i])}
+            for b in basis
+        ])
+        lowered.append([
+            {tuple(a - u for a, u in zip(alpha, unit)): c for alpha, c in b.items() if alpha[i]}
+            for b in basis
+        ])
+    zero = Rat(0)
+    rows = []
+    for g_p in local:
+        coeff = g_p.terms
+        rows.append([
+            sum((c * coeff[alpha] for alpha, c in term.items() if alpha in coeff), zero)
+            for per_i in integrals
+            for term in per_i
+        ])
+    size = len(basis)
+    for i in range(n):
+        for j in range(i + 1, n):
+            # sigma_j Lambda_i - sigma_i Lambda_j, one row per monomial
+            conditions: dict = {}
+            for m, term in enumerate(lowered[j]):
+                for gamma, c in term.items():
+                    conditions.setdefault(gamma, {})[i * size + m] = c
+            for m, term in enumerate(lowered[i]):
+                for gamma, c in term.items():
+                    conditions.setdefault(gamma, {})[j * size + m] = -c
+            for row in conditions.values():
+                rows.append([row.get(col, zero) for col in range(n * size)])
+    grown = [basis[0]]
+    for vec in ExactMatrix(rows).nullspace():
+        functional: dict = {}
+        for lam, term in zip(vec, (term for per_i in integrals for term in per_i)):
+            if lam:
+                for alpha, c in term.items():
+                    functional[alpha] = functional.get(alpha, zero) + lam * c
+        grown.append({alpha: c for alpha, c in functional.items() if c})
+    return grown
+
+
+def _canonical(basis: list, point: Point) -> Tuple[DualFunctional, ...]:
+    """The reduced echelon form of the span, read from the last monomial
+    backwards, as functionals sorted by order and then by last monomial."""
+    columns = sorted({alpha for b in basis for alpha in b}, key=canon_key, reverse=True)
+    zero = Rat(0)
+    rows = reduced_echelon([[b.get(alpha, zero) for alpha in columns] for b in basis])
+    funcs = [DualFunctional(point, {alpha: c for alpha, c in zip(columns, row) if c}) for row in rows]
     funcs.sort(key=lambda f: (f.order, canon_key(f.terms[-1][0])))
-    return funcs
+    return tuple(funcs)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ order-(t, S) subresultant factors as the product of the leading-form
 determinants for the free degrees times det(O_S(Lambda)) / det(V_T(Lambda)),
 where O_S stacks the monomial evaluations on S and T* over the evaluations
 of the last polynomial's multiples indexed by R.  The two routes agree up
-to a fixed sign per configuration.
+to a fixed sign per configuration.  Both kinds of rows come from
+``dual_wronskian``, built in local coordinates at each root.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from ..errors import DomainError, StructuralError
 from ..matrix import ExactMatrix, det_exact
 from ..multipoly import MultiPoly
 from ..scalar import Rat, Scalar
-from .duality import DualBasis, dual_eval
+from .duality import DualBasis, _binomial_tables, _translate
 from .hilbert import MonomialSets, build_monomial_sets
 from .macaulay import MVSystem, _check_s, leading_form_subres
 
@@ -24,13 +25,48 @@ Expo = tuple
 
 
 def dual_wronskian(h: MultiPoly, monomials: Sequence[Expo], basis: DualBasis) -> ExactMatrix:
-    """Rows indexed by monomials, columns by functionals; entry L(x^alpha h)."""
-    funcs = basis.functionals
-    rows = []
+    """Rows indexed by monomials, columns by functionals; entry L(x^alpha h).
+
+    Built in local coordinates, group by group.  At the group's point p, h
+    is translated once, h_p = h(p + y), and each functional L of the group
+    becomes L o h = sum_beta h_p[beta] sigma_beta L, the functional that
+    maps F to L(h F).  The entry is (L o h)((p + y)^alpha), whose terms are
+    read from per-coordinate tables of C(a, k) p_i^(a - k).
+    """
+    monomials = [tuple(e) for e in monomials]
+    n = h.n
     for expo in monomials:
-        shifted = h.shift(tuple(expo))
-        rows.append([dual_eval(f, shifted) for f in funcs])
-    return ExactMatrix(rows)
+        if len(expo) != n or any(not isinstance(e, int) or e < 0 for e in expo):
+            raise DomainError("bad exponent vector %r for %d variables" % (expo, n))
+    tops = [max((e[i] for e in monomials), default=0) for i in range(n)]
+    zero = Rat(0)
+    columns = []
+    for point, funcs in basis.groups:
+        if point.n != n:
+            raise DomainError("functional in %d variables applied to %d" % (point.n, n))
+        h_p = _translate(h, point).terms.items()
+        tables = _binomial_tables(point.coords, tops)
+        for func in funcs:
+            composed: dict = {}
+            for gamma, l in func.terms:
+                for beta, c in h_p:
+                    delta = tuple(g - b for g, b in zip(gamma, beta))
+                    if min(delta) >= 0:
+                        composed[delta] = composed.get(delta, zero) + l * c
+            terms = [(delta, v) for delta, v in composed.items() if v]
+            column = []
+            for alpha in monomials:
+                acc: Scalar = zero
+                for delta, v in terms:
+                    for table, a, d in zip(tables, alpha, delta):
+                        if d > a or not table[a][d]:
+                            break
+                        v = v * table[a][d]
+                    else:
+                        acc = acc + v
+                column.append(acc)
+            columns.append(column)
+    return ExactMatrix([list(row) for row in zip(*columns)] if columns else [[] for _ in monomials])
 
 
 def dual_vandermonde(monomials: Sequence[Expo], basis: DualBasis) -> ExactMatrix:

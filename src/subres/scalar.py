@@ -185,6 +185,12 @@ class ParamPoly:
             return _divide_exact(self, other)
         return NotImplemented
 
+    def __floordiv__(self, other):
+        """The exact quotient, as ``/``: it never rounds.  The fraction-free
+        eliminations write their exact divisions as ``//``, so integer and
+        parameter entries share one loop."""
+        return self / other
+
     def __rtruediv__(self, other):
         if not is_rational(other):
             return NotImplemented

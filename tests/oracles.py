@@ -123,3 +123,92 @@ def lagrange_interpolant(points, values):
 def monomials_of_degree_naive(nvars, degree):
     """All exponent vectors of the given total degree, unordered generation."""
     return [v for v in iproduct(range(degree + 1), repeat=nvars) if sum(v) == degree]
+
+
+def nullspace_gauss_jordan(rows, ncols):
+    """Kernel basis by Gauss-Jordan over the fractions, one vector per free
+    column: 1 there, 0 on the other free columns, minus the reduced entry
+    on each pivot column."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        inv = m[r][c]
+        m[r] = [v / inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    basis = []
+    for c in range(ncols):
+        if c not in pivots:
+            v = [Rat(0)] * ncols
+            v[c] = Rat(1)
+            for i, pc in enumerate(pivots):
+                v[pc] = -m[i][c]
+            basis.append(v)
+    return basis
+
+
+def _local_coefficients(g, point):
+    """Coefficients of g(point + y), by the binomial expansion of each term."""
+    out = {}
+    for gamma, c in g.terms.items():
+        for alpha in iproduct(*(range(e + 1) for e in gamma)):
+            term = c
+            for e, a, x in zip(gamma, alpha, point):
+                term = term * comb(e, a) * x ** (e - a)
+            out[alpha] = out.get(alpha, Rat(0)) + term
+    return out
+
+
+def _up_to_degree(n, order):
+    monos = [v for v in iproduct(range(order + 1), repeat=n) if sum(v) <= order]
+    return sorted(monos, key=lambda v: (sum(v), tuple(-e for e in v)))
+
+
+def inverse_system_dialytic(generators, point, order_bound=None):
+    """The local dual space by Macaulay's dialytic method (Dayton-Zeng,
+    ISSAC 2005): at each order k the kernel of the matrix whose rows are
+    y^beta g(point + y), |beta| <= k, over all monomials of degree <= k.
+
+    Returns (functionals, truncated, order_stabilized) as ``inverse_system``
+    does, with the same order bound, stall rule and truncation past the
+    degree product.
+    """
+    from subres.mv.duality import DualFunctional, Point
+
+    point = Point(point)
+    n = point.n
+    local = [_local_coefficients(g, point.coords) for g in generators]
+    bezout = 1
+    for g in generators:
+        bezout *= max(max(sum(e) for e in g.terms), 1)
+    if order_bound is None:
+        order_bound = bezout
+
+    def functionals(kernel, columns):
+        funcs = [DualFunctional(point, {e: c for e, c in zip(columns, v) if c != 0}) for v in kernel]
+        funcs.sort(key=lambda f: (f.order, sum(f.terms[-1][0]), tuple(-e for e in f.terms[-1][0])))
+        return funcs
+
+    prev = None
+    for order in range(order_bound + 1):
+        columns = _up_to_degree(n, order)
+        rows = []
+        for g_p in local:
+            for beta in columns:
+                shifted = {tuple(a + b for a, b in zip(alpha, beta)): c for alpha, c in g_p.items()}
+                rows.append([shifted.get(alpha, Rat(0)) for alpha in columns])
+        kernel = nullspace_gauss_jordan(rows, len(columns))
+        if prev is not None and len(kernel) == len(prev[0]):
+            return functionals(*prev), False, order - 1
+        if len(kernel) > bezout:
+            return functionals(kernel, columns), True, None
+        prev = (kernel, columns)
+    return functionals(*prev), True, None

@@ -187,6 +187,19 @@ class TestMultivariateCommands:
         assert got["dimension"] == 6
         assert got["order"] == 5
 
+    def test_dual_three_variable_witness(self, capsys):
+        gens = json.dumps(
+            [
+                [{"exponents": [2, 0, 0], "coeff": "1"}],
+                [{"exponents": [0, 7, 0], "coeff": "1"}, {"exponents": [1, 0, 0], "coeff": "1"}],
+                [{"exponents": [0, 0, 1], "coeff": "1"}, {"exponents": [0, 1, 1], "coeff": "1"}],
+            ]
+        )
+        got = out_json(capsys, ["dual", "--generators", gens, "--point", '["0","0","0"]'])
+        assert got["dimension"] == 14
+        assert got["order"] == 13
+        assert got["truncated"] is False
+
 
 class TestVerifyCommand:
     def test_univariate_battery_passes(self, capsys):

@@ -1,8 +1,14 @@
 """Local dual spaces: functionals, shifts, and inverse systems."""
 
-import pytest
+import json
 
-from subres import DomainError, MultiPoly, Rat
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from conftest import rationals
+from oracles import inverse_system_dialytic
+from subres import DomainError, MultiPoly, Rat, param
 from subres.matrix import ExactMatrix
 from subres.combinat import monomials_up_to_degree
 from subres.mv.duality import (
@@ -14,6 +20,7 @@ from subres.mv.duality import (
     inverse_system,
     sigma_shift,
 )
+from subres.serialize import functional_to_json
 
 ORIGIN = Point((Rat(0), Rat(0)))
 
@@ -45,6 +52,60 @@ def moved(g, point):
                 term = term * MultiPoly(g.n, {unit: Rat(1), (0,) * g.n: -p})
         out = out + term
     return out
+
+
+def witness(k=7):
+    """(x^2, y^k + x, z + yz): at the origin 1 + y is a unit, so z and x are
+    multiples of y^k there, and the local ring is C[y]/(y^(2k))."""
+    return [
+        MultiPoly(3, {(2, 0, 0): Rat(1)}),
+        MultiPoly(3, {(0, k, 0): Rat(1), (1, 0, 0): Rat(1)}),
+        MultiPoly(3, {(0, 0, 1): Rat(1), (0, 1, 1): Rat(1)}),
+    ]
+
+
+def moved_to(gens, point):
+    return [moved(g, point) for g in gens], point, None
+
+
+@st.composite
+def moved_systems(draw):
+    """n generators, each of one to three terms of degree at most 3 (2
+    variables) or 2 (3 variables) with rational coefficients, and half of
+    them without linear terms, moved from the origin to a random rational
+    point; with an order bound of None, 0, 1 or 2."""
+    n = draw(st.sampled_from([2, 3]))
+    top = 3 if n == 2 else 2
+    gens = []
+    for _ in range(n):
+        low = draw(st.integers(1, 2))
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            expo = draw(
+                st.tuples(*[st.integers(0, top)] * n).filter(lambda e: low <= sum(e) <= top)
+            )
+            terms[expo] = draw(rationals().filter(bool))
+        gens.append(MultiPoly(n, terms))
+    point = tuple(draw(rationals()) for _ in range(n))
+    bound = draw(st.sampled_from([None, 0, 1, 2]))
+    return [moved(g, point) for g in gens], point, bound
+
+
+def dual_outcome(solve, gens, point, bound):
+    """What `sres dual` prints, or the DomainError it exits on."""
+    try:
+        funcs, truncated, order = solve(gens, point, bound)
+    except DomainError:
+        return "DomainError"
+    return json.dumps([[functional_to_json(f) for f in funcs], truncated, order])
+
+
+def integration(gens, point, bound):
+    res = inverse_system(gens, point, order_bound=bound)
+    return res.functionals, res.truncated, res.order_stabilized
+
+
+A = param("a")
 
 
 def rank(rows):
@@ -235,6 +296,46 @@ class TestInverseSystem:
             inverse_system([g, MultiPoly(3, {(1, 0, 0): Rat(1)})], (0, 0))
         with pytest.raises(DomainError):
             inverse_system([g], (0, 0, 0))
+
+
+    def test_three_variable_witness(self):
+        res = inverse_system(witness(), (0, 0, 0))
+        assert res.dimension == 14
+        assert res.order_stabilized == 13
+        assert not res.truncated
+        assert max(f.order for f in res) == 13
+        assert all(dual_eval(L, g) == 0 for L in res for g in witness())
+
+
+class TestIntegrationAgainstDialyticOracle:
+    """``inverse_system`` against the per-order Macaulay kernel in
+    tests/oracles.py, byte for byte on the `sres dual` functionals."""
+
+    @given(moved_systems())
+    @example(([MultiPoly(2, {(3, 2): Rat(1)}), MultiPoly(2, {(2, 3): Rat(1)})], (0, 0), None))
+    @example(moved_to(quartic_pair(), (Rat(3, 2), Rat(-2, 3))))
+    @example(moved_to(witness(3), (Rat(1, 2), Rat(-1), Rat(2))))
+    def test_random_moved_systems(self, case):
+        gens, point, bound = case
+        want = dual_outcome(inverse_system_dialytic, gens, point, bound)
+        assert dual_outcome(integration, gens, point, bound) == want
+
+    @pytest.mark.parametrize(
+        "gens, point, outcome",
+        [
+            ([MultiPoly(2, {(1, 0): Rat(1), (0, 2): A}), MultiPoly(2, {(0, 3): Rat(1)})], (0, 0), 3),
+            (
+                [MultiPoly(2, {(2, 0): Rat(1), (1, 0): -2 * A, (0, 0): A * A}), MultiPoly(2, {(0, 1): Rat(1)})],
+                (A, 0),
+                2,
+            ),
+            ([MultiPoly(2, {(1, 0): A, (0, 2): Rat(1)}), MultiPoly(2, {(0, 3): Rat(1)})], (0, 0), "DomainError"),
+        ],
+    )
+    def test_parameter_coefficients(self, gens, point, outcome):
+        got = dual_outcome(integration, gens, point, None)
+        assert got == dual_outcome(inverse_system_dialytic, gens, point, None)
+        assert (got if got == "DomainError" else len(json.loads(got)[0])) == outcome
 
 
 class TestAssembleDualBasis:

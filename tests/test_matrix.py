@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import rationals
-from oracles import det_cofactor, matrix_rows
+from oracles import det_cofactor, matrix_rows, nullspace_gauss_jordan
 from subres import (
     DomainError,
     ExactMatrix,
@@ -20,7 +20,7 @@ from subres import (
 )
 from subres import matrix
 from subres.confluent import vandermonde_det_closed, wronskian, wronskian_det_closed
-from subres.matrix import _unpack, det_in_x
+from subres.matrix import _unpack, det_in_x, reduced_echelon
 from subres.rootsets import MultiRootSet
 
 
@@ -52,6 +52,29 @@ def param_polys(draw, names):
         key = tuple((name, e) for name in names if (e := draw(st.integers(0, 2))))
         terms[key] = draw(COEFFS)
     return ParamPoly(terms)
+
+
+@st.composite
+def rank_deficient(draw):
+    """An m x r times r x c product of ENTRIES, rank at most r, with some
+    rows and columns then set to zero."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rank = draw(st.integers(0, min(nrows, ncols)))
+    left = [[Rat(draw(ENTRIES)) for _ in range(rank)] for _ in range(nrows)]
+    right = [[Rat(draw(ENTRIES)) for _ in range(ncols)] for _ in range(rank)]
+    rows = [
+        [sum((left[i][k] * right[k][j] for k in range(rank)), Rat(0)) for j in range(ncols)]
+        for i in range(nrows)
+    ]
+    for i in draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
+        rows[i] = [Rat(0)] * ncols
+    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[j] = Rat(0)
+    return rows
+
+
+RAT = type(Rat(0))
 
 
 def random_matrix(rng, n, bound=9):
@@ -359,3 +382,61 @@ class TestStructure:
             cokernel = ExactMatrix(list(zip(*m.rows))).nullspace()
             rank = ncols - len(kernel)
             assert rank == nrows - len(cokernel)
+
+
+class TestNullspace:
+    @given(rank_deficient())
+    def test_matches_gauss_jordan_oracle(self, rows):
+        kernel = ExactMatrix(rows).nullspace()
+        assert kernel == nullspace_gauss_jordan(rows, len(rows[0]))
+        assert all(type(v) is RAT for vec in kernel for v in vec)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[Rat(0)]],
+            [[Rat(-3, 7)]],
+            [[]],
+            [[], []],
+            [[Rat(0), Rat(0)], [Rat(0), Rat(0)]],
+            [[Rat(-1, 2), Rat(3, 4), Rat(0)], [Rat(0), Rat(0), Rat(0)], [Rat(1), Rat(-3, 2), Rat(0)]],
+            [[Rat(2, 3), Rat(-5), Rat(7, 9), Rat(-1, 6)]],
+            [[Rat(-4)], [Rat(6)], [Rat(0)]],
+        ],
+    )
+    def test_edge_cases_match_the_oracle(self, rows):
+        ncols = len(rows[0])
+        kernel = ExactMatrix(rows).nullspace()
+        assert kernel == nullspace_gauss_jordan(rows, ncols)
+        assert all(type(v) is RAT for vec in kernel for v in vec)
+
+    @given(rank_deficient())
+    def test_reduced_echelon_form(self, rows):
+        ncols = len(rows[0])
+        reduced = reduced_echelon(rows)
+        assert all(type(v) is RAT for row in reduced for v in row)
+        assert len(reduced) == ncols - len(nullspace_gauss_jordan(rows, ncols))
+        leads = [next(j for j, v in enumerate(row) if v) for row in reduced]
+        assert leads == sorted(set(leads))
+        for i, j in enumerate(leads):
+            assert [row[j] for row in reduced] == [Rat(int(k == i)) for k in range(len(reduced))]
+        assert nullspace_gauss_jordan(reduced, ncols) == nullspace_gauss_jordan(rows, ncols)
+
+    def test_parameter_entries_divide_exactly(self):
+        # Dividing the first row by its pivot a leaves 1/a, so elimination
+        # with fractions fails here; the fraction-free loop divides only
+        # where the quotient is a polynomial.
+        a = param("a")
+        rows = [
+            [a, a * a, Rat(1), a + 1],
+            [Rat(2) * a, Rat(2) * a * a, a + 2, Rat(3)],
+            [Rat(0), Rat(0), a, Rat(1, 2) - a],
+        ]
+        kernel = ExactMatrix(rows).nullspace()
+        assert kernel == [[-a, Rat(1), Rat(0), Rat(0)]]
+        for vec in kernel:
+            assert all(sum((x * v for x, v in zip(row, vec)), Rat(0)) == 0 for row in rows)
+
+    def test_parameter_kernel_outside_the_polynomials_raises(self):
+        with pytest.raises(DomainError):
+            ExactMatrix([[param("a"), Rat(1)]]).nullspace()

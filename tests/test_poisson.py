@@ -12,6 +12,7 @@ from subres.mv.duality import (
     dual_eval,
     inverse_system,
 )
+from subres.combinat import monomials_up_to_degree
 from subres.mv.hilbert import build_monomial_sets
 from subres.mv.macaulay import MVSystem, delta_s
 from subres.mv.poisson import dual_vandermonde, dual_wronskian, poisson_delta
@@ -48,6 +49,44 @@ def split_points():
 
 
 CIRCLE_DELTA = ParamPoly.constant(Rat(0)) - (C0 * C0 * C0 + 2 * C0 * C0 * C2)
+
+
+def scattered_basis():
+    """Three groups of non-monomial functionals of order up to 3, at
+    rational points and at a point with a parameter coordinate."""
+    p, q, r = Point((Rat(1, 2), Rat(-3))), Point((Rat(-2, 3), Rat(0))), Point((param("a"), Rat(1)))
+    return DualBasis(
+        (
+            (p, (
+                evaluation(p),
+                DualFunctional(p, {(1, 0): Rat(3), (0, 2): Rat(-1, 2)}),
+                DualFunctional(p, {(2, 1): Rat(1), (0, 3): Rat(5, 7), (0, 1): Rat(-1)}),
+            )),
+            (q, (evaluation(q), DualFunctional(q, {(0, 1): Rat(2), (1, 1): Rat(-1)}))),
+            (r, (evaluation(r), DualFunctional(r, {(1, 1): Rat(1), (2, 0): Rat(-4)}))),
+        )
+    )
+
+
+class TestDualWronskian:
+    @pytest.mark.parametrize("basis", [circle_line_basis(), split_points()[1], scattered_basis()])
+    @pytest.mark.parametrize(
+        "h",
+        [
+            circle_line().polys[-1],
+            MultiPoly(2, {(3, 0): Rat(-2, 5), (1, 2): Rat(7), (0, 1): Rat(1, 3), (0, 0): Rat(4)}),
+            MultiPoly(2, {(2, 1): C1 - 2 * C2, (0, 0): C0 * C0}),
+        ],
+    )
+    def test_entries_are_functional_values(self, basis, h):
+        # Degree 5 lies above every group's top order.
+        monos = monomials_up_to_degree(2, 5)
+        got = dual_wronskian(h, monos, basis).rows
+        assert got == [[dual_eval(f, h.shift(e)) for f in basis] for e in monos]
+
+    def test_monomial_in_the_wrong_variable_count_rejected(self):
+        with pytest.raises(DomainError):
+            dual_wronskian(circle_line().polys[-1], [(0, 0), (1, 0, 0)], circle_line_basis())
 
 
 class TestDualVandermonde:
