@@ -289,9 +289,10 @@ def _gauss_jordan(rows: List[list]) -> Tuple[list, List[int], Callable[[Scalar],
     first row not yet a pivot row down.  At pivot p in column c, every
     other row becomes (p * row - row[c] * pivot_row) // prev, where prev
     is the previous pivot, 1 at the start.  Every entry is then a minor
-    of the scaled matrix, so each division is exact, over the integers
-    and over the parameter polynomials alike, and each pivot row holds
-    the last pivot d on its pivot and d times the reduced echelon form.
+    of the scaled matrix up to sign, so each division is exact, over the
+    integers and over the parameter polynomials alike, and each pivot row
+    holds the last pivot d on its pivot and d times the reduced echelon
+    form.
     Returns the rows, the pivot columns, and the map v -> v / d into the
     scalar domain.
     """
