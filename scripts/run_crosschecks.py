@@ -2,10 +2,13 @@
 """Random cross-check battery over the rationals.
 
 Draws random multiple-root pairs, runs every coefficient-side vs root-side
-comparison the preconditions allow, then replays two bundled two-variable
-systems through the document-level battery: the circle-line example, whose
-dual basis is given, and a grid system with one root of multiplicity 9,
-whose dual basis ``inverse_system`` computes.  Exits 1 if any check fails.
+comparison the preconditions allow, replays a few fixed symbolic pairs
+(roots a+k against b+k or against integers, so the determinants carry
+parameter entries and run through the packed integer kernel), then
+replays two bundled two-variable systems through the document-level
+battery: the circle-line example, whose dual basis is given, and a grid
+system with one root of multiplicity 9, whose dual basis
+``inverse_system`` computes.  Exits 1 if any check fails.
 """
 
 import argparse
@@ -13,8 +16,17 @@ import random
 import sys
 import time
 
-from subres.serialize import parse_system
+from subres.serialize import parse_rootset, parse_system
 from subres.verify import mv_checks, random_pair, univariate_checks
+
+# Root clusters a+k against b+k and against integers.  Within a set the
+# roots differ by constants, which the Hermite closed form divides by.
+SYMBOLIC_PAIRS = (
+    ([["a", 2], ["a+1", 1]], [["b-1", 1], ["b+2", 2]]),
+    ([["a", 1], ["a-2", 1]], [["1", 2], ["-1", 1]]),
+    ([["a+1", 2]], [["b", 1], ["b+1", 1], ["b-3", 1]]),
+    ([["a", 1], ["a+3", 2]], [["0", 1], ["2", 1], ["-3", 2]]),
+)
 
 BUNDLED_SYSTEM = {
     "n": 2,
@@ -111,6 +123,11 @@ def main(argv=None):
             total += 1
             if not check.ok:
                 failures.append(("pair %d: %s vs %s" % (i, a, b), check))
+    for a_doc, b_doc in SYMBOLIC_PAIRS:
+        for check in univariate_checks(parse_rootset(a_doc), parse_rootset(b_doc)):
+            total += 1
+            if not check.ok:
+                failures.append(("symbolic pair %s vs %s" % (a_doc, b_doc), check))
     for name, doc in (("bundled system", BUNDLED_SYSTEM), ("grid system", GRID_SYSTEM)):
         for check in mv_checks(parse_system(doc)):
             total += 1
@@ -119,8 +136,8 @@ def main(argv=None):
     elapsed = time.perf_counter() - started
 
     print(
-        "%d checks on %d random pairs + 2 bundled systems in %.2f s"
-        % (total, args.cases, elapsed)
+        "%d checks on %d random pairs + %d symbolic pairs + 2 bundled systems in %.2f s"
+        % (total, args.cases, len(SYMBOLIC_PAIRS), elapsed)
     )
     for origin, check in failures:
         print("FAIL [%s] %s: %s" % (origin, check.name, check.detail), file=sys.stderr)

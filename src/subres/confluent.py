@@ -3,7 +3,9 @@
 Root sets carry multiplicities, so the usual Vandermonde rows fan out into
 blocks of derivative columns.  Everything here is exact and works over
 rational roots as well as parameter-polynomial roots where divisions stay
-polynomial.
+polynomial.  Each root set grows its confluent Vandermonde rows once, on
+the set itself, and every Vandermonde or Wronskian matrix of the set is
+read from them.
 """
 
 from __future__ import annotations
@@ -22,9 +24,43 @@ from .unipoly import UniPoly, taylor_coeff
 def vandermonde_confluent(a: MultiRootSet, u: int) -> ExactMatrix:
     """u x d matrix; block i has columns binom(k,j) alpha_i^(k-j), j < d_i.
 
-    This is the generalized Wronskian of the constant 1.
+    This is the generalized Wronskian of the constant 1.  The rows are a
+    copy of the first u rows of the set's table (``_vandermonde_rows``).
     """
-    return wronskian(UniPoly([1]), a, u)
+    if not isinstance(u, int) or u < 0:
+        raise DomainError("row count u must be a nonnegative int")
+    return ExactMatrix(_vandermonde_rows(a, u)[:u])
+
+
+def _vandermonde_rows(a: MultiRootSet, u: int) -> list:
+    """At least u rows of the confluent Vandermonde matrix of A, grown once
+    per root set and shared: callers must not change them.
+
+    Row k, block i, inner column j holds the coefficient of
+    (z-alpha_i)^j in z^k.  Row 0 is 1 on each block's first column, and
+    each later row is ``_times_z`` of the one above.
+    """
+    rows = a._vandermonde
+    if not rows:
+        rows.append([Rat(1) if j == 0 else Rat(0) for _, d in a for j in range(d)])
+    while len(rows) < u:
+        rows.append(_times_z(rows[-1], a))
+    return rows
+
+
+def _times_z(row: list, a: MultiRootSet) -> list:
+    """The row of z p from the row of p: as z p = (z-alpha) p + alpha p,
+    the coefficient of (z-alpha)^j in z p is that of (z-alpha)^(j-1) in p
+    plus alpha times that of (z-alpha)^j.  A zero entry is not multiplied,
+    so rational zeros stay rational."""
+    out = []
+    for alpha, d in a:
+        block = row[len(out) : len(out) + d]
+        out += [
+            (block[j - 1] if j else Rat(0)) + (alpha * block[j] if block[j] else Rat(0))
+            for j in range(d)
+        ]
+    return out
 
 
 def vandermonde_det_closed(a: MultiRootSet) -> Scalar:
@@ -44,23 +80,27 @@ def wronskian(h: UniPoly, a: MultiRootSet, u: int) -> ExactMatrix:
 
     Row k, block i, inner column j holds the coefficient of (z-alpha_i)^j
     in z^k h; the polynomial h may carry extra parameters in its
-    coefficients.  Row 0 expands h around each root, and since
-    z p = (z-alpha) p + alpha p each later row follows from the one above.
+    coefficients.  Since h = sum_m h_m z^m, row 0 is sum_m h_m V_m over the
+    rows of the set's confluent Vandermonde matrix, and each later row is
+    ``_times_z`` of the one above.
     """
     if not isinstance(u, int) or u < 0:
         raise DomainError("row count u must be a nonnegative int")
-    blocks = [[taylor_coeff(h, alpha, j) for j in range(d)] for alpha, d in a]
+    terms = [(m, c) for m, c in enumerate(h.coeffs) if c]
+    v = _vandermonde_rows(a, len(h.coeffs))
+    row = []
+    for j in range(a.total):
+        acc: Scalar = Rat(0)
+        for m, c in terms:
+            x = v[m][j]
+            if x:
+                acc = acc + c * x
+        row.append(acc)
     rows = []
     for k in range(u):
         if k:
-            blocks = [
-                [
-                    (block[j - 1] if j else Rat(0)) + (alpha * block[j] if block[j] else Rat(0))
-                    for j in range(d)
-                ]
-                for (alpha, d), block in zip(a, blocks)
-            ]
-        rows.append([v for block in blocks for v in block])
+            row = _times_z(row, a)
+        rows.append(row)
     return ExactMatrix(rows)
 
 

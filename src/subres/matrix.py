@@ -9,10 +9,19 @@ substitution: each parameter is evaluated at a power of two so large that
 the determinant's coefficients occupy disjoint, signed base-2^k digits of
 one integer.  Evaluation is a ring homomorphism, so the integer
 determinant of the packed matrix is the packed determinant, and its
-digits read back the polynomial.  A matrix with entries polynomial in a
-main variable x gets its determinant through ``det_in_x``: scalar
-determinants at integer values of x, then Newton interpolation, so x
-never enters the scalar domain.  Kernels and reduced echelon forms come
+digits read back the polynomial.
+
+The same elimination takes bordered determinants (``det_bordered``): on
+an n x (n-1+k) matrix it eliminates the n-1 shared columns once, and its
+last row then holds the k determinants of the shared columns bordered by
+each later column.  A determinant whose last column is a polynomial in a
+main variable x, sum_k x^k c_k, is the polynomial whose coefficient of
+x^k is the determinant bordered by c_k (the determinantal polynomial of
+Collins); with unit columns e_k as borders, the coefficients are the
+cofactors of the border.  ``det_in_x`` keeps the other route for x in
+several rows: scalar determinants at integer values of x, then Newton
+interpolation, so x never enters the scalar domain; only the
+``wronskian-full`` layout uses it.  Kernels and reduced echelon forms come
 from one fraction-free Gauss-Jordan loop on the same integer-scaled rows.
 """
 
@@ -108,44 +117,72 @@ def det_exact(m: ExactMatrix) -> Scalar:
     A matrix of rationals is eliminated as it is and gives a rational.  A
     matrix with a parameter polynomial entry gives a ``ParamPoly``; its
     entries are packed into integers first (``_det_packed``).  Both run the
-    same loop, ``_bareiss``.  The empty matrix has determinant one.
+    same loop, ``_bareiss``, as the one-border case of ``det_bordered``.
+    The empty matrix has determinant one.
     """
     if m.nrows != m.ncols:
         raise DomainError("determinant of a non-square matrix (%d x %d)" % (m.nrows, m.ncols))
-    if not all(is_rational(v) for row in m.rows for v in row):
-        return _det_packed(m.rows)
+    return _dets(m.rows)[0]
+
+
+def det_bordered(m: ExactMatrix, den: Scalar = 1) -> UniPoly:
+    """det(M(x)) / den, where M(x) is the first n-1 columns of the n-row
+    matrix ``m`` bordered by the column sum_k x^k c_k over its later
+    columns c_0, c_1, ...
+
+    The determinant is linear in its last column, so the coefficient of
+    x^k is the determinant of the shared columns bordered by c_k alone.
+    ``_bareiss`` takes all of them in one elimination of the shared
+    columns.  ``den`` must divide each of them exactly, as the closed-form
+    Vandermonde determinants do.  Coefficients free of parameters come
+    back rational.
+    """
+    if not 0 < m.nrows <= m.ncols:
+        raise DomainError("bordered determinant of a %d x %d matrix" % (m.nrows, m.ncols))
+    return _rational_if_constant(v / den for v in _dets(m.rows))
+
+
+def _dets(rows: List[list]) -> List[Scalar]:
+    """The determinants of ``_bareiss`` on integer-scaled ``rows``, in the
+    scalar domain: rational rows give rationals, rows with a ``ParamPoly``
+    entry give ``ParamPoly`` values by way of ``_det_packed``."""
+    if not all(is_rational(v) for row in rows for v in row):
+        return _det_packed(rows)
     a = []
     scale = 1
-    for row in m.rows:
+    for row in rows:
         # A list, not a generator: unpacking a generator resizes the argument
         # tuple, and CPython parks the resized tuples on its free lists until
         # a full collection: ~1.7 MiB more peak memory over a benchmark run.
         s = math.lcm(*[v.denominator for v in row])
         a.append([v.numerator * (s // v.denominator) for v in row])
         scale *= s
-    return Rat(_bareiss(a), scale)
+    return [Rat(v, scale) for v in _bareiss(a)]
 
 
-def _det_packed(rows: List[list]) -> ParamPoly:
-    """Determinant of rows with a ``ParamPoly`` entry, by Kronecker substitution.
+def _det_packed(rows: List[list]) -> List[ParamPoly]:
+    """Determinants of n rows with a ``ParamPoly`` entry, by Kronecker
+    substitution: the first n-1 columns bordered by each later column.
 
-    After row scaling every entry has integer coefficients.  The
+    After row scaling every entry has integer coefficients.  A bordered
     determinant's permutation expansion takes one entry from each row and
-    each column, so its degree in parameter p is at most D_p, the sum over
-    the rows of the largest degree in p of an entry of the row, and also the
-    same sum over the columns; the smaller one is used.  A coefficient of
-    the determinant is its mean times a monomial's inverse over the unit
-    torus |p| = 1, where an entry is at most its coefficient 1-norm in
-    absolute value.  So by Hadamard's inequality every coefficient is at
-    most sqrt(prod over the rows of the summed squared 1-norms of the row's
-    entries), and likewise by columns; B is the smaller one, rounded down,
+    each of its columns, so its degree in parameter p is at most D_p, the
+    sum over the rows of the largest degree in p of an entry of the row
+    (any column), and also the same sum over the shared columns plus the
+    largest such degree of a border column; the smaller one is used.  A
+    coefficient of the determinant is its mean times a monomial's inverse
+    over the unit torus |p| = 1, where an entry is at most its coefficient
+    1-norm in absolute value.  So by Hadamard's inequality every
+    coefficient is at most sqrt(prod over the rows of the summed squared
+    1-norms of the row's entries), and likewise by columns, the shared
+    ones times the largest border one; B is the smaller one, rounded down,
     as the coefficients are integers.  With k = B.bit_length() + 1, each
     coefficient fits one balanced digit in [-2^(k-1), 2^(k-1)).  The
     parameters, in sorted order, are evaluated at
-    p_i = 2^(k * prod_{j<i} (D_j + 1)), which gives each monomial of the
-    determinant its own digit.  The packed determinant is the integer
-    determinant of the packed entries, so ``_bareiss`` takes it exactly,
-    and ``_unpack`` reads it back.
+    p_i = 2^(k * prod_{j<i} (D_j + 1)), which gives each monomial of a
+    determinant its own digit.  The packed determinants are the integer
+    determinants of the packed entries, so ``_bareiss`` takes them
+    exactly, and ``_unpack`` reads each back.
 
     The packed integers have k * prod_p (D_p + 1) bits, dense in the
     monomials however sparse the determinant is, so their size grows
@@ -158,9 +195,11 @@ def _det_packed(rows: List[list]) -> ParamPoly:
     ]
     names = sorted({name for row in terms for entry in row for key, _ in entry for name, _ in key})
     pos = {name: i for i, name in enumerate(names)}
+    shared = len(rows) - 1
+    width = len(rows[0])
     by_rows = [0] * len(names)
-    col_tops = [[0] * len(names) for _ in rows]
-    col_squares = [0] * len(rows)
+    col_tops = [[0] * len(names) for _ in range(width)]
+    col_squares = [0] * width
     scaled = []
     scale = 1
     row_product = 1
@@ -190,11 +229,13 @@ def _det_packed(rows: List[list]) -> ParamPoly:
         by_rows = [d + t for d, t in zip(by_rows, top)]
         scale *= s
         row_product *= squares
-    product = min(row_product, math.prod(col_squares))
+    product = min(row_product, math.prod(col_squares[:shared]) * max(col_squares[shared:]))
     if not product:
-        return ParamPoly()
+        return [ParamPoly()] * (width - shared)
     bound = math.isqrt(product)
-    degrees = [min(r, sum(c)) for r, c in zip(by_rows, zip(*col_tops))]
+    degrees = [
+        min(r, sum(c[:shared]) + max(c[shared:])) for r, c in zip(by_rows, zip(*col_tops))
+    ]
     k = bound.bit_length() + 1
     shift = {}
     stride = k
@@ -205,7 +246,7 @@ def _det_packed(rows: List[list]) -> ParamPoly:
         [sum(z << sum(shift[name] * e for name, e in key) for key, z in entry) for entry in row]
         for row in scaled
     ]
-    return _unpack(_bareiss(a), k, names, degrees, scale)
+    return [_unpack(v, k, names, degrees, scale) for v in _bareiss(a)]
 
 
 def _unpack(value: int, k: int, names: List[str], degrees: List[int], scale: int) -> ParamPoly:
@@ -240,24 +281,30 @@ def _unpack(value: int, k: int, names: List[str], degrees: List[int], scale: int
     return ParamPoly(out)
 
 
-def _bareiss(a: List[list]) -> int:
-    """Determinant of the square integer rows ``a``, eliminated in place.
+def _bareiss(a: List[list]) -> List[int]:
+    """Determinants of the first n-1 columns of the n integer rows ``a``
+    bordered by each later column, eliminated in place.
 
     Step k replaces each entry below and right of the pivot by
     (pivot * a_ij - a_ik * a_kj) // previous pivot, a division that is exact
-    on any integer matrix.  Row swaps track the sign; a zero pivot column
-    means determinant 0.
+    on any integer matrix.  After the n-1 shared columns, entry j of the
+    last row is the determinant of the shared columns bordered by column j
+    (Bareiss, Math. Comp. 22, 1968), so a square matrix is the case of one
+    border.  Row swaps track the sign; a shared column with no pivot left
+    means the shared columns are dependent and every determinant is 0.
+    The empty matrix gives the one determinant 1.
     """
     n = len(a)
     if n == 0:
-        return 1
+        return [1]
+    width = len(a[0])
     sign = 1
     prev = 1
     for k in range(n - 1):
         if not a[k][k]:
             p = next((i for i in range(k + 1, n) if a[i][k]), None)
             if p is None:
-                return 0
+                return [0] * (width - n + 1)
             a[k], a[p] = a[p], a[k]
             sign = -sign
         pivot = a[k][k]
@@ -265,10 +312,11 @@ def _bareiss(a: List[list]) -> int:
         for i in range(k + 1, n):
             aik = a[i][k]
             row_i = a[i]
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // prev
         prev = pivot
-    return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
+    last = a[n - 1][n - 1 :]
+    return last if sign > 0 else [-v for v in last]
 
 
 def reduced_echelon(rows: List[list]) -> List[List[Scalar]]:
@@ -350,7 +398,12 @@ def det_in_x(build: Callable[[Scalar], ExactMatrix], deg: int, den: Scalar = 1) 
     out = UniPoly([diffs[deg]])
     for k in range(deg - 1, -1, -1):
         out = out * UniPoly([-k, 1]) + diffs[k]
+    return _rational_if_constant(out.coeffs)
+
+
+def _rational_if_constant(coeffs: Iterable[Scalar]) -> UniPoly:
+    """The polynomial with these coefficients, constant ``ParamPoly`` ones
+    made rational."""
     return UniPoly(
-        c.constant_value() if isinstance(c, ParamPoly) and c.is_constant() else c
-        for c in out.coeffs
+        c.constant_value() if isinstance(c, ParamPoly) and c.is_constant() else c for c in coeffs
     )

@@ -10,12 +10,18 @@ polynomials behind two root sets A and B (total multiplicities d <= e):
 - ``wronskian-full``: (d+e) rows; a Wronskian block of (x - z) over A on
   top of paired Vandermonde blocks.
 
-Only the border column, or the Wronskian of x - z, depends on x, so
-each determinant is a polynomial of degree at most t in x.  ``det_in_x``
-takes it at t+1 integer values of x and interpolates, so x never enters
-the scalar domain and roots may carry any parameter names.  Each value is
-divided by the closed-form Vandermonde determinants, a division that is
-exact by construction.
+In ``compact`` and ``block`` only the border column depends on x, and it
+is sum_k x^k e_k over the unit columns of the top t+1 rows, so the
+coefficient of x^k is the cofactor of the border's entry in row k.
+``det_bordered`` takes all t+1 cofactors in one elimination of the x-free
+columns.  In ``wronskian-full`` x sits in t rows; that layout keeps the
+evaluation route, ``det_in_x`` at t+1 integer values of x and
+interpolation, as an independent check on the other two.  x never
+enters the scalar domain, so roots may carry any parameter names.  Each
+coefficient is divided by the closed-form Vandermonde determinants, a
+division that is exact by construction.  The Vandermonde and Wronskian
+blocks come from each root set's one table of confluent Vandermonde rows
+(``confluent``).
 
 Two closed-form specializations avoid determinants entirely: the order
 d-1 subresultant is the Hermite interpolant of g on A, and the order-1
@@ -34,7 +40,7 @@ from .confluent import (
     wronskian,
 )
 from .errors import DomainError
-from .matrix import ExactMatrix, det_in_x
+from .matrix import ExactMatrix, det_bordered, det_in_x
 from .rootsets import MultiRootSet, poly_from_roots
 from .scalar import Rat, Scalar
 from .subresultants import _check_t
@@ -60,12 +66,9 @@ def _sres_compact(a: MultiRootSet, b: MultiRootSet, t: int) -> UniPoly:
     d = a.total
     g = poly_from_roots(b)
     top = vandermonde_confluent(a, t + 1).rows
-    bottom = [row + [Rat(0)] for row in wronskian(g, a, d - t).rows]
-
-    def build(c):
-        return ExactMatrix([row + [c**k] for k, row in enumerate(top)] + bottom)
-
-    det = det_in_x(build, t, vandermonde_det_closed(a))
+    bottom = wronskian(g, a, d - t).rows
+    rows = [row + unit for row, unit in zip(top + bottom, _unit_columns(t, d + 1))]
+    det = det_bordered(ExactMatrix(rows), vandermonde_det_closed(a))
     return -det if (d - t) % 2 else det
 
 
@@ -73,16 +76,19 @@ def _sres_block(a: MultiRootSet, b: MultiRootSet, t: int) -> UniPoly:
     d, e = a.total, b.total
     u = d + e - t
     zero_b = [Rat(0)] * e
-    top = [row + zero_b for row in vandermonde_confluent(a, t + 1).rows]
     va = vandermonde_confluent(a, u).rows
     vb = vandermonde_confluent(b, u).rows
-    bottom = [ra + rb + [Rat(0)] for ra, rb in zip(va, vb)]
-
-    def build(c):
-        return ExactMatrix([row + [c**k] for k, row in enumerate(top)] + bottom)
-
-    det = det_in_x(build, t, vandermonde_det_closed(a) * vandermonde_det_closed(b))
+    top = [row + zero_b for row in va[: t + 1]]
+    bottom = [ra + rb for ra, rb in zip(va, vb)]
+    rows = [row + unit for row, unit in zip(top + bottom, _unit_columns(t, d + e + 1))]
+    det = det_bordered(ExactMatrix(rows), vandermonde_det_closed(a) * vandermonde_det_closed(b))
     return -det if e % 2 or (d - t) % 2 else det
+
+
+def _unit_columns(t: int, n: int) -> list:
+    """Rows of the border columns e_0, ..., e_t of an n-row matrix: the
+    border (1, x, ..., x^t, 0, ..., 0) is sum_k x^k e_k."""
+    return [[Rat(1) if i == k else Rat(0) for k in range(t + 1)] for i in range(n)]
 
 
 def _sres_wronskian_full(a: MultiRootSet, b: MultiRootSet, t: int) -> UniPoly:
@@ -94,8 +100,9 @@ def _sres_wronskian_full(a: MultiRootSet, b: MultiRootSet, t: int) -> UniPoly:
     bottom = [ra + rb for ra, rb in zip(va, vb)]
 
     def build(c):
-        w = wronskian(UniPoly([c, -1]), a, t).rows
-        return ExactMatrix([row + zero_b for row in w] + bottom)
+        # Row k of W(c - z, A) is c V_k - V_(k+1), as z^k (c - z) = c z^k - z^(k+1).
+        w = [[c * x - y for x, y in zip(va[k], va[k + 1])] + zero_b for k in range(t)]
+        return ExactMatrix(w + bottom)
 
     det = det_in_x(build, t, vandermonde_det_closed(a) * vandermonde_det_closed(b))
     return -det if ((d - t) * e) % 2 else det

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 from .errors import DomainError
@@ -15,6 +15,10 @@ class MultiRootSet:
     """Roots alpha_1..alpha_m with multiplicities d_1..d_m, pairwise distinct."""
 
     pairs: Tuple[Tuple[Scalar, int], ...]
+    # Confluent Vandermonde rows, grown on demand by ``confluent`` and kept
+    # for the life of the set.  Not part of the value: sets equal as values
+    # may hold entries of different types (``Rat(3)``, ``ParamPoly.constant(3)``).
+    _vandermonde: list = field(default=None, init=False, repr=False, compare=False)
 
     def __init__(self, pairs):
         norm = []
@@ -29,6 +33,7 @@ class MultiRootSet:
                 if norm[i][0] == norm[j][0]:
                     raise DomainError("repeated root %s" % (norm[i][0],))
         object.__setattr__(self, "pairs", tuple(norm))
+        object.__setattr__(self, "_vandermonde", [])
 
     @property
     def m(self) -> int:

@@ -4,10 +4,12 @@
 (degree d) and g (degree e) is the determinant of the (d+e-2t)-row matrix
 whose rows hold the coefficients of x^(e-t-1)f, ..., f, x^(d-t-1)g, ..., g
 on the monomials x^(d+e-t-1), ..., x^(t+1), with the polynomial itself in
-the final column.  Subtracting the monomial columns from that column
-leaves only the monomials x^t, ..., 1 in it, so the determinant is a
-polynomial of degree at most t; ``det_in_x`` takes it at t+1 integer
-values of x and interpolates.
+the final column.  That column is sum_k x^k (coefficients of x^k), and a
+coefficient column of x^k with k > t repeats a monomial column, so the
+coefficient of x^k, k <= t, is the determinant with the final column
+replaced by the coefficients of x^k: the determinantal polynomial of
+Collins (JACM 14, 1967).  ``det_bordered`` takes all t+1 of them in one
+elimination of the monomial columns.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import DomainError
-from .matrix import ExactMatrix, det_in_x
+from .matrix import ExactMatrix, det_bordered
 from .rootsets import MultiRootSet
 from .scalar import Rat, Scalar
 from .unipoly import UniPoly
@@ -40,13 +42,8 @@ def sres_coeff(f: UniPoly, g: UniPoly, t: int) -> UniPoly:
     d, e = int(d), int(e)
     polys = [f.mul_xk(e - t - 1 - i) for i in range(e - t)]
     polys += [g.mul_xk(d - t - 1 - i) for i in range(d - t)]
-    monomials = list(range(d + e - t - 1, t, -1))
-    scalar_rows = [[p.coeff(k) for k in monomials] for p in polys]
-
-    def build(c):
-        return ExactMatrix([row + [p(c)] for row, p in zip(scalar_rows, polys)])
-
-    return det_in_x(build, t)
+    monomials = list(range(d + e - t - 1, t, -1)) + list(range(t + 1))
+    return det_bordered(ExactMatrix([[p.coeff(k) for k in monomials] for p in polys]))
 
 
 def resultant(f: UniPoly, g: UniPoly) -> Scalar:

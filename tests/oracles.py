@@ -5,6 +5,11 @@ package: determinants by cofactor expansion, Hilbert counting through a
 power series, confluent Vandermonde entries by their binomial formula,
 Hermite interpolation through the bordered determinant, and a tiny dense
 Gaussian solver.  Slow is fine; different is the point.
+
+The subresultant determinants are also kept in the form the package used
+before it took them by one bordered elimination: rebuilt at x = 0, ..., t
+and interpolated by ``det_in_x``, over matrices from the Taylor-recursion
+Wronskian below.  Their JSON must match the package's byte for byte.
 """
 
 from __future__ import annotations
@@ -12,7 +17,9 @@ from __future__ import annotations
 from itertools import product as iproduct
 from math import comb
 
-from subres import ExactMatrix, MultiRootSet, ParamPoly, Rat, UniPoly, param
+from subres import ExactMatrix, MultiRootSet, ParamPoly, Rat, UniPoly, param, taylor_coeff
+from subres.confluent import vandermonde_det_closed
+from subres.matrix import det_in_x
 
 
 def det_cofactor(rows):
@@ -212,3 +219,78 @@ def inverse_system_dialytic(generators, point, order_bound=None):
             return functionals(kernel, columns), True, None
         prev = (kernel, columns)
     return functionals(*prev), True, None
+
+
+def wronskian_taylor(h: UniPoly, a: MultiRootSet, u: int) -> ExactMatrix:
+    """Generalized Wronskian rows by Taylor expansion: row 0 expands h
+    around each root, and row k+1 follows from row k as
+    z p = (z - alpha) p + alpha p."""
+    blocks = [[taylor_coeff(h, alpha, j) for j in range(d)] for alpha, d in a]
+    rows = []
+    for k in range(u):
+        if k:
+            blocks = [
+                [
+                    (block[j - 1] if j else Rat(0)) + (alpha * block[j] if block[j] else Rat(0))
+                    for j in range(d)
+                ]
+                for (alpha, d), block in zip(a, blocks)
+            ]
+        rows.append([v for block in blocks for v in block])
+    return ExactMatrix(rows)
+
+
+def vandermonde_taylor(a: MultiRootSet, u: int) -> ExactMatrix:
+    return wronskian_taylor(UniPoly([1]), a, u)
+
+
+def sres_coeff_interpolated(f: UniPoly, g: UniPoly, t: int) -> UniPoly:
+    """The Sylvester-type determinant with the polynomials themselves in
+    its last column, at x = 0, ..., t."""
+    d, e = int(f.degree), int(g.degree)
+    polys = [f.mul_xk(e - t - 1 - i) for i in range(e - t)]
+    polys += [g.mul_xk(d - t - 1 - i) for i in range(d - t)]
+    scalar_rows = [[p.coeff(k) for k in range(d + e - t - 1, t, -1)] for p in polys]
+
+    def build(c):
+        return ExactMatrix([row + [p(c)] for row, p in zip(scalar_rows, polys)])
+
+    return det_in_x(build, t)
+
+
+def sres_roots_interpolated(a: MultiRootSet, b: MultiRootSet, t: int, variant: str) -> UniPoly:
+    """The three root-side layouts, each rebuilt at x = 0, ..., t."""
+    d, e = a.total, b.total
+    u = d + e - t
+    zero_b = [Rat(0)] * e
+    va = vandermonde_taylor(a, u).rows
+    vb = vandermonde_taylor(b, u).rows
+    paired = [ra + rb for ra, rb in zip(va, vb)]
+    den = vandermonde_det_closed(a) * vandermonde_det_closed(b)
+    if variant == "compact":
+        g = UniPoly([1])
+        for beta, mult in b:
+            g = g * UniPoly([-beta, 1]) ** mult
+        bottom = [row + [Rat(0)] for row in wronskian_taylor(g, a, d - t).rows]
+
+        def build(c):
+            return ExactMatrix([row + [c**k] for k, row in enumerate(va[: t + 1])] + bottom)
+
+        det = det_in_x(build, t, vandermonde_det_closed(a))
+        return -det if (d - t) % 2 else det
+    if variant == "block":
+        top = [row + zero_b for row in va[: t + 1]]
+        bottom = [row + [Rat(0)] for row in paired]
+
+        def build(c):
+            return ExactMatrix([row + [c**k] for k, row in enumerate(top)] + bottom)
+
+        det = det_in_x(build, t, den)
+        return -det if e % 2 or (d - t) % 2 else det
+
+    def build(c):
+        w = wronskian_taylor(UniPoly([c, -1]), a, t).rows
+        return ExactMatrix([row + zero_b for row in w] + paired)
+
+    det = det_in_x(build, t, den)
+    return -det if ((d - t) * e) % 2 else det

@@ -13,11 +13,14 @@ from oracles import (
     lagrange_interpolant,
     matrix_rows,
     vandermonde_binomial,
+    vandermonde_taylor,
+    wronskian_taylor,
 )
 from subres import (
     DomainError,
     ExactMatrix,
     MultiRootSet,
+    ParamPoly,
     Rat,
     UniPoly,
     basic_hermite,
@@ -143,6 +146,55 @@ class TestWronskian:
     def test_closed_form_matches_determinant(self, a):
         h = poly(2, 0, -1, 1)
         assert det_exact(wronskian(h, a, a.total)) == wronskian_det_closed(h, a)
+
+
+class TestRowTable:
+    """Each root set grows its confluent Vandermonde rows once; the
+    matrices handed out are copies of them."""
+
+    @staticmethod
+    def types(m):
+        return [[type(v) for v in row] for row in m.rows]
+
+    def test_mutating_a_returned_matrix_leaves_the_set_alone(self):
+        a = rs((2, 2), (-1, 1))
+        h = poly(1, -2, 1)
+        v = vandermonde_confluent(a, 4)
+        v.rows[1][0] = Rat(99)
+        v.rows[0].append(Rat(7))
+        w = wronskian(h, a, 3)
+        w.rows[0][1] = Rat(-99)
+        w.rows[2][:] = []
+        assert vandermonde_confluent(a, 4) == vandermonde_taylor(a, 4)
+        assert wronskian(h, a, 3) == wronskian_taylor(h, a, 3)
+        assert wronskian(poly(1), a, 4) == vandermonde_taylor(a, 4)
+
+    def test_rows_grown_in_any_order_agree(self):
+        a = rs((Rat(1, 2), 3), (0, 1))
+        for u in (2, 6, 0, 3, 7, 1):
+            assert vandermonde_confluent(a, u) == vandermonde_taylor(a, u)
+        b = rs((3, 2))
+        assert wronskian(poly(0, 0, 0, 0, 1), b, 2) == wronskian_taylor(poly(0, 0, 0, 0, 1), b, 2)
+        assert vandermonde_confluent(b, 5) == vandermonde_taylor(b, 5)
+
+    def test_equal_sets_keep_their_own_entry_types(self):
+        # Rat(3) and ParamPoly.constant(3) compare and hash equal, so the
+        # two sets are equal values; their rows must not be shared.
+        plain = MultiRootSet([(Rat(3), 2), (Rat(-1), 1)])
+        boxed = MultiRootSet([(ParamPoly.constant(3), 2), (Rat(-1), 1)])
+        assert plain == boxed and hash(plain) == hash(boxed)
+        h = poly(1, -2, 1)
+        for first, second in ((plain, boxed), (boxed, plain)):
+            first, second = MultiRootSet(first.pairs), MultiRootSet(second.pairs)
+            for a in (first, second):
+                for u in (5, 2):
+                    assert self.types(vandermonde_confluent(a, u)) == self.types(
+                        vandermonde_taylor(a, u)
+                    )
+                    assert self.types(wronskian(h, a, u)) == self.types(wronskian_taylor(h, a, u))
+        rat = type(Rat(0))
+        assert {t for row in self.types(vandermonde_confluent(plain, 5)) for t in row} == {rat}
+        assert ParamPoly in {t for row in self.types(wronskian(h, boxed, 5)) for t in row}
 
 
 class TestFiki:

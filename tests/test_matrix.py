@@ -20,7 +20,7 @@ from subres import (
 )
 from subres import matrix
 from subres.confluent import vandermonde_det_closed, wronskian, wronskian_det_closed
-from subres.matrix import _unpack, det_in_x, reduced_echelon
+from subres.matrix import _unpack, det_bordered, det_in_x, reduced_echelon
 from subres.rootsets import MultiRootSet
 
 
@@ -298,6 +298,97 @@ class TestKroneckerPacking:
         got, seen = self.packed_degrees(monkeypatch, wronskian(h, a, a.total))
         assert got == wronskian_det_closed(h, a)
         assert seen == [(["a", "b", "c", "d"], [9, 5, 5, 5])]
+
+
+class TestBordered:
+    """n x (n-1+k) matrices: the first n-1 columns bordered by each later one."""
+
+    @staticmethod
+    def check(rows):
+        """Every coefficient is det_exact of the shared columns plus one border."""
+        n = len(rows)
+        got = det_bordered(ExactMatrix(rows))
+        for j in range(len(rows[0]) - n + 1):
+            square = [row[: n - 1] + [row[n - 1 + j]] for row in rows]
+            want = det_exact(ExactMatrix(square))
+            assert got.coeff(j) == want == det_cofactor(square)
+            rational = not isinstance(want, ParamPoly) or want.is_constant()
+            assert (type(got.coeff(j)) is RAT) == rational
+        return got
+
+    @given(st.integers(1, 5), st.integers(1, 4), st.data())
+    def test_random_rational_matrices(self, n, k, data):
+        rows = [[data.draw(ENTRIES) for _ in range(n - 1 + k)] for _ in range(n)]
+        self.check([[Rat(v) for v in row] for row in rows])
+
+    def test_zero_first_shared_column_swaps_rows(self):
+        rows = [
+            [0, 2, Rat(1, 3), 0, 5],
+            [0, Rat(-1, 2), 4, 1, 0],
+            [Rat(3, 4), 1, 0, -2, 1],
+        ]
+        got = self.check([[Rat(v) for v in row] for row in rows])
+        assert got.coeff(0) != 0 and got.coeff(2) != 0
+
+    @given(st.integers(2, 5), st.integers(1, 3), st.data())
+    def test_rank_deficient_shared_columns_give_zeros(self, n, k, data):
+        # Shared columns of rank r < n - 1, an n x r times r x (n-1) product.
+        r = data.draw(st.integers(0, n - 2))
+        left = [[Rat(data.draw(ENTRIES)) for _ in range(r)] for _ in range(n)]
+        right = [[Rat(data.draw(ENTRIES)) for _ in range(n - 1)] for _ in range(r)]
+        rows = [
+            [sum((left[i][m] * right[m][j] for m in range(r)), Rat(0)) for j in range(n - 1)]
+            + [Rat(data.draw(ENTRIES)) for _ in range(k)]
+            for i in range(n)
+        ]
+        assert self.check(rows) == UniPoly.zero()
+
+    def test_one_row(self):
+        row = [Rat(3, 2), Rat(0), param("a") - 1, Rat(-4)]
+        got = det_bordered(ExactMatrix([row]))
+        assert got.coeffs == tuple(row)
+
+    @given(st.integers(1, 5), st.data())
+    def test_one_border_is_det_exact(self, n, data):
+        rows = [[Rat(data.draw(ENTRIES)) for _ in range(n)] for _ in range(n)]
+        got = det_bordered(ExactMatrix(rows))
+        assert got == UniPoly([det_exact(ExactMatrix(rows))])
+
+    def test_shape_rejected(self):
+        for rows in ([], [[Rat(1)], [Rat(2)]]):
+            with pytest.raises(DomainError):
+                det_bordered(ExactMatrix(rows))
+
+    @pytest.mark.parametrize("names", [("a", "b"), ("a", "b", "c")])
+    def test_border_with_the_highest_degree_and_largest_coefficients(self, names):
+        # The shared columns are linear in the parameters with small
+        # coefficients; the border columns carry p^4 q^3 and coefficients
+        # near 10^9.  Packing must size its digits for the borders.
+        rng = random.Random(len(names))
+        big = 10**9 + 7
+
+        def small():
+            return Rat(rng.randint(-3, 3)) + sum(
+                (rng.randint(-2, 2) * param(p) for p in names), ParamPoly()
+            )
+
+        def border():
+            p, q = rng.sample(names, 2)
+            return rng.choice([-1, 1]) * big * param(p) ** 4 * param(q) ** 3 + rng.randint(-big, big)
+
+        for n in (2, 3, 4):
+            rows = [[small() for _ in range(n - 1)] + [border() for _ in range(3)] for _ in range(n)]
+            got = self.check(rows)
+            assert got.coeff(1).parameters() == set(names)
+
+    def test_exact_divisor_and_rational_constants(self):
+        a = param("a")
+        rows = [[a, Rat(1), Rat(0)], [Rat(1), Rat(0), Rat(1)]]
+        got = det_bordered(ExactMatrix(rows))
+        assert got == UniPoly([Rat(-1), a])
+        assert type(got.coeff(0)) is RAT
+        scaled = [[v * (a + 1) for v in rows[0]], rows[1]]
+        assert det_bordered(ExactMatrix(scaled), a + 1) == got
 
 
 class TestDetInX:
