@@ -3,9 +3,13 @@
 Root sets carry multiplicities, so the usual Vandermonde rows fan out into
 blocks of derivative columns.  Everything here is exact and works over
 rational roots as well as parameter-polynomial roots where divisions stay
-polynomial.  Each root set grows its confluent Vandermonde rows once, on
-the set itself, and every Vandermonde or Wronskian matrix of the set is
-read from them.
+polynomial.  What depends on a root set alone is derived once and kept in
+the set's store (``MultiRootSet._once``): the confluent Vandermonde rows,
+from which every Vandermonde or Wronskian matrix of the set is read; the
+closed-form Vandermonde determinant; per root alpha_i, the product f_i of
+the other roots' factors, its value f_i(alpha_i) and the chain
+(x - alpha_i)^k f_i, k < d_i; and the Hermite basis, built from that
+chain.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from .combinat import compositions
 from .errors import DomainError
 from .matrix import ExactMatrix
 from .rootsets import MultiRootSet
-from .scalar import Rat, Scalar
+from .scalar import ParamPoly, Rat, Scalar
 from .unipoly import UniPoly, taylor_coeff
 
 
@@ -40,9 +44,9 @@ def _vandermonde_rows(a: MultiRootSet, u: int) -> list:
     (z-alpha_i)^j in z^k.  Row 0 is 1 on each block's first column, and
     each later row is ``_times_z`` of the one above.
     """
-    rows = a._vandermonde
-    if not rows:
-        rows.append([Rat(1) if j == 0 else Rat(0) for _, d in a for j in range(d)])
+    rows = a._once(
+        "vandermonde", lambda a: [[Rat(1) if j == 0 else Rat(0) for _, d in a for j in range(d)]]
+    )
     while len(rows) < u:
         rows.append(_times_z(rows[-1], a))
     return rows
@@ -64,7 +68,11 @@ def _times_z(row: list, a: MultiRootSet) -> list:
 
 
 def vandermonde_det_closed(a: MultiRootSet) -> Scalar:
-    """Product of (alpha_j - alpha_i)^(d_i d_j) over i < j."""
+    """Product of (alpha_j - alpha_i)^(d_i d_j) over i < j, taken once per set."""
+    return a._once("vdet", _vandermonde_det)
+
+
+def _vandermonde_det(a: MultiRootSet) -> Scalar:
     acc: Scalar = Rat(1)
     pairs = a.pairs
     for i in range(len(pairs)):
@@ -118,12 +126,27 @@ def fiki(a: MultiRootSet, i: int, k: int) -> UniPoly:
         raise DomainError("root index i out of range (1-based)")
     if not isinstance(k, int) or not 0 <= k < a.pairs[i - 1][1]:
         raise DomainError("shift order k must satisfy 0 <= k < d_i")
-    alpha_i = a.pairs[i - 1][0]
-    out = UniPoly([-alpha_i, 1]) ** k
+    return _root(a, i)[1][k]
+
+
+def _root(a: MultiRootSet, i: int) -> tuple:
+    """(f_i(alpha_i), [f_i, (x - alpha_i) f_i, ..., (x - alpha_i)^(d_i-1) f_i])
+    for the 1-based root i, with f_i = prod_{j != i} (x - alpha_j)^(d_j);
+    built once per set."""
+    return a._once(("root", i), _root_chain, i)
+
+
+def _root_chain(a: MultiRootSet, i: int) -> tuple:
+    alpha_i, d_i = a.pairs[i - 1]
+    f = UniPoly([1])
     for idx, (alpha, d) in enumerate(a, start=1):
         if idx != i:
-            out = out * UniPoly([-alpha, 1]) ** d
-    return out
+            f = f * UniPoly([-alpha, 1]) ** d
+    chain = [f]
+    step = UniPoly([-alpha_i, 1])
+    while len(chain) < d_i:
+        chain.append(chain[-1] * step)
+    return f(alpha_i), chain
 
 
 def _weight(a: MultiRootSet, i: int, k: int) -> Scalar:
@@ -158,17 +181,44 @@ def basic_hermite(a: MultiRootSet, i: int, j: int) -> UniPoly:
     d_i = a.pairs[i - 1][1]
     if not 0 <= j < d_i:
         raise DomainError("derivative order j must satisfy 0 <= j < d_i")
-    alpha_i = a.pairs[i - 1][0]
-    fi_at = fiki(a, i, 0)(alpha_i)
-    out = UniPoly.zero()
-    for k in range(d_i - j):
+    return _hermite_row(a, i)[j]
+
+
+def _hermite_row(a: MultiRootSet, i: int) -> list:
+    """The basis polynomials (i, j), j < d_i, of the 1-based root i, built
+    once per set (``_hermite_basis``)."""
+    return a._once(("hermite", i), _hermite_basis, i)
+
+
+def _hermite_basis(a: MultiRootSet, i: int) -> list:
+    """Basis polynomial (i, j) is sum_k (-1)^k w_k (x-alpha_i)^(j+k) f_i / f_i(alpha_i)
+    over k < d_i - j, w_k = ``_weight(a, i, k)``: f_i times the expansion
+    of 1/f_i at alpha_i truncated below order d_i - j.  Every term is read
+    from the root's one chain of (x - alpha_i) multiples of f_i.
+
+    The division by f_i(alpha_i) and the weights' divisions by the root
+    differences are exact only when those differences are constants, so a
+    parameter set is refused up front otherwise.
+    """
+    at, chain = _root(a, i)
+    if isinstance(at, ParamPoly) and not at.is_constant():
+        raise DomainError(
+            "the Hermite interpolant divides by f_%d(%s) = %s; the roots within "
+            "a set must differ by constants" % (i, a.pairs[i - 1][0], at)
+        )
+    d_i = len(chain)
+    signed = []
+    for k in range(d_i):
         w = _weight(a, i, k)
-        if not w:
-            continue
-        if k % 2:
-            w = -w
-        out = out + fiki(a, i, j + k) * w
-    return _scale(out, fi_at)
+        signed.append(-w if k % 2 else w)
+    row = []
+    for j in range(d_i):
+        out = UniPoly.zero()
+        for k in range(d_i - j):
+            if signed[k]:
+                out = out + chain[j + k] * signed[k]
+        row.append(_scale(out, at))
+    return row
 
 
 def _scale(p: UniPoly, denom: Scalar) -> UniPoly:
@@ -192,7 +242,7 @@ def hermite_interpolate(a: MultiRootSet, data: Mapping[Tuple[int, int], Scalar])
     out = UniPoly.zero()
     for (i, j), y in data.items():
         if y:
-            out = out + basic_hermite(a, i, j) * y
+            out = out + _hermite_row(a, i)[j] * y
     return out
 
 
@@ -206,8 +256,7 @@ def confluent_inverse(a: MultiRootSet) -> ExactMatrix:
     d = a.total
     rows = []
     for i in range(1, a.m + 1):
-        for j in range(a.pairs[i - 1][1]):
-            p = basic_hermite(a, i, j)
+        for p in _hermite_row(a, i):
             rows.append([p.coeff(k) for k in range(d)])
     return ExactMatrix(rows)
 
@@ -222,12 +271,11 @@ def vprime(a: MultiRootSet) -> ExactMatrix:
     d = a.total
     rows = [[Rat(0)] * d for _ in range(d)]
     offset = 0
-    for i in range(1, a.m + 1):
-        d_i = a.pairs[i - 1][1]
-        alpha_i = a.pairs[i - 1][0]
-        fi = fiki(a, i, 0)
+    for i, (alpha_i, d_i) in enumerate(a, start=1):
+        fi = _root(a, i)[1][0]
+        taylor = [taylor_coeff(fi, alpha_i, s) for s in range(d_i)]
         for r in range(d_i):
             for c in range(r, d_i):
-                rows[offset + r][offset + c] = taylor_coeff(fi, alpha_i, c - r)
+                rows[offset + r][offset + c] = taylor[c - r]
         offset += d_i
     return ExactMatrix(rows)

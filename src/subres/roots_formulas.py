@@ -34,6 +34,7 @@ from math import comb
 
 from .combinat import compositions
 from .confluent import (
+    _root,
     hermite_interpolate,
     vandermonde_confluent,
     vandermonde_det_closed,
@@ -141,22 +142,17 @@ def sres_one(a: MultiRootSet, b: MultiRootSet) -> UniPoly:
             if alpha == beta:
                 raise DomainError("root sets must be disjoint, %s is shared" % (alpha,))
     g = poly_from_roots(b)
-    m = a.m
+    g_at = [g(alpha) for alpha, _ in a]
     total = UniPoly.zero()
     for i, (alpha_i, d_i) in enumerate(a, start=1):
-        g_at = g(alpha_i)
-        s1 = _sres_one_sum(a, b, i, d_i - 1, g_at)
-        s0 = _sres_one_sum(a, b, i, d_i - 2, g_at) if d_i > 1 else Rat(0)
+        s1 = _sres_one_sum(a, b, i, d_i - 1, g_at[i - 1])
+        s0 = _sres_one_sum(a, b, i, d_i - 2, g_at[i - 1]) if d_i > 1 else Rat(0)
         lin = UniPoly([-alpha_i, 1]) * s1 + UniPoly([s0])
         scale: Scalar = Rat(1)
-        for idx, (alpha_j, d_j) in enumerate(a, start=1):
+        for idx, (_, d_j) in enumerate(a, start=1):
             if idx != i:
-                scale = scale * g(alpha_j) ** d_j
-        fi_at = Rat(1)
-        for idx, (alpha_j, d_j) in enumerate(a, start=1):
-            if idx != i:
-                fi_at = fi_at * (alpha_i - alpha_j) ** d_j
-        term = lin * (scale / fi_at)
+                scale = scale * g_at[idx - 1] ** d_j
+        term = lin * (scale / _root(a, i)[0])
         if (d - d_i) % 2:
             term = -term
         total = total + term

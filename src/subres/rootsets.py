@@ -1,4 +1,10 @@
-"""Root sets with multiplicities and the pairing they induce."""
+"""Root sets with multiplicities and the pairing they induce.
+
+A set carries one private store of what is derived from it alone: its
+monic polynomial here, its confluent Vandermonde rows, closed-form
+Vandermonde determinant and Hermite basis in ``confluent``.  Each entry is
+built on first use and lives as long as the set.
+"""
 
 from __future__ import annotations
 
@@ -15,10 +21,11 @@ class MultiRootSet:
     """Roots alpha_1..alpha_m with multiplicities d_1..d_m, pairwise distinct."""
 
     pairs: Tuple[Tuple[Scalar, int], ...]
-    # Confluent Vandermonde rows, grown on demand by ``confluent`` and kept
-    # for the life of the set.  Not part of the value: sets equal as values
-    # may hold entries of different types (``Rat(3)``, ``ParamPoly.constant(3)``).
-    _vandermonde: list = field(default=None, init=False, repr=False, compare=False)
+    # Values derived from the set alone, by key (see ``_once``).  Not part
+    # of the value: sets equal as values may hold entries of different
+    # types (``Rat(3)``, ``ParamPoly.constant(3)``), so nothing is shared
+    # between sets.
+    _derived: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __init__(self, pairs):
         norm = []
@@ -33,7 +40,7 @@ class MultiRootSet:
                 if norm[i][0] == norm[j][0]:
                     raise DomainError("repeated root %s" % (norm[i][0],))
         object.__setattr__(self, "pairs", tuple(norm))
-        object.__setattr__(self, "_vandermonde", [])
+        object.__setattr__(self, "_derived", {})
 
     @property
     def m(self) -> int:
@@ -54,9 +61,22 @@ class MultiRootSet:
     def __iter__(self):
         return iter(self.pairs)
 
+    def _once(self, key, build, *args):
+        """The value stored under ``key``, built as ``build(self, *args)``
+        on first use.  Callers must not change it."""
+        store = self._derived
+        if key not in store:
+            store[key] = build(self, *args)
+        return store[key]
+
 
 def poly_from_roots(a: MultiRootSet) -> UniPoly:
-    """Monic polynomial with exactly these roots and multiplicities."""
+    """Monic polynomial with exactly these roots and multiplicities, built
+    once per set."""
+    return a._once("poly", _monic)
+
+
+def _monic(a: MultiRootSet) -> UniPoly:
     out = UniPoly([1])
     for root, mult in a:
         out = out * UniPoly([-root, 1]) ** mult

@@ -13,9 +13,12 @@ from typing import Mapping, Union
 
 from .errors import DomainError
 
+# Two supported rational backends: gmpy2's mpq when it is installed (the
+# optional "gmpy2" extra; faster), else the standard library's Fraction.
+# `sres --version` names the one in use.
 try:
     from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:
     from fractions import Fraction as Rat
 
 _RAT_T = type(Rat(0))

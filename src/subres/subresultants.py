@@ -92,7 +92,13 @@ def sylv_double_sum(a: MultiRootSet, b: MultiRootSet, p: int, q: int) -> UniPoly
             if not num:
                 continue
             den = _r_lists(a_in, a_out) * _r_lists(b_in, b_out)
-            weight = num / den
+            try:
+                weight = num / den
+            except DomainError:
+                raise DomainError(
+                    "the double sum divides by %s inexactly; the roots within a set "
+                    "must differ by constants" % (den,)
+                ) from None
             total = total + _r_poly(a_in) * _r_poly(b_in) * weight
     return total
 

@@ -10,6 +10,12 @@ The subresultant determinants are also kept in the form the package used
 before it took them by one bordered elimination: rebuilt at x = 0, ..., t
 and interpolated by ``det_in_x``, over matrices from the Taylor-recursion
 Wronskian below.  Their JSON must match the package's byte for byte.
+
+Likewise the root-set closed forms are kept as the package built them
+before each set derived them once: the monic product, the Vandermonde
+determinant, and a Hermite basis polynomial per call, with a fresh
+``fiki`` product for every term; the confluent inverse, ``vprime``, the
+order d-1 interpolant and the order-1 pole formula on top of them.
 """
 
 from __future__ import annotations
@@ -18,8 +24,9 @@ from itertools import product as iproduct
 from math import comb
 
 from subres import ExactMatrix, MultiRootSet, ParamPoly, Rat, UniPoly, param, taylor_coeff
-from subres.confluent import vandermonde_det_closed
+from subres.combinat import compositions
 from subres.matrix import det_in_x
+from subres.roots_formulas import _sres_one_sum
 
 
 def det_cofactor(rows):
@@ -266,17 +273,15 @@ def sres_roots_interpolated(a: MultiRootSet, b: MultiRootSet, t: int, variant: s
     va = vandermonde_taylor(a, u).rows
     vb = vandermonde_taylor(b, u).rows
     paired = [ra + rb for ra, rb in zip(va, vb)]
-    den = vandermonde_det_closed(a) * vandermonde_det_closed(b)
+    den = vandermonde_det_product(a) * vandermonde_det_product(b)
     if variant == "compact":
-        g = UniPoly([1])
-        for beta, mult in b:
-            g = g * UniPoly([-beta, 1]) ** mult
+        g = poly_product(b)
         bottom = [row + [Rat(0)] for row in wronskian_taylor(g, a, d - t).rows]
 
         def build(c):
             return ExactMatrix([row + [c**k] for k, row in enumerate(va[: t + 1])] + bottom)
 
-        det = det_in_x(build, t, vandermonde_det_closed(a))
+        det = det_in_x(build, t, vandermonde_det_product(a))
         return -det if (d - t) % 2 else det
     if variant == "block":
         top = [row + zero_b for row in va[: t + 1]]
@@ -294,3 +299,129 @@ def sres_roots_interpolated(a: MultiRootSet, b: MultiRootSet, t: int, variant: s
 
     det = det_in_x(build, t, den)
     return -det if ((d - t) * e) % 2 else det
+
+
+def poly_product(a: MultiRootSet) -> UniPoly:
+    out = UniPoly([1])
+    for root, mult in a:
+        out = out * UniPoly([-root, 1]) ** mult
+    return out
+
+
+def vandermonde_det_product(a: MultiRootSet):
+    acc = Rat(1)
+    pairs = a.pairs
+    for i in range(len(pairs)):
+        for j in range(i + 1, len(pairs)):
+            ai, di = pairs[i]
+            aj, dj = pairs[j]
+            acc = acc * (aj - ai) ** (di * dj)
+    return acc
+
+
+def fiki_product(a: MultiRootSet, i: int, k: int) -> UniPoly:
+    """(x - alpha_i)^k prod_{j != i} (x - alpha_j)^(d_j), multiplied out afresh."""
+    alpha_i = a.pairs[i - 1][0]
+    out = UniPoly([-alpha_i, 1]) ** k
+    for idx, (alpha, d) in enumerate(a, start=1):
+        if idx != i:
+            out = out * UniPoly([-alpha, 1]) ** d
+    return out
+
+
+def _hermite_weight(a: MultiRootSet, i: int, k: int):
+    pairs = a.pairs
+    others = [idx for idx in range(len(pairs)) if idx != i - 1]
+    alpha_i = pairs[i - 1][0]
+    if not others:
+        return Rat(1) if k == 0 else Rat(0)
+    total = Rat(0)
+    for ks in compositions(k, len(others)):
+        term = Rat(1)
+        for idx, kl in zip(others, ks):
+            alpha_l, d_l = pairs[idx]
+            term = term * comb(d_l - 1 + kl, kl)
+            if kl:
+                term = term / (alpha_i - alpha_l) ** kl
+        total = total + term
+    return total
+
+
+def basic_hermite_per_call(a: MultiRootSet, i: int, j: int) -> UniPoly:
+    """sum_k (-1)^k w_k fiki(i, j+k), k < d_i - j, over f_i(alpha_i)."""
+    alpha_i, d_i = a.pairs[i - 1]
+    fi_at = fiki_product(a, i, 0)(alpha_i)
+    out = UniPoly.zero()
+    for k in range(d_i - j):
+        w = _hermite_weight(a, i, k)
+        if not w:
+            continue
+        if k % 2:
+            w = -w
+        out = out + fiki_product(a, i, j + k) * w
+    return UniPoly([c / fi_at for c in out.coeffs])
+
+
+def hermite_interpolate_per_call(a: MultiRootSet, data) -> UniPoly:
+    out = UniPoly.zero()
+    for (i, j), y in data.items():
+        if y:
+            out = out + basic_hermite_per_call(a, i, j) * y
+    return out
+
+
+def confluent_inverse_per_call(a: MultiRootSet) -> ExactMatrix:
+    d = a.total
+    rows = []
+    for i in range(1, a.m + 1):
+        for j in range(a.pairs[i - 1][1]):
+            p = basic_hermite_per_call(a, i, j)
+            rows.append([p.coeff(k) for k in range(d)])
+    return ExactMatrix(rows)
+
+
+def vprime_per_call(a: MultiRootSet) -> ExactMatrix:
+    d = a.total
+    rows = [[Rat(0)] * d for _ in range(d)]
+    offset = 0
+    for i in range(1, a.m + 1):
+        alpha_i, d_i = a.pairs[i - 1]
+        fi = fiki_product(a, i, 0)
+        for r in range(d_i):
+            for c in range(r, d_i):
+                rows[offset + r][offset + c] = taylor_coeff(fi, alpha_i, c - r)
+        offset += d_i
+    return ExactMatrix(rows)
+
+
+def sres_dm1_hermite_per_call(a: MultiRootSet, b: MultiRootSet) -> UniPoly:
+    g = poly_product(b)
+    data = {}
+    for i, (alpha, d_i) in enumerate(a, start=1):
+        for j in range(d_i):
+            data[(i, j)] = taylor_coeff(g, alpha, j)
+    return hermite_interpolate_per_call(a, data)
+
+
+def sres_one_per_call(a: MultiRootSet, b: MultiRootSet) -> UniPoly:
+    """The order-1 pole formula with g evaluated at every pair of roots and
+    f_i(alpha_i) as a product of root differences."""
+    d = a.total
+    g = poly_product(b)
+    total = UniPoly.zero()
+    for i, (alpha_i, d_i) in enumerate(a, start=1):
+        g_at = g(alpha_i)
+        s1 = _sres_one_sum(a, b, i, d_i - 1, g_at)
+        s0 = _sres_one_sum(a, b, i, d_i - 2, g_at) if d_i > 1 else Rat(0)
+        lin = UniPoly([-alpha_i, 1]) * s1 + UniPoly([s0])
+        scale = Rat(1)
+        fi_at = Rat(1)
+        for idx, (alpha_j, d_j) in enumerate(a, start=1):
+            if idx != i:
+                scale = scale * g(alpha_j) ** d_j
+                fi_at = fi_at * (alpha_i - alpha_j) ** d_j
+        term = lin * (scale / fi_at)
+        if (d - d_i) % 2:
+            term = -term
+        total = total + term
+    return total

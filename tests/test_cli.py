@@ -260,6 +260,29 @@ class TestErrorReporting:
         assert err.startswith("error:") and "nested deeper" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "a, b, formula",
+        [
+            ('[["a",1],["b",1]]', '[["c",1],["d",1]]', "the Hermite interpolant divides by"),
+            ('[["1",1],["2",1]]', '[["a",1],["b",1],["c",1]]', "the double sum divides by"),
+        ],
+    )
+    def test_symbolic_roots_with_free_differences_exit_two(self, capsys, a, b, formula):
+        code, out, err = run(capsys, ["verify", "--A", a, "--B", b])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: " + formula)
+        assert err.endswith("; the roots within a set must differ by constants\n")
+        assert "Traceback" not in err
+
+    def test_symbolic_roots_with_constant_differences_pass(self, capsys):
+        for a, b in (
+            ('[["a",2],["a+1",1]]', '[["b",1],["b-2",2]]'),
+            ('[["a",1],["a-3",1]]', '[["1",1],["2",1],["4",1]]'),
+        ):
+            got = out_json(capsys, ["verify", "--A", a, "--B", b])
+            assert got["ok"] is True
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["coeffs", "--f", "@/nonexistent.json", "--g", "[1]", "-t", "0"])
         assert code == 2

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import rationals, rootsets
 from oracles import (
+    basic_hermite_per_call,
     det_cofactor,
     hermite_bordered,
     lagrange_interpolant,
     matrix_rows,
+    poly_product,
     vandermonde_binomial,
+    vandermonde_det_product,
     vandermonde_taylor,
     wronskian_taylor,
 )
@@ -36,8 +39,9 @@ from subres import (
     wronskian,
     wronskian_det_closed,
 )
+from subres import confluent, rootsets as rootset_module
 from subres.confluent import fiki
-from subres.verify import random_rootset
+from subres.verify import random_rootset, univariate_checks
 
 
 def rs(*pairs):
@@ -195,6 +199,69 @@ class TestRowTable:
         rat = type(Rat(0))
         assert {t for row in self.types(vandermonde_confluent(plain, 5)) for t in row} == {rat}
         assert ParamPoly in {t for row in self.types(wronskian(h, boxed, 5)) for t in row}
+
+    def test_equal_sets_keep_their_own_closed_form_types(self):
+        # The same holds for the polynomial, the determinant and the Hermite
+        # basis, whichever of the two equal sets derives them first.
+        plain = [(Rat(3), 2), (Rat(-1), 1)]
+        boxed = [(ParamPoly.constant(3), 2), (Rat(-1), 1)]
+        rat = type(Rat(0))
+        for order in ((plain, boxed), (boxed, plain)):
+            sets = [MultiRootSet(pairs) for pairs in order]
+            for a in sets:
+                assert [type(c) for c in poly_from_roots(a).coeffs] == [
+                    type(c) for c in poly_product(a).coeffs
+                ]
+                assert type(vandermonde_det_closed(a)) is type(vandermonde_det_product(a))
+                for i, (_, d_i) in enumerate(a, start=1):
+                    for j in range(d_i):
+                        assert [type(c) for c in basic_hermite(a, i, j).coeffs] == [
+                            type(c) for c in basic_hermite_per_call(a, i, j).coeffs
+                        ]
+            first = sets[0]
+            types = {type(c) for c in poly_from_roots(first).coeffs}
+            types |= {type(vandermonde_det_closed(first))}
+            types |= {type(c) for row in confluent_inverse(first).rows for c in row}
+            assert (types == {rat}) if order[0] is plain else (ParamPoly in types)
+
+
+class TestDerivedOnce:
+    """One cross-check battery derives each set's polynomial, determinant,
+    root chains and Hermite basis at most once."""
+
+    @staticmethod
+    def spy(monkeypatch, module, name):
+        calls = []
+        build = getattr(module, name)
+
+        def counted(a, *args):
+            calls.append((id(a),) + args)
+            return build(a, *args)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "pairs_a, pairs_b",
+        [
+            (((0, 2), (1, 1), (Rat(1, 2), 3)), ((2, 3), (-1, 2), (5, 2))),
+            (((1, 1), (2, 1)), ((0, 1), (3, 1), (-2, 1))),
+            (((4, 3),), ((4, 1), (0, 2))),
+        ],
+    )
+    def test_one_battery_builds_each_value_once(self, monkeypatch, pairs_a, pairs_b):
+        a, b = rs(*pairs_a), rs(*pairs_b)
+        polys = self.spy(monkeypatch, rootset_module, "_monic")
+        dets = self.spy(monkeypatch, confluent, "_vandermonde_det")
+        chains = self.spy(monkeypatch, confluent, "_root_chain")
+        bases = self.spy(monkeypatch, confluent, "_hermite_basis")
+        checks = univariate_checks(a, b)
+        assert checks and all(c.ok for c in checks)
+        small = a if a.total <= b.total else b
+        assert sorted(polys) == sorted([(id(a),), (id(b),)])
+        assert sorted(dets) == sorted([(id(a),), (id(b),)])
+        assert len(chains) == len(set(chains))
+        assert sorted(bases) == [(id(small), i) for i in range(1, small.m + 1)]
 
 
 class TestFiki:

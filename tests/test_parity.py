@@ -1,33 +1,54 @@
-"""Bordered eliminations and the shared row table against the constructions
-they replaced: rebuild-and-interpolate determinants and the Taylor-recursion
-Wronskian (``oracles``).  Both sides are compared as JSON, byte for byte."""
+"""Bordered eliminations, the shared row table and the per-set closed forms
+against the constructions they replaced: rebuild-and-interpolate
+determinants, the Taylor-recursion Wronskian, and Hermite bases rebuilt per
+call from fresh ``fiki`` products (``oracles``).  Both sides are compared as
+JSON, byte for byte."""
 
 import json
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import rootsets
 from oracles import (
+    basic_hermite_per_call,
+    confluent_inverse_per_call,
+    fiki_product,
+    hermite_interpolate_per_call,
+    poly_product,
     sres_coeff_interpolated,
+    sres_dm1_hermite_per_call,
+    sres_one_per_call,
     sres_roots_interpolated,
+    vandermonde_det_product,
     vandermonde_taylor,
+    vprime_per_call,
     wronskian_taylor,
 )
 from subres import (
     VARIANTS,
+    DomainError,
     MultiRootSet,
     ParamPoly,
     Rat,
     UniPoly,
+    basic_hermite,
+    confluent_inverse,
+    hermite_interpolate,
     param,
     poly_from_roots,
     sres_coeff,
+    sres_dm1_hermite,
+    sres_one,
     sres_roots,
     vandermonde_confluent,
+    vandermonde_det_closed,
+    vprime,
     wronskian,
 )
-from subres.serialize import matrix_to_json, unipoly_to_json
+from subres.confluent import fiki
+from subres.serialize import matrix_to_json, scalar_to_str, unipoly_to_json
 
 
 def same(got, want, to_json):
@@ -91,3 +112,67 @@ class TestOracleParity:
             ([(ParamPoly.constant(3), 2)], [(param("b"), 1), (param("b") + 2, 1)]),
         ):
             check_pair(MultiRootSet(pair[0]), MultiRootSet(pair[1]))
+
+
+# Taylor data for hermite_interpolate: zeros are skipped, and a parameter
+# value keeps its own entry type.
+DATA_VALUES = st.sampled_from([Rat(0), Rat(1), Rat(-3, 2), Rat(7), param("c") - 1])
+ROOT_PAIRS = st.one_of(
+    st.tuples(rootsets(max_blocks=3, max_mult=4), rootsets(max_blocks=3, max_mult=4)),
+    st.tuples(
+        cluster("a", max_roots=3, max_mult=4),
+        st.one_of(cluster("b", max_mult=3), cluster(None, max_roots=3, max_mult=4)),
+    ),
+)
+
+
+def check_closed_forms(a, b, values):
+    """Every per-set closed form of A (and the polynomial and determinant of
+    B) against its per-call construction, then the two interpolants."""
+    a, b = oriented(a, b)
+    for s in (a, b):
+        same(poly_from_roots(s), poly_product(s), unipoly_to_json)
+        same(vandermonde_det_closed(s), vandermonde_det_product(s), scalar_to_str)
+    same(confluent_inverse(a), confluent_inverse_per_call(a), matrix_to_json)
+    for i, (_, d_i) in enumerate(a, start=1):
+        for j in range(d_i):
+            same(fiki(a, i, j), fiki_product(a, i, j), unipoly_to_json)
+            same(basic_hermite(a, i, j), basic_hermite_per_call(a, i, j), unipoly_to_json)
+    same(vprime(a), vprime_per_call(a), matrix_to_json)
+    keys = [(i, j) for i, (_, d_i) in enumerate(a, start=1) for j in range(d_i)]
+    data = {key: values[n % len(values)] for n, key in enumerate(keys)}
+    same(hermite_interpolate(a, data), hermite_interpolate_per_call(a, data), unipoly_to_json)
+    same(sres_dm1_hermite(a, b), sres_dm1_hermite_per_call(a, b), unipoly_to_json)
+    if a.total > 1 and not set(a.roots) & set(b.roots):
+        same(sres_one(a, b), sres_one_per_call(a, b), unipoly_to_json)
+
+
+class TestClosedFormParity:
+    @given(ROOT_PAIRS, st.lists(DATA_VALUES, min_size=1, max_size=6))
+    def test_root_sets(self, pair, values):
+        check_closed_forms(*pair, values)
+
+    def test_fixed_extremes(self):
+        # One-root sets (the basis is a shifted power, and sres_one has no
+        # other root of A), multiplicity 4 on both sides, and a constant
+        # ParamPoly root beside rational ones.
+        a, b = param("a"), param("b")
+        values = [Rat(2), Rat(0), param("c") - 1]
+        for pair in (
+            ([(Rat(1, 2), 4)], [(Rat(-1), 4), (Rat(3), 1)]),
+            ([(a, 3)], [(b, 2), (b + 1, 2)]),
+            ([(a, 4), (a + 2, 1), (a - 1, 2)], [(Rat(0), 4), (Rat(5), 4)]),
+            ([(ParamPoly.constant(3), 2), (Rat(-1), 2)], [(b, 1), (b - 2, 4)]),
+        ):
+            check_closed_forms(MultiRootSet(pair[0]), MultiRootSet(pair[1]), values)
+
+    def test_non_constant_differences_are_refused_on_both_sides(self):
+        a = MultiRootSet([(param("a"), 2), (param("b"), 1)])
+        b = MultiRootSet([(param("c"), 3)])
+        for build in (basic_hermite, basic_hermite_per_call):
+            for i, j in ((1, 0), (1, 1), (2, 0)):
+                with pytest.raises(DomainError):
+                    build(a, i, j)
+        for build in (sres_dm1_hermite, sres_dm1_hermite_per_call):
+            with pytest.raises(DomainError):
+                build(a, b)
