@@ -26,6 +26,7 @@ SYMBOLIC_PAIRS = (
     ([["a", 1], ["a-2", 1]], [["1", 2], ["-1", 1]]),
     ([["a+1", 2]], [["b", 1], ["b+1", 1], ["b-3", 1]]),
     ([["a", 1], ["a+3", 2]], [["0", 1], ["2", 1], ["-3", 2]]),
+    ([["a", 3]], [["b", 1], ["b+1", 2]]),
 )
 
 BUNDLED_SYSTEM = {

@@ -9,7 +9,9 @@ from which every Vandermonde or Wronskian matrix of the set is read; the
 closed-form Vandermonde determinant; per root alpha_i, the product f_i of
 the other roots' factors, its value f_i(alpha_i) and the chain
 (x - alpha_i)^k f_i, k < d_i; and the Hermite basis, built from that
-chain.
+chain.  The basis and the order-1 pole formula (``roots_formulas``) take
+their pole weights from one truncated product of per-root series
+(``_pole_weights``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 from math import comb
 from typing import Mapping, Tuple
 
-from .combinat import compositions
 from .errors import DomainError
 from .matrix import ExactMatrix
 from .rootsets import MultiRootSet
@@ -149,24 +150,38 @@ def _root_chain(a: MultiRootSet, i: int) -> tuple:
     return f(alpha_i), chain
 
 
-def _weight(a: MultiRootSet, i: int, k: int) -> Scalar:
-    """Sum over compositions of k across the other roots of the binomial
-    over power weights; equals 1 at k = 0 and 0 for k > 0 with one root."""
-    pairs = a.pairs
-    others = [idx for idx in range(len(pairs)) if idx != i - 1]
-    alpha_i = pairs[i - 1][0]
-    if not others:
-        return Rat(1) if k == 0 else Rat(0)
-    total: Scalar = Rat(0)
-    for ks in compositions(k, len(others)):
-        term: Scalar = Rat(1)
-        for idx, kl in zip(others, ks):
-            alpha_l, d_l = pairs[idx]
-            term = term * comb(d_l - 1 + kl, kl)
-            if kl:
-                term = term / (alpha_i - alpha_l) ** kl
-        total = total + term
-    return total
+def _pole_weights(alpha: Scalar, slots, n: int) -> list:
+    """w_k for k < n: the coefficient of y^k in the product over the slots
+    (gamma, m, p) of sum_k C(m-1+k, k) (alpha - gamma)^(p-k) y^k, that is the
+    sum over compositions (k_l) of k of prod_l C(m_l-1+k_l, k_l)
+    (alpha - gamma_l)^(p_l-k_l).  With every p = 0, w_k is (-1)^k F(alpha)
+    times the coefficient of (x - alpha)^k in 1/F, F = prod_l (x - gamma_l)^m_l.
+
+    A slot divides only for k > p.  Slots with p > 0 go first, so that the
+    later divisions act on their folded powers: that keeps them exact for
+    symbolic roots.
+    """
+    w = [Rat(1)] + [Rat(0)] * (n - 1)
+    for gamma, m, p in slots:
+        diff = alpha - gamma
+        # pw[q] = diff^(low + q) holds the factors diff^(p - j), j < p, and,
+        # with low = 0, the divisors diff^(j - p), j > p.
+        low = max(p - n + 1, 0)
+        pw = [diff**low if low else Rat(1)]
+        while len(pw) < n:
+            pw.append(pw[-1] * diff)
+        binom = [comb(m - 1 + j, j) for j in range(n)]
+        for k in range(n - 1, -1, -1):
+            acc: Scalar = Rat(0)
+            for j in range(k + 1):
+                term = w[k - j] * binom[j]
+                if j < p:
+                    term = term * pw[p - j - low]
+                elif j > p:
+                    term = term / pw[j - p]
+                acc = acc + term
+            w[k] = acc
+    return w
 
 
 def basic_hermite(a: MultiRootSet, i: int, j: int) -> UniPoly:
@@ -192,9 +207,10 @@ def _hermite_row(a: MultiRootSet, i: int) -> list:
 
 def _hermite_basis(a: MultiRootSet, i: int) -> list:
     """Basis polynomial (i, j) is sum_k (-1)^k w_k (x-alpha_i)^(j+k) f_i / f_i(alpha_i)
-    over k < d_i - j, w_k = ``_weight(a, i, k)``: f_i times the expansion
-    of 1/f_i at alpha_i truncated below order d_i - j.  Every term is read
-    from the root's one chain of (x - alpha_i) multiples of f_i.
+    over k < d_i - j, w_k the pole weights of alpha_i over the other roots
+    (``_pole_weights``, p = 0): f_i times the expansion of 1/f_i at alpha_i
+    truncated below order d_i - j.  Every term is read from the root's one
+    chain of (x - alpha_i) multiples of f_i.
 
     The division by f_i(alpha_i) and the weights' divisions by the root
     differences are exact only when those differences are constants, so a
@@ -206,11 +222,9 @@ def _hermite_basis(a: MultiRootSet, i: int) -> list:
             "the Hermite interpolant divides by f_%d(%s) = %s; the roots within "
             "a set must differ by constants" % (i, a.pairs[i - 1][0], at)
         )
-    d_i = len(chain)
-    signed = []
-    for k in range(d_i):
-        w = _weight(a, i, k)
-        signed.append(-w if k % 2 else w)
+    alpha_i, d_i = a.pairs[i - 1]
+    others = [(alpha, d, 0) for idx, (alpha, d) in enumerate(a, start=1) if idx != i]
+    signed = [-w if k % 2 else w for k, w in enumerate(_pole_weights(alpha_i, others, d_i))]
     row = []
     for j in range(d_i):
         out = UniPoly.zero()

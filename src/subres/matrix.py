@@ -151,13 +151,19 @@ def _dets(rows: List[list]) -> List[Scalar]:
     a = []
     scale = 1
     for row in rows:
-        # A list, not a generator: unpacking a generator resizes the argument
-        # tuple, and CPython parks the resized tuples on its free lists until
-        # a full collection: ~1.7 MiB more peak memory over a benchmark run.
-        s = math.lcm(*[v.denominator for v in row])
-        a.append([v.numerator * (s // v.denominator) for v in row])
+        ints, s = _integer_row(row)
+        a.append(ints)
         scale *= s
     return [Rat(v, scale) for v in _bareiss(a)]
+
+
+def _integer_row(row: list) -> Tuple[List[int], int]:
+    """(s * row, s) for a rational row, s the lcm of its denominators."""
+    # A list, not a generator: unpacking a generator resizes the argument
+    # tuple, and CPython parks the resized tuples on its free lists until
+    # a full collection: ~1.7 MiB more peak memory over a benchmark run.
+    s = math.lcm(*[v.denominator for v in row])
+    return [v.numerator * (s // v.denominator) for v in row], s
 
 
 def _det_packed(rows: List[list]) -> List[ParamPoly]:
@@ -346,10 +352,7 @@ def _gauss_jordan(rows: List[list]) -> Tuple[list, List[int], Callable[[Scalar],
     """
     parametric = any(isinstance(v, ParamPoly) for row in rows for v in row)
     if not parametric:
-        a = []
-        for row in rows:
-            s = math.lcm(*[v.denominator for v in row])
-            a.append([v.numerator * (s // v.denominator) for v in row])
+        a = [_integer_row(row)[0] for row in rows]
     else:
         a = [[v if isinstance(v, ParamPoly) else ParamPoly.constant(v) for v in row] for row in rows]
     a = [row for row in a if any(row)]

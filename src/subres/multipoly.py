@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence, Tuple
 
+from .combinat import canon_key
 from .errors import DomainError
 from .scalar import Rat, Scalar, as_scalar
 
@@ -133,7 +134,7 @@ class MultiPoly:
             return "0"
         names = ["x%d" % (i + 1) for i in range(self.n)]
         parts = []
-        for expo in sorted(self.terms, key=lambda e: (sum(e), tuple(-v for v in e))):
+        for expo in sorted(self.terms, key=canon_key):
             c = self.terms[expo]
             mono = "*".join(
                 names[i] if e == 1 else "%s^%d" % (names[i], e)

@@ -25,15 +25,14 @@ blocks come from each root set's one table of confluent Vandermonde rows
 
 Two closed-form specializations avoid determinants entirely: the order
 d-1 subresultant is the Hermite interpolant of g on A, and the order-1
-subresultant is an explicit weighted sum over the roots.
+subresultant is an explicit weighted sum over the roots, its weights one
+truncated series product per root (``confluent._pole_weights``).
 """
 
 from __future__ import annotations
 
-from math import comb
-
-from .combinat import compositions
 from .confluent import (
+    _pole_weights,
     _root,
     hermite_interpolate,
     vandermonde_confluent,
@@ -130,9 +129,11 @@ def sres_one(a: MultiRootSet, b: MultiRootSet) -> UniPoly:
     """Order-1 subresultant as a weighted sum over the roots of A.
 
     Needs 1 < d <= e and disjoint root sets.  Each root alpha_i
-    contributes (x - alpha_i) S_1 + [d_i > 1] S_0 where S_k sums
-    binomial-over-power weights across compositions of k on the other
-    roots of A and the roots of B.
+    contributes (x - alpha_i) S_1 + [d_i > 1] S_0, where S_1 and S_0 are
+    the pole weights of orders d_i - 1 and d_i - 2 of alpha_i
+    (``_pole_weights``) over the roots of B and the other roots of A.
+    The roots of B carry p = e_l (d_i - 1), which folds g(alpha_i)^(d_i-1)
+    into every weight and keeps its divisions exact for symbolic roots.
     """
     d, e = a.total, b.total
     if not 1 < d <= e:
@@ -145,8 +146,10 @@ def sres_one(a: MultiRootSet, b: MultiRootSet) -> UniPoly:
     g_at = [g(alpha) for alpha, _ in a]
     total = UniPoly.zero()
     for i, (alpha_i, d_i) in enumerate(a, start=1):
-        s1 = _sres_one_sum(a, b, i, d_i - 1, g_at[i - 1])
-        s0 = _sres_one_sum(a, b, i, d_i - 2, g_at[i - 1]) if d_i > 1 else Rat(0)
+        slots = [(beta, e_l, e_l * (d_i - 1)) for beta, e_l in b]
+        slots += [(alpha, d_l, 0) for idx, (alpha, d_l) in enumerate(a, start=1) if idx != i]
+        w = _pole_weights(alpha_i, slots, d_i)
+        s1, s0 = w[d_i - 1], (w[d_i - 2] if d_i > 1 else Rat(0))
         lin = UniPoly([-alpha_i, 1]) * s1 + UniPoly([s0])
         scale: Scalar = Rat(1)
         for idx, (_, d_j) in enumerate(a, start=1):
@@ -155,37 +158,5 @@ def sres_one(a: MultiRootSet, b: MultiRootSet) -> UniPoly:
         term = lin * (scale / _root(a, i)[0])
         if (d - d_i) % 2:
             term = -term
-        total = total + term
-    return total
-
-
-def _sres_one_sum(a: MultiRootSet, b: MultiRootSet, i: int, k: int, g_at: Scalar) -> Scalar:
-    """S_k with the factor g(alpha_i)^(d_i - 1) folded into each term.
-
-    Folding keeps every division exact even when the roots are symbolic,
-    because g(alpha_i)^(d_i-1) carries at least as many (alpha_i - beta)
-    factors as the denominators consume.
-    """
-    if k < 0:
-        return Rat(0)
-    alpha_i, d_i = a.pairs[i - 1]
-    slots = [(root, mult, True) for idx, (root, mult) in enumerate(a.pairs) if idx != i - 1]
-    slots += [(root, mult, False) for root, mult in b.pairs]
-    g_pow = g_at ** (d_i - 1) if d_i > 1 else Rat(1)
-    total: Scalar = Rat(0)
-    for ks in compositions(k, len(slots)):
-        num: Scalar = g_pow
-        den_b: Scalar = Rat(1)
-        den_a: Scalar = Rat(1)
-        for (root, mult, in_a), kl in zip(slots, ks):
-            num = num * comb(mult - 1 + kl, kl)
-            if kl:
-                d_fac = (alpha_i - root) ** kl
-                if in_a:
-                    den_a = den_a * d_fac
-                else:
-                    den_b = den_b * d_fac
-        term = num / den_b if den_b != 1 else num
-        term = term / den_a if den_a != 1 else term
         total = total + term
     return total

@@ -15,7 +15,9 @@ Likewise the root-set closed forms are kept as the package built them
 before each set derived them once: the monic product, the Vandermonde
 determinant, and a Hermite basis polynomial per call, with a fresh
 ``fiki`` product for every term; the confluent inverse, ``vprime``, the
-order d-1 interpolant and the order-1 pole formula on top of them.
+order d-1 interpolant and the order-1 pole formula on top of them.  Their
+pole weights are the composition sums the paper displays, where the
+package multiplies one truncated series per root.
 """
 
 from __future__ import annotations
@@ -24,9 +26,7 @@ from itertools import product as iproduct
 from math import comb
 
 from subres import ExactMatrix, MultiRootSet, ParamPoly, Rat, UniPoly, param, taylor_coeff
-from subres.combinat import compositions
 from subres.matrix import det_in_x
-from subres.roots_formulas import _sres_one_sum
 
 
 def det_cofactor(rows):
@@ -329,14 +329,15 @@ def fiki_product(a: MultiRootSet, i: int, k: int) -> UniPoly:
     return out
 
 
-def _hermite_weight(a: MultiRootSet, i: int, k: int):
+def hermite_weight_sum(a: MultiRootSet, i: int, k: int):
+    """w_k of the Hermite basis of root i: over the compositions of k across
+    the other roots, the binomials over the powers of the root
+    differences."""
     pairs = a.pairs
     others = [idx for idx in range(len(pairs)) if idx != i - 1]
     alpha_i = pairs[i - 1][0]
-    if not others:
-        return Rat(1) if k == 0 else Rat(0)
     total = Rat(0)
-    for ks in compositions(k, len(others)):
+    for ks in monomials_of_degree_naive(len(others), k):
         term = Rat(1)
         for idx, kl in zip(others, ks):
             alpha_l, d_l = pairs[idx]
@@ -347,13 +348,44 @@ def _hermite_weight(a: MultiRootSet, i: int, k: int):
     return total
 
 
+def sres_one_sum(a: MultiRootSet, b: MultiRootSet, i: int, k: int, g_at):
+    """S_k of the order-1 pole formula as the paper displays it: over the
+    compositions of k across the other roots of A and the roots of B, the
+    binomials over the powers of the root differences, each term times
+    g(alpha_i)^(d_i - 1) so that its divisions stay exact for symbolic
+    roots."""
+    if k < 0:
+        return Rat(0)
+    alpha_i, d_i = a.pairs[i - 1]
+    slots = [(root, mult, True) for idx, (root, mult) in enumerate(a.pairs) if idx != i - 1]
+    slots += [(root, mult, False) for root, mult in b.pairs]
+    g_pow = g_at ** (d_i - 1) if d_i > 1 else Rat(1)
+    total = Rat(0)
+    for ks in monomials_of_degree_naive(len(slots), k):
+        num = g_pow
+        den_b = Rat(1)
+        den_a = Rat(1)
+        for (root, mult, in_a), kl in zip(slots, ks):
+            num = num * comb(mult - 1 + kl, kl)
+            if kl:
+                d_fac = (alpha_i - root) ** kl
+                if in_a:
+                    den_a = den_a * d_fac
+                else:
+                    den_b = den_b * d_fac
+        term = num / den_b if den_b != 1 else num
+        term = term / den_a if den_a != 1 else term
+        total = total + term
+    return total
+
+
 def basic_hermite_per_call(a: MultiRootSet, i: int, j: int) -> UniPoly:
     """sum_k (-1)^k w_k fiki(i, j+k), k < d_i - j, over f_i(alpha_i)."""
     alpha_i, d_i = a.pairs[i - 1]
     fi_at = fiki_product(a, i, 0)(alpha_i)
     out = UniPoly.zero()
     for k in range(d_i - j):
-        w = _hermite_weight(a, i, k)
+        w = hermite_weight_sum(a, i, k)
         if not w:
             continue
         if k % 2:
@@ -411,8 +443,8 @@ def sres_one_per_call(a: MultiRootSet, b: MultiRootSet) -> UniPoly:
     total = UniPoly.zero()
     for i, (alpha_i, d_i) in enumerate(a, start=1):
         g_at = g(alpha_i)
-        s1 = _sres_one_sum(a, b, i, d_i - 1, g_at)
-        s0 = _sres_one_sum(a, b, i, d_i - 2, g_at) if d_i > 1 else Rat(0)
+        s1 = sres_one_sum(a, b, i, d_i - 1, g_at)
+        s0 = sres_one_sum(a, b, i, d_i - 2, g_at) if d_i > 1 else Rat(0)
         lin = UniPoly([-alpha_i, 1]) * s1 + UniPoly([s0])
         scale = Rat(1)
         fi_at = Rat(1)

@@ -11,9 +11,11 @@ from oracles import (
     basic_hermite_per_call,
     det_cofactor,
     hermite_bordered,
+    hermite_weight_sum,
     lagrange_interpolant,
     matrix_rows,
     poly_product,
+    sres_one_sum,
     vandermonde_binomial,
     vandermonde_det_product,
     vandermonde_taylor,
@@ -40,7 +42,7 @@ from subres import (
     wronskian_det_closed,
 )
 from subres import confluent, rootsets as rootset_module
-from subres.confluent import fiki
+from subres.confluent import _pole_weights, fiki
 from subres.verify import random_rootset, univariate_checks
 
 
@@ -403,3 +405,46 @@ class TestVPrime:
         for i, (alpha, mult) in enumerate(a, start=1):
             prod = prod * fiki(a, i, 0)(alpha) ** mult
         assert got == prod
+
+
+class TestPoleWeights:
+    """The one series product against both composition sums as the paper
+    displays them, for every k <= 5."""
+
+    A_SETS = (
+        [(Rat(0), 6), (Rat(1), 2), (Rat(1, 2), 1)],
+        [(Rat(-2), 6), (Rat(3), 3), (Rat(7, 3), 2)],
+        [(param("a"), 6), (param("a") + 1, 1)],
+        [(Rat(4), 6)],
+    )
+    B_SETS = (
+        [(Rat(6), 2), (Rat(-1), 1), (Rat(9), 3)],
+        [(param("b"), 1), (param("b") - 2, 2)],
+    )
+
+    def test_hermite_weights(self):
+        for pairs in self.A_SETS:
+            a = MultiRootSet(pairs)
+            for i, (alpha, _) in enumerate(a, start=1):
+                others = [(r, d, 0) for idx, (r, d) in enumerate(a, start=1) if idx != i]
+                w = _pole_weights(alpha, others, 6)
+                assert w == [hermite_weight_sum(a, i, k) for k in range(6)]
+
+    def test_order_one_sums_with_the_folded_power_of_g(self):
+        # Root 1 has multiplicity 6, so its n = 6 weights reach k = 5; the
+        # other roots check k < d_i.
+        for pairs_a in self.A_SETS:
+            for pairs_b in self.B_SETS:
+                a, b = MultiRootSet(pairs_a), MultiRootSet(pairs_b)
+                g = poly_product(b)
+                for i, (alpha, d_i) in enumerate(a, start=1):
+                    slots = [(beta, e, e * (d_i - 1)) for beta, e in b]
+                    slots += [(r, d, 0) for idx, (r, d) in enumerate(a, start=1) if idx != i]
+                    w = _pole_weights(alpha, slots, d_i)
+                    assert w == [sres_one_sum(a, b, i, k, g(alpha)) for k in range(d_i)]
+
+    def test_no_division_at_order_zero(self):
+        # A slot with p = 0 divides only for k >= 1: a simple root against
+        # a symbolic one needs no division, whatever the difference.
+        assert _pole_weights(param("a"), [(param("b"), 3, 0)], 1) == [Rat(1)]
+        assert _pole_weights(Rat(2), [], 3) == [Rat(1), Rat(0), Rat(0)]

@@ -166,6 +166,23 @@ class TestClosedFormParity:
         ):
             check_closed_forms(MultiRootSet(pair[0]), MultiRootSet(pair[1]), values)
 
+    def test_past_the_drawn_range(self):
+        # Four roots of multiplicity 5 on both sides, then one-root sets:
+        # against one root (sres_one with B slots alone) and against a
+        # symbolic pair.
+        a, b = param("a"), param("b")
+        values = [Rat(1), Rat(-3, 2), param("c") - 1]
+        for pair in (
+            (
+                [(Rat(1, 2), 5), (Rat(3), 5), (Rat(-2), 5), (Rat(7), 5)],
+                [(Rat(0), 5), (Rat(1), 5), (Rat(2), 5), (Rat(5), 5)],
+            ),
+            ([(Rat(2), 5)], [(Rat(-1), 6)]),
+            ([(a, 5)], [(b, 5)]),
+            ([(a - 1, 4)], [(b, 2), (b + 3, 3)]),
+        ):
+            check_closed_forms(MultiRootSet(pair[0]), MultiRootSet(pair[1]), values)
+
     def test_non_constant_differences_are_refused_on_both_sides(self):
         a = MultiRootSet([(param("a"), 2), (param("b"), 1)])
         b = MultiRootSet([(param("c"), 3)])
