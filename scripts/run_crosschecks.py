@@ -5,10 +5,11 @@ Draws random multiple-root pairs, runs every coefficient-side vs root-side
 comparison the preconditions allow, replays a few fixed symbolic pairs
 (roots a+k against b+k or against integers, so the determinants carry
 parameter entries and run through the packed integer kernel), then
-replays two bundled two-variable systems through the document-level
-battery: the circle-line example, whose dual basis is given, and a grid
-system with one root of multiplicity 9, whose dual basis
-``inverse_system`` computes.  Exits 1 if any check fails.
+replays three bundled two-variable systems through the document-level
+battery: the circle-line example, whose dual basis is given, a grid
+system with one root of multiplicity 9, and a system with two multiple
+roots whose coordinates are thirds; ``inverse_system`` computes the dual
+bases of the last two.  Exits 1 if any check fails.
 """
 
 import argparse
@@ -103,6 +104,46 @@ GRID_SYSTEM = {
 }
 
 
+# (x1 - 1/3)^3, (x2 + 2/3)^2 (x2 - 1/3) and a line with thirds: roots
+# (1/3, -2/3) of multiplicity 6 and (1/3, 1/3) of multiplicity 3, whose dual
+# bases are left to inverse_system.  Coordinates and coefficients have
+# denominators 3, 9 and 27, so the integer tables of the dual side scale
+# rows by more than one denominator.
+THIRDS_SYSTEM = {
+    "n": 2,
+    "variables": ["x1", "x2"],
+    "polynomials": [
+        [
+            {"exponents": [0, 0], "coeff": "-1/27"},
+            {"exponents": [1, 0], "coeff": "1/3"},
+            {"exponents": [2, 0], "coeff": "-1"},
+            {"exponents": [3, 0], "coeff": "1"},
+        ],
+        [
+            {"exponents": [0, 0], "coeff": "-4/27"},
+            {"exponents": [0, 2], "coeff": "1"},
+            {"exponents": [0, 3], "coeff": "1"},
+        ],
+        [
+            {"exponents": [0, 0], "coeff": "1/3"},
+            {"exponents": [1, 0], "coeff": "-1"},
+            {"exponents": [0, 1], "coeff": "2/3"},
+        ],
+    ],
+    "degrees": [3, 3, 1],
+    "t": 3,
+    "S": [[0, 0], [1, 0]],
+    "T_override": GRID_SYSTEM["T_override"],
+    "roots": [{"point": ["1/3", "-2/3"]}, {"point": ["1/3", "1/3"]}],
+}
+
+SYSTEMS = (
+    ("bundled system", BUNDLED_SYSTEM),
+    ("grid system", GRID_SYSTEM),
+    ("thirds system", THIRDS_SYSTEM),
+)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description="cross-check root-side subresultant formulas against determinants"
@@ -129,7 +170,7 @@ def main(argv=None):
             total += 1
             if not check.ok:
                 failures.append(("symbolic pair %s vs %s" % (a_doc, b_doc), check))
-    for name, doc in (("bundled system", BUNDLED_SYSTEM), ("grid system", GRID_SYSTEM)):
+    for name, doc in SYSTEMS:
         for check in mv_checks(parse_system(doc)):
             total += 1
             if not check.ok:
@@ -137,8 +178,8 @@ def main(argv=None):
     elapsed = time.perf_counter() - started
 
     print(
-        "%d checks on %d random pairs + %d symbolic pairs + 2 bundled systems in %.2f s"
-        % (total, args.cases, len(SYMBOLIC_PAIRS), elapsed)
+        "%d checks on %d random pairs + %d symbolic pairs + %d bundled systems in %.2f s"
+        % (total, args.cases, len(SYMBOLIC_PAIRS), len(SYSTEMS), elapsed)
     )
     for origin, check in failures:
         print("FAIL [%s] %s: %s" % (origin, check.name, check.detail), file=sys.stderr)

@@ -8,19 +8,28 @@ reads the coefficient of y^alpha.  The sigma operators lower derivative
 exponents and witness closedness of a local dual space under "division"
 by the variables; the integrals raise them, and ``inverse_system`` grows
 the dual space order by order with them.
+
+The arithmetic runs on integer numerators over one integer denominator.
+A point coordinate u/v expands through a table of C(a, k) u^(a - k) v^k
+(``_binomial_tables``), so every term of x^alpha shares the denominator
+prod_i v_i^alpha_i; translates, evaluations and integration rows are
+summed in integers and divided once per value (``_numerators``,
+``_quotient``).  A ``ParamPoly`` coordinate or coefficient is scaled to
+integer coefficients by the lcm of its denominators and goes through the
+same loops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb, lcm, prod
 from typing import Mapping, Optional, Sequence, Tuple
 
 from ..combinat import canon_key
 from ..errors import DomainError
 from ..matrix import ExactMatrix, reduced_echelon
 from ..multipoly import MultiPoly
-from ..scalar import Rat, Scalar, as_scalar
+from ..scalar import ParamPoly, Rat, Scalar, as_scalar
 
 Expo = Tuple[int, ...]
 
@@ -86,29 +95,33 @@ class DualFunctional:
         return " + ".join(parts) + " at %s" % (tuple(str(c) for c in self.point.coords),)
 
 
-def _deriv_monomial_at(gamma: Expo, alpha: Expo, point: Point) -> Scalar:
-    """Normalized alpha-derivative of x^gamma evaluated at the point."""
-    acc: Scalar = Rat(1)
-    for g, a, x in zip(gamma, alpha, point.coords):
-        if a > g:
-            return Rat(0)
-        acc = acc * comb(g, a)
-        if g - a:
-            acc = acc * x ** (g - a)
-    return acc
-
-
 def dual_eval(func: DualFunctional, f: MultiPoly) -> Scalar:
-    """Apply the functional to a polynomial."""
+    """Apply the functional to a polynomial.
+
+    Sums a_alpha c_gamma C(gamma, alpha) point^(gamma - alpha) over the
+    terms a_alpha d_alpha of the functional and c_gamma x^gamma of f, from
+    the point's integer tables, as integers over one denominator.  It
+    reads no translate of f, so it checks ``inverse_system`` independently.
+    """
     if f.n != func.point.n:
         raise DomainError("functional in %d variables applied to %d" % (func.point.n, f.n))
-    acc: Scalar = Rat(0)
-    for alpha, a in func.terms:
-        for gamma, c in f.terms.items():
-            v = _deriv_monomial_at(gamma, alpha, func.point)
-            if v:
-                acc = acc + a * c * v
-    return acc
+    tops = [max((e[i] for e in f.terms), default=0) for i in range(f.n)]
+    tables, dens = _binomial_tables(func.point.coords, tops)
+    a_nums, a_den = _numerators([a for _, a in func.terms])
+    c_nums, c_den = _numerators(list(f.terms.values()))
+    acc = 0
+    for gamma, c in zip(f.terms, c_nums):
+        # C(g, a) x^(g - a) is table[g][a] / v^g: lift every term to v^top
+        c = c * prod(v ** (top - g) for v, top, g in zip(dens, tops, gamma))
+        for (alpha, _), a in zip(func.terms, a_nums):
+            term = a * c
+            for table, g, k in zip(tables, gamma, alpha):
+                if k > g or not table[g][k]:
+                    break
+                term = term * table[g][k]
+            else:
+                acc = acc + term
+    return _quotient(acc, a_den * c_den * prod(v**top for v, top in zip(dens, tops)))
 
 
 def sigma_shift(func: DualFunctional, beta: Expo) -> Optional[DualFunctional]:
@@ -125,32 +138,71 @@ def sigma_shift(func: DualFunctional, beta: Expo) -> Optional[DualFunctional]:
     return DualFunctional(func.point, out)
 
 
-def _binomial_tables(coords: Sequence[Scalar], tops: Sequence[int]) -> list:
-    """tables[i][a][k] = C(a, k) x_i^(a - k), the coefficient of y_i^k in
-    (x_i + y_i)^a, for a up to tops[i]."""
-    tables = []
+def _numerators(values: Sequence[Scalar]) -> Tuple[list, int]:
+    """(nums, d) with values[j] = nums[j] / d, d the lcm of every
+    denominator: each num is an int, or a ``ParamPoly`` with integer
+    coefficients.  mpz numerators become ints, which ``ParamPoly`` and
+    ``Rat(num, den)`` both accept."""
+    dens = [_denominator(v) for v in values]
+    d = lcm(*dens)
+    return [
+        v * d if isinstance(v, ParamPoly) else int(v.numerator) * (d // den)
+        for v, den in zip(values, dens)
+    ], d
+
+
+def _denominator(v: Scalar) -> int:
+    if isinstance(v, ParamPoly):
+        return lcm(*[int(c.denominator) for c in v.terms.values()])
+    return int(v.denominator)
+
+
+def _quotient(num, den: int) -> Scalar:
+    """num / den back in the scalar domain: the one division per value."""
+    return num / den if isinstance(num, ParamPoly) else Rat(num, den)
+
+
+def _binomial_tables(coords: Sequence[Scalar], tops: Sequence[int]) -> Tuple[list, list]:
+    """(tables, dens) for the binomial expansion of each (x_i + y_i)^a, a up
+    to tops[i], in integers.
+
+    With x_i = u_i / v_i, v_i = dens[i], tables[i][a][k] = C(a, k)
+    u_i^(a - k) v_i^k, so the coefficient of y_i^k is tables[i][a][k] /
+    v_i^a, and the expansion of x^alpha has the one denominator
+    prod_i v_i^alpha_i."""
+    tables, dens = [], []
     for x, top in zip(coords, tops):
-        powers = [Rat(1)]
+        (u,), v = _numerators([x])
+        u_pow, v_pow = [1], [1]
         for _ in range(top):
-            powers.append(powers[-1] * x)
-        tables.append([[comb(a, k) * powers[a - k] for k in range(a + 1)] for a in range(top + 1)])
-    return tables
+            u_pow.append(u_pow[-1] * u)
+            v_pow.append(v_pow[-1] * v)
+        tables.append(
+            [[comb(a, k) * u_pow[a - k] * v_pow[k] for k in range(a + 1)] for a in range(top + 1)]
+        )
+        dens.append(v)
+    return tables, dens
 
 
 def _translate(g: MultiPoly, point: Point) -> MultiPoly:
     """g(point + y) as a polynomial in y, term by term from the tables of
-    the binomial expansion of each (x_i + y_i)^gamma_i."""
-    tables = _binomial_tables(point.coords, [max(e[i] for e in g.terms) for i in range(g.n)])
+    the binomial expansion of each (x_i + y_i)^gamma_i.  Every term is
+    lifted to the one denominator d * prod_i v_i^top_i, d that of the
+    coefficients, and summed in integers; each coefficient is divided once."""
+    tops = [max((e[i] for e in g.terms), default=0) for i in range(g.n)]
+    tables, dens = _binomial_tables(point.coords, tops)
+    nums, d = _numerators(list(g.terms.values()))
     out: dict = {}
-    for gamma, c in g.terms.items():
-        partial = {(): c}
+    for gamma, c in zip(g.terms, nums):
+        partial = {(): c * prod(v ** (top - e) for v, top, e in zip(dens, tops, gamma))}
         for table, e in zip(tables, gamma):
             partial = {
-                key + (k,): v * t for key, v in partial.items() for k, t in enumerate(table[e]) if t
+                key + (k,): w * t for key, w in partial.items() for k, t in enumerate(table[e]) if t
             }
-        for alpha, v in partial.items():
-            out[alpha] = out.get(alpha, Rat(0)) + v
-    return MultiPoly(g.n, out)
+        for alpha, w in partial.items():
+            out[alpha] = out.get(alpha, 0) + w
+    d *= prod(v**top for v, top in zip(dens, tops))
+    return MultiPoly(g.n, {alpha: _quotient(w, d) for alpha, w in out.items()})
 
 
 @dataclass(frozen=True)
@@ -229,9 +281,10 @@ def inverse_system(
     bezout = prod(max(int(g.total_degree()), 1) for g in generators)
     if order_bound is None:
         order_bound = bezout
-    basis = [{(0,) * n: Rat(1)}]
+    scaled = [dict(zip(g_p.terms, _numerators(list(g_p.terms.values()))[0])) for g_p in local]
+    basis = [{(0,) * n: 1}]
     for order in range(1, order_bound + 1):
-        grown = _integrate(basis, local, n)
+        grown = _integrate(basis, scaled, n)
         if len(grown) == len(basis):
             return InverseSystemResult(_canonical(basis, point), False, order - 1)
         if len(grown) > bezout:
@@ -240,9 +293,14 @@ def inverse_system(
     return InverseSystemResult(_canonical(basis, point), True, None)
 
 
-def _integrate(basis: list, local: Sequence[MultiPoly], n: int) -> list:
-    """A basis of D_(k+1), as dicts from exponents to coefficients, from one
-    of D_k.  Unknown (i, m) is the coefficient of basis[m] in Lambda_i."""
+def _integrate(basis: list, local: Sequence[dict], n: int) -> list:
+    """A basis of D_(k+1) from one of D_k, both as dicts from exponents to
+    integer coefficients (ints, or ``ParamPoly``s with integer
+    coefficients); ``local`` holds the translated generators likewise,
+    each scaled by its denominator.  Unknown (i, m) is the coefficient of
+    basis[m] in Lambda_i.  Each kernel vector is scaled to integers too:
+    scaling a generator, a functional or a kernel vector by a nonzero
+    constant leaves every kernel and every span as it is."""
     units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     integrals = []
     lowered = []
@@ -257,10 +315,9 @@ def _integrate(basis: list, local: Sequence[MultiPoly], n: int) -> list:
         ])
     zero = Rat(0)
     rows = []
-    for g_p in local:
-        coeff = g_p.terms
+    for coeff in local:
         rows.append([
-            sum((c * coeff[alpha] for alpha, c in term.items() if alpha in coeff), zero)
+            sum(c * coeff[alpha] for alpha, c in term.items() if alpha in coeff)
             for per_i in integrals
             for term in per_i
         ])
@@ -277,13 +334,15 @@ def _integrate(basis: list, local: Sequence[MultiPoly], n: int) -> list:
                     conditions.setdefault(gamma, {})[j * size + m] = -c
             for row in conditions.values():
                 rows.append([row.get(col, zero) for col in range(n * size)])
+    terms = [term for per_i in integrals for term in per_i]
     grown = [basis[0]]
     for vec in ExactMatrix(rows).nullspace():
+        used = [(lam, term) for lam, term in zip(vec, terms) if lam]
+        lams, _ = _numerators([lam for lam, _ in used])
         functional: dict = {}
-        for lam, term in zip(vec, (term for per_i in integrals for term in per_i)):
-            if lam:
-                for alpha, c in term.items():
-                    functional[alpha] = functional.get(alpha, zero) + lam * c
+        for lam, (_, term) in zip(lams, used):
+            for alpha, c in term.items():
+                functional[alpha] = functional.get(alpha, 0) + lam * c
         grown.append({alpha: c for alpha, c in functional.items() if c})
     return grown
 

@@ -62,6 +62,14 @@ class ParamPoly:
         self._terms = clean
 
     @classmethod
+    def _from_terms(cls, terms: dict) -> "ParamPoly":
+        """Take a dict whose coefficients are already ``Rat`` as it is, but
+        for the ones that cancelled to 0; the operators build through it."""
+        out = cls.__new__(cls)
+        out._terms = {key: c for key, c in terms.items() if c}
+        return out
+
+    @classmethod
     def constant(cls, c) -> "ParamPoly":
         return cls({(): c})
 
@@ -122,12 +130,12 @@ class ParamPoly:
         out = dict(self._terms)
         for key, c in o._terms.items():
             out[key] = out.get(key, Rat(0)) + c
-        return ParamPoly(out)
+        return ParamPoly._from_terms(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly({k: -c for k, c in self._terms.items()})
+        return ParamPoly._from_terms({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -149,16 +157,16 @@ class ParamPoly:
             return ParamPoly()
         if o.is_constant():
             c = o._terms.get((), Rat(0))
-            return ParamPoly({k: v * c for k, v in self._terms.items()})
+            return ParamPoly._from_terms({k: v * c for k, v in self._terms.items()})
         if self.is_constant():
             c = self._terms.get((), Rat(0))
-            return ParamPoly({k: v * c for k, v in o._terms.items()})
+            return ParamPoly._from_terms({k: v * c for k, v in o._terms.items()})
         out = {}
         for ka, ca in self._terms.items():
             for kb, cb in o._terms.items():
                 k = _key_mul(ka, kb)
                 out[k] = out.get(k, Rat(0)) + ca * cb
-        return ParamPoly(out)
+        return ParamPoly._from_terms(out)
 
     __rmul__ = __mul__
 

@@ -18,6 +18,11 @@ determinant, and a Hermite basis polynomial per call, with a fresh
 order d-1 interpolant and the order-1 pole formula on top of them.  Their
 pole weights are the composition sums the paper displays, where the
 package multiplies one truncated series per root.
+
+Dual functionals are applied to multiples x^alpha h by expanding the
+multiple and translating it to the functional's point term by term, in
+rationals, where the package reads integer binomial tables and translates
+h alone.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 from itertools import product as iproduct
 from math import comb
 
-from subres import ExactMatrix, MultiRootSet, ParamPoly, Rat, UniPoly, param, taylor_coeff
+from subres import ExactMatrix, MultiPoly, MultiRootSet, ParamPoly, Rat, UniPoly, param, taylor_coeff
 from subres.matrix import det_in_x
 
 
@@ -179,6 +184,19 @@ def _local_coefficients(g, point):
                 term = term * comb(e, a) * x ** (e - a)
             out[alpha] = out.get(alpha, Rat(0)) + term
     return out
+
+
+def functional_of_multiple(func, h, alpha):
+    """L(x^alpha h): x^alpha h expanded, translated to L's point term by
+    term (``_local_coefficients``) and read off by L's coefficients."""
+    multiple = MultiPoly(
+        h.n, {tuple(a + g for a, g in zip(alpha, gamma)): c for gamma, c in h.terms.items()}
+    )
+    local = _local_coefficients(multiple, func.point.coords)
+    total = Rat(0)
+    for expo, c in func.terms:
+        total = total + c * local.get(expo, Rat(0))
+    return total
 
 
 def _up_to_degree(n, order):

@@ -225,6 +225,28 @@ class TestVerifyCommand:
         bad = [c for c in got["checks"] if not c["ok"]]
         assert bad and all("detail" in c for c in bad)
 
+    def test_zero_last_polynomial(self, capsys):
+        # (x1 - 1/2)^3 and (x2 + 1)^3: one root of multiplicity 9, whose dual
+        # basis inverse_system computes; with f3 = 0 both routes give 0.
+        doc = {
+            "n": 2,
+            "polynomials": [
+                [{"exponents": [i, 0], "coeff": c} for i, c in enumerate(["-1/8", "3/4", "-3/2", "1"])],
+                [{"exponents": [0, i], "coeff": c} for i, c in enumerate(["1", "3", "3", "1"])],
+                [],
+            ],
+            "degrees": [3, 3, 1],
+            "t": 2,
+            "S": [[0, 0], [1, 0], [0, 1]],
+            "T_override": {"2": [[2, 0], [1, 1], [0, 2]], "3": [[2, 1], [1, 2]], "4": [[2, 2]]},
+            "roots": [{"point": ["1/2", "-1"]}],
+        }
+        text = json.dumps(doc)
+        for route in ("poisson", "macaulay"):
+            assert run(capsys, ["mv", "--system", text, "--route", route]) == (0, '"0"\n', "")
+        got = out_json(capsys, ["verify", "--system", text])
+        assert got["ok"] is True
+
     def test_requires_one_input_mode(self, capsys):
         code, _, err = run(capsys, ["verify"])
         assert code == 2

@@ -1,0 +1,199 @@
+"""Values of the dual side: functionals applied to multiples x^alpha h.
+
+``dual_wronskian``, ``dual_vandermonde`` and ``dual_eval`` against an
+oracle that expands x^alpha h and translates it to the functional's point
+term by term (``oracles.functional_of_multiple``), at points whose
+coordinates have different denominators and at a parameter point; then
+``inverse_system`` and ``poisson_delta`` on two seeded grid systems with
+non-dyadic roots, against values pinned from the rational implementation
+they replaced.
+"""
+
+import random
+from fractions import Fraction
+from math import comb
+
+import pytest
+
+from oracles import functional_of_multiple
+from subres import MultiPoly, Rat, param
+from subres.combinat import monomials_up_to_degree
+from subres.mv.duality import DualBasis, DualFunctional, Point, assemble_dual_basis, dual_eval
+from subres.mv.hilbert import build_monomial_sets
+from subres.mv.poisson import dual_vandermonde, dual_wronskian, poisson_delta
+from subres.serialize import parse_system, scalar_to_str
+from subres.verify import mv_checks, resolved_groups
+
+A, C1, C2 = param("a"), param("c1"), param("c2")
+
+
+def evaluation(point):
+    return DualFunctional(point, {(0,) * point.n: Rat(1)})
+
+
+def mixed_denominators():
+    """Groups at points with coordinate denominators 1, 2, 3 and 5, each
+    group with its own pair, one coordinate zero."""
+    p = Point((Rat(1, 2), Rat(3)))
+    q = Point((Rat(-2, 3), Rat(1, 5)))
+    r = Point((Rat(0), Rat(-7, 5)))
+    return DualBasis(
+        (
+            (p, (
+                evaluation(p),
+                DualFunctional(p, {(1, 0): Rat(2, 3), (0, 1): Rat(-1)}),
+                DualFunctional(p, {(2, 1): Rat(5, 7), (0, 2): Rat(1, 2), (1, 0): Rat(3)}),
+            )),
+            (q, (
+                evaluation(q),
+                DualFunctional(q, {(0, 1): Rat(1, 5), (1, 1): Rat(-3, 2)}),
+                DualFunctional(q, {(3, 0): Rat(1), (1, 2): Rat(-4, 9)}),
+            )),
+            (r, (evaluation(r), DualFunctional(r, {(1, 0): Rat(1), (0, 2): Rat(2, 5)}))),
+        )
+    )
+
+
+def parameter_point():
+    """The parameter point (a, 1), beside a rational one."""
+    p, r = Point((Rat(1, 3), Rat(-3))), Point((A, Rat(1)))
+    return DualBasis(
+        (
+            (p, (evaluation(p), DualFunctional(p, {(1, 0): Rat(3), (0, 2): Rat(-1, 2)}))),
+            (r, (evaluation(r), DualFunctional(r, {(1, 1): Rat(1), (2, 0): Rat(-4)}))),
+        )
+    )
+
+
+MULTIPLIERS = [
+    MultiPoly.constant(2, Rat(1)),
+    MultiPoly(2, {(3, 0): Rat(-2, 5), (1, 2): Rat(7, 3), (0, 1): Rat(1, 3), (0, 0): Rat(4)}),
+    MultiPoly(2, {(2, 1): C1 - Rat(2, 3) * C2, (1, 0): Rat(1, 5), (0, 0): C1 * C1}),
+]
+
+
+class TestAgainstExpansionOracle:
+    @pytest.mark.parametrize("basis", [mixed_denominators(), parameter_point()])
+    @pytest.mark.parametrize("h", MULTIPLIERS)
+    def test_dual_wronskian(self, basis, h):
+        monos = monomials_up_to_degree(2, 4)
+        got = dual_wronskian(h, monos, basis).rows
+        assert got == [[functional_of_multiple(f, h, e) for f in basis] for e in monos]
+
+    @pytest.mark.parametrize("basis", [mixed_denominators(), parameter_point()])
+    def test_dual_vandermonde(self, basis):
+        monos = monomials_up_to_degree(2, 5)
+        one = MultiPoly.constant(2, Rat(1))
+        got = dual_vandermonde(monos, basis).rows
+        assert got == [[functional_of_multiple(f, one, e) for f in basis] for e in monos]
+
+    @pytest.mark.parametrize("basis", [mixed_denominators(), parameter_point()])
+    @pytest.mark.parametrize("h", MULTIPLIERS)
+    def test_dual_eval(self, basis, h):
+        for e in monomials_up_to_degree(2, 3):
+            for f in basis:
+                assert dual_eval(f, h.shift(e)) == functional_of_multiple(f, h, e)
+
+
+# Grid roots x1 in xs, x2 - shear * x1 in ys, coordinates thirds and fifths.
+POOL = tuple(sorted({Fraction(num, den) for num in range(-5, 6) for den in (3, 5)}))
+
+
+def _expand(roots):
+    """Ascending coefficients of prod (z - r)^m."""
+    coeffs = [Fraction(1)]
+    for r, m in roots:
+        for _ in range(m):
+            coeffs = [Fraction(0)] + coeffs
+            for i in range(len(coeffs) - 1):
+                coeffs[i] -= r * coeffs[i + 1]
+    return coeffs
+
+
+def _reduced(degrees, j):
+    return [[a, j - a] for a in range(j, -1, -1) if a < degrees[0] and j - a < degrees[1]]
+
+
+def sheared_grid(seed, pattern, t, shear):
+    """f1(x1), f2(x2 - shear * x1) and a rational line, roots drawn from POOL.
+
+    In lex order with x2 > x1 the leading terms are x1^D1 and x2^D2, so
+    the reduced monomials are a basis of the quotient and make V_T
+    invertible; with a nonzero shear the dual bases are not monomial.
+    """
+    rng = random.Random(seed)
+    m1, m2 = pattern
+    xs, ys = rng.sample(POOL, len(m1)), rng.sample(POOL, len(m2))
+    degrees = (sum(m1), sum(m2))
+    f1 = {(i, 0): c for i, c in enumerate(_expand(zip(xs, m1)))}
+    f2 = {}
+    for i, c in enumerate(_expand(zip(ys, m2))):
+        for k in range(i + 1):
+            f2[(k, i - k)] = f2.get((k, i - k), 0) + c * comb(i, k) * (-shear) ** k
+    f3 = {e: Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 7)) for e in ((0, 0), (1, 0), (0, 1))}
+    k = len(_reduced(degrees, t))
+    return {
+        "n": 2,
+        "polynomials": [
+            [{"exponents": list(e), "coeff": str(c)} for e, c in sorted(f.items()) if c]
+            for f in (f1, f2, f3)
+        ],
+        "degrees": [degrees[0], degrees[1], 1],
+        "t": t,
+        "S": [[a, s - a] for s in range(t + 1) for a in range(s, -1, -1)][:k],
+        "T_override": {str(j): _reduced(degrees, j) for j in range(sum(degrees) - 1)},
+        "roots": [{"point": [str(x), str(y + shear * x)]} for x in xs for y in ys],
+    }
+
+
+PINNED = [
+    (
+        (3, ((3, 1), (3,)), Fraction(-3, 5)),
+        [
+            (("-1/3", "-7/15"), [
+                "1*1", "d1,0", "d0,1", "d2,0", "d1,1", "d0,2", "-5/3*d2,1 + d1,2",
+                "-25/27*d2,1 + d0,3", "25/54*d2,2 + -5/6*d1,3 + d0,4",
+            ]),
+            (("4/3", "-22/15"), ["1*1", "d0,1", "d0,2"]),
+        ],
+        {1: "-4", 4: "-6619798528/151875", 5: "-492500319993856/1793613375"},
+    ),
+    (
+        (7, ((3, 2), (2, 1)), Fraction(2, 3)),
+        [
+            (("1/5", "8/15"), [
+                "1*1", "d1,0", "d0,1", "3*d2,0 + d1,1", "-9/4*d2,0 + d0,2",
+                "3/4*d2,1 + d1,2 + d0,3",
+            ]),
+            (("1/5", "-6/5"), ["1*1", "3/2*d1,0 + d0,1", "9/4*d2,0 + 3/2*d1,1 + d0,2"]),
+            (("-2/3", "-2/45"), ["1*1", "d1,0", "d0,1", "3/4*d1,1 + d0,2"]),
+            (("-2/3", "-16/9"), ["1*1", "3/2*d1,0 + d0,1"]),
+        ],
+        {
+            1: "1/5",
+            5: "2894279603987835097/1854291412353515625",
+            6: "218299133148175459459321005184/591649485272219181060791015625",
+        },
+    ),
+]
+
+
+class TestPinnedGridSystems:
+    """The drawn systems depend on the seed, pattern and shear only; each
+    order t below the top one keeps rows of T* in O_S."""
+
+    @pytest.mark.parametrize("system, groups, deltas", PINNED)
+    def test_functionals_and_quotients(self, system, groups, deltas):
+        seed, pattern, shear = system
+        for t, delta in deltas.items():
+            doc = parse_system(sheared_grid(seed, pattern, t, shear))
+            got = resolved_groups(doc)
+            assert [
+                (tuple(scalar_to_str(c) for c in point.coords), [str(f).split(" at ")[0] for f in funcs])
+                for point, funcs in got
+            ] == [(point, funcs) for point, funcs in groups]
+            sets = build_monomial_sets(doc.system.degrees, doc.t, doc.t_override)
+            basis = assemble_dual_basis(got)
+            quotient = poisson_delta(doc.system, doc.t, doc.s_cols, basis, sets=sets)
+            assert scalar_to_str(quotient) == delta
+            assert all(c.ok for c in mv_checks(doc))

@@ -160,6 +160,16 @@ class TestPoissonDelta:
         sys_ = MVSystem(2, (base.polys[0], base.polys[1], f3), (2, 2, 1))
         assert poisson_delta(sys_, 2, [(2, 0)], circle_line_basis()) == Rat(-3)
 
+    def test_zero_last_polynomial(self):
+        base = circle_line()
+        sys_ = MVSystem(2, (base.polys[0], base.polys[1], MultiPoly(2)), (2, 2, 1))
+        sets = build_monomial_sets((2, 2, 1), 2, t_override={2: [(0, 2)]})
+        assert dual_wronskian(MultiPoly(2), sets.R.monomials, circle_line_basis()).rows == [
+            [Rat(0)] * 4 for _ in sets.R.monomials
+        ]
+        assert poisson_delta(sys_, 2, [(2, 0)], circle_line_basis(), sets) == 0
+        assert delta_s(sys_, 2, [(2, 0)]) == 0
+
     def test_singular_quotient_slice_rejected(self):
         sys_ = circle_line()
         sets = build_monomial_sets((2, 2, 1), 2, t_override={2: [(1, 1)]})

@@ -49,6 +49,14 @@ class TestParamPoly:
         assert a - a == 0
         assert bool(a - a) is False
 
+    def test_cancelled_terms_dropped(self):
+        a, b = param("a"), param("b")
+        assert (a + 1 - a).terms == {(): 1}
+        assert (a * b - b * a).terms == {}
+        assert ((a + b) * (a - b)).terms == {(("a", 2),): 1, (("b", 2),): -1}
+        assert (-(a - a)).terms == {}
+        assert all(type(c) is type(Rat(0)) for c in ((a + 2) * (b - Rat(1, 3)) + 3).terms.values())
+
     def test_exact_division(self):
         a, b = param("a"), param("b")
         p = a * a - b * b
