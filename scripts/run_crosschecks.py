@@ -28,6 +28,9 @@ SYMBOLIC_PAIRS = (
     ([["a+1", 2]], [["b", 1], ["b+1", 1], ["b-3", 1]]),
     ([["a", 1], ["a+3", 2]], [["0", 1], ["2", 1], ["-3", 2]]),
     ([["a", 3]], [["b", 1], ["b+1", 2]]),
+    # d = 3 < e = 4: wronskian-full packs up to three x rows, its entry
+    # bounds taken at the last node x = t.
+    ([["a", 2], ["a+1", 1]], [["b", 2], ["b+1", 2]]),
 )
 
 BUNDLED_SYSTEM = {

@@ -19,8 +19,10 @@ main variable x, sum_k x^k c_k, is the polynomial whose coefficient of
 x^k is the determinant bordered by c_k (the determinantal polynomial of
 Collins); with unit columns e_k as borders, the coefficients are the
 cofactors of the border.  ``det_in_x`` keeps the other route for x in
-several rows: scalar determinants at integer values of x, then Newton
-interpolation, so x never enters the scalar domain; only the
+several rows, each linear in x: the columns free of x are eliminated once,
+after which the same elimination is finished at each integer value of x
+from the trailing block alone, and Newton interpolation gives the
+polynomial, so x never enters the scalar domain; only the
 ``wronskian-full`` layout uses it.  Kernels and reduced echelon forms come
 from one fraction-free Gauss-Jordan loop on the same integer-scaled rows.
 """
@@ -28,7 +30,7 @@ from one fraction-free Gauss-Jordan loop on the same integer-scaled rows.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, List, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from .errors import DomainError
 from .scalar import ParamPoly, Rat, Scalar, as_scalar, is_rational
@@ -39,7 +41,9 @@ class ExactMatrix:
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]):
-        data = [[as_scalar(v) for v in row] for row in rows]
+        # An int is an exact scalar with a numerator and a denominator, as
+        # the integer kernels read it; it is kept as it is.
+        data = [[v if type(v) is int else as_scalar(v) for v in row] for row in rows]
         if data and any(len(r) != len(data[0]) for r in data):
             raise DomainError("ragged rows")
         self.rows = data
@@ -116,7 +120,7 @@ def det_exact(m: ExactMatrix) -> Scalar:
     the product of these row scales divides the integer determinant back.
     A matrix of rationals is eliminated as it is and gives a rational.  A
     matrix with a parameter polynomial entry gives a ``ParamPoly``; its
-    entries are packed into integers first (``_det_packed``).  Both run the
+    entries are packed into integers first (``_pack``).  Both run the
     same loop, ``_bareiss``, as the one-border case of ``det_bordered``.
     The empty matrix has determinant one.
     """
@@ -143,18 +147,39 @@ def det_bordered(m: ExactMatrix, den: Scalar = 1) -> UniPoly:
 
 
 def _dets(rows: List[list]) -> List[Scalar]:
-    """The determinants of ``_bareiss`` on integer-scaled ``rows``, in the
-    scalar domain: rational rows give rationals, rows with a ``ParamPoly``
-    entry give ``ParamPoly`` values by way of ``_det_packed``."""
+    """The determinants of the first n-1 columns of the n ``rows``
+    bordered by each later column, in the scalar domain: rational rows
+    give rationals, rows with a ``ParamPoly`` entry give ``ParamPoly``
+    values.  The empty matrix gives the one determinant 1."""
+    a, read = _integers(rows)
+    n = len(a)
+    if n == 0:
+        return [read(1)]
+    done = _bareiss(a, n - 1)
+    if done is None:
+        return [read(0)] * (len(a[0]) - n + 1)
+    sign = done[0]
+    return [read(sign * v) for v in a[n - 1][n - 1 :]]
+
+
+def _integers(rows: List[list], t: int = 0) -> Tuple[List[List[int]], Callable[[int], Scalar]]:
+    """Integer rows for ``_bareiss`` and the map that takes an integer
+    determinant of them back to the scalar domain.
+
+    Rational rows are scaled each by the lcm of its denominators, and the
+    map divides by the product of the row scales.  Rows with a
+    ``ParamPoly`` entry are packed by ``_pack``; ``t`` is its count of
+    x columns.
+    """
     if not all(is_rational(v) for row in rows for v in row):
-        return _det_packed(rows)
+        return _pack(rows, t)
     a = []
     scale = 1
     for row in rows:
         ints, s = _integer_row(row)
         a.append(ints)
         scale *= s
-    return [Rat(v, scale) for v in _bareiss(a)]
+    return a, lambda v: Rat(v, scale)
 
 
 def _integer_row(row: list) -> Tuple[List[int], int]:
@@ -166,9 +191,18 @@ def _integer_row(row: list) -> Tuple[List[int], int]:
     return [v.numerator * (s // v.denominator) for v in row], s
 
 
-def _det_packed(rows: List[list]) -> List[ParamPoly]:
-    """Determinants of n rows with a ``ParamPoly`` entry, by Kronecker
-    substitution: the first n-1 columns bordered by each later column.
+def _pack(rows: List[list], t: int = 0) -> Tuple[List[List[int]], Callable[[int], ParamPoly]]:
+    """Kronecker substitution for n rows with a ``ParamPoly`` entry: the
+    packed integer rows, and the map that reads a packed determinant back.
+
+    The determinants to read are those of the first n-1 columns bordered
+    by each later column.  With ``t`` > 0 the last 2t columns are instead
+    p_0..p_(t-1) then q_0..q_(t-1), and the one determinant is that of the
+    leading columns followed by the x columns c * p_k - q_k, at any
+    integer node 0 <= c <= t.  An x column entry has degree at most the
+    larger of its two parts' and coefficient 1-norm at most
+    t * |p|_1 + |q|_1, so it enters the bounds below as an entry of that
+    degree and norm, and they hold at every node.
 
     After row scaling every entry has integer coefficients.  A bordered
     determinant's permutation expansion takes one entry from each row and
@@ -186,9 +220,9 @@ def _det_packed(rows: List[list]) -> List[ParamPoly]:
     coefficient fits one balanced digit in [-2^(k-1), 2^(k-1)).  The
     parameters, in sorted order, are evaluated at
     p_i = 2^(k * prod_{j<i} (D_j + 1)), which gives each monomial of a
-    determinant its own digit.  The packed determinants are the integer
-    determinants of the packed entries, so ``_bareiss`` takes them
-    exactly, and ``_unpack`` reads each back.
+    determinant its own digit.  Evaluation is linear, so the packed
+    determinants are the integer determinants of the packed entries,
+    which ``_bareiss`` takes exactly, and ``_unpack`` reads each back.
 
     The packed integers have k * prod_p (D_p + 1) bits, dense in the
     monomials however sparse the determinant is, so their size grows
@@ -203,16 +237,17 @@ def _det_packed(rows: List[list]) -> List[ParamPoly]:
     pos = {name: i for i, name in enumerate(names)}
     shared = len(rows) - 1
     width = len(rows[0])
+    lead = width - 2 * t
     by_rows = [0] * len(names)
     col_tops = [[0] * len(names) for _ in range(width)]
-    col_squares = [0] * width
+    col_squares = [0] * (width - t)
     scaled = []
     scale = 1
     row_product = 1
     for row in terms:
         s = math.lcm(*[c.denominator for entry in row for _, c in entry])
         top = [0] * len(names)
-        squares = 0
+        norms = []
         out = []
         for j, entry in enumerate(row):
             col = col_tops[j]
@@ -228,16 +263,25 @@ def _det_packed(rows: List[list]) -> List[ParamPoly]:
                     if e > col[i]:
                         col[i] = e
                 ints.append((key, z))
-            squares += norm * norm
-            col_squares[j] += norm * norm
+            norms.append(norm)
             out.append(ints)
+        if t:
+            norms[lead:] = [t * p + q for p, q in zip(norms[lead : lead + t], norms[lead + t :])]
+        squares = 0
+        for j, norm in enumerate(norms):
+            square = norm * norm
+            squares += square
+            col_squares[j] += square
         scaled.append(out)
-        by_rows = [d + t for d, t in zip(by_rows, top)]
+        by_rows = [d + e for d, e in zip(by_rows, top)]
         scale *= s
         row_product *= squares
+    if t:
+        col_tops[lead:] = [
+            [max(p, q) for p, q in zip(cp, cq)]
+            for cp, cq in zip(col_tops[lead : lead + t], col_tops[lead + t :])
+        ]
     product = min(row_product, math.prod(col_squares[:shared]) * max(col_squares[shared:]))
-    if not product:
-        return [ParamPoly()] * (width - shared)
     bound = math.isqrt(product)
     degrees = [
         min(r, sum(c[:shared]) + max(c[shared:])) for r, c in zip(by_rows, zip(*col_tops))
@@ -252,7 +296,7 @@ def _det_packed(rows: List[list]) -> List[ParamPoly]:
         [sum(z << sum(shift[name] * e for name, e in key) for key, z in entry) for entry in row]
         for row in scaled
     ]
-    return [_unpack(v, k, names, degrees, scale) for v in _bareiss(a)]
+    return a, lambda v: _unpack(v, k, names, degrees, scale)
 
 
 def _unpack(value: int, k: int, names: List[str], degrees: List[int], scale: int) -> ParamPoly:
@@ -287,30 +331,32 @@ def _unpack(value: int, k: int, names: List[str], degrees: List[int], scale: int
     return ParamPoly(out)
 
 
-def _bareiss(a: List[list]) -> List[int]:
-    """Determinants of the first n-1 columns of the n integer rows ``a``
-    bordered by each later column, eliminated in place.
+def _bareiss(a: List[list], steps: int, prev: int = 1) -> Optional[Tuple[int, int]]:
+    """Eliminate the first ``steps`` columns of the integer rows ``a`` in
+    place, continuing from the pivot ``prev``.
 
     Step k replaces each entry below and right of the pivot by
-    (pivot * a_ij - a_ik * a_kj) // previous pivot, a division that is exact
-    on any integer matrix.  After the n-1 shared columns, entry j of the
-    last row is the determinant of the shared columns bordered by column j
-    (Bareiss, Math. Comp. 22, 1968), so a square matrix is the case of one
-    border.  Row swaps track the sign; a shared column with no pivot left
-    means the shared columns are dependent and every determinant is 0.
-    The empty matrix gives the one determinant 1.
+    (pivot * a_ij - a_ik * a_kj) // previous pivot, a division that is
+    exact on any integer matrix.  After k steps from prev = 1, entry (i, j)
+    of the trailing rows and columns is the minor on rows 0..k-1, i and
+    columns 0..k-1, j of the rows as swapped (Sylvester's identity; Bareiss,
+    Math. Comp. 22, 1968).  So n-1 steps on n rows leave in the last row
+    the determinants of the first n-1 columns bordered by each later
+    column, a square matrix being the case of one border; and a trailing
+    block taken out after k steps, with prev its last pivot, eliminates
+    on as if it had stayed in place: its last pivot is the determinant of
+    the whole.  Returns the sign of the row swaps and the last pivot
+    (``prev`` after no step), or None when a column has no pivot left, so
+    that the eliminated columns are dependent and every such minor is 0.
     """
     n = len(a)
-    if n == 0:
-        return [1]
-    width = len(a[0])
+    width = len(a[0]) if a else 0
     sign = 1
-    prev = 1
-    for k in range(n - 1):
+    for k in range(steps):
         if not a[k][k]:
             p = next((i for i in range(k + 1, n) if a[i][k]), None)
             if p is None:
-                return [0] * (width - n + 1)
+                return None
             a[k], a[p] = a[p], a[k]
             sign = -sign
         pivot = a[k][k]
@@ -321,8 +367,7 @@ def _bareiss(a: List[list]) -> List[int]:
             for j in range(k + 1, width):
                 row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // prev
         prev = pivot
-    last = a[n - 1][n - 1 :]
-    return last if sign > 0 else [-v for v in last]
+    return sign, prev
 
 
 def reduced_echelon(rows: List[list]) -> List[List[Scalar]]:
@@ -385,23 +430,43 @@ def _gauss_jordan(rows: List[list]) -> Tuple[list, List[int], Callable[[Scalar],
     return a, pivots, lambda v: Rat(v, prev)
 
 
-def det_in_x(build: Callable[[Scalar], ExactMatrix], deg: int, den: Scalar = 1) -> UniPoly:
-    """det(M(x)) / den as a polynomial in x of degree at most ``deg``.
+def det_in_x(p: List[list], q: List[list], free: List[list], den: Scalar = 1) -> UniPoly:
+    """det(M(x)) / den as a polynomial in x of degree at most t, where
+    M(x) has the t rows x * p_k - q_k on top of the x-free rows ``free``.
 
-    ``build(c)`` returns M at x = c.  The determinant is taken at
-    x = 0, 1, ..., deg and interpolated in Newton form; with equally spaced
-    nodes every divided difference divides by an integer.  ``den`` must
-    divide det(M(x)) exactly, as the closed-form Vandermonde determinants
-    do.  Coefficients free of parameters come back rational.
+    The columns of M are taken as rows, with the u x-free columns first
+    (sign (-1)^(t u)), so x sits in the last t columns only and any row
+    may serve as a pivot.  One ``_bareiss`` phase over the u leading
+    columns, with p and q carried as separate trailing columns, is shared
+    by every node; at x = c = 0, 1, ..., t the trailing t x t block is then
+    c * p' - q', which the same elimination finishes from the last shared
+    pivot.  The determinants are interpolated in Newton form; with equally
+    spaced nodes every divided difference divides by an integer.  ``den``
+    must divide det(M(x)) exactly, as the closed-form Vandermonde
+    determinants do.  Coefficients free of parameters come back rational.
     """
-    diffs = [det_exact(build(Rat(c))) / den for c in range(deg + 1)]
-    for j in range(1, deg + 1):
-        for i in range(deg, j - 1, -1):
+    t, u = len(p), len(free)
+    a, read = _integers(list(zip(*free, *p, *q)), t)
+    done = _bareiss(a, u)
+    if done is None:
+        return UniPoly.zero()
+    sign, prev = done
+    if t * u % 2:
+        sign = -sign
+    lin = [(row[u : u + t], row[u + t :]) for row in a[u:]]
+    diffs = []
+    for c in range(t + 1):
+        block = [[c * x - y for x, y in zip(pr, qr)] for pr, qr in lin]
+        node = _bareiss(block, t, prev)
+        diffs.append(read(sign * node[0] * node[1] if node else 0) / den)
+    for j in range(1, t + 1):
+        for i in range(t, j - 1, -1):
             diffs[i] = (diffs[i] - diffs[i - 1]) / j
-    out = UniPoly([diffs[deg]])
-    for k in range(deg - 1, -1, -1):
-        out = out * UniPoly([-k, 1]) + diffs[k]
-    return _rational_if_constant(out.coeffs)
+    # Horner on the Newton form: times (x - k), plus the k-th difference.
+    out = [diffs[t]]
+    for k in range(t - 1, -1, -1):
+        out = [diffs[k] - k * out[0]] + [lo - k * hi for lo, hi in zip(out, out[1:])] + [out[-1]]
+    return _rational_if_constant(out)
 
 
 def _rational_if_constant(coeffs: Iterable[Scalar]) -> UniPoly:

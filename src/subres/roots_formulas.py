@@ -14,10 +14,12 @@ In ``compact`` and ``block`` only the border column depends on x, and it
 is sum_k x^k e_k over the unit columns of the top t+1 rows, so the
 coefficient of x^k is the cofactor of the border's entry in row k.
 ``det_bordered`` takes all t+1 cofactors in one elimination of the x-free
-columns.  In ``wronskian-full`` x sits in t rows; that layout keeps the
-evaluation route, ``det_in_x`` at t+1 integer values of x and
-interpolation, as an independent check on the other two.  x never
-enters the scalar domain, so roots may carry any parameter names.  Each
+columns.  In ``wronskian-full`` x sits in t rows, row k being
+x V_k - V_(k+1) over A; that layout keeps the evaluation route as an
+independent check on the other two.  ``det_in_x`` eliminates the
+Vandermonde columns, free of x, once, finishes that elimination at
+x = 0, 1, ..., t from the t x t block left over, and interpolates.  x
+never enters the scalar domain, so roots may carry any parameter names.  Each
 coefficient is divided by the closed-form Vandermonde determinants, a
 division that is exact by construction.  The Vandermonde and Wronskian
 blocks come from each root set's one table of confluent Vandermonde rows
@@ -98,13 +100,10 @@ def _sres_wronskian_full(a: MultiRootSet, b: MultiRootSet, t: int) -> UniPoly:
     va = vandermonde_confluent(a, u).rows
     vb = vandermonde_confluent(b, u).rows
     bottom = [ra + rb for ra, rb in zip(va, vb)]
-
-    def build(c):
-        # Row k of W(c - z, A) is c V_k - V_(k+1), as z^k (c - z) = c z^k - z^(k+1).
-        w = [[c * x - y for x, y in zip(va[k], va[k + 1])] + zero_b for k in range(t)]
-        return ExactMatrix(w + bottom)
-
-    det = det_in_x(build, t, vandermonde_det_closed(a) * vandermonde_det_closed(b))
+    # Row k of W(x - z, A) is x V_k - V_(k+1), as z^k (x - z) = x z^k - z^(k+1).
+    p = [va[k] + zero_b for k in range(t)]
+    q = [va[k + 1] + zero_b for k in range(t)]
+    det = det_in_x(p, q, bottom, vandermonde_det_closed(a) * vandermonde_det_closed(b))
     return -det if ((d - t) * e) % 2 else det
 
 

@@ -7,9 +7,10 @@ Hermite interpolation through the bordered determinant, and a tiny dense
 Gaussian solver.  Slow is fine; different is the point.
 
 The subresultant determinants are also kept in the form the package used
-before it took them by one bordered elimination: rebuilt at x = 0, ..., t
-and interpolated by ``det_in_x``, over matrices from the Taylor-recursion
-Wronskian below.  Their JSON must match the package's byte for byte.
+before it took them by one bordered elimination: rebuilt at x = 0, ..., t,
+each node's matrix eliminated from scratch, and interpolated by
+``det_at_nodes``, over matrices from the Taylor-recursion Wronskian below.
+Their JSON must match the package's byte for byte.
 
 Likewise the root-set closed forms are kept as the package built them
 before each set derived them once: the monic product, the Vandermonde
@@ -30,8 +31,17 @@ from __future__ import annotations
 from itertools import product as iproduct
 from math import comb
 
-from subres import ExactMatrix, MultiPoly, MultiRootSet, ParamPoly, Rat, UniPoly, param, taylor_coeff
-from subres.matrix import det_in_x
+from subres import (
+    ExactMatrix,
+    MultiPoly,
+    MultiRootSet,
+    ParamPoly,
+    Rat,
+    UniPoly,
+    det_exact,
+    param,
+    taylor_coeff,
+)
 
 
 def det_cofactor(rows):
@@ -269,6 +279,24 @@ def vandermonde_taylor(a: MultiRootSet, u: int) -> ExactMatrix:
     return wronskian_taylor(UniPoly([1]), a, u)
 
 
+def det_at_nodes(build, deg: int, den=1) -> UniPoly:
+    """det(build(x)) / den as a polynomial in x of degree at most ``deg``:
+    the determinant of the matrix ``build(c)`` at each x = c = 0, ..., deg,
+    interpolated in Newton form.  Parameter-free coefficients come back
+    rational."""
+    diffs = [det_exact(build(Rat(c))) / den for c in range(deg + 1)]
+    for j in range(1, deg + 1):
+        for i in range(deg, j - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / j
+    out = UniPoly([diffs[deg]])
+    for k in range(deg - 1, -1, -1):
+        out = out * UniPoly([-k, 1]) + diffs[k]
+    return UniPoly(
+        c.constant_value() if isinstance(c, ParamPoly) and c.is_constant() else c
+        for c in out.coeffs
+    )
+
+
 def sres_coeff_interpolated(f: UniPoly, g: UniPoly, t: int) -> UniPoly:
     """The Sylvester-type determinant with the polynomials themselves in
     its last column, at x = 0, ..., t."""
@@ -280,7 +308,7 @@ def sres_coeff_interpolated(f: UniPoly, g: UniPoly, t: int) -> UniPoly:
     def build(c):
         return ExactMatrix([row + [p(c)] for row, p in zip(scalar_rows, polys)])
 
-    return det_in_x(build, t)
+    return det_at_nodes(build, t)
 
 
 def sres_roots_interpolated(a: MultiRootSet, b: MultiRootSet, t: int, variant: str) -> UniPoly:
@@ -299,7 +327,7 @@ def sres_roots_interpolated(a: MultiRootSet, b: MultiRootSet, t: int, variant: s
         def build(c):
             return ExactMatrix([row + [c**k] for k, row in enumerate(va[: t + 1])] + bottom)
 
-        det = det_in_x(build, t, vandermonde_det_product(a))
+        det = det_at_nodes(build, t, vandermonde_det_product(a))
         return -det if (d - t) % 2 else det
     if variant == "block":
         top = [row + zero_b for row in va[: t + 1]]
@@ -308,14 +336,14 @@ def sres_roots_interpolated(a: MultiRootSet, b: MultiRootSet, t: int, variant: s
         def build(c):
             return ExactMatrix([row + [c**k] for k, row in enumerate(top)] + bottom)
 
-        det = det_in_x(build, t, den)
+        det = det_at_nodes(build, t, den)
         return -det if e % 2 or (d - t) % 2 else det
 
     def build(c):
         w = wronskian_taylor(UniPoly([c, -1]), a, t).rows
         return ExactMatrix([row + zero_b for row in w] + paired)
 
-    det = det_in_x(build, t, den)
+    det = det_at_nodes(build, t, den)
     return -det if ((d - t) * e) % 2 else det
 
 

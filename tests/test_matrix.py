@@ -402,34 +402,126 @@ class TestDetInX:
         return [[entry(i) for _ in range(n)] for i in range(n)]
 
     @staticmethod
-    def at(rows):
-        return lambda c: ExactMatrix([[p(c) for p in row] for row in rows])
+    def split(rows, t):
+        """(p, q, free) of UniPoly rows whose first t rows are x p_k - q_k."""
+        p = [[v.coeff(1) for v in row] for row in rows[:t]]
+        q = [[-v.coeff(0) for v in row] for row in rows[:t]]
+        free = [[v.coeff(0) for v in row] for row in rows[t:]]
+        return p, q, free
+
+    @staticmethod
+    def joined(p, q, free):
+        """The UniPoly rows x p_k - q_k on top of the rows ``free``."""
+        top = [[UniPoly([-y, x]) for x, y in zip(pr, qr)] for pr, qr in zip(p, q)]
+        return top + [[UniPoly([v]) for v in row] for row in free]
 
     def test_matches_cofactor_oracle(self):
+        # x_rows = 0 is t = 0, every row free of x; x_rows = n is u = 0.
         rng = random.Random(314)
         for n in range(1, 6):
             for x_rows in range(n + 1):
                 rows = self.x_rows(rng, n, x_rows)
-                assert det_in_x(self.at(rows), x_rows) == det_cofactor(rows)
+                assert det_in_x(*self.split(rows, x_rows)) == det_cofactor(rows)
 
     def test_parameter_entries_and_exact_divisor(self):
         rng = random.Random(2718)
         a = param("a")
         rows = self.x_rows(rng, 4, 3, extra=a)
         want = det_cofactor(rows)
-        assert det_in_x(self.at(rows), 3) == want
+        assert det_in_x(*self.split(rows, 3)) == want
         scaled = [[p * (a + 1) for p in rows[0]]] + rows[1:]
-        assert det_in_x(self.at(scaled), 3, a + 1) == want
+        assert det_in_x(*self.split(scaled, 3), a + 1) == want
 
     def test_parameter_free_coefficients_are_rational(self):
         a = param("a")
         rows = [[UniPoly([a, 1]), UniPoly([a])], [UniPoly([Rat(1)]), UniPoly([Rat(1)])]]
-        got = det_in_x(self.at(rows), 1)
+        got = det_in_x(*self.split(rows, 1))
         assert got == UniPoly([Rat(0), Rat(1)])
         assert not any(isinstance(c, ParamPoly) for c in got.coeffs)
 
+    @staticmethod
+    def spy_bareiss(monkeypatch):
+        """The (sign, last pivot) or None of every ``_bareiss`` call, with
+        a copy of the leading entry of the rows it was given."""
+        seen = []
+        bareiss = matrix._bareiss
+
+        def spy(a, steps, prev=1):
+            lead = a[0][0] if a and steps else None
+            done = bareiss(a, steps, prev)
+            seen.append((steps, lead, done))
+            return done
+
+        monkeypatch.setattr(matrix, "_bareiss", spy)
+        return seen
+
+    def test_zero_leading_entry_swaps_in_the_shared_phase(self, monkeypatch):
+        # The first column of M leads the shared rows; its top entry is 0.
+        free = [[Rat(0), Rat(2), Rat(1)], [Rat(1), Rat(0), Rat(3)]]
+        p, q = [[Rat(1), Rat(-1), Rat(2)]], [[Rat(3), Rat(0), Rat(1, 2)]]
+        seen = self.spy_bareiss(monkeypatch)
+        assert det_in_x(p, q, free) == det_cofactor(self.joined(p, q, free))
+        steps, lead, done = seen[0]
+        assert (steps, lead) == (2, 0) and done is not None and done[0] == -1
+
+    @pytest.mark.parametrize(
+        "free, p, q",
+        [
+            ([], [[1, 2], [3, -2]], [[1, -1], [2, 3]]),
+            ([[2, 1, -1]], [[1, 1, 2], [3, -2, 1]], [[1, 1, -1], [2, 3, 5]]),
+        ],
+    )
+    def test_zero_leading_entry_swaps_at_one_node(self, monkeypatch, free, p, q):
+        # Column 0 of the trailing block is x p_0[i] - q_0[i] with no free
+        # row, and x (2 p_0[i] - p_0[0]) - (2 q_0[i] - q_0[0]) after the
+        # shared step on (2, 1, -1); its top entry vanishes at x = 1 alone.
+        seen = self.spy_bareiss(monkeypatch)
+        assert det_in_x(p, q, free) == det_cofactor(self.joined(p, q, free))
+        nodes = seen[1:]
+        assert [lead == 0 for _, lead, _ in nodes] == [False, True, False]
+        assert nodes[1][2] is not None and nodes[1][2][0] == -1
+
+    def test_no_rows(self):
+        assert det_in_x([], [], []) == UniPoly([Rat(1)])
+        assert det_in_x([], [], [], Rat(-2)) == UniPoly([Rat(-1, 2)])
+
+    def test_dependent_free_rows_give_zero(self, monkeypatch):
+        # Two equal x-free rows: no pivot left in the shared phase.
+        free = [[Rat(1), Rat(2), Rat(0)], [Rat(1), Rat(2), Rat(0)]]
+        p, q = [[Rat(1), Rat(5), Rat(7)]], [[Rat(0), Rat(1), Rat(-1)]]
+        seen = self.spy_bareiss(monkeypatch)
+        assert det_in_x(p, q, free) == UniPoly.zero() == det_cofactor(self.joined(p, q, free))
+        assert [done for _, _, done in seen] == [None]
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_parameter_bound_holds_at_the_last_node(self, t):
+        # Diagonal entries x a + a = (x + 1) a: det = (x + 1)^t a^t, whose
+        # coefficient at x = t is (t + 1)^t.  Entry norms |p| + |q| = 2 taken
+        # at x = 1 bound it by 2^t, which one digit of the packing cannot
+        # hold; t |p| + |q| bounds it by (t + 1)^t.
+        a = param("a")
+        p = [[a if i == k else Rat(0) for i in range(t)] for k in range(t)]
+        q = [[-a if i == k else Rat(0) for i in range(t)] for k in range(t)]
+        want = UniPoly([Rat(1), Rat(1)]) ** t * UniPoly([a**t])
+        assert det_in_x(p, q, []) == want == det_cofactor(self.joined(p, q, []))
+        free = [[Rat(1)] + [Rat(0)] * t]
+        p1 = [[Rat(0)] + row for row in p]
+        q1 = [[Rat(0)] + row for row in q]
+        assert det_in_x(p1, q1, free) == (-1) ** t * want
+
 
 class TestStructure:
+    def test_int_entries_kept(self):
+        m = ExactMatrix([[3, Rat(1, 2)], [0, -7]])
+        assert [type(v) for row in m.rows for v in row] == [int, RAT, int, int]
+        assert det_exact(m) == -21 and type(det_exact(m)) is RAT
+        assert ExactMatrix([[1, 2], [2, 4]]).nullspace() == [[Rat(-2), Rat(1)]]
+
+    @pytest.mark.parametrize("bad", [1.5, 0.0, "1", None, [Rat(1)]])
+    def test_inexact_and_other_entries_rejected(self, bad):
+        with pytest.raises(DomainError):
+            ExactMatrix([[Rat(1), bad]])
+
     def test_matmul_identity(self):
         rng = random.Random(5)
         m = random_matrix(rng, 4)

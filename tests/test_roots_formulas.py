@@ -20,6 +20,7 @@ from subres import (
     sres_roots,
     taylor_coeff,
 )
+from subres import matrix
 from subres.verify import random_pair
 from oracles import lagrange_interpolant
 
@@ -56,6 +57,30 @@ class TestSresRoots:
         for t in (0, 1):
             for variant in VARIANTS:
                 assert sres_roots(a, b, t, variant) == sres_coeff(f, g, t)
+
+    @pytest.mark.parametrize("root", [Rat(1), param("a")])
+    def test_wronskian_full_root_shared_above_and_up_to_the_order(self, monkeypatch, root):
+        # A root of multiplicity 2 in both sets: the order-t subresultant is
+        # 0 for t < 2, and there the x-free paired Vandermonde rows of
+        # wronskian-full are dependent, so its shared elimination finds no
+        # pivot; for t >= 2 it is nonzero.
+        a = MultiRootSet([(root, 2), (root + 2, 1)])
+        b = MultiRootSet([(root, 3), (root - 1, 1)])
+        bareiss = matrix._bareiss
+        for t in range(4):
+            want = sres_roots(a, b, t, "compact")
+            assert sres_roots(a, b, t, "block") == want
+            seen = []
+
+            def spy(*args):
+                seen.append(bareiss(*args))
+                return seen[-1]
+
+            monkeypatch.setattr(matrix, "_bareiss", spy)
+            got = sres_roots(a, b, t, "wronskian-full")
+            monkeypatch.undo()
+            assert got == want
+            assert (seen[0] is None) == (t < 2) == (want == UniPoly.zero())
 
     def test_random_battery_small(self):
         rng = random.Random(2024)
