@@ -31,6 +31,9 @@ SYMBOLIC_PAIRS = (
     # d = 3 < e = 4: wronskian-full packs up to three x rows, its entry
     # bounds taken at the last node x = t.
     ([["a", 2], ["a+1", 1]], [["b", 2], ["b+1", 2]]),
+    # Offsets with denominators 2 and 3: parameter coefficients over a
+    # denominator other than 1.
+    ([["a", 2], ["a+1/2", 1]], [["b-1/3", 1], ["b+2", 2]]),
 )
 
 BUNDLED_SYSTEM = {

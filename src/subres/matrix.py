@@ -204,9 +204,11 @@ def _pack(rows: List[list], t: int = 0) -> Tuple[List[List[int]], Callable[[int]
     t * |p|_1 + |q|_1, so it enters the bounds below as an entry of that
     degree and norm, and they hold at every node.
 
-    After row scaling every entry has integer coefficients.  A bordered
-    determinant's permutation expansion takes one entry from each row and
-    each of its columns, so its degree in parameter p is at most D_p, the
+    Each row is scaled by the lcm of its entries' denominators (a
+    ``ParamPoly`` has one, under all its int numerators), after which every
+    entry has integer coefficients.  A bordered determinant's permutation
+    expansion takes one entry from each row and each of its columns, so its
+    degree in parameter p is at most D_p, the
     sum over the rows of the largest degree in p of an entry of the row
     (any column), and also the same sum over the shared columns plus the
     largest such degree of a border column; the smaller one is used.  A
@@ -229,11 +231,8 @@ def _pack(rows: List[list], t: int = 0) -> Tuple[List[List[int]], Callable[[int]
     exponentially with the number of distinct parameters.  A Vandermonde
     matrix in roots a, b, c, d, e packs its determinant into 5^5 digits.
     """
-    terms = [
-        [v.terms.items() if isinstance(v, ParamPoly) else [((), v)] if v else () for v in row]
-        for row in rows
-    ]
-    names = sorted({name for row in terms for entry in row for key, _ in entry for name, _ in key})
+    terms = [[_integer_terms(v) for v in row] for row in rows]
+    names = sorted({name for row in terms for entry, _ in row for key, _ in entry for name, _ in key})
     pos = {name: i for i, name in enumerate(names)}
     shared = len(rows) - 1
     width = len(rows[0])
@@ -245,16 +244,17 @@ def _pack(rows: List[list], t: int = 0) -> Tuple[List[List[int]], Callable[[int]
     scale = 1
     row_product = 1
     for row in terms:
-        s = math.lcm(*[c.denominator for entry in row for _, c in entry])
+        s = math.lcm(*[den for _, den in row])
         top = [0] * len(names)
         norms = []
         out = []
-        for j, entry in enumerate(row):
+        for j, (entry, den) in enumerate(row):
             col = col_tops[j]
             ints = []
             norm = 0
-            for key, c in entry:
-                z = c.numerator * (s // c.denominator)
+            lift = s // den
+            for key, z in entry:
+                z *= lift
                 norm += abs(z)
                 for name, e in key:
                     i = pos[name]
@@ -299,6 +299,14 @@ def _pack(rows: List[list], t: int = 0) -> Tuple[List[List[int]], Callable[[int]
     return a, lambda v: _unpack(v, k, names, degrees, scale)
 
 
+def _integer_terms(v: Scalar) -> Tuple[Iterable[Tuple[tuple, int]], int]:
+    """The (monomial key, int numerator) pairs of a scalar and its one
+    denominator."""
+    if isinstance(v, ParamPoly):
+        return v.numerators.items(), v.denominator
+    return ([((), int(v.numerator))] if v else ()), int(v.denominator)
+
+
 def _unpack(value: int, k: int, names: List[str], degrees: List[int], scale: int) -> ParamPoly:
     """Read a packed determinant back as a ``ParamPoly`` divided by ``scale``.
 
@@ -327,8 +335,8 @@ def _unpack(value: int, k: int, names: List[str], degrees: List[int], scale: int
                 rest, e = divmod(rest, d + 1)
                 if e:
                     key.append((name, e))
-            out[tuple(key)] = Rat(int(chunk, 2) - half, scale)
-    return ParamPoly(out)
+            out[tuple(key)] = int(chunk, 2) - half
+    return ParamPoly.from_integers(out, scale)
 
 
 def _bareiss(a: List[list], steps: int, prev: int = 1) -> Optional[Tuple[int, int]]:

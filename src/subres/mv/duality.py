@@ -140,21 +140,15 @@ def sigma_shift(func: DualFunctional, beta: Expo) -> Optional[DualFunctional]:
 
 def _numerators(values: Sequence[Scalar]) -> Tuple[list, int]:
     """(nums, d) with values[j] = nums[j] / d, d the lcm of every
-    denominator: each num is an int, or a ``ParamPoly`` with integer
-    coefficients.  mpz numerators become ints, which ``ParamPoly`` and
-    ``Rat(num, den)`` both accept."""
-    dens = [_denominator(v) for v in values]
+    denominator (a ``ParamPoly`` has one): each num is an int, or a
+    ``ParamPoly`` with integer coefficients.  mpz numerators become ints,
+    which ``ParamPoly`` and ``Rat(num, den)`` both accept."""
+    dens = [int(v.denominator) for v in values]
     d = lcm(*dens)
     return [
         v * d if isinstance(v, ParamPoly) else int(v.numerator) * (d // den)
         for v, den in zip(values, dens)
     ], d
-
-
-def _denominator(v: Scalar) -> int:
-    if isinstance(v, ParamPoly):
-        return lcm(*[int(c.denominator) for c in v.terms.values()])
-    return int(v.denominator)
 
 
 def _quotient(num, den: int) -> Scalar:

@@ -2,14 +2,23 @@
 
 Every scalar in the package is either a rational number (``Rat``) or a
 ``ParamPoly``, a multivariate polynomial in named parameters with rational
-coefficients.  There is no floating point anywhere and no implicit collapse
-between the two kinds: a ParamPoly that happens to be constant still
-compares equal to the matching rational but keeps its type.
+coefficients.  A ParamPoly holds Python-int numerators, one per monomial,
+over one positive int denominator, in lowest terms: no numerator is 0 and
+the gcd of the denominator and every numerator is 1.  So its arithmetic
+runs on ints, and a result over the denominator 1, as every polynomial
+with integer coefficients is, takes no gcd at all.  ``terms`` reads the
+coefficients back as rationals.  There is no floating point anywhere and
+no implicit collapse between the two kinds: a ParamPoly that happens to be
+constant still compares equal to, and hashes like, the matching rational
+but keeps its type.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Union
+import math
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import Union
 
 from .errors import DomainError
 
@@ -41,33 +50,64 @@ Key = tuple
 
 
 def _key_mul(a: Key, b: Key) -> Key:
+    # Most monomial products have a constant factor or two factors in one
+    # parameter each: 85% of them on a block of symbolic root pairs.
+    if not a:
+        return b
+    if not b:
+        return a
+    if len(a) == 1 and len(b) == 1:
+        (na, ea), (nb, eb) = a[0], b[0]
+        if na == nb:
+            return ((na, ea + eb),)
+        return (a[0], b[0]) if na < nb else (b[0], a[0])
     d = dict(a)
     for name, e in b:
         d[name] = d.get(name, 0) + e
     return tuple(sorted(d.items()))
 
 
-class ParamPoly:
-    """Polynomial in named parameters over the rationals."""
+class _Terms(Mapping):
+    """The coefficients of a ``ParamPoly`` as rationals, read-only: each is
+    its numerator over the one denominator, made when it is read."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num: dict, den: int):
+        self._num = num
+        self._den = den
+
+    def __getitem__(self, key: Key):
+        return Rat(self._num[key], self._den)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self):
+        return len(self._num)
+
+
+class ParamPoly:
+    """Polynomial in named parameters over the rationals: int numerators
+    keyed by monomial over one positive int denominator, in lowest terms."""
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[Key, object] | None = None):
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                c = c if isinstance(c, _RAT_T) else Rat(c)
-                if c != 0:
-                    clean[key] = c
-        self._terms = clean
+        coeffs = {key: c if isinstance(c, _RAT_T) else Rat(c) for key, c in (terms or {}).items()}
+        # Coefficients in lowest terms over the lcm of their denominators
+        # leave no common factor, so this is the canonical form already.
+        den = math.lcm(*[int(c.denominator) for c in coeffs.values()])
+        self._num = {
+            key: int(c.numerator) * (den // int(c.denominator)) for key, c in coeffs.items() if c
+        }
+        self._den = den
 
     @classmethod
-    def _from_terms(cls, terms: dict) -> "ParamPoly":
-        """Take a dict whose coefficients are already ``Rat`` as it is, but
-        for the ones that cancelled to 0; the operators build through it."""
-        out = cls.__new__(cls)
-        out._terms = {key: c for key, c in terms.items() if c}
-        return out
+    def from_integers(cls, num: Mapping[Key, int], den: int = 1) -> "ParamPoly":
+        """The polynomial whose coefficient of each monomial key is
+        num[key] / den, for int numerators and a nonzero int ``den``."""
+        return _poly(dict(num), den)
 
     @classmethod
     def constant(cls, c) -> "ParamPoly":
@@ -79,21 +119,32 @@ class ParamPoly:
 
     @property
     def terms(self) -> Mapping[Key, object]:
-        return self._terms
+        return _Terms(self._num, self._den)
+
+    @property
+    def numerators(self) -> Mapping[Key, int]:
+        """The int numerator of each monomial's coefficient, read-only."""
+        return MappingProxyType(self._num)
+
+    @property
+    def denominator(self) -> int:
+        """The one positive denominator of every coefficient."""
+        return self._den
 
     def parameters(self) -> set:
-        return {name for key in self._terms for name, _ in key}
+        return {name for key in self._num for name, _ in key}
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def is_constant(self) -> bool:
-        return all(key == () for key in self._terms)
+        num = self._num
+        return not num or (len(num) == 1 and () in num)
 
     def constant_value(self):
         if not self.is_constant():
             raise DomainError("not a constant: %s" % self)
-        return self._terms.get((), Rat(0))
+        return Rat(self._num.get((), 0), self._den)
 
     def substitute(self, assignment: Mapping[str, object]):
         """Total substitution; returns a rational.
@@ -105,68 +156,80 @@ class ParamPoly:
         if missing:
             raise DomainError("unassigned parameters: %s" % sorted(missing))
         total = Rat(0)
-        for key, c in self._terms.items():
-            v = c
+        for key, z in self._num.items():
+            v = Rat(z)
             for name, e in key:
                 a = assignment[name]
                 a = a if isinstance(a, _RAT_T) else Rat(a)
                 v = v * a**e
             total += v
-        return total
+        return total / self._den
 
     # -- arithmetic ----------------------------------------------------
 
-    def _coerce(self, other):
+    @staticmethod
+    def _operand(other):
+        """(numerators, denominator) of a scalar operand, None for others."""
         if isinstance(other, ParamPoly):
-            return other
+            return other._num, other._den
         if is_rational(other):
-            return ParamPoly({(): other})
+            n = int(other.numerator)
+            return ({(): n} if n else {}), int(other.denominator)
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        out = dict(self._terms)
-        for key, c in o._terms.items():
-            out[key] = out.get(key, Rat(0)) + c
-        return ParamPoly._from_terms(out)
+        onum, oden = o
+        den = self._den
+        if den == oden:
+            out = dict(self._num)
+            for key, z in onum.items():
+                out[key] = out.get(key, 0) + z
+            return _poly(out, den)
+        g = math.gcd(den, oden)
+        ours, theirs = oden // g, den // g
+        out = {key: z * ours for key, z in self._num.items()}
+        for key, z in onum.items():
+            out[key] = out.get(key, 0) + z * theirs
+        return _poly(out, den * ours)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly._from_terms({k: -c for k, c in self._terms.items()})
+        return _poly({k: -z for k, z in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if self._operand(other) is None:
             return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if self._operand(other) is None:
             return NotImplemented
-        return o + (-self)
+        return -self + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        if not self._terms or not o._terms:
+        anum, (bnum, bden) = self._num, o
+        if not anum or not bnum:
             return ParamPoly()
-        if o.is_constant():
-            c = o._terms.get((), Rat(0))
-            return ParamPoly._from_terms({k: v * c for k, v in self._terms.items()})
-        if self.is_constant():
-            c = self._terms.get((), Rat(0))
-            return ParamPoly._from_terms({k: v * c for k, v in o._terms.items()})
-        out = {}
-        for ka, ca in self._terms.items():
-            for kb, cb in o._terms.items():
-                k = _key_mul(ka, kb)
-                out[k] = out.get(k, Rat(0)) + ca * cb
-        return ParamPoly._from_terms(out)
+        if len(bnum) == 1 and () in bnum:
+            c = bnum[()]
+            out = {k: z * c for k, z in anum.items()}
+        elif len(anum) == 1 and () in anum:
+            c = anum[()]
+            out = {k: z * c for k, z in bnum.items()}
+        else:
+            out = {}
+            for ka, za in anum.items():
+                for kb, zb in bnum.items():
+                    k = _key_mul(ka, kb)
+                    out[k] = out.get(k, 0) + za * zb
+        return _poly(out, self._den * bden)
 
     __rmul__ = __mul__
 
@@ -183,18 +246,19 @@ class ParamPoly:
         return out
 
     def __truediv__(self, other):
-        if is_rational(other):
-            if other == 0:
-                raise ZeroDivisionError("scalar division by zero")
-            inv = Rat(1) / Rat(other)
-            return ParamPoly({k: c * inv for k, c in self._terms.items()})
         if isinstance(other, ParamPoly):
-            if other.is_zero():
+            if not other._num:
                 raise ZeroDivisionError("scalar division by zero")
-            if other.is_constant():
-                return self / other.constant_value()
-            return _divide_exact(self, other)
-        return NotImplemented
+            if not other.is_constant():
+                return _divide_exact(self, other)
+            n, d = other._num[()], other._den
+        elif is_rational(other):
+            n, d = int(other.numerator), int(other.denominator)
+            if not n:
+                raise ZeroDivisionError("scalar division by zero")
+        else:
+            return NotImplemented
+        return _poly({k: z * d for k, z in self._num.items()}, self._den * n)
 
     def __floordiv__(self, other):
         """The exact quotient, as ``/``: it never rounds.  The fraction-free
@@ -208,36 +272,34 @@ class ParamPoly:
         return ParamPoly.constant(other) / self
 
     def __eq__(self, other):
-        if isinstance(other, ParamPoly):
-            return self._terms == other._terms
-        if is_rational(other):
-            if other == 0:
-                return not self._terms
-            return self.is_constant() and self._terms.get((), Rat(0)) == other
-        return NotImplemented
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        return self._den == o[1] and self._num == o[0]
 
     def __hash__(self):
         if self.is_constant():
-            return hash(self._terms.get((), Rat(0)))
-        return hash(tuple(sorted(self._terms.items())))
+            return hash(self.constant_value())
+        return hash((frozenset(self._num.items()), self._den))
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._num)
 
     # -- printing ------------------------------------------------------
 
     def _sorted_terms(self):
+        names = sorted(self.parameters())
+
         def rank(item):
             key, _ = item
-            names = sorted(self.parameters())
             vec = dict(key)
             dense = tuple(vec.get(n, 0) for n in names)
             return (sum(e for _, e in key), dense)
 
-        return sorted(self._terms.items(), key=rank, reverse=True)
+        return sorted(self.terms.items(), key=rank, reverse=True)
 
     def __str__(self):
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
         for key, c in self._sorted_terms():
@@ -256,6 +318,28 @@ class ParamPoly:
 
     def __repr__(self):
         return "ParamPoly(%s)" % self
+
+
+def _poly(num: dict, den: int) -> ParamPoly:
+    """num / den in lowest terms, for a dict of int numerators, which the
+    result may keep as its own, and a nonzero int den; zero numerators are
+    dropped."""
+    if not all(num.values()):
+        num = {k: z for k, z in num.items() if z}
+    if den != 1:
+        if not num:
+            den = 1
+        else:
+            g = math.gcd(den, *num.values())
+            if den < 0:
+                g = -g
+            if g != 1:
+                num = {k: z // g for k, z in num.items()}
+                den //= g
+    out = ParamPoly.__new__(ParamPoly)
+    out._num = num
+    out._den = den
+    return out
 
 
 def _grlex(vec):

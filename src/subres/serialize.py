@@ -371,6 +371,14 @@ def parse_system(doc) -> SystemDocument:
     if not isinstance(raw_polys, (list, tuple)) or len(raw_polys) != n + 1:
         raise DomainError("\"polynomials\" must list exactly n+1 = %d entries" % (n + 1))
     polys = [parse_multipoly(rec, n) for rec in raw_polys]
+    # f_1..f_n define the roots, so a zero one leaves none isolated; only
+    # the last polynomial, whose values the subresultant is taken of, may
+    # vanish.
+    for i, p in enumerate(polys[:n]):
+        if p.is_zero():
+            raise DomainError(
+                "polynomial %d is zero; of the n+1 polynomials only the last may be zero" % (i + 1)
+            )
     degrees = doc.get("degrees")
     if degrees is None:
         degrees = [max(int(p.total_degree()), 1) if not p.is_zero() else 1 for p in polys]

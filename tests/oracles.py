@@ -24,6 +24,10 @@ Dual functionals are applied to multiples x^alpha h by expanding the
 multiple and translating it to the functional's point term by term, in
 rationals, where the package reads integer binomial tables and translates
 h alone.
+
+``RatParamPoly`` is the parameter polynomial as the package held it before
+it moved to int numerators over one denominator: one rational per term,
+every operation in rationals.
 """
 
 from __future__ import annotations
@@ -503,3 +507,109 @@ def sres_one_per_call(a: MultiRootSet, b: MultiRootSet) -> UniPoly:
             term = -term
         total = total + term
     return total
+
+
+class RatParamPoly:
+    """Polynomial in named parameters held as a dict of rationals, keyed by
+    sorted (name, exponent) tuples; coefficients that cancel are dropped."""
+
+    def __init__(self, terms=None):
+        self.terms = {k: Rat(c) for k, c in (terms or {}).items() if c}
+
+    @staticmethod
+    def _lift(other):
+        if isinstance(other, RatParamPoly):
+            return other
+        return RatParamPoly({(): other})
+
+    @staticmethod
+    def _key_mul(a, b):
+        d = dict(a)
+        for name, e in b:
+            d[name] = d.get(name, 0) + e
+        return tuple(sorted(d.items()))
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in self._lift(other).terms.items():
+            out[k] = out.get(k, Rat(0)) + c
+        return RatParamPoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RatParamPoly({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._lift(other))
+
+    def __rsub__(self, other):
+        return self._lift(other) + (-self)
+
+    def __mul__(self, other):
+        out = {}
+        for ka, ca in self.terms.items():
+            for kb, cb in self._lift(other).terms.items():
+                k = self._key_mul(ka, kb)
+                out[k] = out.get(k, Rat(0)) + ca * cb
+        return RatParamPoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        out = RatParamPoly({(): 1})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __truediv__(self, other):
+        """By a nonzero rational, or exactly by a polynomial: the quotient
+        by repeated subtraction of the divisor times the quotient of the
+        grlex-leading terms; None when a leading term does not divide."""
+        if not isinstance(other, RatParamPoly):
+            return RatParamPoly({k: c / other for k, c in self.terms.items()})
+        names = sorted({n for p in (self, other) for k in p.terms for n, _ in k})
+
+        def grlex(key):
+            vec = tuple(dict(key).get(n, 0) for n in names)
+            return (sum(vec), vec)
+
+        dlead = max(other.terms, key=grlex)
+        quo, work = RatParamPoly(), self
+        while work.terms:
+            lead = max(work.terms, key=grlex)
+            exps = dict(lead)
+            for name, e in dlead:
+                exps[name] = exps.get(name, 0) - e
+            if any(e < 0 for e in exps.values()):
+                return None
+            key = tuple(sorted((n, e) for n, e in exps.items() if e))
+            mono = RatParamPoly({key: work.terms[lead] / other.terms[dlead]})
+            quo, work = quo + mono, work - mono * other
+        return quo
+
+    def __eq__(self, other):
+        return self.terms == self._lift(other).terms
+
+    def __hash__(self):
+        if set(self.terms) <= {()}:
+            return hash(self.terms.get((), Rat(0)))
+        return hash(tuple(sorted(self.terms.items())))
+
+    def __str__(self):
+        """The package's infix form: terms by descending total degree, then
+        by descending exponent vector over the sorted names."""
+        if not self.terms:
+            return "0"
+        names = sorted({n for k in self.terms for n, _ in k})
+
+        def rank(key):
+            return (sum(e for _, e in key), tuple(dict(key).get(n, 0) for n in names))
+
+        text = ""
+        for key in sorted(self.terms, key=rank, reverse=True):
+            c = self.terms[key]
+            mono = "*".join(n if e == 1 else "%s^%d" % (n, e) for n, e in key)
+            body = str(abs(c)) if not mono else mono if abs(c) == 1 else "%s*%s" % (abs(c), mono)
+            text += (" - " if c < 0 else " + ") + body
+        return text[3:] if text.startswith(" + ") else "-" + text[3:]

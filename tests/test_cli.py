@@ -247,6 +247,20 @@ class TestVerifyCommand:
         got = out_json(capsys, ["verify", "--system", text])
         assert got["ok"] is True
 
+    def test_zero_leading_polynomial_refused(self, capsys):
+        # A zero f1 or f2 leaves no isolated root: the document is refused
+        # when it is parsed, with one message from both routes and verify.
+        for i in (0, 1):
+            doc = system_doc()
+            doc["polynomials"][i] = []
+            text = json.dumps(doc)
+            message = (
+                "error: polynomial %d is zero; of the n+1 polynomials only the last may be zero\n"
+                % (i + 1)
+            )
+            for argv in (["mv", "--route", "poisson"], ["mv", "--route", "macaulay"], ["verify"]):
+                assert run(capsys, argv + ["--system", text]) == (2, "", message)
+
     def test_requires_one_input_mode(self, capsys):
         code, _, err = run(capsys, ["verify"])
         assert code == 2

@@ -1,11 +1,40 @@
 """Rational and parameterized scalar arithmetic."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import rationals
+from oracles import RatParamPoly
 from subres import DomainError, ParamPoly, Rat, as_scalar, is_rational, param, rat, substitute_scalar
+
+NAMES = ("a", "b", "c")
+
+
+@st.composite
+def poly_pairs(draw, max_terms=4):
+    """(ParamPoly, RatParamPoly) built from the same terms: 1-3 parameters,
+    exponents up to 2, coefficients over denominators 1-6."""
+    names = NAMES[: draw(st.integers(1, 3))]
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        key = tuple((n, e) for n in names if (e := draw(st.integers(0, 2))))
+        terms[key] = Rat(draw(st.integers(-6, 6)), draw(st.integers(1, 6)))
+    return ParamPoly(terms), RatParamPoly(terms)
+
+
+def assert_matches(p, ref):
+    """p has the reference's value and printed form, in canonical form."""
+    assert isinstance(p, ParamPoly)
+    assert dict(p.terms) == ref.terms
+    assert all(type(c) is type(Rat(0)) for c in p.terms.values())
+    assert str(p) == str(ref)
+    nums = p.numerators
+    assert p.denominator > 0
+    assert math.gcd(p.denominator, *nums.values()) == 1
+    assert all(nums.values())
 
 
 class TestRat:
@@ -121,3 +150,88 @@ class TestParamPoly:
         assert as_scalar(param("a")) == param("a")
         with pytest.raises(DomainError):
             as_scalar(0.25)
+
+
+class TestIntegerNumerators:
+    """ParamPoly on int numerators over one denominator against the
+    dict-of-rationals reference."""
+
+    @given(poly_pairs(), poly_pairs())
+    def test_ring_operations(self, x, y):
+        (p, rp), (q, rq) = x, y
+        assert_matches(p, rp)
+        assert_matches(p + q, rp + rq)
+        assert_matches(p - q, rp - rq)
+        assert_matches(p * q, rp * rq)
+        assert_matches(-p, -rp)
+
+    @given(poly_pairs(max_terms=3), st.integers(0, 3))
+    def test_powers(self, x, n):
+        p, rp = x
+        assert_matches(p**n, rp**n)
+
+    @given(poly_pairs(), rationals(num_bound=6, den_bound=6))
+    def test_rational_operands(self, x, c):
+        p, rp = x
+        assert_matches(p + c, rp + c)
+        assert_matches(c - p, c - rp)
+        assert_matches(p * c, rp * c)
+        if c:
+            assert_matches(p / c, rp / c)
+            assert_matches(p / ParamPoly.constant(c), rp / c)
+
+    @given(poly_pairs(max_terms=3), poly_pairs(max_terms=3))
+    def test_exact_division(self, x, y):
+        (p, rp), (q, rq) = x, y
+        if not q:
+            return
+        product = p * q
+        assert_matches(product / q, rp * rq / rq)
+        assert product / q == p
+
+    @given(poly_pairs(), poly_pairs(), rationals(num_bound=6, den_bound=6))
+    def test_equality_and_hash(self, x, y, c):
+        (p, rp), (q, rq) = x, y
+        assert (p == q) == (rp == rq)
+        assert (p == c) == (rp == c)
+        if p.is_constant():
+            assert hash(p) == hash(rp)
+        same = p + q - q
+        assert same == p and hash(same) == hash(p)
+        k = ParamPoly.constant(c)
+        assert k == c and hash(k) == hash(c)
+        assert (p == k) == (rp == c)
+        # Same numerators over another denominator: equal only at zero.
+        assert (p / 2 == p) == p.is_zero()
+        assert (k / 3 == c) == (c == 0)
+
+
+    def test_from_integers_takes_lowest_terms(self):
+        p = ParamPoly.from_integers({(): 2, (("a", 1),): 4, (("b", 1),): 0}, -6)
+        assert_matches(p, RatParamPoly({(): Rat(-1, 3), (("a", 1),): Rat(-2, 3)}))
+        assert p.numerators == {(): -1, (("a", 1),): -2} and p.denominator == 3
+        zero = ParamPoly.from_integers({(): 0}, 4)
+        assert_matches(zero, RatParamPoly())
+        assert zero.denominator == 1
+
+
+class TestMixedWithRat:
+    """The active backend's rationals on either side of a ParamPoly."""
+
+    def test_both_operand_orders(self):
+        a = param("a")
+        cases = [
+            (Rat(2, 3) + a, ParamPoly({(("a", 1),): 1, (): Rat(2, 3)})),
+            (a - Rat(2, 3), ParamPoly({(("a", 1),): 1, (): Rat(-2, 3)})),
+            (Rat(2, 3) * a, ParamPoly({(("a", 1),): Rat(2, 3)})),
+            (Rat(2, 3) / ParamPoly.constant(2), ParamPoly.constant(Rat(1, 3))),
+            (a / Rat(2, 3), ParamPoly({(("a", 1),): Rat(3, 2)})),
+            (Rat(2, 3) - a, ParamPoly({(("a", 1),): -1, (): Rat(2, 3)})),
+        ]
+        for got, want in cases:
+            assert type(got) is ParamPoly
+            assert got == want and str(got) == str(want)
+        third = Rat(2, 3) / ParamPoly.constant(2)
+        assert third == Rat(1, 3) and hash(third) == hash(Rat(1, 3))
+        assert str(Rat(2, 3) + a) == "a + 2/3"
+        assert str(a / Rat(2, 3)) == "3/2*a"
