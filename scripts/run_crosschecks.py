@@ -4,7 +4,8 @@
 Draws random multiple-root pairs, runs every coefficient-side vs root-side
 comparison the preconditions allow, replays a few fixed symbolic pairs
 (roots a+k against b+k or against integers, so the determinants carry
-parameter entries and run through the packed integer kernel), then
+parameter entries and run through the packed integer kernel) and one
+fixed rational pair whose roots have denominators 7, 9 and 11, then
 replays three bundled two-variable systems through the document-level
 battery: the circle-line example, whose dual basis is given, a grid
 system with one root of multiplicity 9, and a system with two multiple
@@ -35,6 +36,12 @@ SYMBOLIC_PAIRS = (
     # denominator other than 1.
     ([["a", 2], ["a+1/2", 1]], [["b-1/3", 1], ["b+2", 2]]),
 )
+
+# Multiplicities up to 3 and denominators beyond the random pool's 1-4:
+# the integral Vandermonde tables scale by q = 63 for A and 693 for B,
+# and the paired rows by lcm 693.  Under gmpy2 the roots are mpq, so the
+# tables are built from int() of their mpz parts.
+FINE_PAIR = ([["1/7", 3], ["-2/9", 1]], [["5/11", 2], ["-3/7", 1], ["4/9", 3]])
 
 BUNDLED_SYSTEM = {
     "n": 2,
@@ -171,11 +178,11 @@ def main(argv=None):
             total += 1
             if not check.ok:
                 failures.append(("pair %d: %s vs %s" % (i, a, b), check))
-    for a_doc, b_doc in SYMBOLIC_PAIRS:
+    for a_doc, b_doc in SYMBOLIC_PAIRS + (FINE_PAIR,):
         for check in univariate_checks(parse_rootset(a_doc), parse_rootset(b_doc)):
             total += 1
             if not check.ok:
-                failures.append(("symbolic pair %s vs %s" % (a_doc, b_doc), check))
+                failures.append(("fixed pair %s vs %s" % (a_doc, b_doc), check))
     for name, doc in SYSTEMS:
         for check in mv_checks(parse_system(doc)):
             total += 1
@@ -184,8 +191,8 @@ def main(argv=None):
     elapsed = time.perf_counter() - started
 
     print(
-        "%d checks on %d random pairs + %d symbolic pairs + %d bundled systems in %.2f s"
-        % (total, args.cases, len(SYMBOLIC_PAIRS), len(SYSTEMS), elapsed)
+        "%d checks on %d random pairs + %d symbolic pairs + 1 rational pair + %d bundled "
+        "systems in %.2f s" % (total, args.cases, len(SYMBOLIC_PAIRS), len(SYSTEMS), elapsed)
     )
     for origin, check in failures:
         print("FAIL [%s] %s: %s" % (origin, check.name, check.detail), file=sys.stderr)

@@ -4,14 +4,22 @@ Root sets carry multiplicities, so the usual Vandermonde rows fan out into
 blocks of derivative columns.  Everything here is exact and works over
 rational roots as well as parameter-polynomial roots where divisions stay
 polynomial.  What depends on a root set alone is derived once and kept in
-the set's store (``MultiRootSet._once``): the confluent Vandermonde rows,
-from which every Vandermonde or Wronskian matrix of the set is read; the
-closed-form Vandermonde determinant; per root alpha_i, the product f_i of
-the other roots' factors, its value f_i(alpha_i) and the chain
-(x - alpha_i)^k f_i, k < d_i; and the Hermite basis, built from that
-chain.  The basis and the order-1 pole formula (``roots_formulas``) take
+the set's store (``MultiRootSet._once``): the integral confluent
+Vandermonde table, from which every Vandermonde or Wronskian matrix of
+the set is read; the closed-form Vandermonde determinant; per root
+alpha_i, the product f_i of the other roots' factors, its value
+f_i(alpha_i) and the chain (x - alpha_i)^k f_i, k < d_i; and the Hermite
+basis, built from that chain.  The basis and the order-1 pole formula (``roots_formulas``) take
 their pole weights from one truncated product of per-root series
 (``_pole_weights``).
+
+The table has no rational entries.  With q the lcm of the roots'
+denominators (a ``ParamPoly`` root has one), its row k is q^k V_k, ints
+for rational roots and integer-coefficient ``ParamPoly``s for parameter
+roots, and each row grows from the one above by an integer step
+(``_times_z``).  The subresultant builders (``roots_formulas``) read
+integral rows from it with known row scales; ``vandermonde_confluent``
+and ``wronskian`` divide each row back by its scale.
 """
 
 from __future__ import annotations
@@ -22,50 +30,64 @@ from typing import Mapping, Tuple
 from .errors import DomainError
 from .matrix import ExactMatrix
 from .rootsets import MultiRootSet
-from .scalar import ParamPoly, Rat, Scalar
+from .scalar import ParamPoly, Rat, Scalar, _numerators, _quotient
 from .unipoly import UniPoly, taylor_coeff
 
 
 def vandermonde_confluent(a: MultiRootSet, u: int) -> ExactMatrix:
     """u x d matrix; block i has columns binom(k,j) alpha_i^(k-j), j < d_i.
 
-    This is the generalized Wronskian of the constant 1.  The rows are a
-    copy of the first u rows of the set's table (``_vandermonde_rows``).
+    This is the generalized Wronskian of the constant 1.  Row k is row k of
+    the set's integral table (``_vandermonde_rows``) divided by q^k.
     """
     if not isinstance(u, int) or u < 0:
         raise DomainError("row count u must be a nonnegative int")
-    return ExactMatrix(_vandermonde_rows(a, u)[:u])
+    rows, q = _vandermonde_rows(a, u)
+    return _divided(rows[:u], [q**k for k in range(u)])
 
 
-def _vandermonde_rows(a: MultiRootSet, u: int) -> list:
-    """At least u rows of the confluent Vandermonde matrix of A, grown once
-    per root set and shared: callers must not change them.
+def _vandermonde_rows(a: MultiRootSet, u: int) -> Tuple[list, int]:
+    """(rows, q): at least u rows of the integral confluent Vandermonde
+    table of A, grown once per root set and shared (callers must not
+    change them), and q, the lcm of the roots' denominators.
 
-    Row k, block i, inner column j holds the coefficient of
-    (z-alpha_i)^j in z^k.  Row 0 is 1 on each block's first column, and
-    each later row is ``_times_z`` of the one above.
+    Row k is q^k V_k: block i, inner column j holds q^k times the
+    coefficient of (z-alpha_i)^j in z^k, an int, or a ``ParamPoly`` with
+    integer coefficients for a parameter root.  Row 0 is 1 on each block's
+    first column, and each later row is ``_times_z`` of the one above.
     """
-    rows = a._once(
-        "vandermonde", lambda a: [[Rat(1) if j == 0 else Rat(0) for _, d in a for j in range(d)]]
-    )
+    rows, q, _ = a._once("vandermonde", _new_table)
     while len(rows) < u:
         rows.append(_times_z(rows[-1], a))
-    return rows
+    return rows, q
+
+
+def _new_table(a: MultiRootSet) -> tuple:
+    """The table as stored: its rows, so far row 0; q; and the pairs
+    (q alpha_i, d_i) that ``_times_z`` steps by."""
+    nums, q = _numerators(a.roots)
+    return [[1 if j == 0 else 0 for _, d in a for j in range(d)]], q, list(zip(nums, a.mults))
 
 
 def _times_z(row: list, a: MultiRootSet) -> list:
-    """The row of z p from the row of p: as z p = (z-alpha) p + alpha p,
-    the coefficient of (z-alpha)^j in z p is that of (z-alpha)^(j-1) in p
-    plus alpha times that of (z-alpha)^j.  A zero entry is not multiplied,
-    so rational zeros stay rational."""
+    """The row of q z p from the row of p: as z p = (z-alpha) p + alpha p,
+    the coefficient of (z-alpha)^j in q z p is q times that of
+    (z-alpha)^(j-1) in p plus (q alpha) times that of (z-alpha)^j.  A zero
+    entry is not multiplied, so int zeros stay ints."""
+    _, q, roots = a._once("vandermonde", _new_table)
     out = []
-    for alpha, d in a:
+    for qa, d in roots:
         block = row[len(out) : len(out) + d]
         out += [
-            (block[j - 1] if j else Rat(0)) + (alpha * block[j] if block[j] else Rat(0))
+            (q * block[j - 1] if j else 0) + (qa * block[j] if block[j] else 0)
             for j in range(d)
         ]
     return out
+
+
+def _divided(rows: list, scales: list) -> ExactMatrix:
+    """The matrix of row k of ``rows`` divided by scales[k]."""
+    return ExactMatrix([[_quotient(v, s) for v in row] for row, s in zip(rows, scales)])
 
 
 def vandermonde_det_closed(a: MultiRootSet) -> Scalar:
@@ -89,19 +111,32 @@ def wronskian(h: UniPoly, a: MultiRootSet, u: int) -> ExactMatrix:
 
     Row k, block i, inner column j holds the coefficient of (z-alpha_i)^j
     in z^k h; the polynomial h may carry extra parameters in its
-    coefficients.  Since h = sum_m h_m z^m, row 0 is sum_m h_m V_m over the
-    rows of the set's confluent Vandermonde matrix, and each later row is
-    ``_times_z`` of the one above.
+    coefficients.  Row k is row k of ``_wronskian_rows`` divided by its
+    scale.
     """
     if not isinstance(u, int) or u < 0:
         raise DomainError("row count u must be a nonnegative int")
-    terms = [(m, c) for m, c in enumerate(h.coeffs) if c]
-    v = _vandermonde_rows(a, len(h.coeffs))
+    return _divided(*_wronskian_rows(h, a, u))
+
+
+def _wronskian_rows(h: UniPoly, a: MultiRootSet, u: int) -> Tuple[list, list]:
+    """(rows, scales): u integral rows, row k being scales[k] times row k
+    of the Wronskian of h over A.
+
+    With h = sum_m g_m z^m / G, the g_m integral, n = deg h and the set's
+    table rows q^m V_m, row 0 is G q^n W_0 = sum_m g_m q^(n-m) (q^m V_m).
+    Each later row is ``_times_z`` of the one above, which multiplies the
+    scale by q.
+    """
+    g, big = _numerators(h.coeffs)
+    n = max(len(g) - 1, 0)
+    v, q = _vandermonde_rows(a, len(g))
+    terms = [(c * q ** (n - m), v[m]) for m, c in enumerate(g) if c]
     row = []
     for j in range(a.total):
-        acc: Scalar = Rat(0)
-        for m, c in terms:
-            x = v[m][j]
+        acc = 0
+        for c, vm in terms:
+            x = vm[j]
             if x:
                 acc = acc + c * x
         row.append(acc)
@@ -110,7 +145,7 @@ def wronskian(h: UniPoly, a: MultiRootSet, u: int) -> ExactMatrix:
         if k:
             row = _times_z(row, a)
         rows.append(row)
-    return ExactMatrix(rows)
+    return rows, [big * q ** (n + k) for k in range(u)]
 
 
 def wronskian_det_closed(h: UniPoly, a: MultiRootSet) -> Scalar:

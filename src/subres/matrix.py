@@ -2,12 +2,14 @@
 
 The determinant uses Bareiss elimination over one ring, the integers:
 every division is by the previous pivot and is exact on any integer
-matrix.  A rational matrix is scaled row by row to integers, eliminated,
-and divided by the product of the row scales.  A matrix with a parameter
-polynomial entry is scaled the same way and then packed by Kronecker
-substitution: each parameter is evaluated at a power of two so large that
-the determinant's coefficients occupy disjoint, signed base-2^k digits of
-one integer.  Evaluation is a ring homomorphism, so the integer
+matrix.  A matrix of ints, as the subresultant builders give with their
+row scales folded into the divisor, is eliminated as it is.  Another
+rational matrix is scaled row by row to integers, eliminated, and divided
+by the product of the row scales.  A matrix with a parameter polynomial
+entry is scaled the same way and then packed by Kronecker substitution:
+each parameter is evaluated at a power of two so large that the
+determinant's coefficients occupy disjoint, signed base-2^k digits of one
+integer.  Evaluation is a ring homomorphism, so the integer
 determinant of the packed matrix is the packed determinant, and its
 digits read back the polynomial.
 
@@ -129,21 +131,23 @@ def det_exact(m: ExactMatrix) -> Scalar:
     return _dets(m.rows)[0]
 
 
-def det_bordered(m: ExactMatrix, den: Scalar = 1) -> UniPoly:
-    """det(M(x)) / den, where M(x) is the first n-1 columns of the n-row
-    matrix ``m`` bordered by the column sum_k x^k c_k over its later
-    columns c_0, c_1, ...
+def det_bordered(rows: List[list], den: Scalar = 1) -> UniPoly:
+    """det(M(x)) / den, where M(x) is the first n-1 columns of the n
+    ``rows`` bordered by the column sum_k x^k c_k over their later columns
+    c_0, c_1, ...
 
     The determinant is linear in its last column, so the coefficient of
     x^k is the determinant of the shared columns bordered by c_k alone.
     ``_bareiss`` takes all of them in one elimination of the shared
     columns.  ``den`` must divide each of them exactly, as the closed-form
-    Vandermonde determinants do.  Coefficients free of parameters come
-    back rational.
+    Vandermonde determinants times the row scales of integral rows do.
+    Coefficients free of parameters come back rational.
     """
-    if not 0 < m.nrows <= m.ncols:
-        raise DomainError("bordered determinant of a %d x %d matrix" % (m.nrows, m.ncols))
-    return _rational_if_constant(v / den for v in _dets(m.rows))
+    if not 0 < len(rows) <= len(rows[0]):
+        raise DomainError(
+            "bordered determinant of a %d x %d matrix" % (len(rows), len(rows[0]) if rows else 0)
+        )
+    return _rational_if_constant(v / den for v in _dets(rows))
 
 
 def _dets(rows: List[list]) -> List[Scalar]:
@@ -166,11 +170,14 @@ def _integers(rows: List[list], t: int = 0) -> Tuple[List[List[int]], Callable[[
     """Integer rows for ``_bareiss`` and the map that takes an integer
     determinant of them back to the scalar domain.
 
-    Rational rows are scaled each by the lcm of its denominators, and the
-    map divides by the product of the row scales.  Rows with a
-    ``ParamPoly`` entry are packed by ``_pack``; ``t`` is its count of
-    x columns.
+    All-int rows, as the subresultant builders give, are copied as they
+    are.  Other rational rows are scaled each by the lcm of its
+    denominators, and the map divides by the product of the row scales.
+    Rows with a ``ParamPoly`` entry are packed by ``_pack``; ``t`` is its
+    count of x columns.
     """
+    if all(type(v) is int for row in rows for v in row):
+        return [list(row) for row in rows], Rat
     if not all(is_rational(v) for row in rows for v in row):
         return _pack(rows, t)
     a = []

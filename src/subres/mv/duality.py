@@ -22,14 +22,14 @@ same loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, lcm, prod
+from math import comb, prod
 from typing import Mapping, Optional, Sequence, Tuple
 
 from ..combinat import canon_key
 from ..errors import DomainError
 from ..matrix import ExactMatrix, reduced_echelon
 from ..multipoly import MultiPoly
-from ..scalar import ParamPoly, Rat, Scalar, as_scalar
+from ..scalar import Rat, Scalar, _numerators, _quotient, as_scalar
 
 Expo = Tuple[int, ...]
 
@@ -136,24 +136,6 @@ def sigma_shift(func: DualFunctional, beta: Expo) -> Optional[DualFunctional]:
     if not out:
         return None
     return DualFunctional(func.point, out)
-
-
-def _numerators(values: Sequence[Scalar]) -> Tuple[list, int]:
-    """(nums, d) with values[j] = nums[j] / d, d the lcm of every
-    denominator (a ``ParamPoly`` has one): each num is an int, or a
-    ``ParamPoly`` with integer coefficients.  mpz numerators become ints,
-    which ``ParamPoly`` and ``Rat(num, den)`` both accept."""
-    dens = [int(v.denominator) for v in values]
-    d = lcm(*dens)
-    return [
-        v * d if isinstance(v, ParamPoly) else int(v.numerator) * (d // den)
-        for v, den in zip(values, dens)
-    ], d
-
-
-def _quotient(num, den: int) -> Scalar:
-    """num / den back in the scalar domain: the one division per value."""
-    return num / den if isinstance(num, ParamPoly) else Rat(num, den)
 
 
 def _binomial_tables(coords: Sequence[Scalar], tops: Sequence[int]) -> Tuple[list, list]:

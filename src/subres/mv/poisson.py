@@ -22,8 +22,8 @@ from typing import Sequence
 from ..errors import DomainError, StructuralError
 from ..matrix import ExactMatrix, det_exact
 from ..multipoly import MultiPoly
-from ..scalar import Rat, Scalar
-from .duality import DualBasis, _binomial_tables, _numerators, _quotient, _translate
+from ..scalar import Rat, Scalar, _numerators, _quotient
+from .duality import DualBasis, _binomial_tables, _translate
 from .hilbert import MonomialSets, build_monomial_sets
 from .macaulay import MVSystem, _check_s, leading_form_subres
 

@@ -22,8 +22,14 @@ x = 0, 1, ..., t from the t x t block left over, and interpolates.  x
 never enters the scalar domain, so roots may carry any parameter names.  Each
 coefficient is divided by the closed-form Vandermonde determinants, a
 division that is exact by construction.  The Vandermonde and Wronskian
-blocks come from each root set's one table of confluent Vandermonde rows
-(``confluent``).
+blocks come from each root set's one integral table (``confluent``), so
+every matrix is built of ints, or of integer-coefficient ``ParamPoly``s
+for parameter roots, with a known scale per row: q^k on Vandermonde row k
+of a set whose denominators have lcm q, its unit border entry included;
+l^k, l = lcm(q_A, q_B), on the rows that pair A with B; G q^(deg g + k) on
+Wronskian row k, G the common denominator of g's coefficients; and
+q^(k+1) on both parts of row k of W(x - z, A).  The product of the row
+scales joins the Vandermonde determinants in the divisor ``den``.
 
 Two closed-form specializations avoid determinants entirely: the order
 d-1 subresultant is the Hermite interpolant of g on A, and the order-1
@@ -33,16 +39,19 @@ truncated series product per root (``confluent._pole_weights``).
 
 from __future__ import annotations
 
+from math import lcm, prod
+from typing import Tuple
+
 from .confluent import (
     _pole_weights,
     _root,
+    _vandermonde_rows,
+    _wronskian_rows,
     hermite_interpolate,
-    vandermonde_confluent,
     vandermonde_det_closed,
-    wronskian,
 )
 from .errors import DomainError
-from .matrix import ExactMatrix, det_bordered, det_in_x
+from .matrix import det_bordered, det_in_x
 from .rootsets import MultiRootSet, poly_from_roots
 from .scalar import Rat, Scalar
 from .subresultants import _check_t
@@ -66,44 +75,57 @@ def sres_roots(a: MultiRootSet, b: MultiRootSet, t: int, variant: str = "compact
 
 def _sres_compact(a: MultiRootSet, b: MultiRootSet, t: int) -> UniPoly:
     d = a.total
-    g = poly_from_roots(b)
-    top = vandermonde_confluent(a, t + 1).rows
-    bottom = wronskian(g, a, d - t).rows
-    rows = [row + unit for row, unit in zip(top + bottom, _unit_columns(t, d + 1))]
-    det = det_bordered(ExactMatrix(rows), vandermonde_det_closed(a))
+    v, q = _vandermonde_rows(a, t + 1)
+    w, scales = _wronskian_rows(poly_from_roots(b), a, d - t)
+    rows = [v[k] + _border(k, q**k, t) for k in range(t + 1)]
+    rows += [row + [0] * (t + 1) for row in w]
+    scale = prod(q**k for k in range(t + 1)) * prod(scales)
+    det = det_bordered(rows, vandermonde_det_closed(a) * scale)
     return -det if (d - t) % 2 else det
 
 
 def _sres_block(a: MultiRootSet, b: MultiRootSet, t: int) -> UniPoly:
     d, e = a.total, b.total
     u = d + e - t
-    zero_b = [Rat(0)] * e
-    va = vandermonde_confluent(a, u).rows
-    vb = vandermonde_confluent(b, u).rows
-    top = [row + zero_b for row in va[: t + 1]]
-    bottom = [ra + rb for ra, rb in zip(va, vb)]
-    rows = [row + unit for row, unit in zip(top + bottom, _unit_columns(t, d + e + 1))]
-    det = det_bordered(ExactMatrix(rows), vandermonde_det_closed(a) * vandermonde_det_closed(b))
+    v, q = _vandermonde_rows(a, t + 1)
+    bottom, scale = _paired(a, b, u)
+    rows = [v[k] + [0] * e + _border(k, q**k, t) for k in range(t + 1)]
+    rows += [row + [0] * (t + 1) for row in bottom]
+    scale *= prod(q**k for k in range(t + 1))
+    det = det_bordered(rows, vandermonde_det_closed(a) * vandermonde_det_closed(b) * scale)
     return -det if e % 2 or (d - t) % 2 else det
 
 
-def _unit_columns(t: int, n: int) -> list:
-    """Rows of the border columns e_0, ..., e_t of an n-row matrix: the
+def _border(k: int, s: int, t: int) -> list:
+    """Row k of the border columns e_0, ..., e_t, its unit scaled by s: the
     border (1, x, ..., x^t, 0, ..., 0) is sum_k x^k e_k."""
-    return [[Rat(1) if i == k else Rat(0) for k in range(t + 1)] for i in range(n)]
+    return [0] * k + [s] + [0] * (t - k)
+
+
+def _paired(a: MultiRootSet, b: MultiRootSet, u: int) -> Tuple[list, int]:
+    """(rows, scale): rows k < u of the confluent Vandermonde blocks of A
+    and B side by side, row k scaled by l^k, l the lcm of the two tables'
+    q, and the product of these row scales."""
+    va, qa = _vandermonde_rows(a, u)
+    vb, qb = _vandermonde_rows(b, u)
+    l = lcm(qa, qb)
+    ra, rb = l // qa, l // qb
+    rows = [[ra**k * x for x in va[k]] + [rb**k * x for x in vb[k]] for k in range(u)]
+    return rows, prod(l**k for k in range(u))
 
 
 def _sres_wronskian_full(a: MultiRootSet, b: MultiRootSet, t: int) -> UniPoly:
     d, e = a.total, b.total
     u = d + e - t
-    zero_b = [Rat(0)] * e
-    va = vandermonde_confluent(a, u).rows
-    vb = vandermonde_confluent(b, u).rows
-    bottom = [ra + rb for ra, rb in zip(va, vb)]
-    # Row k of W(x - z, A) is x V_k - V_(k+1), as z^k (x - z) = x z^k - z^(k+1).
-    p = [va[k] + zero_b for k in range(t)]
-    q = [va[k + 1] + zero_b for k in range(t)]
-    det = det_in_x(p, q, bottom, vandermonde_det_closed(a) * vandermonde_det_closed(b))
+    v, q = _vandermonde_rows(a, t + 1)
+    bottom, scale = _paired(a, b, u)
+    zero_b = [0] * e
+    # Row k of W(x - z, A) is x V_k - V_(k+1), as z^k (x - z) = x z^k - z^(k+1);
+    # both parts share the row scale q^(k+1).
+    p = [[q * x for x in v[k]] + zero_b for k in range(t)]
+    r = [v[k + 1] + zero_b for k in range(t)]
+    scale *= prod(q ** (k + 1) for k in range(t))
+    det = det_in_x(p, r, bottom, vandermonde_det_closed(a) * vandermonde_det_closed(b) * scale)
     return -det if ((d - t) * e) % 2 else det
 
 

@@ -1,7 +1,7 @@
 """Root sets with multiplicities and the pairing they induce.
 
 A set carries one private store of what is derived from it alone: its
-monic polynomial here, its confluent Vandermonde rows, closed-form
+monic polynomial here, its integral confluent Vandermonde table, closed-form
 Vandermonde determinant and Hermite basis in ``confluent``.  Each entry is
 built on first use and lives as long as the set.
 """

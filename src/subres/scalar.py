@@ -16,9 +16,9 @@ but keeps its type.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from types import MappingProxyType
-from typing import Union
+from typing import Tuple, Union
 
 from .errors import DomainError
 
@@ -395,6 +395,25 @@ def as_scalar(v) -> Scalar:
     if isinstance(v, int):
         return Rat(v)
     raise DomainError("not an exact scalar: %r" % (v,))
+
+
+def _numerators(values: Sequence[Scalar]) -> Tuple[list, int]:
+    """(nums, d) with values[j] = nums[j] / d, d the lcm of every
+    denominator (a ``ParamPoly`` has one): each num is an int, or a
+    ``ParamPoly`` with integer coefficients.  mpz numerators become ints,
+    which ``ParamPoly`` and ``Rat(num, den)`` both accept."""
+    dens = [int(v.denominator) for v in values]
+    d = math.lcm(*dens)
+    return [
+        v * d if isinstance(v, ParamPoly) else int(v.numerator) * (d // den)
+        for v, den in zip(values, dens)
+    ], d
+
+
+def _quotient(num, den: int) -> Scalar:
+    """num / den back in the scalar domain, for an int or a ``ParamPoly``
+    num and a nonzero int den."""
+    return num / den if isinstance(num, ParamPoly) else Rat(num, den)
 
 
 def substitute_scalar(s: Scalar, assignment: Mapping[str, object]):

@@ -9,7 +9,9 @@ coefficient column of x^k with k > t repeats a monomial column, so the
 coefficient of x^k, k <= t, is the determinant with the final column
 replaced by the coefficients of x^k: the determinantal polynomial of
 Collins (JACM 14, 1967).  ``det_bordered`` takes all t+1 of them in one
-elimination of the monomial columns.
+elimination of the monomial columns.  The rows hold the coefficients of
+G_f f and G_g g, G_f and G_g the common denominators of the coefficients,
+so they are integral, and the product of their scales is the divisor.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from itertools import combinations
 from math import comb
 
 from .errors import DomainError
-from .matrix import ExactMatrix, det_bordered
+from .matrix import det_bordered
 from .rootsets import MultiRootSet
-from .scalar import Rat, Scalar
+from .scalar import Rat, Scalar, _numerators
 from .unipoly import UniPoly
 
 
@@ -40,10 +42,17 @@ def sres_coeff(f: UniPoly, g: UniPoly, t: int) -> UniPoly:
     d, e = f.degree, g.degree
     _check_t(d, e, t)
     d, e = int(d), int(e)
-    polys = [f.mul_xk(e - t - 1 - i) for i in range(e - t)]
-    polys += [g.mul_xk(d - t - 1 - i) for i in range(d - t)]
+    fs, f_den = _numerators(f.coeffs)
+    gs, g_den = _numerators(g.coeffs)
     monomials = list(range(d + e - t - 1, t, -1)) + list(range(t + 1))
-    return det_bordered(ExactMatrix([[p.coeff(k) for k in monomials] for p in polys]))
+    rows = [_shifted(fs, s, monomials) for s in range(e - t - 1, -1, -1)]
+    rows += [_shifted(gs, s, monomials) for s in range(d - t - 1, -1, -1)]
+    return det_bordered(rows, f_den ** (e - t) * g_den ** (d - t))
+
+
+def _shifted(coeffs: list, s: int, monomials: list) -> list:
+    """The coefficients of x^s p on the monomials, from those of p."""
+    return [coeffs[k - s] if 0 <= k - s < len(coeffs) else 0 for k in monomials]
 
 
 def resultant(f: UniPoly, g: UniPoly) -> Scalar:

@@ -154,9 +154,64 @@ class TestWronskian:
         assert det_exact(wronskian(h, a, a.total)) == wronskian_det_closed(h, a)
 
 
+class TestIntegralTable:
+    """Each root set keeps one integral table: row k is q^k V_k, q the lcm
+    of the roots' denominators."""
+
+    SETS = {
+        "mixed denominators": [(Rat(1, 7), 2), (Rat(2, 9), 3), (Rat(-5, 6), 1)],
+        "integers": [(Rat(3), 2), (Rat(-1), 1), (Rat(0), 3)],
+        "fractional parameters": [
+            (param("a") / 2, 2),
+            (param("a") + Rat(1, 3), 2),
+            (Rat(-3, 4), 1),
+            (param("b"), 1),
+        ],
+    }
+
+    @pytest.mark.parametrize("name", sorted(SETS))
+    def test_row_k_over_q_to_the_k_is_the_binomial_formula(self, name):
+        a = MultiRootSet(self.SETS[name])
+        rows, q = confluent._vandermonde_rows(a, 7)
+        assert q == {"mixed denominators": 126, "integers": 1, "fractional parameters": 12}[name]
+        for k, row in enumerate(rows[:7]):
+            for v in row:
+                assert type(v) is int or (isinstance(v, ParamPoly) and v.denominator == 1)
+            assert [v / Rat(q**k) for v in row] == vandermonde_binomial(a, 7)[k]
+        assert confluent._vandermonde_rows(a, 3)[0] is rows
+
+    def test_integer_sets_hold_plain_ints(self):
+        a = MultiRootSet(self.SETS["integers"])
+        rows, _ = confluent._vandermonde_rows(a, 6)
+        assert {type(v) for row in rows for v in row} == {int}
+
+    @pytest.mark.parametrize("name", sorted(SETS))
+    @pytest.mark.parametrize("u", [0, 1, 4, 9])
+    def test_public_matrices_match_the_taylor_oracles(self, name, u):
+        a = MultiRootSet(self.SETS[name])
+        assert vandermonde_confluent(a, u) == vandermonde_taylor(a, u)
+        hs = (poly(Rat(1, 6), Rat(-2, 35), 0, 1), UniPoly.zero(), poly(Rat(5, 4)), poly_from_roots(a))
+        for h in hs:
+            assert wronskian(h, a, u) == wronskian_taylor(h, a, u)
+
+    def test_zero_h_and_zero_rows(self):
+        a = MultiRootSet(self.SETS["mixed denominators"])
+        assert wronskian(UniPoly.zero(), a, 3) == q([[0] * a.total] * 3)
+        assert wronskian(poly(2, 1), a, 0) == vandermonde_confluent(a, 0) == ExactMatrix([])
+
+    @given(rootsets(max_blocks=3), st.lists(rationals(den_bound=12), max_size=4), st.integers(0, 6))
+    def test_wronskian_rows_scale_back_to_the_oracle(self, a, coeffs, u):
+        h = UniPoly(coeffs)
+        rows, scales = confluent._wronskian_rows(h, a, u)
+        assert all(type(v) is int for row in rows for v in row)
+        assert [[v / Rat(s) for v in row] for row, s in zip(rows, scales)] == matrix_rows(
+            wronskian_taylor(h, a, u)
+        )
+
+
 class TestRowTable:
-    """Each root set grows its confluent Vandermonde rows once; the
-    matrices handed out are copies of them."""
+    """Each root set grows its integral confluent Vandermonde table once;
+    the matrices handed out are new rows divided back from it."""
 
     @staticmethod
     def types(m):
@@ -228,8 +283,8 @@ class TestRowTable:
 
 
 class TestDerivedOnce:
-    """One cross-check battery derives each set's polynomial, determinant,
-    root chains and Hermite basis at most once."""
+    """One cross-check battery derives each set's polynomial, integral
+    table, determinant, root chains and Hermite basis at most once."""
 
     @staticmethod
     def spy(monkeypatch, module, name):
@@ -254,6 +309,7 @@ class TestDerivedOnce:
     def test_one_battery_builds_each_value_once(self, monkeypatch, pairs_a, pairs_b):
         a, b = rs(*pairs_a), rs(*pairs_b)
         polys = self.spy(monkeypatch, rootset_module, "_monic")
+        tables = self.spy(monkeypatch, confluent, "_new_table")
         dets = self.spy(monkeypatch, confluent, "_vandermonde_det")
         chains = self.spy(monkeypatch, confluent, "_root_chain")
         bases = self.spy(monkeypatch, confluent, "_hermite_basis")
@@ -261,6 +317,7 @@ class TestDerivedOnce:
         assert checks and all(c.ok for c in checks)
         small = a if a.total <= b.total else b
         assert sorted(polys) == sorted([(id(a),), (id(b),)])
+        assert sorted(tables) == sorted([(id(a),), (id(b),)])
         assert sorted(dets) == sorted([(id(a),), (id(b),)])
         assert len(chains) == len(set(chains))
         assert sorted(bases) == [(id(small), i) for i in range(1, small.m + 1)]

@@ -307,7 +307,7 @@ class TestBordered:
     def check(rows):
         """Every coefficient is det_exact of the shared columns plus one border."""
         n = len(rows)
-        got = det_bordered(ExactMatrix(rows))
+        got = det_bordered(rows)
         for j in range(len(rows[0]) - n + 1):
             square = [row[: n - 1] + [row[n - 1 + j]] for row in rows]
             want = det_exact(ExactMatrix(square))
@@ -345,19 +345,19 @@ class TestBordered:
 
     def test_one_row(self):
         row = [Rat(3, 2), Rat(0), param("a") - 1, Rat(-4)]
-        got = det_bordered(ExactMatrix([row]))
+        got = det_bordered([row])
         assert got.coeffs == tuple(row)
 
     @given(st.integers(1, 5), st.data())
     def test_one_border_is_det_exact(self, n, data):
         rows = [[Rat(data.draw(ENTRIES)) for _ in range(n)] for _ in range(n)]
-        got = det_bordered(ExactMatrix(rows))
+        got = det_bordered(rows)
         assert got == UniPoly([det_exact(ExactMatrix(rows))])
 
     def test_shape_rejected(self):
         for rows in ([], [[Rat(1)], [Rat(2)]]):
             with pytest.raises(DomainError):
-                det_bordered(ExactMatrix(rows))
+                det_bordered(rows)
 
     @pytest.mark.parametrize("names", [("a", "b"), ("a", "b", "c")])
     def test_border_with_the_highest_degree_and_largest_coefficients(self, names):
@@ -384,11 +384,11 @@ class TestBordered:
     def test_exact_divisor_and_rational_constants(self):
         a = param("a")
         rows = [[a, Rat(1), Rat(0)], [Rat(1), Rat(0), Rat(1)]]
-        got = det_bordered(ExactMatrix(rows))
+        got = det_bordered(rows)
         assert got == UniPoly([Rat(-1), a])
         assert type(got.coeff(0)) is RAT
         scaled = [[v * (a + 1) for v in rows[0]], rows[1]]
-        assert det_bordered(ExactMatrix(scaled), a + 1) == got
+        assert det_bordered(scaled, a + 1) == got
 
 
 class TestDetInX:

@@ -5,6 +5,8 @@ from itertools import product as iproduct
 from math import comb
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from subres import (
     VARIANTS,
@@ -22,7 +24,8 @@ from subres import (
 )
 from subres import matrix
 from subres.verify import random_pair
-from oracles import lagrange_interpolant
+from conftest import rationals
+from oracles import lagrange_interpolant, sres_coeff_interpolated, sres_roots_interpolated
 
 
 def rs(*pairs):
@@ -114,6 +117,45 @@ class TestSresRoots:
             want = sres_coeff(f, g, t)
             for variant in VARIANTS:
                 assert sres_roots(a, b, t, variant) == want
+
+
+@st.composite
+def fine_pairs(draw, max_total=5):
+    """(A, B), d <= e <= max_total, roots with denominators up to 12: their
+    integral tables have q beyond the battery's pool of denominators 1-4."""
+    key = lambda r: (r.numerator, r.denominator)  # noqa: E731
+    roots = draw(st.lists(rationals(den_bound=12), min_size=2, max_size=6, unique_by=key))
+    cut = draw(st.integers(1, len(roots) - 1))
+    sets = []
+    for part in (roots[:cut], roots[cut:]):
+        pairs, total = [], 0
+        for r in part:
+            m = draw(st.integers(1, 3))
+            if total + m > max_total:
+                break
+            pairs.append((r, m))
+            total += m
+        sets.append(MultiRootSet(pairs))
+    return tuple(sorted(sets, key=lambda s: s.total))
+
+
+class TestFineDenominators:
+    """Every variant and the coefficient determinant, on integral rows with
+    row scales, against the oracles that rebuild each matrix at x = 0..t."""
+
+    @given(fine_pairs())
+    # d = e with a root at 0, and coprime q_A = 5, q_B = 7.
+    @example((rs((Rat(1, 5), 2)), rs((0, 1), (Rat(3, 7), 1))))
+    # d < e, so t = d, where compact has no Wronskian rows; q_A = 3, q_B = 44.
+    @example((rs((0, 1), (Rat(2, 3), 1)), rs((Rat(-1, 4), 2), (Rat(5, 11), 1))))
+    def test_matches_the_interpolated_oracles(self, pair):
+        a, b = pair
+        f, g = poly_from_roots(a), poly_from_roots(b)
+        d, e = a.total, b.total
+        for t in range(d + 1 if d < e else d):
+            assert sres_coeff(f, g, t) == sres_coeff_interpolated(f, g, t)
+            for variant in VARIANTS:
+                assert sres_roots(a, b, t, variant) == sres_roots_interpolated(a, b, t, variant)
 
 
 class TestHermiteCase:
