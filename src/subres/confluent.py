@@ -17,9 +17,10 @@ The table has no rational entries.  With q the lcm of the roots'
 denominators (a ``ParamPoly`` root has one), its row k is q^k V_k, ints
 for rational roots and integer-coefficient ``ParamPoly``s for parameter
 roots, and each row grows from the one above by an integer step
-(``_times_z``).  The subresultant builders (``roots_formulas``) read
-integral rows from it with known row scales; ``vandermonde_confluent``
-and ``wronskian`` divide each row back by its scale.
+(``_times_z``).  The subresultant builders (``roots_formulas``) and the
+matrix checks of the cross-check battery (``verify``) read integral rows
+from it with known row scales; ``vandermonde_confluent`` and
+``wronskian`` divide each row back by its scale.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def _wronskian_rows(h: UniPoly, a: MultiRootSet, u: int) -> Tuple[list, list]:
     Each later row is ``_times_z`` of the one above, which multiplies the
     scale by q.
     """
-    g, big = _numerators(h.coeffs)
+    g, big = h.numerators, h.denominator
     n = max(len(g) - 1, 0)
     v, q = _vandermonde_rows(a, len(g))
     terms = [(c * q ** (n - m), v[m]) for m, c in enumerate(g) if c]
@@ -174,12 +175,12 @@ def _root(a: MultiRootSet, i: int) -> tuple:
 
 def _root_chain(a: MultiRootSet, i: int) -> tuple:
     alpha_i, d_i = a.pairs[i - 1]
-    f = UniPoly([1])
+    f = UniPoly.from_integers([1])
     for idx, (alpha, d) in enumerate(a, start=1):
         if idx != i:
-            f = f * UniPoly([-alpha, 1]) ** d
+            f = f * UniPoly.root_factor(alpha) ** d
     chain = [f]
-    step = UniPoly([-alpha_i, 1])
+    step = UniPoly.root_factor(alpha_i)
     while len(chain) < d_i:
         chain.append(chain[-1] * step)
     return f(alpha_i), chain
@@ -259,19 +260,16 @@ def _hermite_basis(a: MultiRootSet, i: int) -> list:
         )
     alpha_i, d_i = a.pairs[i - 1]
     others = [(alpha, d, 0) for idx, (alpha, d) in enumerate(a, start=1) if idx != i]
-    signed = [-w if k % 2 else w for k, w in enumerate(_pole_weights(alpha_i, others, d_i))]
+    weights = _pole_weights(alpha_i, others, d_i)
     row = []
     for j in range(d_i):
         out = UniPoly.zero()
         for k in range(d_i - j):
-            if signed[k]:
-                out = out + chain[j + k] * signed[k]
-        row.append(_scale(out, at))
+            if weights[k]:
+                term = chain[j + k] * weights[k]
+                out = out - term if k % 2 else out + term
+        row.append(out / at)
     return row
-
-
-def _scale(p: UniPoly, denom: Scalar) -> UniPoly:
-    return UniPoly([c / denom for c in p.coeffs])
 
 
 def hermite_interpolate(a: MultiRootSet, data: Mapping[Tuple[int, int], Scalar]) -> UniPoly:

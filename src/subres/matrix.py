@@ -128,7 +128,8 @@ def det_exact(m: ExactMatrix) -> Scalar:
     """
     if m.nrows != m.ncols:
         raise DomainError("determinant of a non-square matrix (%d x %d)" % (m.nrows, m.ncols))
-    return _dets(m.rows)[0]
+    dets, scale = _dets(m.rows)
+    return Rat(dets[0], scale) if type(dets[0]) is int else dets[0]
 
 
 def det_bordered(rows: List[list], den: Scalar = 1) -> UniPoly:
@@ -147,46 +148,68 @@ def det_bordered(rows: List[list], den: Scalar = 1) -> UniPoly:
         raise DomainError(
             "bordered determinant of a %d x %d matrix" % (len(rows), len(rows[0]) if rows else 0)
         )
-    return _rational_if_constant(v / den for v in _dets(rows))
+    return _polynomial(*_dets(rows), den)
 
 
-def _dets(rows: List[list]) -> List[Scalar]:
+def _dets(rows: List[list]) -> Tuple[list, int]:
     """The determinants of the first n-1 columns of the n ``rows``
-    bordered by each later column, in the scalar domain: rational rows
-    give rationals, rows with a ``ParamPoly`` entry give ``ParamPoly``
-    values.  The empty matrix gives the one determinant 1."""
-    a, read = _integers(rows)
+    bordered by each later column, and a scale: for rational rows, int
+    determinants of the rows as ``_integers`` scales them, and the product
+    of the row scales; for rows with a ``ParamPoly`` entry, the
+    ``ParamPoly`` determinants themselves, and 1.  The empty matrix gives
+    the one determinant 1."""
+    a, scale, unpack = _integers(rows)
     n = len(a)
     if n == 0:
-        return [read(1)]
-    done = _bareiss(a, n - 1)
-    if done is None:
-        return [read(0)] * (len(a[0]) - n + 1)
-    sign = done[0]
-    return [read(sign * v) for v in a[n - 1][n - 1 :]]
+        dets = [1]
+    else:
+        done = _bareiss(a, n - 1)
+        width = len(a[0]) - n + 1
+        dets = [done[0] * v for v in a[n - 1][n - 1 :]] if done else [0] * width
+    return ([unpack(v) for v in dets] if unpack else dets), scale
 
 
-def _integers(rows: List[list], t: int = 0) -> Tuple[List[List[int]], Callable[[int], Scalar]]:
-    """Integer rows for ``_bareiss`` and the map that takes an integer
-    determinant of them back to the scalar domain.
+def _polynomial(values: list, scale: int, den: Scalar) -> UniPoly:
+    """The polynomial whose coefficients are values[k] / (scale * den), for
+    values as ``_dets`` gives them.  Ints and a rational ``den`` give it
+    straight from the integers, over scale times den's numerator, with no
+    rational coefficient made on the way; otherwise each coefficient is
+    divided in the scalar domain, constant ``ParamPoly`` ones made
+    rational."""
+    if is_rational(den) and all(type(v) is int for v in values):
+        d = int(den.denominator)
+        return UniPoly.from_integers([v * d for v in values], scale * int(den.numerator))
+    return _rational_if_constant(
+        (Rat(v, scale) if type(v) is int else v) / den for v in values
+    )
+
+
+def _integers(
+    rows: List[list], t: int = 0
+) -> Tuple[List[List[int]], int, Optional[Callable[[int], ParamPoly]]]:
+    """Integer rows for ``_bareiss``, the product of their row scales, and,
+    for rows with a ``ParamPoly`` entry, the map that reads an integer
+    determinant of them back as a ``ParamPoly``, None for rational rows,
+    whose determinant is the integer one over the scale.
 
     All-int rows, as the subresultant builders give, are copied as they
-    are.  Other rational rows are scaled each by the lcm of its
-    denominators, and the map divides by the product of the row scales.
-    Rows with a ``ParamPoly`` entry are packed by ``_pack``; ``t`` is its
+    are, with scale 1.  Other rational rows are scaled each by the lcm of
+    its denominators.  Rows with a ``ParamPoly`` entry are packed by
+    ``_pack``, whose reader divides by the scale itself; ``t`` is its
     count of x columns.
     """
     if all(type(v) is int for row in rows for v in row):
-        return [list(row) for row in rows], Rat
+        return [list(row) for row in rows], 1, None
     if not all(is_rational(v) for row in rows for v in row):
-        return _pack(rows, t)
+        a, unpack = _pack(rows, t)
+        return a, 1, unpack
     a = []
     scale = 1
     for row in rows:
         ints, s = _integer_row(row)
         a.append(ints)
         scale *= s
-    return a, lambda v: Rat(v, scale)
+    return a, scale, None
 
 
 def _integer_row(row: list) -> Tuple[List[int], int]:
@@ -461,7 +484,7 @@ def det_in_x(p: List[list], q: List[list], free: List[list], den: Scalar = 1) ->
     determinants do.  Coefficients free of parameters come back rational.
     """
     t, u = len(p), len(free)
-    a, read = _integers(list(zip(*free, *p, *q)), t)
+    a, scale, unpack = _integers(list(zip(*free, *p, *q)), t)
     done = _bareiss(a, u)
     if done is None:
         return UniPoly.zero()
@@ -473,15 +496,19 @@ def det_in_x(p: List[list], q: List[list], free: List[list], den: Scalar = 1) ->
     for c in range(t + 1):
         block = [[c * x - y for x, y in zip(pr, qr)] for pr, qr in lin]
         node = _bareiss(block, t, prev)
-        diffs.append(read(sign * node[0] * node[1] if node else 0) / den)
+        v = sign * node[0] * node[1] if node else 0
+        diffs.append(unpack(v) if unpack else v)
+    # Int node values are those of a polynomial in x with integer
+    # coefficients, so every divided difference over nodes one apart is an
+    # int and each // is exact; on ParamPoly values // is the exact quotient.
     for j in range(1, t + 1):
         for i in range(t, j - 1, -1):
-            diffs[i] = (diffs[i] - diffs[i - 1]) / j
+            diffs[i] = (diffs[i] - diffs[i - 1]) // j
     # Horner on the Newton form: times (x - k), plus the k-th difference.
     out = [diffs[t]]
     for k in range(t - 1, -1, -1):
         out = [diffs[k] - k * out[0]] + [lo - k * hi for lo, hi in zip(out, out[1:])] + [out[-1]]
-    return _rational_if_constant(out)
+    return _polynomial(out, scale, den)
 
 
 def _rational_if_constant(coeffs: Iterable[Scalar]) -> UniPoly:

@@ -171,7 +171,7 @@ def sres_one(a: MultiRootSet, b: MultiRootSet) -> UniPoly:
         slots += [(alpha, d_l, 0) for idx, (alpha, d_l) in enumerate(a, start=1) if idx != i]
         w = _pole_weights(alpha_i, slots, d_i)
         s1, s0 = w[d_i - 1], (w[d_i - 2] if d_i > 1 else Rat(0))
-        lin = UniPoly([-alpha_i, 1]) * s1 + UniPoly([s0])
+        lin = UniPoly.root_factor(alpha_i) * s1 + UniPoly([s0])
         scale: Scalar = Rat(1)
         for idx, (_, d_j) in enumerate(a, start=1):
             if idx != i:

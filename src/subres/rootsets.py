@@ -77,9 +77,9 @@ def poly_from_roots(a: MultiRootSet) -> UniPoly:
 
 
 def _monic(a: MultiRootSet) -> UniPoly:
-    out = UniPoly([1])
+    out = UniPoly.from_integers([1])
     for root, mult in a:
-        out = out * UniPoly([-root, 1]) ** mult
+        out = out * UniPoly.root_factor(root) ** mult
     return out
 
 

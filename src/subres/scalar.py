@@ -405,9 +405,15 @@ def _numerators(values: Sequence[Scalar]) -> Tuple[list, int]:
     dens = [int(v.denominator) for v in values]
     d = math.lcm(*dens)
     return [
-        v * d if isinstance(v, ParamPoly) else int(v.numerator) * (d // den)
+        (v * d if d != 1 else v) if isinstance(v, ParamPoly) else int(v.numerator) * (d // den)
         for v, den in zip(values, dens)
     ], d
+
+
+def _content(num) -> int:
+    """The gcd of the integer coefficients of an int or of a ``ParamPoly``
+    with integer coefficients, up to sign; 0 for zero."""
+    return math.gcd(*num._num.values()) if isinstance(num, ParamPoly) else num
 
 
 def _quotient(num, den: int) -> Scalar:

@@ -22,7 +22,7 @@ from math import comb
 from .errors import DomainError
 from .matrix import det_bordered
 from .rootsets import MultiRootSet
-from .scalar import Rat, Scalar, _numerators
+from .scalar import Rat, Scalar
 from .unipoly import UniPoly
 
 
@@ -42,8 +42,8 @@ def sres_coeff(f: UniPoly, g: UniPoly, t: int) -> UniPoly:
     d, e = f.degree, g.degree
     _check_t(d, e, t)
     d, e = int(d), int(e)
-    fs, f_den = _numerators(f.coeffs)
-    gs, g_den = _numerators(g.coeffs)
+    fs, f_den = f.numerators, f.denominator
+    gs, g_den = g.numerators, g.denominator
     monomials = list(range(d + e - t - 1, t, -1)) + list(range(t + 1))
     rows = [_shifted(fs, s, monomials) for s in range(e - t - 1, -1, -1)]
     rows += [_shifted(gs, s, monomials) for s in range(d - t - 1, -1, -1)]
@@ -71,9 +71,9 @@ def _r_lists(xs, ys) -> Scalar:
 
 
 def _r_poly(xs) -> UniPoly:
-    out = UniPoly([1])
+    out = UniPoly.from_integers([1])
     for x in xs:
-        out = out * UniPoly([-x, 1])
+        out = out * UniPoly.root_factor(x)
     return out
 
 

@@ -27,7 +27,10 @@ h alone.
 
 ``RatParamPoly`` is the parameter polynomial as the package held it before
 it moved to int numerators over one denominator: one rational per term,
-every operation in rationals.
+every operation in rationals.  ``CoeffUniPoly`` and ``coeff_taylor`` are the
+univariate polynomial and its Taylor coefficients as the package had them
+before the same move: a tuple of scalar coefficients, every operation
+coefficient by coefficient in the scalar domain.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from itertools import product as iproduct
 from math import comb
 
 from subres import (
+    DomainError,
     ExactMatrix,
     MultiPoly,
     MultiRootSet,
@@ -46,6 +50,7 @@ from subres import (
     param,
     taylor_coeff,
 )
+from subres.scalar import as_scalar, is_rational
 
 
 def det_cofactor(rows):
@@ -613,3 +618,96 @@ class RatParamPoly:
             body = str(abs(c)) if not mono else mono if abs(c) == 1 else "%s*%s" % (abs(c), mono)
             text += (" - " if c < 0 else " + ") + body
         return text[3:] if text.startswith(" + ") else "-" + text[3:]
+
+
+class CoeffUniPoly:
+    """Dense univariate polynomial as a tuple of scalar coefficients,
+    ascending, with no trailing zero; every operation works coefficient by
+    coefficient in the scalar domain."""
+
+    def __init__(self, coeffs=()):
+        cs = [as_scalar(c) for c in coeffs]
+        while cs and not cs[-1]:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def coeff(self, k):
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Rat(0)
+
+    @staticmethod
+    def _lift(other):
+        if isinstance(other, CoeffUniPoly):
+            return other
+        if is_rational(other) or isinstance(other, ParamPoly):
+            return CoeffUniPoly([other])
+        return None
+
+    def __add__(self, other):
+        other = self._lift(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return CoeffUniPoly([self.coeff(k) + other.coeff(k) for k in range(n)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return CoeffUniPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-self._lift(other))
+
+    def __rsub__(self, other):
+        return self._lift(other) + (-self)
+
+    def __mul__(self, other):
+        if not isinstance(other, CoeffUniPoly):
+            return CoeffUniPoly([c * other for c in self.coeffs])
+        if not self.coeffs or not other.coeffs:
+            return CoeffUniPoly()
+        out = [Rat(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] = out[i + j] + a * b
+        return CoeffUniPoly(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return CoeffUniPoly([c / other for c in self.coeffs])
+
+    def __pow__(self, n):
+        out = CoeffUniPoly([1])
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def mul_xk(self, k):
+        if not self.coeffs:
+            return self
+        return CoeffUniPoly((Rat(0),) * k + self.coeffs)
+
+    def __call__(self, value):
+        acc = Rat(0)
+        for c in reversed(self.coeffs):
+            acc = acc * value + c
+        return acc
+
+    def derivative(self):
+        return CoeffUniPoly([k * c for k, c in enumerate(self.coeffs)][1:])
+
+
+def coeff_taylor(p: CoeffUniPoly, a, j: int):
+    """Coefficient of (x-a)^j in p, as the sum of c_k C(k, j) a^(k-j)."""
+    if j < 0:
+        raise DomainError("negative derivative order")
+    acc = Rat(0)
+    for k in range(j, len(p.coeffs)):
+        c = p.coeffs[k]
+        if not c:
+            continue
+        if k == j:
+            acc = acc + c
+        else:
+            acc = acc + c * comb(k, j) * a ** (k - j)
+    return acc

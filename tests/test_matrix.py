@@ -391,6 +391,19 @@ class TestBordered:
         assert det_bordered(scaled, a + 1) == got
 
 
+    @given(st.integers(1, 4), st.integers(1, 3), st.data())
+    def test_rational_divisor_folds_into_the_denominator(self, n, k, data):
+        # Integer rows and a rational den give den's numerator and
+        # denominator folded into one denominator; rational rows too.
+        rows = [[data.draw(ENTRIES) for _ in range(n - 1 + k)] for _ in range(n)]
+        den = data.draw(st.sampled_from([Rat(-3, 2), Rat(5, 12), Rat(7), Rat(-1)]))
+        for entries in (rows, [[Rat(v) for v in row] for row in rows]):
+            got = det_bordered(entries, den)
+            want = det_bordered(entries)
+            assert got.coeffs == tuple(c / den for c in want.coeffs)
+            assert all(type(c) is RAT for c in got.coeffs)
+
+
 class TestDetInX:
     @staticmethod
     def x_rows(rng, n, x_rows, extra=Rat(0)):
@@ -480,6 +493,18 @@ class TestDetInX:
         nodes = seen[1:]
         assert [lead == 0 for _, lead, _ in nodes] == [False, True, False]
         assert nodes[1][2] is not None and nodes[1][2][0] == -1
+
+    @pytest.mark.parametrize("den", [Rat(-3, 2), Rat(5, 12), Rat(1)])
+    def test_rational_divisor_folds_into_the_denominator(self, den):
+        rng = random.Random(1618)
+        for n in range(1, 5):
+            for x_rows in range(n + 1):
+                rows = self.x_rows(rng, n, x_rows)
+                want = det_cofactor(rows)
+                scaled = [[v * den for v in rows[0]]] + rows[1:]
+                got = det_in_x(*self.split(scaled, x_rows), den)
+                assert got == want
+                assert all(type(c) is RAT for c in got.coeffs)
 
     def test_no_rows(self):
         assert det_in_x([], [], []) == UniPoly([Rat(1)])

@@ -4,7 +4,20 @@ import random
 
 import pytest
 
-from subres import DomainError, MultiRootSet, Rat
+from subres import (
+    DomainError,
+    ExactMatrix,
+    MultiRootSet,
+    Rat,
+    UniPoly,
+    confluent_inverse,
+    det_exact,
+    param,
+    vandermonde_confluent,
+    wronskian,
+)
+from subres import verify
+from subres.confluent import _vandermonde_rows, _wronskian_rows
 from subres.serialize import parse_system
 from subres.verify import (
     Check,
@@ -50,6 +63,42 @@ class TestUnivariateBattery:
         checks = univariate_checks(rs((0, 1), (1, 1)), rs((1, 1), (2, 1), (3, 1)))
         assert all(c.ok for c in checks)
         assert not any("pole formula" in c.name for c in checks)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(Rat(1, 2), 2), (Rat(-1, 3), 1)],
+            [(Rat(0), 3), (Rat(2), 1), (Rat(-5, 4), 2)],
+            [(param("a") / 2, 2), (param("a") / 2 + Rat(1, 3), 1)],
+        ],
+    )
+    def test_integral_matrix_checks_match_the_public_matrices(self, pairs):
+        # The checks read the integral table and its row scales; their
+        # determinants and inverse test agree with the rational matrices.
+        a = MultiRootSet(pairs)
+        d = a.total
+        rows, q = _vandermonde_rows(a, d)
+        public = vandermonde_confluent(a, d)
+        assert verify._det_over(rows[:d], [q**k for k in range(d)]) == det_exact(public)
+        h = UniPoly([Rat(2, 3), param("b"), Rat(-1, 6)])
+        assert verify._det_over(*_wronskian_rows(h, a, d)) == det_exact(wronskian(h, a, d))
+        assert verify._inverts(a)
+        assert confluent_inverse(a) @ public == ExactMatrix.identity(d)
+
+    def test_inverse_check_can_fail(self, monkeypatch):
+        # A basis polynomial off by 1/3 no longer inverts the Vandermonde
+        # matrix; the record fails with the product as its detail.
+        hermite_row = verify._hermite_row
+
+        def shifted(a, i):
+            row = hermite_row(a, i)
+            return [row[0] + Rat(1, 3)] + row[1:] if i == 1 else row
+
+        monkeypatch.setattr(verify, "_hermite_row", shifted)
+        checks = univariate_checks(rs((0, 2), (1, 1)), rs((2, 2), (3, 2)))
+        failed = [c for c in checks if not c.ok]
+        assert [c.name for c in failed] == ["basic Hermite coefficients invert the confluent Vandermonde"]
+        assert failed[0].detail.startswith("product [")
 
     def test_failed_check_carries_detail(self):
         assert Check("x", False, "why").detail == "why"
