@@ -17,19 +17,20 @@ The table has no rational entries.  With q the lcm of the roots'
 denominators (a ``ParamPoly`` root has one), its row k is q^k V_k, ints
 for rational roots and integer-coefficient ``ParamPoly``s for parameter
 roots, and each row grows from the one above by an integer step
-(``_times_z``).  The subresultant builders (``roots_formulas``) and the
-matrix checks of the cross-check battery (``verify``) read integral rows
-from it with known row scales; ``vandermonde_confluent`` and
-``wronskian`` divide each row back by its scale.
+(``_times_z``).  The subresultant builders (``roots_formulas``) read
+integral rows from it with known row scales; ``vandermonde_confluent``
+and ``wronskian`` divide each row back by its scale, while
+``vandermonde_det``, ``wronskian_det`` and ``confluent_inverse_holds``
+work on the integral rows and divide once at the end.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, prod
 from typing import Mapping, Tuple
 
 from .errors import DomainError
-from .matrix import ExactMatrix
+from .matrix import ExactMatrix, det_exact
 from .rootsets import MultiRootSet
 from .scalar import ParamPoly, Rat, Scalar, _numerators, _quotient
 from .unipoly import UniPoly, taylor_coeff
@@ -91,6 +92,20 @@ def _divided(rows: list, scales: list) -> ExactMatrix:
     return ExactMatrix([[_quotient(v, s) for v in row] for row, s in zip(rows, scales)])
 
 
+def vandermonde_det(a: MultiRootSet) -> Scalar:
+    """det of the square confluent Vandermonde matrix, eliminated on the
+    integral table: the determinant of its first d rows over the product
+    of their scales q^k."""
+    d = a.total
+    rows, q = _vandermonde_rows(a, d)
+    return _det_over(rows[:d], [q**k for k in range(d)])
+
+
+def _det_over(rows: list, scales: list) -> Scalar:
+    """The determinant of the matrix whose row k is rows[k] / scales[k]."""
+    return det_exact(ExactMatrix(rows)) / prod(scales)
+
+
 def vandermonde_det_closed(a: MultiRootSet) -> Scalar:
     """Product of (alpha_j - alpha_i)^(d_i d_j) over i < j, taken once per set."""
     return a._once("vdet", _vandermonde_det)
@@ -147,6 +162,12 @@ def _wronskian_rows(h: UniPoly, a: MultiRootSet, u: int) -> Tuple[list, list]:
             row = _times_z(row, a)
         rows.append(row)
     return rows, [big * q ** (n + k) for k in range(u)]
+
+
+def wronskian_det(h: UniPoly, a: MultiRootSet) -> Scalar:
+    """det of the square generalized Wronskian of h over A, eliminated on
+    its integral rows (``_wronskian_rows``) and divided by their scales."""
+    return _det_over(*_wronskian_rows(h, a, a.total))
 
 
 def wronskian_det_closed(h: UniPoly, a: MultiRootSet) -> Scalar:
@@ -306,6 +327,35 @@ def confluent_inverse(a: MultiRootSet) -> ExactMatrix:
         for p in _hermite_row(a, i):
             rows.append([p.coeff(k) for k in range(d)])
     return ExactMatrix(rows)
+
+
+def confluent_inverse_holds(a: MultiRootSet) -> bool:
+    """Whether ``confluent_inverse`` times the square confluent
+    Vandermonde matrix is the identity, tested on integers: the matrix's
+    row k is row k of the integral table over q^k.
+
+    With basis polynomial r as numerators n_k over D, entry (r, c) of the
+    product is sum_k n_k q^(d-1-k) T[k][c] / (D q^(d-1)), so the product
+    is the identity exactly when that sum is D q^(d-1) for c = r and 0
+    otherwise.
+    """
+    d = a.total
+    table, q = _vandermonde_rows(a, d)
+    lift = [q ** (d - 1 - k) for k in range(d)]
+    r = 0
+    for i in range(1, a.m + 1):
+        for p in _hermite_row(a, i):
+            num = [(z * s, k) for k, (z, s) in enumerate(zip(p.numerators, lift)) if z]
+            for c in range(d):
+                acc = 0
+                for z, k in num:
+                    v = table[k][c]
+                    if v:
+                        acc = acc + z * v
+                if acc != (p.denominator * q ** (d - 1) if c == r else 0):
+                    return False
+            r += 1
+    return True
 
 
 def vprime(a: MultiRootSet) -> ExactMatrix:

@@ -129,7 +129,7 @@ def det_exact(m: ExactMatrix) -> Scalar:
     if m.nrows != m.ncols:
         raise DomainError("determinant of a non-square matrix (%d x %d)" % (m.nrows, m.ncols))
     dets, scale = _dets(m.rows)
-    return Rat(dets[0], scale) if type(dets[0]) is int else dets[0]
+    return dets[0] if isinstance(dets[0], ParamPoly) else Rat(dets[0], scale)
 
 
 def det_bordered(rows: List[list], den: Scalar = 1) -> UniPoly:
@@ -171,16 +171,18 @@ def _dets(rows: List[list]) -> Tuple[list, int]:
 
 def _polynomial(values: list, scale: int, den: Scalar) -> UniPoly:
     """The polynomial whose coefficients are values[k] / (scale * den), for
-    values as ``_dets`` gives them.  Ints and a rational ``den`` give it
-    straight from the integers, over scale times den's numerator, with no
-    rational coefficient made on the way; otherwise each coefficient is
+    values as ``_dets`` gives them.  Integers and a rational ``den`` give
+    it straight from the integers, over scale times den's numerator, with
+    no rational coefficient made on the way; otherwise each coefficient is
     divided in the scalar domain, constant ``ParamPoly`` ones made
-    rational."""
-    if is_rational(den) and all(type(v) is int for v in values):
+    rational.  The integers are mpz where gmpy2's mpq rows were scaled
+    (``_integer_row``), so they are read by type ``ParamPoly`` and made
+    Python ints here."""
+    if is_rational(den) and not any(isinstance(v, ParamPoly) for v in values):
         d = int(den.denominator)
-        return UniPoly.from_integers([v * d for v in values], scale * int(den.numerator))
+        return UniPoly.from_integers([int(v) * d for v in values], scale * int(den.numerator))
     return _rational_if_constant(
-        (Rat(v, scale) if type(v) is int else v) / den for v in values
+        (v if isinstance(v, ParamPoly) else Rat(v, scale)) / den for v in values
     )
 
 
@@ -213,7 +215,8 @@ def _integers(
 
 
 def _integer_row(row: list) -> Tuple[List[int], int]:
-    """(s * row, s) for a rational row, s the lcm of its denominators."""
+    """(s * row, s) for a rational row, s the lcm of its denominators; the
+    entries are mpz for gmpy2's mpq, s an int."""
     # A list, not a generator: unpacking a generator resizes the argument
     # tuple, and CPython parks the resized tuples on its free lists until
     # a full collection: ~1.7 MiB more peak memory over a benchmark run.

@@ -145,11 +145,8 @@ class UniPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        if self._num is None:
-            out = _make(None, 1)
-            out._coeffs = tuple(-c for c in self._coeffs)
-            return out
-        return _make(tuple(-z for z in self._num), self._den)
+        a, da = self._ints()
+        return _make(tuple(-z for z in a), da)
 
     def __sub__(self, other):
         other = _coerce(other)

@@ -11,20 +11,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import prod
 from typing import List, Sequence, Tuple
 
 from .confluent import (
-    _hermite_row,
-    _vandermonde_rows,
-    _wronskian_rows,
     confluent_inverse,
+    confluent_inverse_holds,
     vandermonde_confluent,
+    vandermonde_det,
     vandermonde_det_closed,
+    wronskian_det,
     wronskian_det_closed,
 )
 from .errors import DomainError, StructuralError
-from .matrix import ExactMatrix, det_exact
+from .matrix import det_exact
 from .mv.duality import assemble_dual_basis, dual_eval, inverse_system
 from .mv.hilbert import build_monomial_sets
 from .mv.macaulay import _extraneous_divisor, macaulay_matrix
@@ -135,20 +134,19 @@ def univariate_checks(a: MultiRootSet, b: MultiRootSet) -> List[Check]:
     )
 
     for name, rs in (("A", a), ("B", b)):
-        rows, q = _vandermonde_rows(rs, rs.total)
         _match(
             checks,
             "confluent Vandermonde determinant of %s matches closed form" % name,
-            _det_over(rows[: rs.total], [q**k for k in range(rs.total)]),
+            vandermonde_det(rs),
             vandermonde_det_closed(rs),
         )
     _match(
         checks,
         "generalized Wronskian determinant matches closed form",
-        _det_over(*_wronskian_rows(g, a, d)),
+        wronskian_det(g, a),
         wronskian_det_closed(g, a),
     )
-    ok = _inverts(a)
+    ok = confluent_inverse_holds(a)
     _record(
         checks,
         "basic Hermite coefficients invert the confluent Vandermonde",
@@ -170,41 +168,6 @@ def univariate_checks(a: MultiRootSet, b: MultiRootSet) -> List[Check]:
                     want * (sign * scale),
                 )
     return checks
-
-
-def _det_over(rows: list, scales: list):
-    """The determinant of the matrix whose row k is rows[k] / scales[k],
-    for the integral rows and row scales of a set's table."""
-    return det_exact(ExactMatrix(rows)) / prod(scales)
-
-
-def _inverts(a: MultiRootSet) -> bool:
-    """Whether the basic Hermite polynomials of A, as the rows of
-    ``confluent_inverse``, invert the confluent Vandermonde matrix, whose
-    row k is row k of the set's integral table over q^k.
-
-    With the polynomial of row r as numerators n_k over D, entry (r, c)
-    of the product is sum_k n_k q^(d-1-k) T[k][c] / (D q^(d-1)), so the
-    product is the identity exactly when that sum is D q^(d-1) for c = r
-    and 0 otherwise.
-    """
-    d = a.total
-    table, q = _vandermonde_rows(a, d)
-    lift = [q ** (d - 1 - k) for k in range(d)]
-    r = 0
-    for i in range(1, a.m + 1):
-        for p in _hermite_row(a, i):
-            num = [(z * s, k) for k, (z, s) in enumerate(zip(p.numerators, lift)) if z]
-            for c in range(d):
-                acc = 0
-                for z, k in num:
-                    v = table[k][c]
-                    if v:
-                        acc = acc + z * v
-                if acc != (p.denominator * q ** (d - 1) if c == r else 0):
-                    return False
-            r += 1
-    return True
 
 
 def mv_checks(doc: SystemDocument) -> List[Check]:

@@ -390,7 +390,6 @@ class TestBordered:
         scaled = [[v * (a + 1) for v in rows[0]], rows[1]]
         assert det_bordered(scaled, a + 1) == got
 
-
     @given(st.integers(1, 4), st.integers(1, 3), st.data())
     def test_rational_divisor_folds_into_the_denominator(self, n, k, data):
         # Integer rows and a rational den give den's numerator and
@@ -402,6 +401,44 @@ class TestBordered:
             want = det_bordered(entries)
             assert got.coeffs == tuple(c / den for c in want.coeffs)
             assert all(type(c) is RAT for c in got.coeffs)
+
+
+class _Wide:
+    """An integer that is not a Python int, as gmpy2's mpz is: a product
+    with an int gives another one."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __index__(self):
+        return self.v
+
+    __int__ = __index__
+
+    def __mul__(self, other):
+        return _Wide(self.v * int(other))
+
+    __rmul__ = __mul__
+
+
+class TestIntegerDeterminants:
+    """Integer determinants come back over the row scales whatever the
+    rational backend, and a polynomial made of them has Python-int
+    numerators."""
+
+    def test_wide_determinants_give_python_int_numerators(self):
+        got = matrix._polynomial([_Wide(3), _Wide(0), _Wide(-6)], 4, Rat(3, 2))
+        assert got == UniPoly([Rat(1, 2), 0, Rat(-1)])
+        assert all(type(z) is int for z in got.numerators)
+
+    def test_rational_rows_read_back_over_their_scales(self):
+        rows = [[Rat(1, 2), Rat(2, 3)], [Rat(-5, 4), Rat(3)]]
+        for m, want in ((rows, Rat(7, 3)), ([[Rat(1, 2)]], Rat(1, 2))):
+            got = det_exact(ExactMatrix(m))
+            assert got == want and type(got) is RAT
+        got = det_bordered([rows[0] + [Rat(1, 5)], rows[1] + [0]], Rat(3, 7))
+        assert got == UniPoly([Rat(49, 9), Rat(7, 12)])
+        assert all(type(z) is int for z in got.numerators)
 
 
 class TestDetInX:

@@ -16,8 +16,8 @@ from subres import (
     vandermonde_confluent,
     wronskian,
 )
-from subres import verify
-from subres.confluent import _vandermonde_rows, _wronskian_rows
+from subres import confluent
+from subres.confluent import confluent_inverse_holds, vandermonde_det, wronskian_det
 from subres.serialize import parse_system
 from subres.verify import (
     Check,
@@ -77,28 +77,31 @@ class TestUnivariateBattery:
         # determinants and inverse test agree with the rational matrices.
         a = MultiRootSet(pairs)
         d = a.total
-        rows, q = _vandermonde_rows(a, d)
         public = vandermonde_confluent(a, d)
-        assert verify._det_over(rows[:d], [q**k for k in range(d)]) == det_exact(public)
+        assert vandermonde_det(a) == det_exact(public)
         h = UniPoly([Rat(2, 3), param("b"), Rat(-1, 6)])
-        assert verify._det_over(*_wronskian_rows(h, a, d)) == det_exact(wronskian(h, a, d))
-        assert verify._inverts(a)
+        assert wronskian_det(h, a) == det_exact(wronskian(h, a, d))
+        assert confluent_inverse_holds(a)
         assert confluent_inverse(a) @ public == ExactMatrix.identity(d)
 
     def test_inverse_check_can_fail(self, monkeypatch):
         # A basis polynomial off by 1/3 no longer inverts the Vandermonde
-        # matrix; the record fails with the product as its detail.
-        hermite_row = verify._hermite_row
+        # matrix, and the t=d-1 interpolant built on it goes wrong too; the
+        # inverse record fails with the product as its detail.
+        hermite_row = confluent._hermite_row
 
         def shifted(a, i):
             row = hermite_row(a, i)
             return [row[0] + Rat(1, 3)] + row[1:] if i == 1 else row
 
-        monkeypatch.setattr(verify, "_hermite_row", shifted)
+        monkeypatch.setattr(confluent, "_hermite_row", shifted)
         checks = univariate_checks(rs((0, 2), (1, 1)), rs((2, 2), (3, 2)))
         failed = [c for c in checks if not c.ok]
-        assert [c.name for c in failed] == ["basic Hermite coefficients invert the confluent Vandermonde"]
-        assert failed[0].detail.startswith("product [")
+        assert [c.name for c in failed] == [
+            "t=d-1 Hermite interpolant matches coefficient determinant",
+            "basic Hermite coefficients invert the confluent Vandermonde",
+        ]
+        assert failed[1].detail.startswith("product [")
 
     def test_failed_check_carries_detail(self):
         assert Check("x", False, "why").detail == "why"
