@@ -6,11 +6,12 @@ comparison the preconditions allow, replays a few fixed symbolic pairs
 (roots a+k against b+k or against integers, so the determinants carry
 parameter entries and run through the packed integer kernel) and one
 fixed rational pair whose roots have denominators 7, 9 and 11, then
-replays three bundled two-variable systems through the document-level
+replays four bundled two-variable systems through the document-level
 battery: the circle-line example, whose dual basis is given, a grid
-system with one root of multiplicity 9, and a system with two multiple
-roots whose coordinates are thirds; ``inverse_system`` computes the dual
-bases of the last two.  Exits 1 if any check fails.
+system with one root of multiplicity 9, a system with two multiple
+roots whose coordinates are thirds, and a system whose roots lie at a
+parameter; ``inverse_system`` computes the dual bases of the last three.
+Exits 1 if any check fails.
 """
 
 import argparse
@@ -150,10 +151,42 @@ THIRDS_SYSTEM = {
     "roots": [{"point": ["1/3", "-2/3"]}, {"point": ["1/3", "1/3"]}],
 }
 
+
+# (x1 - a)^2, x2 (x2 + 1) and a rational line: roots (a, 0) and (a, -1), each
+# of multiplicity 2, with a parameter coordinate, so the translates, the
+# integration rows and the dual Wronskian rows carry ParamPoly numerators.
+# The Macaulay route gives 2 and the dual-basis route -2.
+PARAM_SYSTEM = {
+    "n": 2,
+    "variables": ["x1", "x2"],
+    "polynomials": [
+        [
+            {"exponents": [2, 0], "coeff": "1"},
+            {"exponents": [1, 0], "coeff": "-2*a"},
+            {"exponents": [0, 0], "coeff": "a^2"},
+        ],
+        [
+            {"exponents": [0, 2], "coeff": "1"},
+            {"exponents": [0, 1], "coeff": "1"},
+        ],
+        [
+            {"exponents": [0, 0], "coeff": "1"},
+            {"exponents": [1, 0], "coeff": "1"},
+            {"exponents": [0, 1], "coeff": "2"},
+        ],
+    ],
+    "degrees": [2, 2, 1],
+    "t": 1,
+    "S": [[0, 0], [1, 0]],
+    "T_override": {"0": [[0, 0]], "1": [[1, 0], [0, 1]], "2": [[1, 1]]},
+    "roots": [{"point": ["a", "0"]}, {"point": ["a", "-1"]}],
+}
+
 SYSTEMS = (
     ("bundled system", BUNDLED_SYSTEM),
     ("grid system", GRID_SYSTEM),
     ("thirds system", THIRDS_SYSTEM),
+    ("parameter system", PARAM_SYSTEM),
 )
 
 

@@ -31,7 +31,7 @@ from typing import Mapping, Tuple
 
 from .errors import DomainError
 from .matrix import ExactMatrix, det_exact
-from .rootsets import MultiRootSet
+from .rootsets import MultiRootSet, _monic
 from .scalar import ParamPoly, Rat, Scalar, _numerators, _quotient
 from .unipoly import UniPoly, taylor_coeff
 
@@ -196,10 +196,7 @@ def _root(a: MultiRootSet, i: int) -> tuple:
 
 def _root_chain(a: MultiRootSet, i: int) -> tuple:
     alpha_i, d_i = a.pairs[i - 1]
-    f = UniPoly.from_integers([1])
-    for idx, (alpha, d) in enumerate(a, start=1):
-        if idx != i:
-            f = f * UniPoly.root_factor(alpha) ** d
+    f = _monic(a.pairs[: i - 1] + a.pairs[i:])
     chain = [f]
     step = UniPoly.root_factor(alpha_i)
     while len(chain) < d_i:

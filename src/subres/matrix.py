@@ -35,7 +35,7 @@ import math
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from .errors import DomainError
-from .scalar import ParamPoly, Rat, Scalar, as_scalar, is_rational
+from .scalar import ParamPoly, Rat, Scalar, _numerators, as_scalar, is_rational
 from .unipoly import UniPoly
 
 
@@ -171,16 +171,14 @@ def _dets(rows: List[list]) -> Tuple[list, int]:
 
 def _polynomial(values: list, scale: int, den: Scalar) -> UniPoly:
     """The polynomial whose coefficients are values[k] / (scale * den), for
-    values as ``_dets`` gives them.  Integers and a rational ``den`` give
-    it straight from the integers, over scale times den's numerator, with
-    no rational coefficient made on the way; otherwise each coefficient is
-    divided in the scalar domain, constant ``ParamPoly`` ones made
-    rational.  The integers are mpz where gmpy2's mpq rows were scaled
-    (``_integer_row``), so they are read by type ``ParamPoly`` and made
-    Python ints here."""
+    values as ``_dets`` gives them.  Python ints and a rational ``den``
+    give it straight from the integers, over scale times den's numerator,
+    with no rational coefficient made on the way; otherwise each
+    coefficient is divided in the scalar domain, constant ``ParamPoly``
+    ones made rational."""
     if is_rational(den) and not any(isinstance(v, ParamPoly) for v in values):
-        d = int(den.denominator)
-        return UniPoly.from_integers([int(v) * d for v in values], scale * int(den.numerator))
+        (n,), d = _numerators([den])
+        return UniPoly.from_integers([v * d for v in values], scale * n)
     return _rational_if_constant(
         (v if isinstance(v, ParamPoly) else Rat(v, scale)) / den for v in values
     )
@@ -195,8 +193,9 @@ def _integers(
     whose determinant is the integer one over the scale.
 
     All-int rows, as the subresultant builders give, are copied as they
-    are, with scale 1.  Other rational rows are scaled each by the lcm of
-    its denominators.  Rows with a ``ParamPoly`` entry are packed by
+    are, with scale 1.  Other rational rows become their Python-int
+    numerators over the lcm of their denominators (``_numerators``), on
+    either backend.  Rows with a ``ParamPoly`` entry are packed by
     ``_pack``, whose reader divides by the scale itself; ``t`` is its
     count of x columns.
     """
@@ -208,20 +207,10 @@ def _integers(
     a = []
     scale = 1
     for row in rows:
-        ints, s = _integer_row(row)
+        ints, s = _numerators(row)
         a.append(ints)
         scale *= s
     return a, scale, None
-
-
-def _integer_row(row: list) -> Tuple[List[int], int]:
-    """(s * row, s) for a rational row, s the lcm of its denominators; the
-    entries are mpz for gmpy2's mpq, s an int."""
-    # A list, not a generator: unpacking a generator resizes the argument
-    # tuple, and CPython parks the resized tuples on its free lists until
-    # a full collection: ~1.7 MiB more peak memory over a benchmark run.
-    s = math.lcm(*[v.denominator for v in row])
-    return [v.numerator * (s // v.denominator) for v in row], s
 
 
 def _pack(rows: List[list], t: int = 0) -> Tuple[List[List[int]], Callable[[int], ParamPoly]]:
@@ -237,13 +226,12 @@ def _pack(rows: List[list], t: int = 0) -> Tuple[List[List[int]], Callable[[int]
     t * |p|_1 + |q|_1, so it enters the bounds below as an entry of that
     degree and norm, and they hold at every node.
 
-    Each row is scaled by the lcm of its entries' denominators (a
-    ``ParamPoly`` has one, under all its int numerators), after which every
-    entry has integer coefficients.  A bordered determinant's permutation
-    expansion takes one entry from each row and each of its columns, so its
-    degree in parameter p is at most D_p, the
-    sum over the rows of the largest degree in p of an entry of the row
-    (any column), and also the same sum over the shared columns plus the
+    Each row is taken as its numerators over the lcm of its entries'
+    denominators (``_numerators``), so every entry has integer
+    coefficients.  A bordered determinant's permutation expansion takes
+    one entry from each row and each of its columns, so its degree in
+    parameter p is at most D_p, the sum over the rows of the largest
+    degree in p of an entry of the row (any column), and also the same sum over the shared columns plus the
     largest such degree of a border column; the smaller one is used.  A
     coefficient of the determinant is its mean times a monomial's inverse
     over the unit torus |p| = 1, where an entry is at most its coefficient
@@ -264,8 +252,13 @@ def _pack(rows: List[list], t: int = 0) -> Tuple[List[List[int]], Callable[[int]
     exponentially with the number of distinct parameters.  A Vandermonde
     matrix in roots a, b, c, d, e packs its determinant into 5^5 digits.
     """
-    terms = [[_integer_terms(v) for v in row] for row in rows]
-    names = sorted({name for row in terms for entry, _ in row for key, _ in entry for name, _ in key})
+    terms = []
+    scale = 1
+    for row in rows:
+        nums, s = _numerators(row)
+        terms.append([_integer_terms(v) for v in nums])
+        scale *= s
+    names = sorted({name for row in terms for entry in row for key, _ in entry for name, _ in key})
     pos = {name: i for i, name in enumerate(names)}
     shared = len(rows) - 1
     width = len(rows[0])
@@ -273,21 +266,14 @@ def _pack(rows: List[list], t: int = 0) -> Tuple[List[List[int]], Callable[[int]
     by_rows = [0] * len(names)
     col_tops = [[0] * len(names) for _ in range(width)]
     col_squares = [0] * (width - t)
-    scaled = []
-    scale = 1
     row_product = 1
     for row in terms:
-        s = math.lcm(*[den for _, den in row])
         top = [0] * len(names)
         norms = []
-        out = []
-        for j, (entry, den) in enumerate(row):
+        for j, entry in enumerate(row):
             col = col_tops[j]
-            ints = []
             norm = 0
-            lift = s // den
             for key, z in entry:
-                z *= lift
                 norm += abs(z)
                 for name, e in key:
                     i = pos[name]
@@ -295,9 +281,7 @@ def _pack(rows: List[list], t: int = 0) -> Tuple[List[List[int]], Callable[[int]
                         top[i] = e
                     if e > col[i]:
                         col[i] = e
-                ints.append((key, z))
             norms.append(norm)
-            out.append(ints)
         if t:
             norms[lead:] = [t * p + q for p, q in zip(norms[lead : lead + t], norms[lead + t :])]
         squares = 0
@@ -305,9 +289,7 @@ def _pack(rows: List[list], t: int = 0) -> Tuple[List[List[int]], Callable[[int]
             square = norm * norm
             squares += square
             col_squares[j] += square
-        scaled.append(out)
         by_rows = [d + e for d, e in zip(by_rows, top)]
-        scale *= s
         row_product *= squares
     if t:
         col_tops[lead:] = [
@@ -327,17 +309,17 @@ def _pack(rows: List[list], t: int = 0) -> Tuple[List[List[int]], Callable[[int]
         stride *= d + 1
     a = [
         [sum(z << sum(shift[name] * e for name, e in key) for key, z in entry) for entry in row]
-        for row in scaled
+        for row in terms
     ]
     return a, lambda v: _unpack(v, k, names, degrees, scale)
 
 
-def _integer_terms(v: Scalar) -> Tuple[Iterable[Tuple[tuple, int]], int]:
-    """The (monomial key, int numerator) pairs of a scalar and its one
-    denominator."""
+def _integer_terms(v) -> Iterable[Tuple[tuple, int]]:
+    """The (monomial key, int coefficient) pairs of an int or of a
+    ``ParamPoly`` with integer coefficients."""
     if isinstance(v, ParamPoly):
-        return v.numerators.items(), v.denominator
-    return ([((), int(v.numerator))] if v else ()), int(v.denominator)
+        return v.numerators.items()
+    return [((), v)] if v else ()
 
 
 def _unpack(value: int, k: int, names: List[str], degrees: List[int], scale: int) -> ParamPoly:
@@ -422,8 +404,9 @@ def _gauss_jordan(rows: List[list]) -> Tuple[list, List[int], Callable[[Scalar],
     """Fraction-free Gauss-Jordan elimination of ``rows``; the one kernel of
     ``nullspace`` and ``reduced_echelon``.
 
-    Rational rows are scaled to integers, each by the lcm of its
-    denominators, which leaves the row space as it is; rows with a
+    Rational rows are taken as their integer numerators, each over the
+    lcm of its denominators (``_numerators``), which leaves the row space
+    as it is; rows with a
     ``ParamPoly`` entry are taken over the parameter polynomials.  Zero
     rows are dropped.  Pivots are searched column by column, from the
     first row not yet a pivot row down.  At pivot p in column c, every
@@ -438,7 +421,7 @@ def _gauss_jordan(rows: List[list]) -> Tuple[list, List[int], Callable[[Scalar],
     """
     parametric = any(isinstance(v, ParamPoly) for row in rows for v in row)
     if not parametric:
-        a = [_integer_row(row)[0] for row in rows]
+        a = [_numerators(row)[0] for row in rows]
     else:
         a = [[v if isinstance(v, ParamPoly) else ParamPoly.constant(v) for v in row] for row in rows]
     a = [row for row in a if any(row)]

@@ -9,12 +9,14 @@ exponents and witness closedness of a local dual space under "division"
 by the variables; the integrals raise them, and ``inverse_system`` grows
 the dual space order by order with them.
 
-The arithmetic runs on integer numerators over one integer denominator.
-A point coordinate u/v expands through a table of C(a, k) u^(a - k) v^k
-(``_binomial_tables``), so every term of x^alpha shares the denominator
-prod_i v_i^alpha_i; translates, evaluations and integration rows are
-summed in integers and divided once per value (``_numerators``,
-``_quotient``).  A ``ParamPoly`` coordinate or coefficient is scaled to
+The arithmetic runs on integer numerators over one integer denominator,
+as ``_numerators`` makes them.  A point coordinate u/v expands through a
+table of C(a, k) u^(a - k) v^k (``_binomial_tables``), so every term of
+x^alpha shares the denominator prod_i v_i^alpha_i.  A translate stays in
+that form: ``_translate`` gives its integer numerators and their one
+denominator, which the integration rows and ``dual_wronskian`` read as
+they are.  Evaluations are summed in integers and divided once per value
+(``_quotient``).  A ``ParamPoly`` coordinate or coefficient is scaled to
 integer coefficients by the lcm of its denominators and goes through the
 same loops.
 """
@@ -22,14 +24,14 @@ same loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb, gcd, prod
 from typing import Mapping, Optional, Sequence, Tuple
 
 from ..combinat import canon_key
 from ..errors import DomainError
 from ..matrix import ExactMatrix, reduced_echelon
 from ..multipoly import MultiPoly
-from ..scalar import Rat, Scalar, _numerators, _quotient, as_scalar
+from ..scalar import Rat, Scalar, _content, _numerators, _quotient, as_scalar
 
 Expo = Tuple[int, ...]
 
@@ -160,11 +162,13 @@ def _binomial_tables(coords: Sequence[Scalar], tops: Sequence[int]) -> Tuple[lis
     return tables, dens
 
 
-def _translate(g: MultiPoly, point: Point) -> MultiPoly:
-    """g(point + y) as a polynomial in y, term by term from the tables of
-    the binomial expansion of each (x_i + y_i)^gamma_i.  Every term is
-    lifted to the one denominator d * prod_i v_i^top_i, d that of the
-    coefficients, and summed in integers; each coefficient is divided once."""
+def _translate(g: MultiPoly, point: Point) -> Tuple[dict, int]:
+    """g(point + y) as integer numerators by exponent of y, and their one
+    denominator, from the tables of the binomial expansion of each
+    (x_i + y_i)^gamma_i.  Every term is lifted to d * prod_i v_i^top_i, d
+    that of the coefficients, and summed in integers; the sums and the
+    denominator are then divided by their common factor, so the pair is
+    what ``_numerators`` gives for the translate's coefficients."""
     tops = [max((e[i] for e in g.terms), default=0) for i in range(g.n)]
     tables, dens = _binomial_tables(point.coords, tops)
     nums, d = _numerators(list(g.terms.values()))
@@ -177,8 +181,12 @@ def _translate(g: MultiPoly, point: Point) -> MultiPoly:
             }
         for alpha, w in partial.items():
             out[alpha] = out.get(alpha, 0) + w
+    out = {alpha: w for alpha, w in out.items() if w}
     d *= prod(v**top for v, top in zip(dens, tops))
-    return MultiPoly(g.n, {alpha: _quotient(w, d) for alpha, w in out.items()})
+    common = gcd(d, *[_content(w) for w in out.values()])
+    if common != 1:
+        out = {alpha: w // common for alpha, w in out.items()}
+    return out, d // common
 
 
 @dataclass(frozen=True)
@@ -250,17 +258,16 @@ def inverse_system(
         point = Point(point)
     if point.n != n:
         raise DomainError("point has %d coordinates, expected %d" % (point.n, n))
-    local = [_translate(g, point) for g in generators]
+    local = [_translate(g, point)[0] for g in generators]
     for g, g_p in zip(generators, local):
-        if g_p.coeff((0,) * n):
+        if g_p.get((0,) * n):
             raise DomainError("the point is not a common root: %s does not vanish" % g)
     bezout = prod(max(int(g.total_degree()), 1) for g in generators)
     if order_bound is None:
         order_bound = bezout
-    scaled = [dict(zip(g_p.terms, _numerators(list(g_p.terms.values()))[0])) for g_p in local]
     basis = [{(0,) * n: 1}]
     for order in range(1, order_bound + 1):
-        grown = _integrate(basis, scaled, n)
+        grown = _integrate(basis, local, n)
         if len(grown) == len(basis):
             return InverseSystemResult(_canonical(basis, point), False, order - 1)
         if len(grown) > bezout:

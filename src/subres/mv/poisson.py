@@ -52,9 +52,8 @@ def dual_wronskian(h: MultiPoly, monomials: Sequence[Expo], basis: DualBasis) ->
     for point, funcs in basis.groups:
         if point.n != n:
             raise DomainError("functional in %d variables applied to %d" % (point.n, n))
-        h_p = _translate(h, point).terms
-        h_nums, h_den = _numerators(list(h_p.values()))
-        h_p = list(zip(h_p, h_nums))
+        h_p, h_den = _translate(h, point)
+        h_p = list(h_p.items())
         tables, dens = _binomial_tables(point.coords, tops)
         row_dens = [h_den * prod(v**a for v, a in zip(dens, alpha)) for alpha in monomials]
         for func in funcs:

@@ -9,7 +9,7 @@ built on first use and lives as long as the set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Iterable, Tuple
 
 from .errors import DomainError
 from .scalar import Rat, Scalar, as_scalar
@@ -76,15 +76,18 @@ def poly_from_roots(a: MultiRootSet) -> UniPoly:
     return a._once("poly", _monic)
 
 
-def _monic(a: MultiRootSet) -> UniPoly:
+def _monic(pairs: Iterable[Tuple[Scalar, int]]) -> UniPoly:
+    """prod (x - root)^mult over (root, multiplicity) pairs, a root set's
+    or any others."""
     out = UniPoly.from_integers([1])
-    for root, mult in a:
+    for root, mult in pairs:
         out = out * UniPoly.root_factor(root) ** mult
     return out
 
 
-def pairing_R(a: MultiRootSet, b: MultiRootSet) -> Scalar:
-    """Product of (alpha_i - beta_j)^(d_i e_j) over all root pairs.
+def pairing_R(a: Iterable[Tuple[Scalar, int]], b: Iterable[Tuple[Scalar, int]]) -> Scalar:
+    """Product of (alpha_i - beta_j)^(d_i e_j) over all root pairs, of two
+    root sets or of any (root, multiplicity) pairs.
 
     Zero exactly when the sets share a root; for monic polynomials this is
     the resultant of the two products.

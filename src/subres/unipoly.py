@@ -7,19 +7,18 @@ coefficient carries parameters, with no trailing zero, and ``_den`` is an
 int, with the gcd of ``_den`` and the content of every numerator equal to
 1.  That form is canonical, so equal polynomials have equal numerators and
 denominators.  Sums, negation, products, scalar multiples and quotients,
-powers, shifts, derivatives, and evaluation and Taylor coefficients at a
-scalar run on the numerators and reduce once per result, by the gcd of the
+powers, derivatives, and evaluation and Taylor coefficients at a scalar
+run on the numerators and reduce once per result, by the gcd of the
 denominator and the contents (content and primitive part as in Knuth,
 TAOCP vol. 2, 4.6.1).
 
-``coeffs`` reads the coefficients back as scalars: a ``Rat`` for an int
-numerator, a ``ParamPoly`` for a ``ParamPoly`` one, so each coefficient
-keeps the type that per-coefficient arithmetic would give it.  A
-polynomial built from scalars keeps them and derives its numerators on
-first arithmetic; one built from numerators makes its coefficients on first
-read.  So a result that is only compared or printed, as a determinant with
-parameter coefficients usually is, is never converted.  The zero
-polynomial has no coefficients and degree -inf.
+A polynomial built from scalars takes its numerators from them at once
+(``_numerators``) and keeps the scalars as its coefficients, so they keep
+the types they were given.  ``coeffs`` of any other polynomial reads them
+back from the numerators when first read: a ``Rat`` for an int numerator,
+a ``ParamPoly`` for a ``ParamPoly`` one, so each coefficient has the type
+that per-coefficient arithmetic would give it.  The zero polynomial has
+no coefficients and degree -inf.
 """
 
 from __future__ import annotations
@@ -36,17 +35,16 @@ NEG_INF = float("-inf")
 
 
 class UniPoly:
-    # _num is None until the numerators are first needed, _coeffs until the
-    # coefficients are first read; at least one of them is set.
+    # _coeffs is None until the coefficients are first read.
     __slots__ = ("_num", "_den", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [as_scalar(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
+        num, self._den = _numerators(cs)
+        self._num = tuple(num)
         self._coeffs = tuple(cs)
-        self._num = None
-        self._den = 1
 
     @classmethod
     def from_integers(cls, num: Iterable, den: int = 1) -> "UniPoly":
@@ -83,25 +81,16 @@ class UniPoly:
     def numerators(self) -> Tuple:
         """The numerator of each coefficient, ascending: a Python int, or a
         ``ParamPoly`` with integer coefficients."""
-        return self._ints()[0]
+        return self._num
 
     @property
     def denominator(self) -> int:
         """The one positive denominator of every coefficient."""
-        return self._ints()[1]
-
-    def _ints(self) -> Tuple[tuple, int]:
-        if self._num is None:
-            num, self._den = _numerators(self._coeffs)
-            self._num = tuple(num)
-        return self._num, self._den
-
-    def _size(self) -> int:
-        return len(self._coeffs if self._num is None else self._num)
+        return self._den
 
     @property
     def degree(self):
-        n = self._size()
+        n = len(self._num)
         return n - 1 if n else NEG_INF
 
     def coeff(self, k: int) -> Scalar:
@@ -109,21 +98,16 @@ class UniPoly:
         return coeffs[k] if 0 <= k < len(coeffs) else Rat(0)
 
     def is_zero(self) -> bool:
-        return not self._size()
+        return not self._num
 
     def __bool__(self):
-        return bool(self._size())
+        return bool(self._num)
 
     def __eq__(self, other):
-        if isinstance(other, UniPoly):
-            if self._num is None and other._num is None:
-                return self._coeffs == other._coeffs
-            return self._ints() == other._ints()
-        if is_rational(other) or isinstance(other, ParamPoly):
-            if not other:
-                return not self._size()
-            return self._size() == 1 and self.coeffs[0] == other
-        return NotImplemented
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -132,8 +116,8 @@ class UniPoly:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        a, da = self._ints()
-        b, db = other._ints()
+        a, da = self._num, self._den
+        b, db = other._num, other._den
         if da != db:
             g = math.gcd(da, db)
             ours, theirs = db // g, da // g
@@ -145,7 +129,7 @@ class UniPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        a, da = self._ints()
+        a, da = self._num, self._den
         return _make(tuple(-z for z in a), da)
 
     def __sub__(self, other):
@@ -161,14 +145,14 @@ class UniPoly:
         return other + (-self)
 
     def __mul__(self, other):
-        a, da = self._ints()
+        a, da = self._num, self._den
         if not isinstance(other, UniPoly):
             scalar = _split(other)
             if scalar is None:
                 return NotImplemented
             n, d = scalar
             return _reduced([z * n for z in a], da * d)
-        b, db = other._ints()
+        b, db = other._num, other._den
         if not a or not b:
             return UniPoly.zero()
         out = [0] * (len(a) + len(b) - 1)
@@ -191,7 +175,7 @@ class UniPoly:
         if isinstance(other, ParamPoly):
             return UniPoly([c / other for c in self.coeffs])
         n, d = int(other.numerator), int(other.denominator)
-        a, da = self._ints()
+        a, da = self._num, self._den
         return _reduced([z * d for z in a], da * n)
 
     def __pow__(self, n: int):
@@ -202,13 +186,6 @@ class UniPoly:
             out = out * self
         return out
 
-    def mul_xk(self, k: int) -> "UniPoly":
-        """Multiply by x^k (coefficient shift)."""
-        if not self:
-            return self
-        a, da = self._ints()
-        return _make((0,) * k + a, da)
-
     def __call__(self, value: Scalar) -> Scalar:
         """Horner's rule on the numerators: with value = v / w and degree
         n, the sum of num[k] v^k w^(n-k), over den w^n."""
@@ -216,7 +193,7 @@ class UniPoly:
         if scalar is None:
             raise DomainError("a polynomial is evaluated at an exact scalar, not %r" % (value,))
         v, w = scalar
-        a, da = self._ints()
+        a, da = self._num, self._den
         if not a:
             return Rat(0)
         acc = 0
@@ -227,7 +204,7 @@ class UniPoly:
         return _quotient(acc, da * power // w)
 
     def derivative(self) -> "UniPoly":
-        a, da = self._ints()
+        a, da = self._num, self._den
         return _reduced([k * z for k, z in enumerate(a)][1:], da)
 
     def __str__(self):
@@ -249,7 +226,7 @@ class UniPoly:
         return "UniPoly(%r)" % (list(self.coeffs),)
 
 
-def _make(num: Optional[tuple], den: int) -> UniPoly:
+def _make(num: tuple, den: int) -> UniPoly:
     """A polynomial with these numerators and denominator, taken as
     already in lowest terms with no trailing zero."""
     out = UniPoly.__new__(UniPoly)
@@ -310,7 +287,7 @@ def taylor_coeff(p: UniPoly, a: Scalar, j: int) -> Scalar:
     if scalar is None:
         raise DomainError("a Taylor expansion is taken at an exact scalar, not %r" % (a,))
     v, w = scalar
-    num, den = p._ints()
+    num, den = p._num, p._den
     n = len(num) - 1
     if j > n:
         return Rat(0)

@@ -310,8 +310,8 @@ def sres_coeff_interpolated(f: UniPoly, g: UniPoly, t: int) -> UniPoly:
     """The Sylvester-type determinant with the polynomials themselves in
     its last column, at x = 0, ..., t."""
     d, e = int(f.degree), int(g.degree)
-    polys = [f.mul_xk(e - t - 1 - i) for i in range(e - t)]
-    polys += [g.mul_xk(d - t - 1 - i) for i in range(d - t)]
+    polys = [UniPoly.monomial(e - t - 1 - i) * f for i in range(e - t)]
+    polys += [UniPoly.monomial(d - t - 1 - i) * g for i in range(d - t)]
     scalar_rows = [[p.coeff(k) for k in range(d + e - t - 1, t, -1)] for p in polys]
 
     def build(c):
@@ -681,11 +681,6 @@ class CoeffUniPoly:
         for _ in range(n):
             out = out * self
         return out
-
-    def mul_xk(self, k):
-        if not self.coeffs:
-            return self
-        return CoeffUniPoly((Rat(0),) * k + self.coeffs)
 
     def __call__(self, value):
         acc = Rat(0)

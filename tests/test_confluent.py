@@ -102,7 +102,7 @@ class TestWronskian:
         h = UniPoly(coeffs + [param("c")])
         m = wronskian(h, a, u)
         for k in range(u):
-            want = [taylor_coeff(h.mul_xk(k), alpha, j) for alpha, d in a for j in range(d)]
+            want = [taylor_coeff(UniPoly.monomial(k) * h, alpha, j) for alpha, d in a for j in range(d)]
             assert m.rows[k] == want
 
     def test_displayed_x_minus_z_block(self):

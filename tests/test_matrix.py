@@ -403,33 +403,10 @@ class TestBordered:
             assert all(type(c) is RAT for c in got.coeffs)
 
 
-class _Wide:
-    """An integer that is not a Python int, as gmpy2's mpz is: a product
-    with an int gives another one."""
-
-    def __init__(self, v):
-        self.v = v
-
-    def __index__(self):
-        return self.v
-
-    __int__ = __index__
-
-    def __mul__(self, other):
-        return _Wide(self.v * int(other))
-
-    __rmul__ = __mul__
-
-
 class TestIntegerDeterminants:
     """Integer determinants come back over the row scales whatever the
     rational backend, and a polynomial made of them has Python-int
     numerators."""
-
-    def test_wide_determinants_give_python_int_numerators(self):
-        got = matrix._polynomial([_Wide(3), _Wide(0), _Wide(-6)], 4, Rat(3, 2))
-        assert got == UniPoly([Rat(1, 2), 0, Rat(-1)])
-        assert all(type(z) is int for z in got.numerators)
 
     def test_rational_rows_read_back_over_their_scales(self):
         rows = [[Rat(1, 2), Rat(2, 3)], [Rat(-5, 4), Rat(3)]]

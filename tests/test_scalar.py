@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import rationals
 from oracles import RatParamPoly
 from subres import DomainError, ParamPoly, Rat, as_scalar, is_rational, param, rat, substitute_scalar
+from subres.scalar import _numerators
 
 NAMES = ("a", "b", "c")
 
@@ -213,6 +214,53 @@ class TestIntegerNumerators:
         zero = ParamPoly.from_integers({(): 0}, 4)
         assert_matches(zero, RatParamPoly())
         assert zero.denominator == 1
+
+
+class _Wide:
+    """An integer that is not a Python int, as gmpy2's mpz is: a product
+    or a floor quotient with an int gives another one."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __index__(self):
+        return self.v
+
+    __int__ = __index__
+
+    def __mul__(self, other):
+        return _Wide(self.v * int(other))
+
+    __rmul__ = __mul__
+
+    def __rfloordiv__(self, other):
+        return _Wide(int(other) // self.v)
+
+
+class _WideRat:
+    """A rational whose parts are ``_Wide``, as gmpy2's mpq has mpz parts."""
+
+    def __init__(self, p, q):
+        self.numerator = _Wide(p)
+        self.denominator = _Wide(q)
+
+
+class TestNumerators:
+    """``_numerators`` gives Python ints over an int lcm whatever types the
+    rationals' parts have, so no integer kernel sees an mpz."""
+
+    def test_wide_rationals_give_python_int_numerators(self):
+        for values, want in (
+            ([_WideRat(1, 2), _WideRat(-2, 3), _WideRat(0, 1)], ([3, -4, 0], 6)),
+            ([_WideRat(5, 1), _WideRat(-7, 1)], ([5, -7], 1)),
+        ):
+            nums, d = _numerators(values)
+            assert (nums, d) == want
+            assert all(type(z) is int for z in nums) and type(d) is int
+        (half, third_a), d = _numerators([_WideRat(1, 2), param("a") / 3])
+        assert d == 6 and type(d) is int
+        assert half == 3 and type(half) is int
+        assert third_a == 2 * param("a") and third_a.denominator == 1
 
 
 class TestMixedWithRat:
