@@ -227,19 +227,19 @@ def _pack(rows: List[list], t: int = 0) -> Tuple[List[List[int]], Callable[[int]
     degree and norm, and they hold at every node.
 
     Each row is taken as its numerators over the lcm of its entries'
-    denominators (``_numerators``), so every entry has integer
-    coefficients.  A bordered determinant's permutation expansion takes
-    one entry from each row and each of its columns, so its degree in
-    parameter p is at most D_p, the sum over the rows of the largest
-    degree in p of an entry of the row (any column), and also the same sum over the shared columns plus the
+    denominators (``_numerators``), so every entry has integer coefficients.
+    A bordered determinant's permutation expansion takes one entry from each
+    row and each of its columns, so its degree in parameter p is at most
+    D_p, the sum over the rows of the largest degree in p of an entry of the
+    row (any column), and also the same sum over the shared columns plus the
     largest such degree of a border column; the smaller one is used.  A
     coefficient of the determinant is its mean times a monomial's inverse
     over the unit torus |p| = 1, where an entry is at most its coefficient
-    1-norm in absolute value.  So by Hadamard's inequality every
-    coefficient is at most sqrt(prod over the rows of the summed squared
-    1-norms of the row's entries), and likewise by columns, the shared
-    ones times the largest border one; B is the smaller one, rounded down,
-    as the coefficients are integers.  With k = B.bit_length() + 1, each
+    1-norm in absolute value.  So by Hadamard's inequality every coefficient
+    is at most sqrt(prod over the rows of the summed squared 1-norms of the
+    row's entries), and likewise by columns, the shared ones times the
+    largest border one; B is the smaller one, rounded down, as the
+    coefficients are integers.  With k = B.bit_length() + 1, each
     coefficient fits one balanced digit in [-2^(k-1), 2^(k-1)).  The
     parameters, in sorted order, are evaluated at
     p_i = 2^(k * prod_{j<i} (D_j + 1)), which gives each monomial of a

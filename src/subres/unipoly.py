@@ -174,7 +174,7 @@ class UniPoly:
             raise ZeroDivisionError("polynomial division by zero")
         if isinstance(other, ParamPoly):
             return UniPoly([c / other for c in self.coeffs])
-        n, d = int(other.numerator), int(other.denominator)
+        n, d = _split(other)
         a, da = self._num, self._den
         return _reduced([z * d for z in a], da * n)
 
