@@ -6,11 +6,12 @@ comparison the preconditions allow, replays a few fixed symbolic pairs
 (roots a+k against b+k or against integers, so the determinants carry
 parameter entries and run through the packed integer kernel) and one
 fixed rational pair whose roots have denominators 7, 9 and 11, then
-replays four bundled two-variable systems through the document-level
+replays five bundled two-variable systems through the document-level
 battery: the circle-line example, whose dual basis is given, a grid
 system with one root of multiplicity 9, a system with two multiple
-roots whose coordinates are thirds, and a system whose roots lie at a
-parameter; ``inverse_system`` computes the dual bases of the last three.
+roots whose coordinates are thirds, a system whose roots lie at a
+parameter, and one whose dual basis has a parameter coefficient;
+``inverse_system`` computes the dual bases of the last four.
 Exits 1 if any check fails.
 """
 
@@ -182,11 +183,38 @@ PARAM_SYSTEM = {
     "roots": [{"point": ["a", "0"]}, {"point": ["a", "-1"]}],
 }
 
+# x1^2 + a*x1*x2, x2^2 and a rational line: one root (0, 0) of multiplicity
+# 4 with dual basis 1, d1, d2 and d1 d2 - a d1^2, left to inverse_system.
+# Its integration kernels carry a parameter, so they run the parametric
+# Gauss-Jordan elimination and exact ParamPoly division.  Both routes give
+# -a.
+KERNEL_SYSTEM = {
+    "n": 2,
+    "variables": ["x1", "x2"],
+    "polynomials": [
+        [
+            {"exponents": [2, 0], "coeff": "1"},
+            {"exponents": [1, 1], "coeff": "a"},
+        ],
+        [{"exponents": [0, 2], "coeff": "1"}],
+        [
+            {"exponents": [0, 0], "coeff": "1"},
+            {"exponents": [1, 0], "coeff": "1"},
+            {"exponents": [0, 1], "coeff": "2"},
+        ],
+    ],
+    "degrees": [2, 2, 1],
+    "t": 2,
+    "S": [[2, 0]],
+    "roots": [{"point": ["0", "0"]}],
+}
+
 SYSTEMS = (
     ("bundled system", BUNDLED_SYSTEM),
     ("grid system", GRID_SYSTEM),
     ("thirds system", THIRDS_SYSTEM),
     ("parameter system", PARAM_SYSTEM),
+    ("parameter kernel system", KERNEL_SYSTEM),
 )
 
 

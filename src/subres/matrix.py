@@ -35,7 +35,7 @@ import math
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from .errors import DomainError
-from .scalar import ParamPoly, Rat, Scalar, _numerators, as_scalar, is_rational
+from .scalar import ParamPoly, Rat, Scalar, _collapse, _numerators, as_scalar, is_rational
 from .unipoly import UniPoly
 
 
@@ -179,8 +179,8 @@ def _polynomial(values: list, scale: int, den: Scalar) -> UniPoly:
     if is_rational(den) and not any(isinstance(v, ParamPoly) for v in values):
         (n,), d = _numerators([den])
         return UniPoly.from_integers([v * d for v in values], scale * n)
-    return _rational_if_constant(
-        (v if isinstance(v, ParamPoly) else Rat(v, scale)) / den for v in values
+    return UniPoly(
+        _collapse((v if isinstance(v, ParamPoly) else Rat(v, scale)) / den) for v in values
     )
 
 
@@ -496,10 +496,3 @@ def det_in_x(p: List[list], q: List[list], free: List[list], den: Scalar = 1) ->
         out = [diffs[k] - k * out[0]] + [lo - k * hi for lo, hi in zip(out, out[1:])] + [out[-1]]
     return _polynomial(out, scale, den)
 
-
-def _rational_if_constant(coeffs: Iterable[Scalar]) -> UniPoly:
-    """The polynomial with these coefficients, constant ``ParamPoly`` ones
-    made rational."""
-    return UniPoly(
-        c.constant_value() if isinstance(c, ParamPoly) and c.is_constant() else c for c in coeffs
-    )

@@ -15,23 +15,24 @@ table of C(a, k) u^(a - k) v^k (``_binomial_tables``), so every term of
 x^alpha shares the denominator prod_i v_i^alpha_i.  A translate stays in
 that form: ``_translate`` gives its integer numerators and their one
 denominator, which the integration rows and ``dual_wronskian`` read as
-they are.  Evaluations are summed in integers and divided once per value
-(``_quotient``).  A ``ParamPoly`` coordinate or coefficient is scaled to
-integer coefficients by the lcm of its denominators and goes through the
-same loops.
+they are, unreduced: no kernel, span or quotient depends on a common
+factor of the pair.  Evaluations are summed in integers and divided once
+per value (``_quotient``).  A ``ParamPoly`` coordinate or coefficient is
+scaled to integer coefficients by the lcm of its denominators and goes
+through the same loops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd, prod
+from math import comb, prod
 from typing import Mapping, Optional, Sequence, Tuple
 
 from ..combinat import canon_key
 from ..errors import DomainError
 from ..matrix import ExactMatrix, reduced_echelon
 from ..multipoly import MultiPoly
-from ..scalar import Rat, Scalar, _content, _numerators, _quotient, as_scalar
+from ..scalar import Rat, Scalar, _numerators, _quotient, as_scalar
 
 Expo = Tuple[int, ...]
 
@@ -166,9 +167,7 @@ def _translate(g: MultiPoly, point: Point) -> Tuple[dict, int]:
     """g(point + y) as integer numerators by exponent of y, and their one
     denominator, from the tables of the binomial expansion of each
     (x_i + y_i)^gamma_i.  Every term is lifted to d * prod_i v_i^top_i, d
-    that of the coefficients, and summed in integers; the sums and the
-    denominator are then divided by their common factor, so the pair is
-    what ``_numerators`` gives for the translate's coefficients."""
+    that of the coefficients, and summed in integers."""
     tops = [max((e[i] for e in g.terms), default=0) for i in range(g.n)]
     tables, dens = _binomial_tables(point.coords, tops)
     nums, d = _numerators(list(g.terms.values()))
@@ -182,11 +181,7 @@ def _translate(g: MultiPoly, point: Point) -> Tuple[dict, int]:
         for alpha, w in partial.items():
             out[alpha] = out.get(alpha, 0) + w
     out = {alpha: w for alpha, w in out.items() if w}
-    d *= prod(v**top for v, top in zip(dens, tops))
-    common = gcd(d, *[_content(w) for w in out.values()])
-    if common != 1:
-        out = {alpha: w // common for alpha, w in out.items()}
-    return out, d // common
+    return out, d * prod(v**top for v, top in zip(dens, tops))
 
 
 @dataclass(frozen=True)
@@ -246,6 +241,10 @@ def inverse_system(
     order, so the search stalls by that order.  At a root that is not
     isolated the dimension never stalls: the result is truncated at the
     bound, or as soon as the dimension exceeds the degree product.
+
+    Over parameters, a division by a parameter polynomial that is not
+    exact (a basis coefficient needs 1/a) refuses the point with a
+    ``DomainError`` that names it and chains the failed division.
     """
     if not generators:
         raise DomainError("need at least one generator")
@@ -266,14 +265,21 @@ def inverse_system(
     if order_bound is None:
         order_bound = bezout
     basis = [{(0,) * n: 1}]
-    for order in range(1, order_bound + 1):
-        grown = _integrate(basis, local, n)
-        if len(grown) == len(basis):
-            return InverseSystemResult(_canonical(basis, point), False, order - 1)
-        if len(grown) > bezout:
-            return InverseSystemResult(_canonical(grown, point), True, None)
-        basis = grown
-    return InverseSystemResult(_canonical(basis, point), True, None)
+    try:
+        for order in range(1, order_bound + 1):
+            grown = _integrate(basis, local, n)
+            if len(grown) == len(basis):
+                return InverseSystemResult(_canonical(basis, point), False, order - 1)
+            if len(grown) > bezout:
+                return InverseSystemResult(_canonical(grown, point), True, None)
+            basis = grown
+        return InverseSystemResult(_canonical(basis, point), True, None)
+    except DomainError as ex:
+        # Past the checks above only an inexact ParamPoly division raises.
+        raise DomainError(
+            "the dual basis at (%s) needs a division by a parameter polynomial: %s"
+            % (", ".join(map(str, point.coords)), ex)
+        ) from ex
 
 
 def _integrate(basis: list, local: Sequence[dict], n: int) -> list:
@@ -296,7 +302,6 @@ def _integrate(basis: list, local: Sequence[dict], n: int) -> list:
             {tuple(a - u for a, u in zip(alpha, unit)): c for alpha, c in b.items() if alpha[i]}
             for b in basis
         ])
-    zero = Rat(0)
     rows = []
     for coeff in local:
         rows.append([
@@ -316,7 +321,7 @@ def _integrate(basis: list, local: Sequence[dict], n: int) -> list:
                 for gamma, c in term.items():
                     conditions.setdefault(gamma, {})[j * size + m] = -c
             for row in conditions.values():
-                rows.append([row.get(col, zero) for col in range(n * size)])
+                rows.append([row.get(col, 0) for col in range(n * size)])
     terms = [term for per_i in integrals for term in per_i]
     grown = [basis[0]]
     for vec in ExactMatrix(rows).nullspace():

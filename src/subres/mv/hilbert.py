@@ -106,9 +106,7 @@ class MonomialSets:
 
 
 def _reduced_of_degree(first: Sequence[int], j: int) -> list:
-    n = len(first)
-    out = [m for m in monomials_of_degree(n, j) if all(e < d for e, d in zip(m, first))]
-    return out
+    return [m for m in monomials_of_degree(len(first), j) if all(e < d for e, d in zip(m, first))]
 
 
 def build_monomial_sets(
@@ -137,13 +135,11 @@ def build_monomial_sets(
         tau_j = tau(first, j)
         tau_values.append(tau_j)
         if j < forced_below:
-            if j in override:
-                forced = _reduced_of_degree(first, j)
-                if sorted(map(tuple, override[j])) != sorted(forced):
-                    raise DomainError(
-                        "T_%d is forced to the reduced monomials of degree %d" % (j, j)
-                    )
             chosen = _reduced_of_degree(first, j)
+            if j in override and sorted(map(tuple, override[j])) != sorted(chosen):
+                raise DomainError(
+                    "T_%d is forced to the reduced monomials of degree %d" % (j, j)
+                )
         elif j in override:
             chosen = [tuple(m) for m in override[j]]
             if len(chosen) != tau_j:
@@ -159,16 +155,9 @@ def build_monomial_sets(
     unknown = set(override) - set(tj)
     if unknown:
         raise DomainError("override degrees %s outside the used range" % sorted(unknown))
-    T = MonomialSet([m for j in range(rho + 1) for m in tj.get(j, MonomialSet(()))])
+    T = MonomialSet([m for j in range(rho + 1) for m in tj[j]])
     T_star = MonomialSet([m for j in range(t + 1, rho + 1) for m in tj[j]])
-    R = MonomialSet(
-        [
-            m
-            for j in range(min(forced_below, rho + 1))
-            if j >= 0
-            for m in tj[j]
-        ]
-    )
+    R = MonomialSet([m for j in range(min(forced_below, rho + 1)) for m in tj[j]])
     k = hilbert_function(degs, t)
     bezout = prod(first)
     combo = SystemCombinatorics(

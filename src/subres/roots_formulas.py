@@ -52,8 +52,8 @@ from .confluent import (
 )
 from .errors import DomainError
 from .matrix import det_bordered, det_in_x
-from .rootsets import MultiRootSet, poly_from_roots
-from .scalar import Rat, Scalar
+from .rootsets import MultiRootSet, pairing_R, poly_from_roots
+from .scalar import Rat
 from .subresultants import _check_t
 from .unipoly import UniPoly, taylor_coeff
 
@@ -110,7 +110,12 @@ def _paired(a: MultiRootSet, b: MultiRootSet, u: int) -> Tuple[list, int]:
     vb, qb = _vandermonde_rows(b, u)
     l = lcm(qa, qb)
     ra, rb = l // qa, l // qb
-    rows = [[ra**k * x for x in va[k]] + [rb**k * x for x in vb[k]] for k in range(u)]
+    # A table row is shared: it is taken as it is where its scale is 1.
+    rows = [
+        (va[k] if ra == 1 else [ra**k * x for x in va[k]])
+        + (vb[k] if rb == 1 else [rb**k * x for x in vb[k]])
+        for k in range(u)
+    ]
     return rows, prod(l**k for k in range(u))
 
 
@@ -155,6 +160,8 @@ def sres_one(a: MultiRootSet, b: MultiRootSet) -> UniPoly:
     (``_pole_weights``) over the roots of B and the other roots of A.
     The roots of B carry p = e_l (d_i - 1), which folds g(alpha_i)^(d_i-1)
     into every weight and keeps its divisions exact for symbolic roots.
+    The contribution is scaled by prod_{j != i} g(alpha_j)^(d_j), which is
+    ``pairing_R`` of the other roots of A against B, over f_i(alpha_i).
     """
     d, e = a.total, b.total
     if not 1 < d <= e:
@@ -163,20 +170,15 @@ def sres_one(a: MultiRootSet, b: MultiRootSet) -> UniPoly:
         for beta, _ in b:
             if alpha == beta:
                 raise DomainError("root sets must be disjoint, %s is shared" % (alpha,))
-    g = poly_from_roots(b)
-    g_at = [g(alpha) for alpha, _ in a]
     total = UniPoly.zero()
     for i, (alpha_i, d_i) in enumerate(a, start=1):
+        others = a.pairs[: i - 1] + a.pairs[i:]
         slots = [(beta, e_l, e_l * (d_i - 1)) for beta, e_l in b]
-        slots += [(alpha, d_l, 0) for idx, (alpha, d_l) in enumerate(a, start=1) if idx != i]
+        slots += [(alpha, d_l, 0) for alpha, d_l in others]
         w = _pole_weights(alpha_i, slots, d_i)
         s1, s0 = w[d_i - 1], (w[d_i - 2] if d_i > 1 else Rat(0))
         lin = UniPoly.root_factor(alpha_i) * s1 + UniPoly([s0])
-        scale: Scalar = Rat(1)
-        for idx, (_, d_j) in enumerate(a, start=1):
-            if idx != i:
-                scale = scale * g_at[idx - 1] ** d_j
-        term = lin * (scale / _root(a, i)[0])
+        term = lin * (pairing_R(others, b) / _root(a, i)[0])
         if (d - d_i) % 2:
             term = -term
         total = total + term

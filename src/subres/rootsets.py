@@ -90,7 +90,8 @@ def pairing_R(a: Iterable[Tuple[Scalar, int]], b: Iterable[Tuple[Scalar, int]]) 
     root sets or of any (root, multiplicity) pairs.
 
     Zero exactly when the sets share a root; for monic polynomials this is
-    the resultant of the two products.
+    the resultant of the two products.  The closed-form Vandermonde
+    determinant and the order-1 closed form take their products here.
     """
     acc: Scalar = Rat(1)
     for alpha, d in a:

@@ -94,14 +94,9 @@ class ParamPoly:
     __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[Key, object] | None = None):
-        coeffs = {key: c if isinstance(c, _RAT_T) else Rat(c) for key, c in (terms or {}).items()}
-        # Coefficients in lowest terms over the lcm of their denominators
-        # leave no common factor, so this is the canonical form already.
-        den = math.lcm(*[int(c.denominator) for c in coeffs.values()])
-        self._num = {
-            key: int(c.numerator) * (den // int(c.denominator)) for key, c in coeffs.items() if c
-        }
-        self._den = den
+        items = [(key, c if isinstance(c, _RAT_T) else Rat(c)) for key, c in (terms or {}).items()]
+        nums, self._den = _numerators([c for _, c in items])
+        self._num = {key: z for (key, _), z in zip(items, nums) if z}
 
     @classmethod
     def from_integers(cls, num: Mapping[Key, int], den: int = 1) -> "ParamPoly":
@@ -402,7 +397,8 @@ def _numerators(values: Sequence[Scalar]) -> Tuple[list, int]:
     denominator (a ``ParamPoly`` has one): each num is a Python int, or a
     ``ParamPoly`` with integer coefficients.  This is the one place where
     scalars become integer numerators: determinant rows, polynomial
-    coefficients and the dual side's coefficients all go through it.
+    coefficients, the dual side's coefficients and the coefficients a
+    ``ParamPoly`` is built from all go through it.
 
     For values in lowest terms no prime divides d and every num, so a
     polynomial's numerators over d are in lowest terms too.  gmpy2's mpq
@@ -419,6 +415,12 @@ def _numerators(values: Sequence[Scalar]) -> Tuple[list, int]:
         v * d if isinstance(v, ParamPoly) else int(v.numerator * (d // den))
         for v, den in zip(values, dens)
     ], d
+
+
+def _collapse(s: Scalar) -> Scalar:
+    """s, or its rational value when s is a constant ``ParamPoly``: the one
+    place where a constant ``ParamPoly`` becomes a rational."""
+    return s.constant_value() if isinstance(s, ParamPoly) and s.is_constant() else s
 
 
 def _content(num) -> int:

@@ -18,7 +18,7 @@ from .multipoly import MultiPoly
 from .mv.duality import DualFunctional, Point
 from .mv.macaulay import MVSystem
 from .rootsets import MultiRootSet
-from .scalar import ParamPoly, Rat, Scalar, as_scalar, is_rational
+from .scalar import ParamPoly, Rat, Scalar, _collapse, as_scalar
 from .unipoly import UniPoly
 
 __all__ = [
@@ -48,10 +48,7 @@ __all__ = [
 
 def scalar_to_str(s: Scalar) -> str:
     """Canonical string form: "p/q" for rationals, infix for parameters."""
-    s = as_scalar(s)
-    if isinstance(s, ParamPoly) and s.is_constant():
-        s = s.constant_value()
-    return str(s)
+    return str(_collapse(as_scalar(s)))
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*/^]))")
@@ -166,9 +163,8 @@ class _Parser:
 
 
 def _exact_div(num: Scalar, den: Scalar) -> Scalar:
-    if isinstance(den, ParamPoly) and den.is_constant():
-        den = den.constant_value()
-    if is_rational(den) and den == 0:
+    den = _collapse(den)
+    if not den:
         raise DomainError("division by zero in scalar expression")
     return num / den  # parameterized division raises when inexact
 
@@ -183,9 +179,7 @@ def parse_scalar(text: str) -> Scalar:
     value = p.expr()
     if p.peek()[0] != "end":
         p.fail("end of input")
-    if isinstance(value, ParamPoly) and value.is_constant():
-        return value.constant_value()
-    return value
+    return _collapse(value)
 
 
 def scalar_from_json(v) -> Scalar:

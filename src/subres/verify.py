@@ -116,8 +116,8 @@ def univariate_checks(a: MultiRootSet, b: MultiRootSet) -> List[Check]:
         coeff_side[d - 1],
     )
 
-    disjoint = not any(ra == rb for ra, _ in a for rb, _ in b)
-    if disjoint and d >= 2:
+    resultant = pairing_R(a, b)
+    if resultant and d >= 2:
         _match(
             checks,
             "t=1 pole formula matches coefficient determinant",
@@ -130,7 +130,7 @@ def univariate_checks(a: MultiRootSet, b: MultiRootSet) -> List[Check]:
         checks,
         "resultant matches the root-difference product",
         coeff_side[0].coeff(0),
-        pairing_R(a, b),
+        resultant,
     )
 
     for name, rs in (("A", a), ("B", b)):
@@ -154,7 +154,7 @@ def univariate_checks(a: MultiRootSet, b: MultiRootSet) -> List[Check]:
         "" if ok else "product %s" % (confluent_inverse(a) @ vandermonde_confluent(a, d)).pretty(),
     )
 
-    if all(m == 1 for _, m in a) and all(m == 1 for _, m in b) and disjoint:
+    if all(m == 1 for _, m in a) and all(m == 1 for _, m in b) and resultant:
         for t, want in coeff_side.items():
             for p in range(0, min(t, d) + 1):
                 q = t - p

@@ -90,6 +90,11 @@ class TestUnivariateCommands:
         assert set(got) == {"matrix"}
         assert len(got["matrix"]) == 2
 
+    @pytest.mark.parametrize("command", ["vandermonde", "wronskian"])
+    def test_empty_matrix_has_determinant_one(self, capsys, command):
+        argv = [command, "--A", "[[0,2],[1,1]]", "-u", "0"]
+        assert run(capsys, argv) == (0, '{\n  "matrix": [],\n  "det": "1"\n}\n', "")
+
     def test_wronskian(self, capsys):
         got = out_json(capsys, ["wronskian", "--A", "[[1,2]]", "--h", "[0,0,1]"])
         assert got == {"matrix": [["1", "2"], ["1", "3"]], "det": "1"}
@@ -318,6 +323,43 @@ class TestErrorReporting:
         ):
             got = out_json(capsys, ["verify", "--A", a, "--B", b])
             assert got["ok"] is True
+
+    def test_parameter_dual_needing_division_exit_two(self, capsys):
+        # a*x1 + x2 and x1^2 at (0, 0): the canonical basis needs 1/a.
+        gens = json.dumps(
+            [
+                [{"exponents": [1, 0], "coeff": "a"}, {"exponents": [0, 1], "coeff": "1"}],
+                [{"exponents": [2, 0], "coeff": "1"}],
+            ]
+        )
+        assert run(capsys, ["dual", "--generators", gens, "--point", '["0","0"]']) == (
+            2,
+            "",
+            "error: the dual basis at (0, 0) needs a division by a parameter polynomial: "
+            "inexact polynomial division: -1 by a\n",
+        )
+
+    def test_parameter_dual_needing_division_in_verify_exit_two(self, capsys):
+        # f1 = x1^2 - a*x2, f2 = x2^3 at (0, 0), the dual left to
+        # inverse_system: the canonical basis needs 1/a.
+        doc = {
+            "n": 2,
+            "polynomials": [
+                [{"exponents": [2, 0], "coeff": "1"}, {"exponents": [0, 1], "coeff": "-a"}],
+                [{"exponents": [0, 3], "coeff": "1"}],
+                [{"exponents": [0, 0], "coeff": "1"}, {"exponents": [1, 0], "coeff": "1"}],
+            ],
+            "degrees": [2, 3, 1],
+            "t": 2,
+            "S": [[2, 0], [1, 1]],
+            "roots": [{"point": ["0", "0"]}],
+        }
+        assert run(capsys, ["verify", "--system", json.dumps(doc)]) == (
+            2,
+            "",
+            "error: the dual basis at (0, 0) needs a division by a parameter polynomial: "
+            "inexact polynomial division: a^5 by a^6\n",
+        )
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["coeffs", "--f", "@/nonexistent.json", "--g", "[1]", "-t", "0"])

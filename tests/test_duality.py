@@ -286,6 +286,17 @@ class TestInverseSystem:
             inverse_system([g], (0, 0))
         assert "not a common root" in str(err.value)
 
+    def test_parameter_division_refusal_names_the_point(self):
+        # a*x1 + x2 and x1^2 at (0, 0): the canonical basis needs 1/a.
+        gens = [MultiPoly(2, {(1, 0): A, (0, 1): Rat(1)}), MultiPoly(2, {(2, 0): Rat(1)})]
+        with pytest.raises(DomainError) as err:
+            inverse_system(gens, (0, 0))
+        assert str(err.value).startswith(
+            "the dual basis at (0, 0) needs a division by a parameter polynomial: "
+        )
+        assert isinstance(err.value.__cause__, DomainError)
+        assert str(err.value.__cause__) == "inexact polynomial division: -1 by a"
+
     def test_degenerate_inputs_rejected(self):
         g = MultiPoly(2, {(1, 0): Rat(1)})
         with pytest.raises(DomainError):
