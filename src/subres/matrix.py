@@ -11,7 +11,7 @@ each parameter is evaluated at a power of two so large that the
 determinant's coefficients occupy disjoint, signed base-2^k digits of one
 integer.  Evaluation is a ring homomorphism, so the integer
 determinant of the packed matrix is the packed determinant, and its
-digits read back the polynomial.
+digits, read back once at the end, give the polynomial.
 
 The same elimination takes bordered determinants (``det_bordered``): on
 an n x (n-1+k) matrix it eliminates the n-1 shared columns once, and its
@@ -23,10 +23,11 @@ Collins); with unit columns e_k as borders, the coefficients are the
 cofactors of the border.  ``det_in_x`` keeps the other route for x in
 several rows, each linear in x: the columns free of x are eliminated once,
 after which the same elimination is finished at each integer value of x
-from the trailing block alone, and Newton interpolation gives the
-polynomial, so x never enters the scalar domain; only the
-``wronskian-full`` layout uses it.  Kernels and reduced echelon forms come
-from one fraction-free Gauss-Jordan loop on the same integer-scaled rows.
+from the trailing block alone, and the packed integers are interpolated,
+so x never enters the scalar domain and only the coefficients are read
+back; only the ``wronskian-full`` layout uses it.  Kernels and reduced
+echelon forms come from one fraction-free Gauss-Jordan loop on the same
+integer-scaled rows.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from typing import Callable, Iterable, List, Optional, Tuple
 from .errors import DomainError
 from .scalar import ParamPoly, Rat, Scalar, _collapse, _numerators, as_scalar, is_rational
 from .unipoly import UniPoly
+
+Unpack = Optional[Callable[[int], ParamPoly]]  # None for rational rows
 
 
 class ExactMatrix:
@@ -128,8 +131,8 @@ def det_exact(m: ExactMatrix) -> Scalar:
     """
     if m.nrows != m.ncols:
         raise DomainError("determinant of a non-square matrix (%d x %d)" % (m.nrows, m.ncols))
-    dets, scale = _dets(m.rows)
-    return dets[0] if isinstance(dets[0], ParamPoly) else Rat(dets[0], scale)
+    values, scale, unpack = _dets(m.rows)
+    return unpack(values[0]) if unpack else Rat(values[0], scale)
 
 
 def det_bordered(rows: List[list], den: Scalar = 1) -> UniPoly:
@@ -151,42 +154,33 @@ def det_bordered(rows: List[list], den: Scalar = 1) -> UniPoly:
     return _polynomial(*_dets(rows), den)
 
 
-def _dets(rows: List[list]) -> Tuple[list, int]:
-    """The determinants of the first n-1 columns of the n ``rows``
-    bordered by each later column, and a scale: for rational rows, int
-    determinants of the rows as ``_integers`` scales them, and the product
-    of the row scales; for rows with a ``ParamPoly`` entry, the
-    ``ParamPoly`` determinants themselves, and 1.  The empty matrix gives
-    the one determinant 1."""
+def _dets(rows: List[list]) -> Tuple[List[int], int, Unpack]:
+    """The integer determinants of the first n-1 columns of the n ``rows``,
+    as ``_integers`` scales or packs them, bordered by each later column,
+    with its scale and unpack map.  The empty matrix gives the one
+    determinant 1."""
     a, scale, unpack = _integers(rows)
     n = len(a)
     if n == 0:
-        dets = [1]
-    else:
-        done = _bareiss(a, n - 1)
-        width = len(a[0]) - n + 1
-        dets = [done[0] * v for v in a[n - 1][n - 1 :]] if done else [0] * width
-    return ([unpack(v) for v in dets] if unpack else dets), scale
+        return [1], scale, unpack
+    done = _bareiss(a, n - 1)
+    width = len(a[0]) - n + 1
+    return ([done[0] * v for v in a[n - 1][n - 1 :]] if done else [0] * width), scale, unpack
 
 
-def _polynomial(values: list, scale: int, den: Scalar) -> UniPoly:
-    """The polynomial whose coefficients are values[k] / (scale * den), for
-    values as ``_dets`` gives them.  Python ints and a rational ``den``
-    give it straight from the integers, over scale times den's numerator,
-    with no rational coefficient made on the way; otherwise each
-    coefficient is divided in the scalar domain, constant ``ParamPoly``
-    ones made rational."""
-    if is_rational(den) and not any(isinstance(v, ParamPoly) for v in values):
+def _polynomial(values: List[int], scale: int, unpack: Unpack, den: Scalar) -> UniPoly:
+    """The one read-back of ``det_bordered`` and ``det_in_x``: coefficient
+    k is values[k] / (scale * den), or unpack(values[k]) / den when the
+    rows were packed.  Rational rows and ``den`` give it from the integers,
+    over scale times den's numerator; otherwise each coefficient is divided
+    in the scalar domain, constant ``ParamPoly`` ones made rational."""
+    if unpack is None and is_rational(den):
         (n,), d = _numerators([den])
         return UniPoly.from_integers([v * d for v in values], scale * n)
-    return UniPoly(
-        _collapse((v if isinstance(v, ParamPoly) else Rat(v, scale)) / den) for v in values
-    )
+    return UniPoly(_collapse((unpack(v) if unpack else Rat(v, scale)) / den) for v in values)
 
 
-def _integers(
-    rows: List[list], t: int = 0
-) -> Tuple[List[List[int]], int, Optional[Callable[[int], ParamPoly]]]:
+def _integers(rows: List[list], t: int = 0) -> Tuple[List[List[int]], int, Unpack]:
     """Integer rows for ``_bareiss``, the product of their row scales, and,
     for rows with a ``ParamPoly`` entry, the map that reads an integer
     determinant of them back as a ``ParamPoly``, None for rational rows,
@@ -219,12 +213,12 @@ def _pack(rows: List[list], t: int = 0) -> Tuple[List[List[int]], Callable[[int]
 
     The determinants to read are those of the first n-1 columns bordered
     by each later column.  With ``t`` > 0 the last 2t columns are instead
-    p_0..p_(t-1) then q_0..q_(t-1), and the one determinant is that of the
-    leading columns followed by the x columns c * p_k - q_k, at any
-    integer node 0 <= c <= t.  An x column entry has degree at most the
-    larger of its two parts' and coefficient 1-norm at most
-    t * |p|_1 + |q|_1, so it enters the bounds below as an entry of that
-    degree and norm, and they hold at every node.
+    p_0..p_(t-1) then q_0..q_(t-1); the values read back are the
+    coefficients of det M(x), M's last columns x * p_k - q_k, and no value
+    at an integer node.  Each is a Fourier coefficient over the unit torus
+    |x| = |p| = 1, where an x column entry is at most |p|_1 + |q|_1, so the
+    entry enters the bounds below with that 1-norm and the larger of its
+    parts' degrees.
 
     Each row is taken as its numerators over the lcm of its entries'
     denominators (``_numerators``), so every entry has integer coefficients.
@@ -283,7 +277,7 @@ def _pack(rows: List[list], t: int = 0) -> Tuple[List[List[int]], Callable[[int]
                         col[i] = e
             norms.append(norm)
         if t:
-            norms[lead:] = [t * p + q for p, q in zip(norms[lead : lead + t], norms[lead + t :])]
+            norms[lead:] = [p + q for p, q in zip(norms[lead : lead + t], norms[lead + t :])]
         squares = 0
         for j, norm in enumerate(norms):
             square = norm * norm
@@ -464,10 +458,12 @@ def det_in_x(p: List[list], q: List[list], free: List[list], den: Scalar = 1) ->
     columns, with p and q carried as separate trailing columns, is shared
     by every node; at x = c = 0, 1, ..., t the trailing t x t block is then
     c * p' - q', which the same elimination finishes from the last shared
-    pivot.  The determinants are interpolated in Newton form; with equally
-    spaced nodes every divided difference divides by an integer.  ``den``
-    must divide det(M(x)) exactly, as the closed-form Vandermonde
-    determinants do.  Coefficients free of parameters come back rational.
+    pivot.  The node determinants stay integers, packed by ``_pack`` when
+    a row has a ``ParamPoly`` entry; they are interpolated in Newton form
+    and expanded by Horner's rule in integers, and only the t + 1
+    coefficients are read back, by ``_polynomial``.  ``den`` must divide
+    det(M(x)) exactly, as the closed-form Vandermonde determinants do.
+    Coefficients free of parameters come back rational.
     """
     t, u = len(p), len(free)
     a, scale, unpack = _integers(list(zip(*free, *p, *q)), t)
@@ -482,11 +478,12 @@ def det_in_x(p: List[list], q: List[list], free: List[list], den: Scalar = 1) ->
     for c in range(t + 1):
         block = [[c * x - y for x, y in zip(pr, qr)] for pr, qr in lin]
         node = _bareiss(block, t, prev)
-        v = sign * node[0] * node[1] if node else 0
-        diffs.append(unpack(v) if unpack else v)
-    # Int node values are those of a polynomial in x with integer
-    # coefficients, so every divided difference over nodes one apart is an
-    # int and each // is exact; on ParamPoly values // is the exact quotient.
+        diffs.append(sign * node[0] * node[1] if node else 0)
+    # The node values are values of det M(x), a polynomial in x with
+    # coefficients in Z[params], scaled by the row scales and packed, so of
+    # a polynomial in x with integer coefficients.  Every divided difference
+    # over nodes one apart is then an integer, Stirling numbers times those
+    # coefficients summed, and each // is exact.
     for j in range(1, t + 1):
         for i in range(t, j - 1, -1):
             diffs[i] = (diffs[i] - diffs[i - 1]) // j
@@ -494,5 +491,5 @@ def det_in_x(p: List[list], q: List[list], free: List[list], den: Scalar = 1) ->
     out = [diffs[t]]
     for k in range(t - 1, -1, -1):
         out = [diffs[k] - k * out[0]] + [lo - k * hi for lo, hi in zip(out, out[1:])] + [out[-1]]
-    return _polynomial(out, scale, den)
+    return _polynomial(out, scale, unpack, den)
 

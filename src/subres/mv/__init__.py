@@ -13,10 +13,12 @@ from .duality import (
     Point,
     assemble_dual_basis,
     dual_eval,
+    dual_vandermonde,
+    dual_wronskian,
     inverse_system,
     sigma_shift,
 )
-from .poisson import dual_vandermonde, dual_wronskian, poisson_delta
+from .poisson import poisson_delta
 
 __all__ = [
     "MonomialSets",

@@ -19,7 +19,8 @@ they are, unreduced: no kernel, span or quotient depends on a common
 factor of the pair.  Evaluations are summed in integers and divided once
 per value (``_quotient``).  A ``ParamPoly`` coordinate or coefficient is
 scaled to integer coefficients by the lcm of its denominators and goes
-through the same loops.
+through the same loops.  Every reader of the tables lives here, the dual
+Wronskian and Vandermonde matrices of ``poisson`` included.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ class Point:
 
     def __iter__(self):
         return iter(self.coords)
+
+    def __str__(self):
+        return "(%s)" % ", ".join(map(str, self.coords))
 
 
 @dataclass(frozen=True)
@@ -184,6 +188,64 @@ def _translate(g: MultiPoly, point: Point) -> Tuple[dict, int]:
     return out, d * prod(v**top for v, top in zip(dens, tops))
 
 
+def dual_wronskian(h: MultiPoly, monomials: Sequence[Expo], basis: DualBasis) -> ExactMatrix:
+    """Rows indexed by monomials, columns by functionals; entry L(x^alpha h).
+
+    Built in local coordinates, group by group.  At the group's point p, h
+    is translated once, h_p = h(p + y), and each functional L of the group
+    becomes L o h = sum_beta h_p[beta] sigma_beta L, the functional that
+    maps F to L(h F).  The entry is (L o h)((p + y)^alpha), whose terms are
+    read from the point's integer tables of C(a, k) u_i^(a - k) v_i^k,
+    p_i = u_i / v_i.  L o h is kept as integers over one denominator, and
+    row alpha adds the one factor prod_i v_i^alpha_i, so every entry is a
+    sum of integer products divided once.
+    """
+    monomials = [tuple(e) for e in monomials]
+    n = h.n
+    for expo in monomials:
+        if len(expo) != n or any(not isinstance(e, int) or e < 0 for e in expo):
+            raise DomainError("bad exponent vector %r for %d variables" % (expo, n))
+    tops = [max((e[i] for e in monomials), default=0) for i in range(n)]
+    columns = []
+    for point, funcs in basis.groups:
+        if point.n != n:
+            raise DomainError("functional in %d variables applied to %d" % (point.n, n))
+        h_p, h_den = _translate(h, point)
+        h_p = list(h_p.items())
+        tables, dens = _binomial_tables(point.coords, tops)
+        row_dens = [h_den * prod(v**a for v, a in zip(dens, alpha)) for alpha in monomials]
+        for func in funcs:
+            l_nums, l_den = _numerators([l for _, l in func.terms])
+            composed: dict = {}
+            for (gamma, _), l in zip(func.terms, l_nums):
+                for beta, c in h_p:
+                    delta = tuple(g - b for g, b in zip(gamma, beta))
+                    if min(delta) >= 0:
+                        composed[delta] = composed.get(delta, 0) + l * c
+            terms = [(delta, v) for delta, v in composed.items() if v]
+            column = []
+            for alpha, den in zip(monomials, row_dens):
+                acc = 0
+                for delta, v in terms:
+                    for table, a, d in zip(tables, alpha, delta):
+                        if d > a or not table[a][d]:
+                            break
+                        v = v * table[a][d]
+                    else:
+                        acc = acc + v
+                column.append(_quotient(acc, l_den * den))
+            columns.append(column)
+    return ExactMatrix([list(row) for row in zip(*columns)] if columns else [[] for _ in monomials])
+
+
+def dual_vandermonde(monomials: Sequence[Expo], basis: DualBasis) -> ExactMatrix:
+    """dual_wronskian of the constant 1: entry L(x^alpha)."""
+    funcs = basis.functionals
+    if not funcs:
+        return ExactMatrix([[] for _ in monomials])
+    return dual_wronskian(MultiPoly.constant(funcs[0].point.n, Rat(1)), monomials, basis)
+
+
 @dataclass(frozen=True)
 class InverseSystemResult:
     """Basis of the local dual space, with a truncation marker.
@@ -277,8 +339,7 @@ def inverse_system(
     except DomainError as ex:
         # Past the checks above only an inexact ParamPoly division raises.
         raise DomainError(
-            "the dual basis at (%s) needs a division by a parameter polynomial: %s"
-            % (", ".join(map(str, point.coords)), ex)
+            "the dual basis at %s needs a division by a parameter polynomial: %s" % (point, ex)
         ) from ex
 
 

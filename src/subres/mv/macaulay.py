@@ -4,7 +4,9 @@ The degree-t matrix has one column per degree-t monomial in the n+1
 homogeneous variables, minus a distinguished set S of k columns, and one
 row per admissible multiple x^beta f_i^h.  Admissibility (|beta| = t - D_i
 with beta_j < D_j for j < i) puts the rows in bijection with the deleted
-classes of columns, so the matrix is square by construction.
+classes of columns, so the matrix is square by construction.  It, the
+extraneous factor's corner and the leading-form matrices all come from
+one row builder, ``_square_matrix``.
 """
 
 from __future__ import annotations
@@ -59,40 +61,37 @@ class MVSystem:
         return tuple(p.homogeneous_part(d) for p, d in zip(self.polys[:-1], self.degrees[:-1]))
 
 
-def _row_indices(degrees: Sequence[int], t: int, i: int, nvars: int) -> list:
-    """Multiplier exponents for equation i (0-based): |beta| = t - D_i and
-    beta_j < D_j for j < i, in canonical order."""
-    d_i = degrees[i]
-    if t - d_i < 0:
-        return []
-    out = []
-    for beta in monomials_of_degree(nvars, t - d_i):
-        if all(beta[j] < degrees[j] for j in range(i)):
-            out.append(beta)
-    return out
+def _row_indices(degrees: Sequence[int], t: int, nvars: int) -> list:
+    """The admissible multipliers (i, beta) of all equations, i 0-based:
+    |beta| = t - D_i and beta_j < D_j for j < i, each beta in canonical
+    order."""
+    return [
+        (i, beta)
+        for i, d_i in enumerate(degrees)
+        if t >= d_i
+        for beta in monomials_of_degree(nvars, t - d_i)
+        if all(beta[j] < degrees[j] for j in range(i))
+    ]
 
 
-def _column_class(gamma: Expo, degrees: Sequence[int]) -> int | None:
-    """First index whose degree bound the monomial violates, or None if reduced."""
-    for i, d in enumerate(degrees):
-        if gamma[i] >= d:
-            return i
-    return None
-
-
-def _square_matrix(polys, degrees, t: int, nvars: int, deleted) -> ExactMatrix:
-    """Rows x^beta p_i over the admissible beta of each polynomial; columns
-    the degree-t monomials in nvars variables outside ``deleted``."""
-    columns = [m for m in monomials_of_degree(nvars, t) if m not in deleted]
-    rows = []
-    for i, p in enumerate(polys):
-        for beta in _row_indices(degrees, t, i, nvars):
-            shifted = p.shift(beta)
-            rows.append([shifted.coeff(c) for c in columns])
-    if len(rows) != len(columns):
+def _square_matrix(polys, multipliers, columns) -> ExactMatrix:
+    """The rows x^beta p_i for the (i, beta) ``multipliers`` over the
+    monomials ``columns``; a term landing off the columns is dropped, and
+    absent entries share one zero."""
+    if len(multipliers) != len(columns):
         raise StructuralError(
-            "matrix is not square: %d rows vs %d columns" % (len(rows), len(columns))
+            "matrix is not square: %d rows vs %d columns" % (len(multipliers), len(columns))
         )
+    index = {c: j for j, c in enumerate(columns)}
+    zero = Rat(0)
+    rows = []
+    for i, beta in multipliers:
+        row = [zero] * len(columns)
+        for alpha, c in polys[i].terms.items():
+            j = index.get(tuple(a + b for a, b in zip(alpha, beta)))
+            if j is not None:
+                row[j] = c
+        rows.append(row)
     return ExactMatrix(rows)
 
 
@@ -120,7 +119,8 @@ def macaulay_matrix(sys: MVSystem, t: int, s_cols: Sequence[Expo]) -> ExactMatri
     s_list = _check_s(s_cols, hilbert_function(sys.degrees, t), n, t)
     homog = [p.homogenize(d) for p, d in zip(sys.polys, sys.degrees)]
     deleted = {g + (t - sum(g),) for g in s_list}
-    return _square_matrix(homog, sys.degrees, t, n + 1, deleted)
+    columns = [m for m in monomials_of_degree(n + 1, t) if m not in deleted]
+    return _square_matrix(homog, _row_indices(sys.degrees, t, n + 1), columns)
 
 
 def extraneous_factor(sys: MVSystem, t: int) -> Scalar:
@@ -130,23 +130,17 @@ def extraneous_factor(sys: MVSystem, t: int) -> Scalar:
     at least two indices j; rows enter through the class bijection
     gamma -> x^(gamma - D_i e_i) f_i^h.  An empty corner gives 1.
     """
-    n = sys.n
-    doubly = []
-    for gamma in monomials_of_degree(n + 1, t):
-        hits = sum(1 for e, d in zip(gamma, sys.degrees) if e >= d)
-        if hits >= 2:
+    doubly, multipliers = [], []
+    for gamma in monomials_of_degree(sys.n + 1, t):
+        hits = [i for i, (e, d) in enumerate(zip(gamma, sys.degrees)) if e >= d]
+        if len(hits) >= 2:
+            i = hits[0]
             doubly.append(gamma)
+            multipliers.append((i, gamma[:i] + (gamma[i] - sys.degrees[i],) + gamma[i + 1 :]))
     if not doubly:
         return Rat(1)
     homog = [p.homogenize(d) for p, d in zip(sys.polys, sys.degrees)]
-    rows = []
-    for gamma in doubly:
-        i = _column_class(gamma, sys.degrees)
-        beta = list(gamma)
-        beta[i] -= sys.degrees[i]
-        shifted = homog[i].shift(tuple(beta))
-        rows.append([shifted.coeff(c) for c in doubly])
-    return det_exact(ExactMatrix(rows))
+    return det_exact(_square_matrix(homog, multipliers, doubly))
 
 
 def _extraneous_divisor(sys: MVSystem, t: int) -> Scalar:
@@ -190,4 +184,5 @@ def leading_form_subres(
     for m in t_list:
         if m not in degree_j:
             raise DomainError("T_j monomial %r is not a degree-%d monomial" % (m, j))
-    return det_exact(_square_matrix(forms, degrees, j, n, set(t_list)))
+    columns = [m for m in degree_j if m not in t_list]
+    return det_exact(_square_matrix(forms, _row_indices(degrees, j, n), columns))

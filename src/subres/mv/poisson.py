@@ -6,86 +6,24 @@ determinants for the free degrees times det(O_S(Lambda)) / det(V_T(Lambda)),
 where O_S stacks the monomial evaluations on S and T* over the evaluations
 of the last polynomial's multiples indexed by R.  The two routes agree up
 to a fixed sign per configuration.  Both kinds of rows come from
-``dual_wronskian``, built in local coordinates at each root from the
-integer tables of ``duality``: each entry is a sum of integer products
-divided once by its functional's denominator times the row's
-prod_i v_i^alpha_i.  ``poisson_delta`` evaluates each monomial of
-T, S and T* once and takes V_T's rows and O_S's monomial rows from that
-one table.
+``dual_vandermonde`` and ``dual_wronskian``, which live in ``duality``
+with the integer tables they read and are imported here by their public
+names.  ``poisson_delta`` evaluates each monomial of T, S and T* once and
+takes V_T's rows and O_S's monomial rows from that one table.
 """
 
 from __future__ import annotations
 
-from math import prod
 from typing import Sequence
 
 from ..errors import DomainError, StructuralError
 from ..matrix import ExactMatrix, det_exact
-from ..multipoly import MultiPoly
-from ..scalar import Rat, Scalar, _numerators, _quotient
-from .duality import DualBasis, _binomial_tables, _translate
+from ..scalar import Rat, Scalar
+from .duality import DualBasis, dual_vandermonde, dual_wronskian
 from .hilbert import MonomialSets, build_monomial_sets
 from .macaulay import MVSystem, _check_s, leading_form_subres
 
 Expo = tuple
-
-
-def dual_wronskian(h: MultiPoly, monomials: Sequence[Expo], basis: DualBasis) -> ExactMatrix:
-    """Rows indexed by monomials, columns by functionals; entry L(x^alpha h).
-
-    Built in local coordinates, group by group.  At the group's point p, h
-    is translated once, h_p = h(p + y), and each functional L of the group
-    becomes L o h = sum_beta h_p[beta] sigma_beta L, the functional that
-    maps F to L(h F).  The entry is (L o h)((p + y)^alpha), whose terms are
-    read from the point's integer tables of C(a, k) u_i^(a - k) v_i^k,
-    p_i = u_i / v_i.  L o h is kept as integers over one denominator, and
-    row alpha adds the one factor prod_i v_i^alpha_i, so every entry is a
-    sum of integer products divided once.
-    """
-    monomials = [tuple(e) for e in monomials]
-    n = h.n
-    for expo in monomials:
-        if len(expo) != n or any(not isinstance(e, int) or e < 0 for e in expo):
-            raise DomainError("bad exponent vector %r for %d variables" % (expo, n))
-    tops = [max((e[i] for e in monomials), default=0) for i in range(n)]
-    columns = []
-    for point, funcs in basis.groups:
-        if point.n != n:
-            raise DomainError("functional in %d variables applied to %d" % (point.n, n))
-        h_p, h_den = _translate(h, point)
-        h_p = list(h_p.items())
-        tables, dens = _binomial_tables(point.coords, tops)
-        row_dens = [h_den * prod(v**a for v, a in zip(dens, alpha)) for alpha in monomials]
-        for func in funcs:
-            l_nums, l_den = _numerators([l for _, l in func.terms])
-            composed: dict = {}
-            for (gamma, _), l in zip(func.terms, l_nums):
-                for beta, c in h_p:
-                    delta = tuple(g - b for g, b in zip(gamma, beta))
-                    if min(delta) >= 0:
-                        composed[delta] = composed.get(delta, 0) + l * c
-            terms = [(delta, v) for delta, v in composed.items() if v]
-            column = []
-            for alpha, den in zip(monomials, row_dens):
-                acc = 0
-                for delta, v in terms:
-                    for table, a, d in zip(tables, alpha, delta):
-                        if d > a or not table[a][d]:
-                            break
-                        v = v * table[a][d]
-                    else:
-                        acc = acc + v
-                column.append(_quotient(acc, l_den * den))
-            columns.append(column)
-    return ExactMatrix([list(row) for row in zip(*columns)] if columns else [[] for _ in monomials])
-
-
-def dual_vandermonde(monomials: Sequence[Expo], basis: DualBasis) -> ExactMatrix:
-    """dual_wronskian of the constant 1: entry L(x^alpha)."""
-    funcs = basis.functionals
-    if not funcs:
-        return ExactMatrix([[] for _ in monomials])
-    return dual_wronskian(MultiPoly.constant(funcs[0].point.n, Rat(1)), monomials, basis)
 
 
 def poisson_delta(

@@ -256,9 +256,9 @@ class ParamPoly:
         return _poly({k: z * d for k, z in self._num.items()}, self._den * n)
 
     def __floordiv__(self, other):
-        """The exact quotient, as ``/``: it never rounds.  The fraction-free
-        eliminations write their exact divisions as ``//``, so integer and
-        parameter entries share one loop."""
+        """The exact quotient, as ``/``: it never rounds.  Only
+        ``matrix._gauss_jordan`` divides ``ParamPoly`` values with ``//``,
+        so that its integer and parameter rows share one loop."""
         return self / other
 
     def __rtruediv__(self, other):

@@ -361,6 +361,43 @@ class TestErrorReporting:
             "inexact polynomial division: a^5 by a^6\n",
         )
 
+    def test_root_that_is_not_isolated_prints_its_coordinates(self, capsys):
+        # x1 x2 and x1^2 x2 vanish on both axes, so the inverse system at
+        # (0, 0) never stalls; both routes that need it print the point.
+        doc = {
+            "n": 2,
+            "polynomials": [
+                [{"exponents": [1, 1], "coeff": "1"}],
+                [{"exponents": [2, 1], "coeff": "1"}],
+                [{"exponents": [0, 0], "coeff": "1"}, {"exponents": [1, 0], "coeff": "1"}],
+            ],
+            "degrees": [2, 3, 1],
+            "t": 1,
+            "S": [[0, 0], [1, 0]],
+            "roots": [{"point": ["0", "0"]}],
+        }
+        want = (2, "", "error: inverse system at (0, 0) did not stabilize below the order bound\n")
+        for command in (["verify"], ["mv", "--route", "poisson"]):
+            assert run(capsys, command + ["--system", json.dumps(doc)]) == want
+
+    def test_empty_functional_group_prints_its_coordinates(self, capsys):
+        doc = system_doc()
+        doc["roots"] = [{"point": ["0", "0"], "dual": []}, {"point": ["0", "2"]}]
+        assert run(capsys, ["verify", "--system", json.dumps(doc)]) == (
+            2,
+            "",
+            "error: empty functional group at (0, 0)\n",
+        )
+
+    def test_repeated_root_prints_its_coordinates(self, capsys):
+        doc = system_doc()
+        doc["roots"] = [{"point": ["0", "2"]}, {"point": ["0", "2"]}]
+        assert run(capsys, ["mv", "--route", "poisson", "--system", json.dumps(doc)]) == (
+            2,
+            "",
+            "error: repeated root (0, 2)\n",
+        )
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["coeffs", "--f", "@/nonexistent.json", "--g", "[1]", "-t", "0"])
         assert code == 2

@@ -1,11 +1,15 @@
-"""Every name a module under src/subres imports is used in that module.
+"""Every name a module under src/subres imports is used in that module, and
+every private module-level function or class is named somewhere else in
+the package.
 
-Package ``__init__`` files re-export what they import and are skipped.
-Names are taken from the syntax tree, string annotations included, so the
-check needs nothing beyond the standard library.
+Package ``__init__`` files re-export what they import and are skipped by
+the import check.  Names are taken from the syntax tree, string
+annotations included, so the checks need nothing beyond the standard
+library.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -51,3 +55,33 @@ def test_no_unused_imports(path):
 
 def test_scan_sees_the_package():
     assert len(MODULES) >= 15
+
+
+def references(tree):
+    """Each name used as a ``Name``, an ``Attribute`` or an imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_no_orphaned_private_helper():
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.rglob("*.py")}
+    named = Counter(name for tree in trees.values() for name in references(tree))
+    private = [
+        (path, node)
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+    ]
+    # A definition's references to itself, as in recursion, do not count.
+    orphans = sorted(
+        "%s:%s" % (path.relative_to(PACKAGE), node.name)
+        for path, node in private
+        if named[node.name] <= Counter(references(node))[node.name]
+    )
+    assert private and not orphans, "private helpers named nowhere else: " + ", ".join(orphans)

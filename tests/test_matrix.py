@@ -55,6 +55,15 @@ def param_polys(draw, names):
 
 
 @st.composite
+def integer_param_polys(draw):
+    """A ParamPoly in a and b of total degree at most 2, with integer
+    coefficients in [-9, 9]."""
+    a, b = param("a"), param("b")
+    monomials = [a**i * b**j for i in range(3) for j in range(3 - i)]
+    return sum((draw(st.integers(-9, 9)) * m for m in monomials), ParamPoly())
+
+
+@st.composite
 def rank_deficient(draw):
     """An m x r times r x c product of ENTRIES, rank at most r, with some
     rows and columns then set to zero."""
@@ -532,12 +541,41 @@ class TestDetInX:
         assert det_in_x(p, q, free) == UniPoly.zero() == det_cofactor(self.joined(p, q, free))
         assert [done for _, _, done in seen] == [None]
 
+    @given(st.integers(1, 3), st.integers(0, 2), st.data())
+    def test_parameter_entries_match_cofactor_oracle(self, t, u, data):
+        n = t + u
+
+        def rows(count):
+            return [[data.draw(integer_param_polys()) for _ in range(n)] for _ in range(count)]
+
+        p, q, free = rows(t), rows(t), rows(u)
+        assert det_in_x(p, q, free) == det_cofactor(self.joined(p, q, free))
+
+    def test_reads_back_only_the_coefficients(self, monkeypatch):
+        # (x + 1) a on the diagonal at t = 3: the node values stay packed and
+        # only the four coefficients C(3, i) a^3 are unpacked.  Each x entry
+        # has |p|_1 + |q|_1 = 2, so B = 2^3 and the digits are k = 5 bits
+        # wide; a bound that also held at the node x = 3 would need 8.
+        seen = []
+
+        def spy(value, k, names, degrees, scale):
+            seen.append(k)
+            return _unpack(value, k, names, degrees, scale)
+
+        monkeypatch.setattr(matrix, "_unpack", spy)
+        a = param("a")
+        p = [[a if i == k else Rat(0) for i in range(3)] for k in range(3)]
+        q = [[-a if i == k else Rat(0) for i in range(3)] for k in range(3)]
+        assert det_in_x(p, q, []) == UniPoly([Rat(1), Rat(1)]) ** 3 * UniPoly([a**3])
+        assert seen == [5] * 4
+
     @pytest.mark.parametrize("t", [2, 3])
     def test_parameter_bound_holds_at_the_last_node(self, t):
-        # Diagonal entries x a + a = (x + 1) a: det = (x + 1)^t a^t, whose
-        # coefficient at x = t is (t + 1)^t.  Entry norms |p| + |q| = 2 taken
-        # at x = 1 bound it by 2^t, which one digit of the packing cannot
-        # hold; t |p| + |q| bounds it by (t + 1)^t.
+        # Diagonal entries x a + a = (x + 1) a: det = (x + 1)^t a^t, read
+        # back by its coefficients C(t, i) a^t, not by its node values.  On
+        # the unit torus |x| = |a| = 1 each entry is at most |p|_1 + |q|_1 =
+        # 2, so every coefficient is at most 2^t, and C(t, i) <= 2^t fits
+        # one digit of the packing.
         a = param("a")
         p = [[a if i == k else Rat(0) for i in range(t)] for k in range(t)]
         q = [[-a if i == k else Rat(0) for i in range(t)] for k in range(t)]
