@@ -3,7 +3,8 @@
 
 Each call runs in-process through ``subres.cli.main``.  The script prints
 how many calls ran and one sha256 over the argv, exit code, standard output
-and standard error of each, in order.  It checks nothing itself: two trees
+and standard error of each, in order.  It exits 1, naming the calls on
+standard error, if any call ended in exit 4 (an internal error).  Two trees
 give the same digest when every call exits and prints the same in both, so
 
     PYTHONPATH=src python3 scripts/parity.py --seeds 1 2 3
@@ -100,10 +101,16 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, nargs="+", required=True, help="seeds of the random pairs")
     calls = calls_for(parser.parse_args(argv).seeds)
     digest = hashlib.sha256()
+    internal = []
     for call in calls:
-        digest.update(json.dumps(run(call)).encode("utf-8") + b"\n")
+        result = run(call)
+        digest.update(json.dumps(result).encode("utf-8") + b"\n")
+        if result[1] == 4:
+            internal.append(call)
     print("%d calls, sha256 %s" % (len(calls), digest.hexdigest()))
-    return 0
+    for call in internal:
+        print("internal error (exit 4): sres %s" % " ".join(call), file=sys.stderr)
+    return 1 if internal else 0
 
 
 if __name__ == "__main__":

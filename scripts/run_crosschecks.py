@@ -3,8 +3,9 @@
 
 Draws random multiple-root pairs, runs every coefficient-side vs root-side
 comparison the preconditions allow, replays a few fixed symbolic pairs
-(roots a+k against b+k or against integers, so the determinants carry
-parameter entries and run through the packed integer kernel) and one
+(roots a+k against b+k or against integers, and a triple root a against
+a quadruple root b, so the determinants carry parameter entries and run
+through the packed integer kernel) and one
 fixed rational pair whose roots have denominators 7, 9 and 11, then
 replays five bundled two-variable systems through the document-level
 battery: the circle-line example, whose dual basis is given, a grid
@@ -37,6 +38,9 @@ SYMBOLIC_PAIRS = (
     # Offsets with denominators 2 and 3: parameter coefficients over a
     # denominator other than 1.
     ([["a", 2], ["a+1/2", 1]], [["b-1/3", 1], ["b+2", 2]]),
+    # The extremal case: one root on each side, each a bare parameter, so
+    # every table entry is a monomial in a or b.
+    ([["a", 3]], [["b", 4]]),
 )
 
 # Multiplicities up to 3 and denominators beyond the random pool's 1-4:

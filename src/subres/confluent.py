@@ -19,11 +19,12 @@ denominators (a ``ParamPoly`` root has one), its row k is q^k V_k, ints
 for rational roots and integer-coefficient ``ParamPoly``s for parameter
 roots, and each row grows from the one above by an integer step
 (``_times_z``).  The subresultant builders (``roots_formulas``) read
-integral rows from it with known row scales; ``wronskian`` divides each
-row back by its scale, and the confluent Vandermonde matrix is the
-Wronskian of 1, while ``vandermonde_det``, ``wronskian_det`` and
-``confluent_inverse_holds`` work on the integral rows and divide once at
-the end.
+integral rows from it with known row scales.  The table is the
+Wronskian of 1: ``_wronskian_rows`` of 1 are its own rows, so the
+confluent Vandermonde matrix is ``wronskian`` of 1, which divides each
+row back by its scale, and det V is ``wronskian_det`` of 1.
+``wronskian_det`` and ``confluent_inverse_holds`` work on the integral
+rows and divide once at the end.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from .unipoly import UniPoly, taylor_coeff
 def vandermonde_confluent(a: MultiRootSet, u: int) -> ExactMatrix:
     """u x d matrix; block i has columns binom(k,j) alpha_i^(k-j), j < d_i.
 
-    This is the generalized Wronskian of the constant 1, built as such.
+    This is the generalized Wronskian of the constant 1, read off the set's
+    table rows.
     """
     return wronskian(UniPoly([1]), a, u)
 
@@ -85,22 +87,6 @@ def _times_z(row: list, a: MultiRootSet) -> list:
     return out
 
 
-def vandermonde_det(a: MultiRootSet) -> Scalar:
-    """det of the square confluent Vandermonde matrix, eliminated on the
-    integral table: the determinant of its first d rows over the product
-    of their scales q^k."""
-    # Not wronskian_det of 1, which rebuilds the rows the table holds: on
-    # 800 built uni_battery tables, 16 against 26 ms (2-core Xeon VM).
-    d = a.total
-    rows, q = _vandermonde_rows(a, d)
-    return _det_over(rows[:d], [q**k for k in range(d)])
-
-
-def _det_over(rows: list, scales: list) -> Scalar:
-    """The determinant of the matrix whose row k is rows[k] / scales[k]."""
-    return det_exact(ExactMatrix(rows)) / prod(scales)
-
-
 def vandermonde_det_closed(a: MultiRootSet) -> Scalar:
     """Product of (alpha_j - alpha_i)^(d_i d_j) over i < j, taken once per set."""
     return a._once("vdet", _vandermonde_det)
@@ -131,12 +117,17 @@ def _wronskian_rows(h: UniPoly, a: MultiRootSet, u: int) -> Tuple[list, list]:
     """(rows, scales): u integral rows, row k being scales[k] times row k
     of the Wronskian of h over A.
 
-    With h = sum_m g_m z^m / G, the g_m integral, n = deg h and the set's
-    table rows q^m V_m, row 0 is G q^n W_0 = sum_m g_m q^(n-m) (q^m V_m).
-    Each later row is ``_times_z`` of the one above, which multiplies the
-    scale by q.
+    The table is the Wronskian of 1: for h = 1 the rows are the table's
+    first u rows themselves, shared (callers must not change them), with
+    scales q^k.  Otherwise, with h = sum_m g_m z^m / G, the g_m integral,
+    n = deg h and the set's table rows q^m V_m, row 0 is
+    G q^n W_0 = sum_m g_m q^(n-m) (q^m V_m), and each later row is
+    ``_times_z`` of the one above, which multiplies the scale by q.
     """
     g, big = h.numerators, h.denominator
+    if big == 1 and g == (1,) and type(g[0]) is int:
+        v, q = _vandermonde_rows(a, u)
+        return v[:u], [q**k for k in range(u)]
     n = max(len(g) - 1, 0)
     v, q = _vandermonde_rows(a, len(g))
     terms = [(c * q ** (n - m), v[m]) for m, c in enumerate(g) if c]
@@ -158,8 +149,10 @@ def _wronskian_rows(h: UniPoly, a: MultiRootSet, u: int) -> Tuple[list, list]:
 
 def wronskian_det(h: UniPoly, a: MultiRootSet) -> Scalar:
     """det of the square generalized Wronskian of h over A, eliminated on
-    its integral rows (``_wronskian_rows``) and divided by their scales."""
-    return _det_over(*_wronskian_rows(h, a, a.total))
+    its integral rows (``_wronskian_rows``) and divided by their scales.
+    Of h = 1 it is det V(A), read off the set's table rows."""
+    rows, scales = _wronskian_rows(h, a, a.total)
+    return det_exact(ExactMatrix(rows)) / prod(scales)
 
 
 def wronskian_det_closed(h: UniPoly, a: MultiRootSet) -> Scalar:

@@ -296,7 +296,8 @@ def inverse_system(
     unique: each functional ends in its own monomial with coefficient 1,
     on which every other functional is zero.
 
-    The default ``order_bound`` is the product of max(deg g, 1).  An
+    The default ``order_bound`` is the product of max(deg g, 1); a
+    negative one is refused with a ``DomainError``.  An
     isolated root has multiplicity at most the product of the n largest
     generator degrees (refined Bezout), which this product bounds, and
     below the stabilization order the dimension grows by at least one per
@@ -310,6 +311,8 @@ def inverse_system(
     """
     if not generators:
         raise DomainError("need at least one generator")
+    if order_bound is not None and order_bound < 0:
+        raise DomainError("order bound must be nonnegative, got %s" % (order_bound,))
     n = generators[0].n
     if any(g.n != n for g in generators):
         raise DomainError("generators must share the variable count")

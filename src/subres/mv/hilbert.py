@@ -11,7 +11,6 @@ module assembles the monomial families T_j, T, T*, R used downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import prod
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -30,17 +29,13 @@ def _check_degrees(degrees: Sequence[int], minimum: int = 1) -> Tuple[int, ...]:
 
 def hilbert_function(degrees: Sequence[int], t: int) -> int:
     """Number of alpha in N^n with |alpha| <= t, alpha_i < D_i for i <= n
-    and t - |alpha| < D_{n+1}; computed by direct enumeration."""
+    and t - |alpha| < D_{n+1}: the sum of tau_j(D_1..D_n) over the window
+    t - D_{n+1} < j <= t, as tau_j counts those alpha with |alpha| = j."""
     degs = _check_degrees(degrees, minimum=2)
     if not isinstance(t, int) or t < 0:
         raise DomainError("t must be a nonnegative int")
     first, last = degs[:-1], degs[-1]
-    count = 0
-    for alpha in product(*(range(d) for d in first)):
-        s = sum(alpha)
-        if s <= t and t - s < last:
-            count += 1
-    return count
+    return sum(tau(first, j) for j in range(max(0, t - last + 1), t + 1))
 
 
 def tau(degrees: Sequence[int], j: int) -> int:

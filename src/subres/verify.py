@@ -17,7 +17,6 @@ from .confluent import (
     confluent_inverse,
     confluent_inverse_holds,
     vandermonde_confluent,
-    vandermonde_det,
     vandermonde_det_closed,
     wronskian_det,
     wronskian_det_closed,
@@ -33,6 +32,7 @@ from .rootsets import MultiRootSet, pairing_R, poly_from_roots
 from .scalar import Rat
 from .serialize import SystemDocument
 from .subresultants import sres_coeff, sylv_double_sum, sylvester_identity_scale
+from .unipoly import UniPoly
 
 __all__ = [
     "Check",
@@ -81,6 +81,10 @@ def _match(checks: List[Check], name: str, got, want) -> None:
     """Record got == want; both values are spelled out only on a mismatch."""
     ok = got == want
     _record(checks, name, ok, "" if ok else "got %s, want %s" % (got, want))
+
+
+# det V(A) is the generalized Wronskian determinant of 1.
+_ONE = UniPoly([1])
 
 
 def _valid_t_range(d: int, e: int) -> range:
@@ -137,7 +141,7 @@ def univariate_checks(a: MultiRootSet, b: MultiRootSet) -> List[Check]:
         _match(
             checks,
             "confluent Vandermonde determinant of %s matches closed form" % name,
-            vandermonde_det(rs),
+            wronskian_det(_ONE, rs),
             vandermonde_det_closed(rs),
         )
     _match(
@@ -158,8 +162,6 @@ def univariate_checks(a: MultiRootSet, b: MultiRootSet) -> List[Check]:
         for t, want in coeff_side.items():
             for p in range(0, min(t, d) + 1):
                 q = t - p
-                if q > e:
-                    continue
                 sign, scale = sylvester_identity_scale(d, t, p)
                 _match(
                     checks,

@@ -2,9 +2,9 @@
 
 Everything here is deliberately naive and shares no code path with the
 package: determinants by cofactor expansion, Hilbert counting through a
-power series, confluent Vandermonde entries by their binomial formula,
-Hermite interpolation through the bordered determinant, and a tiny dense
-Gaussian solver.  Slow is fine; different is the point.
+power series and by enumerating exponents, confluent Vandermonde entries
+by their binomial formula, Hermite interpolation through the bordered
+determinant, and a tiny dense Gaussian solver.  Slow is fine; different is the point.
 
 The subresultant determinants are also kept in the form the package used
 before it took them by one bordered elimination: rebuilt at x = 0, ..., t,
@@ -92,6 +92,15 @@ def series_hilbert(degrees, t):
         for k in range(1, bound):
             series[k] += series[k - 1]
     return series[t]
+
+
+def enumerated_hilbert(degrees, t):
+    """Count alpha in N^n with |alpha| <= t, alpha_i < D_i for i <= n and
+    t - |alpha| < D_{n+1} by running through every such alpha."""
+    first, last = degrees[:-1], degrees[-1]
+    return sum(
+        1 for alpha in iproduct(*(range(d) for d in first)) if sum(alpha) <= t and t - sum(alpha) < last
+    )
 
 
 def solve_gauss(rows, rhs):
@@ -354,6 +363,30 @@ def sres_roots_interpolated(a: MultiRootSet, b: MultiRootSet, t: int, variant: s
 
     det = det_at_nodes(build, t, den)
     return -det if ((d - t) * e) % 2 else det
+
+
+def extremal_sres(alpha, beta, m: int, n: int, t: int) -> UniPoly:
+    """Sres_t((x - alpha)^m, (x - beta)^n) for 0 <= t < m <= n in the
+    Bernstein basis (x - alpha)^j (x - beta)^(t-j) (Bostan, D'Andrea, Krick,
+    Szanto and Valdettaro, "Subresultants in multiple roots: an extremal
+    case", Linear Algebra Appl., 2017).  With r = m-t-1 and s = n-t-1 it is
+
+        (alpha - beta)^((m-t)(n-t)) K sum_{j<=t} C(s+j, j) C(r+t-j, t-j)
+            (x - alpha)^j (x - beta)^(t-j),
+
+    K the product over 1 <= i <= r, 1 <= j <= t of (s+i+j) / (i+j).  No
+    determinant is taken; at t = 0 it is the resultant (alpha - beta)^(mn).
+    """
+    r, s = m - t - 1, n - t - 1
+    k = Rat(1)
+    for i in range(1, r + 1):
+        for j in range(1, t + 1):
+            k = k * Rat(s + i + j, i + j)
+    xa, xb = UniPoly([-alpha, Rat(1)]), UniPoly([-beta, Rat(1)])
+    out = UniPoly.zero()
+    for j in range(t + 1):
+        out = out + xa**j * xb ** (t - j) * Rat(comb(s + j, j) * comb(r + t - j, t - j))
+    return out * ((alpha - beta) ** ((m - t) * (n - t)) * k)
 
 
 def poly_product(a: MultiRootSet) -> UniPoly:

@@ -180,6 +180,13 @@ class TestMultivariateCommands:
         assert got["truncated"] is True
         assert got["order"] is None
 
+    def test_dual_negative_order_bound_exit_two(self, capsys):
+        gens = '[[{"exponents":[2],"coeff":"1"}]]'
+        argv = ["dual", "--generators", gens, "--point", '["0"]', "--order-bound"]
+        assert run(capsys, argv + ["-2"]) == (2, "", "error: order bound must be nonnegative, got -2\n")
+        got = out_json(capsys, argv + ["0"])
+        assert (got["dimension"], got["order"], got["truncated"]) == (1, None, True)
+
     def test_dual_default_bound_reaches_stabilization(self, capsys):
         gens = json.dumps(
             [

@@ -180,6 +180,16 @@ class TestIntegralTable:
             assert [v / Rat(q**k) for v in row] == vandermonde_binomial(a, 7)[k]
         assert confluent._vandermonde_rows(a, 3)[0] is rows
 
+    @pytest.mark.parametrize("name", sorted(SETS))
+    @pytest.mark.parametrize("u", [0, 3, 8])
+    def test_wronskian_rows_of_one_are_the_table_rows(self, name, u):
+        # The table is the Wronskian of 1: its rows are shared, not rebuilt.
+        a = MultiRootSet(self.SETS[name])
+        rows, scales = confluent._wronskian_rows(UniPoly([1]), a, u)
+        table, q = confluent._vandermonde_rows(a, u)
+        assert len(rows) == u and all(row is table[k] for k, row in enumerate(rows))
+        assert scales == [q**k for k in range(u)]
+
     def test_integer_sets_hold_plain_ints(self):
         a = MultiRootSet(self.SETS["integers"])
         rows, _ = confluent._vandermonde_rows(a, 6)

@@ -280,6 +280,16 @@ class TestInverseSystem:
         assert res.truncated
         assert res.order_stabilized is None
 
+    def test_negative_order_bound_rejected(self):
+        f1, f2 = circle_line_pair()
+        with pytest.raises(DomainError) as err:
+            inverse_system([f1, f2], (0, 0), order_bound=-2)
+        assert str(err.value) == "order bound must be nonnegative, got -2"
+        # Order 0 keeps the evaluation alone, truncated.
+        res = inverse_system([f1, f2], (0, 0), order_bound=0)
+        assert res.truncated and res.order_stabilized is None
+        assert [f.terms for f in res] == [(((0, 0), 1),)]
+
     def test_not_a_root_rejected(self):
         g = MultiPoly(2, {(0, 0): Rat(1), (1, 0): Rat(1)})
         with pytest.raises(DomainError) as err:

@@ -11,7 +11,7 @@ from subres.mv.hilbert import (
     hilbert_function,
     tau,
 )
-from oracles import series_hilbert
+from oracles import enumerated_hilbert, series_hilbert
 
 
 class TestHilbertFunction:
@@ -37,6 +37,14 @@ class TestHilbertFunction:
         for degs in iproduct((1, 2, 3), repeat=4):
             for t in range(9):
                 assert hilbert_function(degs, t) == series_hilbert(degs, t)
+
+    def test_matches_enumeration_oracle(self):
+        for degs in iproduct((1, 2, 3, 4), repeat=3):
+            for t in range(9):
+                assert hilbert_function(degs, t) == enumerated_hilbert(degs, t)
+        for degs in iproduct((1, 2, 3), repeat=4):
+            for t in range(9):
+                assert hilbert_function(degs, t) == enumerated_hilbert(degs, t)
 
     def test_input_validation(self):
         with pytest.raises(DomainError):

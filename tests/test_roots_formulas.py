@@ -25,7 +25,7 @@ from subres import (
 from subres import matrix
 from subres.verify import random_pair
 from conftest import rationals
-from oracles import lagrange_interpolant, sres_coeff_interpolated, sres_roots_interpolated
+from oracles import extremal_sres, lagrange_interpolant, sres_coeff_interpolated, sres_roots_interpolated
 
 
 def rs(*pairs):
@@ -156,6 +156,48 @@ class TestFineDenominators:
             assert sres_coeff(f, g, t) == sres_coeff_interpolated(f, g, t)
             for variant in VARIANTS:
                 assert sres_roots(a, b, t, variant) == sres_roots_interpolated(a, b, t, variant)
+
+
+@st.composite
+def extremal_cases(draw):
+    """(alpha, beta, m, n, t), alpha != beta, 0 <= t < m <= n: small
+    rationals with m <= 4 and n <= 5, or the roots (a, b) or (a, a+1)
+    with m <= 3 and n <= 4."""
+    kind = draw(st.sampled_from(("rational", "a, b", "a, a+1")))
+    if kind == "rational":
+        alpha, beta = draw(st.lists(rationals(), min_size=2, max_size=2, unique=True))
+        top_m, top_n = 4, 5
+    else:
+        alpha = param("a")
+        beta = param("b") if kind == "a, b" else alpha + 1
+        top_m, top_n = 3, 4
+    m = draw(st.integers(1, top_m))
+    n = draw(st.integers(m, top_n))
+    return alpha, beta, m, n, draw(st.integers(0, m - 1))
+
+
+class TestExtremalClosedForm:
+    """One root on each side: every route against the Bernstein-basis
+    closed form, which takes no determinant."""
+
+    @given(extremal_cases())
+    @example((Rat(3, 2), Rat(-1, 3), 4, 5, 2))
+    @example((param("a"), param("b"), 3, 4, 1))
+    @example((param("a"), param("a") + 1, 3, 3, 2))
+    def test_every_route_matches(self, case):
+        alpha, beta, m, n, t = case
+        want = extremal_sres(alpha, beta, m, n, t)
+        if t == 0:
+            assert want == UniPoly([(alpha - beta) ** (m * n)])
+        a, b = MultiRootSet([(alpha, m)]), MultiRootSet([(beta, n)])
+        f, g = UniPoly([-alpha, Rat(1)]) ** m, UniPoly([-beta, Rat(1)]) ** n
+        assert sres_coeff(f, g, t) == want
+        for variant in VARIANTS:
+            assert sres_roots(a, b, t, variant) == want
+        if t == m - 1:
+            assert sres_dm1_hermite(a, b) == want
+        if t == 1:
+            assert sres_one(a, b) == want
 
 
 class TestHermiteCase:
