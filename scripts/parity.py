@@ -17,11 +17,17 @@ from the standard library and the constants of ``run_crosschecks.py``:
   then once the symbolic pairs and the fine pair.  On each pair: ``verify``,
   ``roots`` in all three variants at every valid t, ``hermite``, ``one``,
   and ``vandermonde`` and ``wronskian`` of A with the default u;
+- on the A side of each symbolic pair and of the fine pair, ``wronskian``
+  with a parameter in h;
 - the five bundled systems.  On each: ``verify``, ``mv`` on both routes,
-  and ``dual`` at each root.
+  and ``dual`` at each root;
+- ``verify`` on the first bundled system with two of its dual functionals
+  at (0, 0) replaced, so that the annihilation record and the quotient
+  record fail (exit 1).
 """
 
 import argparse
+import copy
 import hashlib
 import io
 import json
@@ -30,14 +36,23 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
-from run_crosschecks import FINE_PAIR, SYMBOLIC_PAIRS, SYSTEMS
+from run_crosschecks import BUNDLED_SYSTEM, FINE_PAIR, SYMBOLIC_PAIRS, SYSTEMS
 from subres import cli
 
 PAIRS_PER_SEED = 8
 POOL = sorted({Fraction(num, den) for num in range(-9, 10) for den in range(1, 5)})
 VARIANTS = ("compact", "block", "wronskian-full")
-# h = z^2 - 3z + 1/2 for the wronskian calls.
+# h = z^2 - 3z + 1/2 for the wronskian calls, and h = -z^2 + z/2 + c.
 H = json.dumps(["1/2", "-3", "1"])
+H_PARAM = json.dumps(["c", "1/2", "-1"])
+
+# d1 + 1/2 d2 and d2 + 3 d1^2 in place of d1 and d2 + 2 d1^2 at (0, 0): the
+# second does not annihilate f2 = x1^2 + x2^2 - 2 x2.
+BROKEN_DUAL_SYSTEM = copy.deepcopy(BUNDLED_SYSTEM)
+BROKEN_DUAL_SYSTEM["roots"][0]["dual"][1:] = [
+    {"terms": [{"alpha": [1, 0], "coeff": "1"}, {"alpha": [0, 1], "coeff": "1/2"}]},
+    {"terms": [{"alpha": [0, 1], "coeff": "1"}, {"alpha": [2, 0], "coeff": "3"}]},
+]
 
 
 def random_rootset(rng, degree):
@@ -91,9 +106,11 @@ def run(argv):
 
 def calls_for(seeds):
     pairs = [pair for seed in seeds for pair in random_pairs(seed)]
-    pairs += list(SYMBOLIC_PAIRS) + [FINE_PAIR]
-    calls = [call for a, b in pairs for call in pair_calls(a, b)]
-    return calls + [call for _, doc in SYSTEMS for call in system_calls(doc)]
+    fixed = list(SYMBOLIC_PAIRS) + [FINE_PAIR]
+    calls = [call for a, b in pairs + fixed for call in pair_calls(a, b)]
+    calls += [["wronskian", "--A", json.dumps(a), "--h", H_PARAM] for a, _ in fixed]
+    calls += [call for _, doc in SYSTEMS for call in system_calls(doc)]
+    return calls + [["verify", "--system", json.dumps(BROKEN_DUAL_SYSTEM)]]
 
 
 def main(argv=None):

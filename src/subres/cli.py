@@ -22,9 +22,8 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .confluent import wronskian
+from .confluent import wronskian, wronskian_det
 from .errors import DomainError, StructuralError
-from .matrix import det_exact
 from .mv.duality import assemble_dual_basis, inverse_system
 from .mv.hilbert import build_monomial_sets
 from .mv.macaulay import delta_s
@@ -34,6 +33,7 @@ from .scalar import Rat
 from .serialize import (
     SystemDocument,
     _exponent_vector,
+    _within_digit_limit,
     functional_to_json,
     matrix_to_json,
     parse_multipoly,
@@ -64,7 +64,7 @@ def _load(value: str):
     else:
         text = value
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=functools.partial(_within_digit_limit, int))
     except json.JSONDecodeError as ex:
         raise DomainError(
             "malformed JSON at line %d column %d: %s" % (ex.lineno, ex.colno, ex.msg)
@@ -124,7 +124,8 @@ def _cmd_wronskian(args):
     m = wronskian(h, a, u)
     doc = {"matrix": matrix_to_json(m)}
     if m.nrows == m.ncols:
-        doc["det"] = scalar_to_str(det_exact(m))
+        # Square when u is the total multiplicity; otherwise u is 0 and m empty.
+        doc["det"] = scalar_to_str(wronskian_det(h, a) if u == a.total else Rat(1))
     return doc, 0
 
 

@@ -12,15 +12,13 @@ the dual space order by order with them.
 The arithmetic runs on integer numerators over one integer denominator,
 as ``_numerators`` makes them.  A point coordinate u/v expands through a
 table of C(a, k) u^(a - k) v^k (``_binomial_tables``), so every term of
-x^alpha shares the denominator prod_i v_i^alpha_i.  A translate stays in
-that form: ``_translate`` gives its integer numerators and their one
-denominator, which the integration rows and ``dual_wronskian`` read as
-they are, unreduced: no kernel, span or quotient depends on a common
-factor of the pair.  Evaluations are summed in integers and divided once
-per value (``_quotient``).  A ``ParamPoly`` coordinate or coefficient is
-scaled to integer coefficients by the lcm of its denominators and goes
-through the same loops.  Every reader of the tables lives here, the dual
-Wronskian and Vandermonde matrices of ``poisson`` included.
+x^alpha shares the denominator prod_i v_i^alpha_i.  Every value L(f), in
+``dual_eval`` and in the dual Wronskian and Vandermonde matrices of
+``poisson``, comes from one evaluator, ``_values``, which builds a point's
+tables once per call, reads no translate and divides once per value.
+``inverse_system`` reads translates (``_translate``) instead.  A
+``ParamPoly`` coordinate or coefficient is scaled to integer coefficients
+and goes through the same loops.  Every reader of the tables lives here.
 """
 
 from __future__ import annotations
@@ -103,32 +101,47 @@ class DualFunctional:
 
 
 def dual_eval(func: DualFunctional, f: MultiPoly) -> Scalar:
-    """Apply the functional to a polynomial.
-
-    Sums a_alpha c_gamma C(gamma, alpha) point^(gamma - alpha) over the
-    terms a_alpha d_alpha of the functional and c_gamma x^gamma of f, from
-    the point's integer tables, as integers over one denominator.  It
-    reads no translate of f, so it checks ``inverse_system`` independently.
-    """
+    """Apply the functional to a polynomial.  It reads no translate of f,
+    so it checks ``inverse_system`` independently."""
     if f.n != func.point.n:
         raise DomainError("functional in %d variables applied to %d" % (func.point.n, f.n))
-    tops = [max((e[i] for e in f.terms), default=0) for i in range(f.n)]
-    tables, dens = _binomial_tables(func.point.coords, tops)
-    a_nums, a_den = _numerators([a for _, a in func.terms])
-    c_nums, c_den = _numerators(list(f.terms.values()))
-    acc = 0
-    for gamma, c in zip(f.terms, c_nums):
+    return _values(func.point, [func], [f])[0][0]
+
+
+def _values(point: Point, funcs: Sequence[DualFunctional], polys: Sequence[MultiPoly]) -> list:
+    """[[L(f) for L in funcs] for f in polys], every L anchored at point.
+
+    Sums a_alpha c_gamma C(gamma, alpha) point^(gamma - alpha) over the
+    terms a_alpha d_alpha of L and c_gamma x^gamma of f, in integers from
+    one set of the point's tables, and divides once per value.
+    """
+    tops = [max((e[i] for f in polys for e in f.terms), default=0) for i in range(point.n)]
+    tables, dens = _binomial_tables(point.coords, tops)
+    scale = prod(v**top for v, top in zip(dens, tops))
+    coefficients = [(func.terms, *_numerators([a for _, a in func.terms])) for func in funcs]
+    rows = []
+    for f in polys:
+        c_nums, c_den = _numerators(list(f.terms.values()))
         # C(g, a) x^(g - a) is table[g][a] / v^g: lift every term to v^top
-        c = c * prod(v ** (top - g) for v, top, g in zip(dens, tops, gamma))
-        for (alpha, _), a in zip(func.terms, a_nums):
-            term = a * c
-            for table, g, k in zip(tables, gamma, alpha):
-                if k > g or not table[g][k]:
-                    break
-                term = term * table[g][k]
-            else:
-                acc = acc + term
-    return _quotient(acc, a_den * c_den * prod(v**top for v, top in zip(dens, tops)))
+        lifted = [
+            (gamma, c * prod(v ** (top - g) for v, top, g in zip(dens, tops, gamma)))
+            for gamma, c in zip(f.terms, c_nums)
+        ]
+        row = []
+        for terms, a_nums, a_den in coefficients:
+            acc = 0
+            for gamma, c in lifted:
+                for (alpha, _), a in zip(terms, a_nums):
+                    term = a * c
+                    for table, g, k in zip(tables, gamma, alpha):
+                        if k > g or not table[g][k]:
+                            break
+                        term = term * table[g][k]
+                    else:
+                        acc = acc + term
+            row.append(_quotient(acc, a_den * c_den * scale))
+        rows.append(row)
+    return rows
 
 
 def sigma_shift(func: DualFunctional, beta: Expo) -> Optional[DualFunctional]:
@@ -167,14 +180,13 @@ def _binomial_tables(coords: Sequence[Scalar], tops: Sequence[int]) -> Tuple[lis
     return tables, dens
 
 
-def _translate(g: MultiPoly, point: Point) -> Tuple[dict, int]:
-    """g(point + y) as integer numerators by exponent of y, and their one
-    denominator, from the tables of the binomial expansion of each
-    (x_i + y_i)^gamma_i.  Every term is lifted to d * prod_i v_i^top_i, d
-    that of the coefficients, and summed in integers."""
+def _translate(g: MultiPoly, point: Point) -> dict:
+    """g(point + y) scaled to integers, by exponent of y, from the tables of
+    the binomial expansion of each (x_i + y_i)^gamma_i: every term is lifted
+    to one denominator, which is dropped, as no kernel or span depends on it."""
     tops = [max((e[i] for e in g.terms), default=0) for i in range(g.n)]
     tables, dens = _binomial_tables(point.coords, tops)
-    nums, d = _numerators(list(g.terms.values()))
+    nums, _ = _numerators(list(g.terms.values()))
     out: dict = {}
     for gamma, c in zip(g.terms, nums):
         partial = {(): c * prod(v ** (top - e) for v, top, e in zip(dens, tops, gamma))}
@@ -184,58 +196,25 @@ def _translate(g: MultiPoly, point: Point) -> Tuple[dict, int]:
             }
         for alpha, w in partial.items():
             out[alpha] = out.get(alpha, 0) + w
-    out = {alpha: w for alpha, w in out.items() if w}
-    return out, d * prod(v**top for v, top in zip(dens, tops))
+    return {alpha: w for alpha, w in out.items() if w}
 
 
 def dual_wronskian(h: MultiPoly, monomials: Sequence[Expo], basis: DualBasis) -> ExactMatrix:
-    """Rows indexed by monomials, columns by functionals; entry L(x^alpha h).
-
-    Built in local coordinates, group by group.  At the group's point p, h
-    is translated once, h_p = h(p + y), and each functional L of the group
-    becomes L o h = sum_beta h_p[beta] sigma_beta L, the functional that
-    maps F to L(h F).  The entry is (L o h)((p + y)^alpha), whose terms are
-    read from the point's integer tables of C(a, k) u_i^(a - k) v_i^k,
-    p_i = u_i / v_i.  L o h is kept as integers over one denominator, and
-    row alpha adds the one factor prod_i v_i^alpha_i, so every entry is a
-    sum of integer products divided once.
-    """
+    """Rows indexed by monomials, columns by functionals; entry L(x^alpha h),
+    each group's values read by ``_values`` from one set of tables."""
     monomials = [tuple(e) for e in monomials]
     n = h.n
     for expo in monomials:
         if len(expo) != n or any(not isinstance(e, int) or e < 0 for e in expo):
             raise DomainError("bad exponent vector %r for %d variables" % (expo, n))
-    tops = [max((e[i] for e in monomials), default=0) for i in range(n)]
-    columns = []
+    multiples = [h.shift(alpha) for alpha in monomials]
+    rows = [[] for _ in monomials]
     for point, funcs in basis.groups:
         if point.n != n:
             raise DomainError("functional in %d variables applied to %d" % (point.n, n))
-        h_p, h_den = _translate(h, point)
-        h_p = list(h_p.items())
-        tables, dens = _binomial_tables(point.coords, tops)
-        row_dens = [h_den * prod(v**a for v, a in zip(dens, alpha)) for alpha in monomials]
-        for func in funcs:
-            l_nums, l_den = _numerators([l for _, l in func.terms])
-            composed: dict = {}
-            for (gamma, _), l in zip(func.terms, l_nums):
-                for beta, c in h_p:
-                    delta = tuple(g - b for g, b in zip(gamma, beta))
-                    if min(delta) >= 0:
-                        composed[delta] = composed.get(delta, 0) + l * c
-            terms = [(delta, v) for delta, v in composed.items() if v]
-            column = []
-            for alpha, den in zip(monomials, row_dens):
-                acc = 0
-                for delta, v in terms:
-                    for table, a, d in zip(tables, alpha, delta):
-                        if d > a or not table[a][d]:
-                            break
-                        v = v * table[a][d]
-                    else:
-                        acc = acc + v
-                column.append(_quotient(acc, l_den * den))
-            columns.append(column)
-    return ExactMatrix([list(row) for row in zip(*columns)] if columns else [[] for _ in monomials])
+        for row, values in zip(rows, _values(point, funcs, multiples)):
+            row.extend(values)
+    return ExactMatrix(rows)
 
 
 def dual_vandermonde(monomials: Sequence[Expo], basis: DualBasis) -> ExactMatrix:
@@ -322,7 +301,7 @@ def inverse_system(
         point = Point(point)
     if point.n != n:
         raise DomainError("point has %d coordinates, expected %d" % (point.n, n))
-    local = [_translate(g, point)[0] for g in generators]
+    local = [_translate(g, point) for g in generators]
     for g, g_p in zip(generators, local):
         if g_p.get((0,) * n):
             raise DomainError("the point is not a common root: %s does not vanish" % g)

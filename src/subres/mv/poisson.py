@@ -6,10 +6,11 @@ determinants for the free degrees times det(O_S(Lambda)) / det(V_T(Lambda)),
 where O_S stacks the monomial evaluations on S and T* over the evaluations
 of the last polynomial's multiples indexed by R.  The two routes agree up
 to a fixed sign per configuration.  Both kinds of rows come from
-``dual_vandermonde`` and ``dual_wronskian``, which live in ``duality``
-with the integer tables they read and are imported here by their public
-names.  ``poisson_delta`` evaluates each monomial of T, S and T* once and
-takes V_T's rows and O_S's monomial rows from that one table.
+``dual_vandermonde`` and ``dual_wronskian`` of ``duality``, which read
+every value L(x^alpha) and L(x^alpha f_(n+1)) through its one evaluator,
+from each root's tables built once per matrix.  ``poisson_delta``
+evaluates each monomial of T, S and T* once and takes V_T's rows and
+O_S's monomial rows from that one table.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ exactness is the point of the package.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -48,7 +49,20 @@ __all__ = [
 
 def scalar_to_str(s: Scalar) -> str:
     """Canonical string form: "p/q" for rationals, infix for parameters."""
-    return str(_collapse(as_scalar(s)))
+    return _within_digit_limit(str, _collapse(as_scalar(s)))
+
+
+def _within_digit_limit(convert, value):
+    """convert(value), int of a literal or str of a scalar, with Python's
+    limit for integer string conversion as a ``DomainError`` (gmpy2's mpq
+    prints without one)."""
+    try:
+        return convert(value)
+    except ValueError:
+        raise DomainError(
+            "integer with more than %d digits, the limit for integer string conversion"
+            % sys.get_int_max_str_digits()
+        ) from None
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*/^]))")
@@ -66,7 +80,7 @@ def _tokenize(text: str):
                 "scalar parse error at position %d: unexpected %r" % (pos, rest[0])
             )
         if m.group(1):
-            out.append(("int", int(m.group(1))))
+            out.append(("int", _within_digit_limit(int, m.group(1))))
         elif m.group(2):
             out.append(("name", m.group(2)))
         else:

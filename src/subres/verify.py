@@ -23,7 +23,7 @@ from .confluent import (
 )
 from .errors import DomainError, StructuralError
 from .matrix import det_exact
-from .mv.duality import assemble_dual_basis, dual_eval, inverse_system
+from .mv.duality import DualBasis, assemble_dual_basis, dual_wronskian, inverse_system
 from .mv.hilbert import build_monomial_sets
 from .mv.macaulay import _extraneous_divisor, macaulay_matrix
 from .mv.poisson import poisson_delta
@@ -211,17 +211,16 @@ def mv_checks(doc: SystemDocument) -> List[Check]:
 
     if doc.roots is not None:
         groups = resolved_groups(doc)
-        dims = []
-        annihilated = True
-        witness = ""
-        for point, dual in groups:
-            for func in dual:
-                for i, gpoly in enumerate(sys.polys[:-1]):
-                    val = dual_eval(func, gpoly)
-                    if val != 0:
-                        annihilated = False
-                        witness = "functional %s on polynomial %d gives %s" % (func, i + 1, val)
-            dims.append(len(dual))
+        # Row 0 of the dual Wronskian of g holds every L(g).
+        dual = DualBasis(tuple(groups))
+        values = [dual_wronskian(g, [(0,) * sys.n], dual).rows[0] for g in sys.polys[:-1]]
+        annihilated, witness = True, ""
+        for func, column in zip(dual.functionals, zip(*values)):
+            for i, val in enumerate(column):
+                if val != 0:
+                    annihilated = False
+                    witness = "functional %s on polynomial %d gives %s" % (func, i + 1, val)
+        dims = [len(funcs) for _, funcs in groups]
         _record(checks, "dual functionals annihilate the defining polynomials",
                 annihilated, witness)
         _record(

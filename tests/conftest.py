@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from subres import MultiRootSet, Rat
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+# The scripts' fixed inputs (run_crosschecks, parity) are shared with tests.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
 settings.register_profile(
     "exact",

@@ -1,14 +1,21 @@
 """End-to-end command-line behavior: documents in, one JSON document out."""
 
+import io
 import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from subres import MultiRootSet, Rat, __version__
+from conftest import rationals
+from parity import BROKEN_DUAL_SYSTEM
+from subres import MultiRootSet, Rat, UniPoly, __version__, param, wronskian_det_closed
 from subres import cli
 from subres.cli import _build_parser, main
-from subres.roots_formulas import sres_one
-from subres.serialize import unipoly_to_json
+from subres.roots_formulas import VARIANTS, sres_one
+from subres.serialize import scalar_to_str, unipoly_to_json
 
 
 def run(capsys, argv):
@@ -98,6 +105,12 @@ class TestUnivariateCommands:
     def test_wronskian(self, capsys):
         got = out_json(capsys, ["wronskian", "--A", "[[1,2]]", "--h", "[0,0,1]"])
         assert got == {"matrix": [["1", "2"], ["1", "3"]], "det": "1"}
+
+    def test_symbolic_wronskian_det_is_the_closed_form(self, capsys):
+        got = out_json(capsys, ["wronskian", "--A", '[["a",2],["b",1]]', "--h", '["c","1"]'])
+        a = MultiRootSet([(param("a"), 2), (param("b"), 1)])
+        h = UniPoly([param("c"), Rat(1)])
+        assert got["det"] == scalar_to_str(wronskian_det_closed(h, a))
 
 
 class TestMultivariateCommands:
@@ -237,6 +250,21 @@ class TestVerifyCommand:
         bad = [c for c in got["checks"] if not c["ok"]]
         assert bad and all("detail" in c for c in bad)
 
+    def test_functional_that_misses_a_generator_fails_two_records(self, capsys):
+        got = out_json(capsys, ["verify", "--system", json.dumps(BROKEN_DUAL_SYSTEM)], expect=1)
+        assert [c for c in got["checks"] if not c["ok"]] == [
+            {
+                "name": "dual functionals annihilate the defining polynomials",
+                "ok": False,
+                "detail": "functional d0,1 + 3*d2,0 at ('0', '0') on polynomial 2 gives 1",
+            },
+            {
+                "name": "dual-basis quotient matches the Macaulay subresultant up to sign",
+                "ok": False,
+                "detail": "poisson -3/2*c0^3 - 3*c0^2*c2, macaulay -c0^3 - 2*c0^2*c2",
+            },
+        ]
+
     def test_zero_last_polynomial(self, capsys):
         # (x1 - 1/2)^3 and (x2 + 1)^3: one root of multiplicity 9, whose dual
         # basis inverse_system computes; with f3 = 0 both routes give 0.
@@ -282,6 +310,12 @@ class TestVerifyCommand:
             ["verify", "--A", "[[1,1]]", "--B", "[[2,1]]", "--system", json.dumps(system_doc())],
         )
         assert code == 2
+
+
+LIMIT_MESSAGE = (
+    "error: integer with more than %d digits, the limit for integer string conversion\n"
+    % sys.get_int_max_str_digits()
+)
 
 
 class TestErrorReporting:
@@ -405,6 +439,26 @@ class TestErrorReporting:
             "error: repeated root (0, 2)\n",
         )
 
+    def test_json_number_past_the_int_limit_exit_two(self, capsys):
+        f = "[%s, 1]" % ("9" * 5000)
+        code, _, err = run(capsys, ["coeffs", "--f", f, "--g", "[1,0,1]", "-t", "0"])
+        assert (code, err) == (2, LIMIT_MESSAGE)
+
+    def test_scalar_literal_past_the_int_limit_exit_two(self, capsys):
+        f = json.dumps(["9" * 5000, 1])
+        code, _, err = run(capsys, ["coeffs", "--f", f, "--g", "[1,0,1]", "-t", "0"])
+        assert (code, err) == (2, LIMIT_MESSAGE)
+
+    def test_result_past_the_int_limit(self, capsys):
+        # The resultant (alpha - 1)^9 has about 7 200 digits.
+        alpha = "7" * 800
+        argv = ["roots", "--A", json.dumps([[alpha, 3]]), "--B", '[["1",3]]', "-t", "0"]
+        code, out, err = run(capsys, argv)
+        if code == 0:  # gmpy2's mpq prints past the limit
+            assert json.loads(out) == [str(Rat(int(alpha) - 1) ** 9)]
+        else:
+            assert (code, err) == (2, LIMIT_MESSAGE)
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["coeffs", "--f", "@/nonexistent.json", "--g", "[1]", "-t", "0"])
         assert code == 2
@@ -449,3 +503,49 @@ class TestErrorReporting:
         assert code == 0
         json.loads(out)  # exactly one parseable value
         assert out.endswith("\n")
+
+
+# Small rationals, at most two parameter names, and one literal past the
+# 4 300-digit limit of integer string conversion.
+_SCALARS = st.one_of(
+    rationals().map(str), st.sampled_from(["a", "a+1", "b-1/2", "9" * 4301])
+)
+
+
+@st.composite
+def _rootset_doc(draw):
+    roots = draw(st.lists(_SCALARS, min_size=1, max_size=3, unique=True))
+    return [[r, draw(st.integers(1, 2))] for r in roots]
+
+
+@st.composite
+def _cli_call(draw):
+    a, b = draw(_rootset_doc()), draw(_rootset_doc())
+    ab = ["--A", json.dumps(a), "--B", json.dumps(b)]
+    command = draw(st.sampled_from(["roots", "hermite", "one", "dsum", "wronskian", "verify"]))
+    if command == "roots":
+        # Every valid order, and the invalid ones up to the larger degree.
+        top = max(sum(m for _, m in a), sum(m for _, m in b))
+        t = draw(st.integers(0, top))
+        return ["roots"] + ab + ["-t", str(t), "--variant", draw(st.sampled_from(VARIANTS))]
+    if command == "dsum":
+        p, q = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        return ["dsum"] + ab + ["-p", str(p), "-q", str(q)]
+    if command == "wronskian":
+        h = draw(st.lists(_SCALARS, min_size=1, max_size=3))
+        return ["wronskian", "--A", json.dumps(a), "--h", json.dumps(h)]
+    return [command] + ab
+
+
+class TestFuzzedArguments:
+    @given(_cli_call())
+    def test_exit_code_promise(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3), err.getvalue()
+        if code == 0:
+            json.loads(out.getvalue())
+        else:
+            assert err.getvalue().startswith("error: ")
+            assert not err.getvalue().startswith("error: internal")

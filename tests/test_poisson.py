@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles import functional_of_multiple
 from subres import DomainError, MultiPoly, ParamPoly, Rat, StructuralError, param
 from subres.matrix import ExactMatrix, det_exact
 from subres.mv.duality import (
@@ -83,6 +84,8 @@ class TestDualWronskian:
         monos = monomials_up_to_degree(2, 5)
         got = dual_wronskian(h, monos, basis).rows
         assert got == [[dual_eval(f, h.shift(e)) for f in basis] for e in monos]
+        # dual_eval shares the evaluator; the oracle translates term by term.
+        assert got == [[functional_of_multiple(f, h, e) for f in basis] for e in monos]
 
     def test_monomial_in_the_wrong_variable_count_rejected(self):
         with pytest.raises(DomainError):
@@ -106,6 +109,8 @@ class TestDualVandermonde:
         monos = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 3)]
         got = dual_vandermonde(monos, basis).rows
         assert got == [[dual_eval(f, MultiPoly.monomial(e)) for f in basis] for e in monos]
+        one = MultiPoly.constant(2, Rat(1))
+        assert got == [[functional_of_multiple(f, one, e) for f in basis] for e in monos]
 
     def test_monomial_in_the_wrong_variable_count_rejected(self):
         with pytest.raises(DomainError):

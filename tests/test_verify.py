@@ -18,6 +18,7 @@ from subres import (
 )
 from subres import confluent
 from subres.confluent import confluent_inverse_holds, wronskian_det
+from subres.mv import duality
 from subres.serialize import parse_system
 from subres.verify import (
     Check,
@@ -27,6 +28,7 @@ from subres.verify import (
     resolved_groups,
     univariate_checks,
 )
+from run_crosschecks import GRID_SYSTEM
 from test_serialize import circle_line_doc
 
 
@@ -114,6 +116,20 @@ class TestMVBattery:
         assert checks and all(c.ok for c in checks), [c for c in checks if not c.ok]
         names = [c.name for c in checks]
         assert "dual-basis quotient matches the Macaulay subresultant up to sign" in names
+
+    def test_grid_system_builds_each_table_once_per_evaluation(self, monkeypatch):
+        builds = []
+        real = duality._binomial_tables
+
+        def spy(coords, tops):
+            builds.append(coords)
+            return real(coords, tops)
+
+        monkeypatch.setattr(duality, "_binomial_tables", spy)
+        assert all(c.ok for c in mv_checks(parse_system(GRID_SYSTEM)))
+        # One root: two translates for inverse_system, one evaluation per
+        # generator for the annihilation record, then V_T and O_S.
+        assert len(builds) <= 6
 
     def test_without_roots_runs_matrix_checks_only(self):
         raw = circle_line_doc()
