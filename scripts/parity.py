@@ -16,7 +16,8 @@ from the standard library and the constants of ``run_crosschecks.py``:
 - per seed, random rational pairs (total degree <= 6, multiplicity <= 3),
   then once the symbolic pairs and the fine pair.  On each pair: ``verify``,
   ``roots`` in all three variants at every valid t, ``hermite``, ``one``,
-  and ``vandermonde`` and ``wronskian`` of A with the default u;
+  ``dsum`` with p, q in {0, 1}, and ``vandermonde`` and ``wronskian`` of A
+  with the default u;
 - on the A side of each symbolic pair and of the fine pair, ``wronskian``
   with a parameter in h;
 - the five bundled systems.  On each: ``verify``, ``mv`` on both routes,
@@ -81,6 +82,7 @@ def pair_calls(a, b):
     calls = [["verify"] + ab]
     calls += [["roots"] + ab + ["-t", str(t), "--variant", v] for v in VARIANTS for t in orders]
     calls += [["hermite"] + ab, ["one"] + ab]
+    calls += [["dsum"] + ab + ["-p", str(p), "-q", str(q)] for p in (0, 1) for q in (0, 1)]
     calls += [["vandermonde", "--A", json.dumps(a)], ["wronskian", "--A", json.dumps(a), "--h", H]]
     return calls
 

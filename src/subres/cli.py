@@ -10,7 +10,7 @@ on an internal error, any other exception, reported on standard error as
 check.  ``sres --version`` prints the version and the rational backend.
 
 Every flag that takes a document accepts inline JSON or an ``@file``
-reference interchangeably.
+reference to a UTF-8 JSON file interchangeably.
 """
 
 from __future__ import annotations
@@ -52,23 +52,36 @@ from .verify import mv_checks, resolved_groups, univariate_checks
 __all__ = ["main"]
 
 
+# One decoder for every flag value; json.loads with a keyword builds a new one per call.
+_DECODER = json.JSONDecoder(parse_int=functools.partial(_within_digit_limit, int))
+
+
 def _load(value: str):
-    """Decode a flag value: inline JSON, or @path to a JSON file."""
+    """Decode a flag value: inline JSON, or @path to a UTF-8 JSON file."""
     if value.startswith("@"):
         path = value[1:]
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as ex:
+        except (OSError, ValueError) as ex:  # ValueError: undecodable bytes, a NUL in the path
             raise DomainError("cannot read %s: %s" % (path, ex)) from None
     else:
         text = value
     try:
-        return json.loads(text, parse_int=functools.partial(_within_digit_limit, int))
+        if text.startswith("\ufeff"):  # refused as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as ex:
         raise DomainError(
             "malformed JSON at line %d column %d: %s" % (ex.lineno, ex.colno, ex.msg)
         ) from None
+    except RecursionError:
+        raise DomainError("malformed JSON: arrays or objects nested too deeply") from None
+
+
+def _pair(args):
+    """The root sets --A and --B."""
+    return parse_rootset(_load(args.A)), parse_rootset(_load(args.B))
 
 
 def _system_document(args) -> SystemDocument:
@@ -92,28 +105,9 @@ def _cmd_coeffs(args):
     return unipoly_to_json(sres_coeff(f, g, args.t)), 0
 
 
-def _cmd_roots(args):
-    a = parse_rootset(_load(args.A))
-    b = parse_rootset(_load(args.B))
-    return unipoly_to_json(sres_roots(a, b, args.t, args.variant)), 0
-
-
-def _cmd_hermite(args):
-    a = parse_rootset(_load(args.A))
-    b = parse_rootset(_load(args.B))
-    return unipoly_to_json(sres_dm1_hermite(a, b)), 0
-
-
-def _cmd_one(args):
-    a = parse_rootset(_load(args.A))
-    b = parse_rootset(_load(args.B))
-    return unipoly_to_json(sres_one(a, b)), 0
-
-
-def _cmd_dsum(args):
-    a = parse_rootset(_load(args.A))
-    b = parse_rootset(_load(args.B))
-    return unipoly_to_json(sylv_double_sum(a, b, args.p, args.q)), 0
+def _cmd_pair(args):
+    """Serves `roots`, `hermite`, `one` and `dsum`: the command's route on --A and --B."""
+    return unipoly_to_json(args.route(*_pair(args), args)), 0
 
 
 def _cmd_wronskian(args):
@@ -170,9 +164,7 @@ def _cmd_verify(args):
     else:
         if args.A is None or args.B is None:
             raise DomainError("pass either --system or the pair --A/--B")
-        a = parse_rootset(_load(args.A))
-        b = parse_rootset(_load(args.B))
-        checks = univariate_checks(a, b)
+        checks = univariate_checks(*_pair(args))
     ok = all(c.ok for c in checks)
     doc = {
         "ok": ok,
@@ -213,24 +205,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", required=True, help="root set of g as [[root, mult], ...]")
     p.add_argument("-t", type=int, required=True, help="subresultant order")
     p.add_argument("--variant", choices=VARIANTS, default="compact")
-    p.set_defaults(func=_cmd_roots)
+    # Each route names its function at call time, so a function patched in this
+    # module's namespace (a tracer, a test) is the one that runs.
+    p.set_defaults(func=_cmd_pair, route=lambda a, b, o: sres_roots(a, b, o.t, o.variant))
 
     p = sub.add_parser("hermite", help="order d-1 subresultant as a Hermite interpolant")
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True)
-    p.set_defaults(func=_cmd_hermite)
+    p.set_defaults(func=_cmd_pair, route=lambda a, b, o: sres_dm1_hermite(a, b))
 
     p = sub.add_parser("one", help="order 1 subresultant in closed form")
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True)
-    p.set_defaults(func=_cmd_one)
+    p.set_defaults(func=_cmd_pair, route=lambda a, b, o: sres_one(a, b))
 
     p = sub.add_parser("dsum", help="Sylvester-type double sum over subset pairs")
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True)
     p.add_argument("-p", type=int, required=True, help="subset size taken from A")
     p.add_argument("-q", type=int, required=True, help="subset size taken from B")
-    p.set_defaults(func=_cmd_dsum)
+    p.set_defaults(func=_cmd_pair, route=lambda a, b, o: sylv_double_sum(a, b, o.p, o.q))
 
     p = sub.add_parser("vandermonde", help="confluent Vandermonde matrix of a root set")
     p.add_argument("--A", required=True)
@@ -286,8 +280,7 @@ def main(argv: Optional[list] = None) -> int:
     except Exception as ex:
         print("error: internal: %s: %s" % (type(ex).__name__, ex), file=sys.stderr)
         return 4
-    json.dump(document, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(document, indent=2) + "\n")
     return status
 
 

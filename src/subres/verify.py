@@ -23,7 +23,7 @@ from .confluent import (
 )
 from .errors import DomainError, StructuralError
 from .matrix import det_exact
-from .mv.duality import DualBasis, assemble_dual_basis, dual_wronskian, inverse_system
+from .mv.duality import assemble_dual_basis, dual_wronskian, inverse_system
 from .mv.hilbert import build_monomial_sets
 from .mv.macaulay import _extraneous_divisor, macaulay_matrix
 from .mv.poisson import poisson_delta
@@ -210,17 +210,16 @@ def mv_checks(doc: SystemDocument) -> List[Check]:
     )
 
     if doc.roots is not None:
-        groups = resolved_groups(doc)
+        basis = assemble_dual_basis(resolved_groups(doc), expected_total=combo.bezout)
         # Row 0 of the dual Wronskian of g holds every L(g).
-        dual = DualBasis(tuple(groups))
-        values = [dual_wronskian(g, [(0,) * sys.n], dual).rows[0] for g in sys.polys[:-1]]
+        values = [dual_wronskian(g, [(0,) * sys.n], basis).rows[0] for g in sys.polys[:-1]]
         annihilated, witness = True, ""
-        for func, column in zip(dual.functionals, zip(*values)):
+        for func, column in zip(basis.functionals, zip(*values)):
             for i, val in enumerate(column):
                 if val != 0:
                     annihilated = False
                     witness = "functional %s on polynomial %d gives %s" % (func, i + 1, val)
-        dims = [len(funcs) for _, funcs in groups]
+        dims = [len(funcs) for _, funcs in basis.groups]
         _record(checks, "dual functionals annihilate the defining polynomials",
                 annihilated, witness)
         _record(
@@ -229,7 +228,6 @@ def mv_checks(doc: SystemDocument) -> List[Check]:
             sum(dims) == combo.bezout,
             "dims %s, product %d" % (dims, combo.bezout),
         )
-        basis = assemble_dual_basis(groups, expected_total=combo.bezout)
         try:
             quotient = poisson_delta(sys, t, s_cols, basis, sets=sets)
         except StructuralError as ex:

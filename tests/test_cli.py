@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: documents in, one JSON document out."""
 
+import copy
 import io
 import json
 import sys
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 
 from conftest import rationals
 from parity import BROKEN_DUAL_SYSTEM
+from run_crosschecks import BUNDLED_SYSTEM
 from subres import MultiRootSet, Rat, UniPoly, __version__, param, wronskian_det_closed
 from subres import cli
 from subres.cli import _build_parser, main
+from subres.mv.hilbert import hilbert_function
 from subres.roots_formulas import VARIANTS, sres_one
 from subres.serialize import scalar_to_str, unipoly_to_json
 
@@ -301,6 +304,38 @@ class TestVerifyCommand:
             for argv in (["mv", "--route", "poisson"], ["mv", "--route", "macaulay"], ["verify"]):
                 assert run(capsys, argv + ["--system", text]) == (2, "", message)
 
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_short_dual_group_refused_by_both_routes(self, capsys, rotate):
+        # The (0, 0) group of the circle-line system cut to 1, d1; rotated,
+        # it no longer starts with the evaluation.
+        doc = copy.deepcopy(BUNDLED_SYSTEM)
+        dual = doc["roots"][0]["dual"][:2]
+        doc["roots"][0]["dual"] = dual[1:] + dual[:1] if rotate else dual
+        message = (
+            "error: each group must start with the pure evaluation functional\n"
+            if rotate
+            else "error: dual basis has 3 functionals, expected 4\n"
+        )
+        for argv in (["verify"], ["mv", "--route", "poisson"]):
+            assert run(capsys, argv + ["--system", json.dumps(doc)]) == (2, "", message)
+
+    def test_vanishing_extraneous_factor_exit_two(self, capsys):
+        # f1 = x2, f2 = x1, f3 = 1 + x1 at t = 2: the extraneous factor is 0.
+        doc = {
+            "n": 2,
+            "polynomials": [
+                [{"exponents": [0, 1], "coeff": "1"}],
+                [{"exponents": [1, 0], "coeff": "1"}],
+                [{"exponents": [0, 0], "coeff": "1"}, {"exponents": [1, 0], "coeff": "1"}],
+            ],
+            "degrees": [1, 1, 1],
+            "t": 2,
+            "S": [],
+        }
+        message = "error: extraneous factor vanishes; perturb the system before dividing\n"
+        for argv in (["verify"], ["mv"]):
+            assert run(capsys, argv + ["--system", json.dumps(doc)]) == (2, "", message)
+
     def test_requires_one_input_mode(self, capsys):
         code, _, err = run(capsys, ["verify"])
         assert code == 2
@@ -464,6 +499,39 @@ class TestErrorReporting:
         assert code == 2
         assert "cannot read" in err
 
+    def test_undecodable_file_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe[1,2]")
+        code, out, err = run(capsys, ["coeffs", "--f", "@%s" % path, "--g", "[1,1]", "-t", "0"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: cannot read %s: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n" % path
+        )
+
+    def test_null_byte_in_path_exit_two(self, capsys):
+        argv = ["coeffs", "--f", "@a\x00b", "--g", "[1,1]", "-t", "0"]
+        assert run(capsys, argv) == (2, "", "error: cannot read a\x00b: embedded null byte\n")
+
+    def test_json_nested_past_the_recursion_limit_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 20000 + "]" * 20000)
+        want = (2, "", "error: malformed JSON: arrays or objects nested too deeply\n")
+        assert run(capsys, ["coeffs", "--f", "@%s" % path, "--g", "[1,1]", "-t", "0"]) == want
+        assert run(capsys, ["verify", "--A", "@%s" % path, "--B", "[[1,1]]"]) == want
+
+    def test_byte_order_mark_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf[1,2]")
+        want = (
+            2,
+            "",
+            "error: malformed JSON at line 1 column 1: "
+            "Unexpected UTF-8 BOM (decode using utf-8-sig)\n",
+        )
+        for f in ("@%s" % path, "\ufeff[1,2]"):
+            assert run(capsys, ["coeffs", "--f", f, "--g", "[1,1]", "-t", "0"]) == want
+
     def test_parser_reused_after_failed_parse(self, capsys):
         argv = ["verify", "--A", "[[0,2],[1,1]]", "--B", "[[2,2],[3,2]]"]
         first = run(capsys, argv)
@@ -483,6 +551,23 @@ class TestErrorReporting:
         assert code == 4
         assert err == "error: internal: RuntimeError: boom\n"
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "route, argv",
+        [
+            ("sres_roots", ["roots", "-t", "0"]),
+            ("sres_dm1_hermite", ["hermite"]),
+            ("sres_one", ["one"]),
+            ("sylv_double_sum", ["dsum", "-p", "0", "-q", "0"]),
+        ],
+    )
+    def test_pair_route_is_looked_up_per_call(self, capsys, monkeypatch, route, argv):
+        def broken(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, route, broken)
+        ab = ["--A", "[[1,1]]", "--B", "[[2,1]]"]
+        assert run(capsys, argv + ab) == (4, "", "error: internal: RuntimeError: boom\n")
 
     def test_version_names_the_rational_backend(self, capsys):
         with pytest.raises(SystemExit) as ex:
@@ -537,15 +622,81 @@ def _cli_call(draw):
     return [command] + ab
 
 
+# Arbitrary bytes, and arrays nested deeper than the decoder can follow.
+_FILE_BYTES = st.one_of(
+    st.binary(max_size=40),
+    st.integers(0, 5000).map(lambda k: ("[" * k + "]" * k).encode()),
+)
+
+_COEFFS = st.one_of(rationals().map(str), st.just("a"))
+_MOSTLY = st.sampled_from([True, True, True, False])
+
+
+def _exponents(top):
+    return st.lists(st.integers(0, top), min_size=2, max_size=2).filter(lambda e: sum(e) <= top)
+
+
+@st.composite
+def _system_call(draw):
+    """`mv` on either route or `verify` on a small two-variable system.
+
+    Terms keep to the drawn degrees, and S, when drawn to fit, has the
+    Hilbert count of monomials, so that most documents reach the routes.
+    """
+    degrees = draw(st.lists(st.integers(1, 2), min_size=3, max_size=3))
+    terms = [st.fixed_dictionaries({"exponents": _exponents(d), "coeff": _COEFFS}) for d in degrees]
+    polys = [draw(st.lists(term, min_size=1, max_size=3)) for term in terms]
+    doc = {"n": 2, "polynomials": polys}
+    if draw(st.booleans()):
+        doc["degrees"] = degrees
+    t = draw(st.integers(0, 4))
+    if draw(_MOSTLY):
+        doc["t"] = t
+    if draw(_MOSTLY):
+        fit = min(hilbert_function(degrees, t), (t + 1) * (t + 2) // 2)
+        size = draw(st.one_of(st.just(fit), st.integers(0, 4)))
+        doc["S"] = draw(st.lists(_exponents(t), min_size=size, max_size=size, unique_by=tuple))
+    if draw(st.booleans()):
+        points = draw(st.lists(st.lists(rationals().map(str), min_size=2, max_size=2), max_size=2))
+        doc["roots"] = [{"point": p} for p in points]
+        for root in doc["roots"]:
+            if draw(st.booleans()):
+                term = st.fixed_dictionaries({"alpha": _exponents(2), "coeff": _COEFFS})
+                terms = st.lists(term, max_size=3)
+                root["dual"] = draw(st.lists(terms.map(lambda ts: {"terms": ts}), max_size=4))
+    if draw(st.booleans()):
+        tops = draw(st.lists(st.integers(0, 4), max_size=2, unique=True))
+        doc["T_override"] = {str(j): draw(st.lists(_exponents(j), max_size=3)) for j in tops}
+    command = draw(
+        st.sampled_from([["mv", "--route", "macaulay"], ["mv", "--route", "poisson"], ["verify"]])
+    )
+    return command + ["--system", json.dumps(doc)]
+
+
+def _keeps_the_exit_code_promise(argv, codes=(0, 1, 2, 3)):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in codes, err.getvalue()
+    if code in (0, 1):
+        json.loads(out.getvalue())
+    else:
+        assert err.getvalue().startswith("error: ")
+        assert not err.getvalue().startswith("error: internal")
+
+
 class TestFuzzedArguments:
     @given(_cli_call())
     def test_exit_code_promise(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 2, 3), err.getvalue()
-        if code == 0:
-            json.loads(out.getvalue())
-        else:
-            assert err.getvalue().startswith("error: ")
-            assert not err.getvalue().startswith("error: internal")
+        _keeps_the_exit_code_promise(argv, codes=(0, 2, 3))
+
+    @given(_cli_call(), _FILE_BYTES)
+    def test_file_documents(self, tmp_path_factory, argv, data):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+        path.write_bytes(data)
+        argv[argv.index("--A") + 1] = "@%s" % path
+        _keeps_the_exit_code_promise(argv)
+
+    @given(_system_call())
+    def test_system_documents(self, argv):
+        _keeps_the_exit_code_promise(argv)
