@@ -20,11 +20,19 @@ from the standard library and the constants of ``run_crosschecks.py``:
   with the default u;
 - on the A side of each symbolic pair and of the fine pair, ``wronskian``
   with a parameter in h;
-- the five bundled systems.  On each: ``verify``, ``mv`` on both routes,
-  and ``dual`` at each root;
+- the five bundled systems other than the mixed grid system.  On each:
+  ``verify``, ``mv`` on both routes, and ``dual`` at each root;
 - ``verify`` on the first bundled system with two of its dual functionals
   at (0, 0) replaced, so that the annihilation record and the quotient
   record fail (exit 1).
+
+A second line digests the same calls on grid systems: the mixed grid
+system of ``run_crosschecks.py``, then per seed two random ones
+(``grid_system``).  Each has a root of multiplicity 9 whose dual basis is
+left to the inverse-system solver, so ``mv --route poisson`` prints a
+dual-basis quotient computed from it.  The first line stays the digest of
+the calls above alone, so it compares with trees older than the grid
+systems.
 """
 
 import argparse
@@ -37,7 +45,13 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
-from run_crosschecks import BUNDLED_SYSTEM, FINE_PAIR, SYMBOLIC_PAIRS, SYSTEMS
+from run_crosschecks import (
+    BUNDLED_SYSTEM,
+    FINE_PAIR,
+    MIXED_GRID_SYSTEM,
+    SYMBOLIC_PAIRS,
+    SYSTEMS,
+)
 from subres import cli
 
 PAIRS_PER_SEED = 8
@@ -99,6 +113,73 @@ def system_calls(doc):
     return calls
 
 
+GRIDS_PER_SEED = 2
+# Multiplicity patterns along x1 and x2; the first root of each is the
+# heavy one, of multiplicity 9.
+GRID_PATTERNS = (((3,), (3,)), ((3, 1), (3,)), ((3,), (3, 1)), ((3, 1), (3, 1)))
+INTEGERS = tuple(Fraction(num) for num in range(-4, 5))
+HALVES = tuple(Fraction(num, 2) for num in range(-7, 8, 2))
+
+
+def _expand(roots):
+    """Ascending coefficients of prod (z - r)^m."""
+    coeffs = [Fraction(1)]
+    for r, m in roots:
+        for _ in range(m):
+            coeffs = [Fraction(0)] + coeffs
+            for i in range(len(coeffs) - 1):
+                coeffs[i] -= r * coeffs[i + 1]
+    return coeffs
+
+
+def _reduced(degrees, j):
+    """Degree-j monomials x1^a x2^b with a < D1 and b < D2, canonical order."""
+    return [[a, j - a] for a in range(j, -1, -1) if a < degrees[0] and j - a < degrees[1]]
+
+
+def grid_system(rng):
+    """A system document for f1(x1) f2(x2) f3 at a random order t from 1
+    to D1 + D2 - 3, away from the two ends, where Delta is often 1.
+
+    The heavy root has an x1 coordinate with denominator 2 and an integer
+    x2 coordinate; the other coordinates have denominator 1 or 2.  f3 is a
+    line whose three coefficients have three different denominators, and
+    S is a random k-subset of the monomials of degree <= t.  T takes the
+    reduced monomials, which are a basis of the quotient.
+    """
+    m1, m2 = rng.choice(GRID_PATTERNS)
+    x, y = rng.choice(HALVES), rng.choice(INTEGERS)
+    xs = [x] + rng.sample([r for r in INTEGERS + HALVES if r != x], len(m1) - 1)
+    ys = [y] + rng.sample([r for r in INTEGERS + HALVES if r != y], len(m2) - 1)
+    degrees = (sum(m1), sum(m2))
+    f1 = [{"exponents": [i, 0], "coeff": str(c)} for i, c in enumerate(_expand(zip(xs, m1))) if c]
+    f2 = [{"exponents": [0, i], "coeff": str(c)} for i, c in enumerate(_expand(zip(ys, m2))) if c]
+    f3 = [
+        {"exponents": e, "coeff": str(Fraction(rng.choice((-1, 1)) * rng.choice((1, 7, 11)), den))}
+        for e, den in zip(([0, 0], [1, 0], [0, 1]), rng.sample((1, 2, 3, 5), 3))
+    ]
+    t = rng.randrange(1, sum(degrees) - 2)
+    below = [[a, s - a] for s in range(t + 1) for a in range(s, -1, -1)]
+    return {
+        "n": 2,
+        "polynomials": [f1, f2, f3],
+        "degrees": [degrees[0], degrees[1], 1],
+        "t": t,
+        "S": rng.sample(below, len(_reduced(degrees, t))),
+        "T_override": {str(j): _reduced(degrees, j) for j in range(sum(degrees) - 1)},
+        "roots": [{"point": [str(x), str(y)]} for x in xs for y in ys],
+    }
+
+
+def grid_calls(seeds):
+    calls = system_calls(MIXED_GRID_SYSTEM)
+    for seed in seeds:
+        rng = random.Random("grid %d" % seed)
+        for _ in range(GRIDS_PER_SEED):
+            calls += system_calls(grid_system(rng))
+    return calls
+
+
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -111,22 +192,25 @@ def calls_for(seeds):
     fixed = list(SYMBOLIC_PAIRS) + [FINE_PAIR]
     calls = [call for a, b in pairs + fixed for call in pair_calls(a, b)]
     calls += [["wronskian", "--A", json.dumps(a), "--h", H_PARAM] for a, _ in fixed]
-    calls += [call for _, doc in SYSTEMS for call in system_calls(doc)]
+    calls += [
+        call for _, doc in SYSTEMS if doc is not MIXED_GRID_SYSTEM for call in system_calls(doc)
+    ]
     return calls + [["verify", "--system", json.dumps(BROKEN_DUAL_SYSTEM)]]
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description="digest the outputs of a fixed set of sres calls")
     parser.add_argument("--seeds", type=int, nargs="+", required=True, help="seeds of the random pairs")
-    calls = calls_for(parser.parse_args(argv).seeds)
-    digest = hashlib.sha256()
+    seeds = parser.parse_args(argv).seeds
     internal = []
-    for call in calls:
-        result = run(call)
-        digest.update(json.dumps(result).encode("utf-8") + b"\n")
-        if result[1] == 4:
-            internal.append(call)
-    print("%d calls, sha256 %s" % (len(calls), digest.hexdigest()))
+    for label, calls in (("calls", calls_for(seeds)), ("grid-system calls", grid_calls(seeds))):
+        digest = hashlib.sha256()
+        for call in calls:
+            result = run(call)
+            digest.update(json.dumps(result).encode("utf-8") + b"\n")
+            if result[1] == 4:
+                internal.append(call)
+        print("%d %s, sha256 %s" % (len(calls), label, digest.hexdigest()))
     for call in internal:
         print("internal error (exit 4): sres %s" % " ".join(call), file=sys.stderr)
     return 1 if internal else 0

@@ -5,14 +5,15 @@ Draws random multiple-root pairs, runs every coefficient-side vs root-side
 comparison the preconditions allow, replays a few fixed symbolic pairs
 (roots a+k against b+k or against integers, and a triple root a against
 a quadruple root b, so the determinants carry parameter entries and run
-through the packed integer kernel) and one
-fixed rational pair whose roots have denominators 7, 9 and 11, then
-replays five bundled two-variable systems through the document-level
-battery: the circle-line example, whose dual basis is given, a grid
-system with one root of multiplicity 9, a system with two multiple
+through the packed integer kernel) and one fixed rational pair whose
+roots have denominators 7, 9 and 11, then replays six bundled
+two-variable systems through the document-level battery: the
+circle-line example, whose dual basis is given, a grid system with one
+root of multiplicity 9, a second grid system with roots of multiplicity
+9 and 3 and a line with mixed denominators, a system with two multiple
 roots whose coordinates are thirds, a system whose roots lie at a
 parameter, and one whose dual basis has a parameter coefficient;
-``inverse_system`` computes the dual bases of the last four.
+``inverse_system`` computes the dual bases of the last five.
 Exits 1 if any check fails.
 """
 
@@ -123,6 +124,50 @@ GRID_SYSTEM = {
 }
 
 
+# (x1 + 3/2)^3 (x1 - 2), (x2 - 1)^3 and a line whose coefficients have
+# denominators 3, 2 and 5: roots (-3/2, 1) of multiplicity 9 and (2, 1) of
+# multiplicity 3, dual bases left to inverse_system, S not the first k
+# monomials.  The quotient is one integer determinant per matrix over the
+# row and column scales of the dual values; under gmpy2 those integers come
+# from int() of mpz parts.
+MIXED_GRID_SYSTEM = {
+    "n": 2,
+    "variables": ["x1", "x2"],
+    "polynomials": [
+        [
+            {"exponents": [0, 0], "coeff": "-27/4"},
+            {"exponents": [1, 0], "coeff": "-81/8"},
+            {"exponents": [2, 0], "coeff": "-9/4"},
+            {"exponents": [3, 0], "coeff": "5/2"},
+            {"exponents": [4, 0], "coeff": "1"},
+        ],
+        [
+            {"exponents": [0, 0], "coeff": "-1"},
+            {"exponents": [0, 1], "coeff": "3"},
+            {"exponents": [0, 2], "coeff": "-3"},
+            {"exponents": [0, 3], "coeff": "1"},
+        ],
+        [
+            {"exponents": [0, 0], "coeff": "1/3"},
+            {"exponents": [1, 0], "coeff": "-7/2"},
+            {"exponents": [0, 1], "coeff": "11/5"},
+        ],
+    ],
+    "degrees": [4, 3, 1],
+    "t": 4,
+    "S": [[0, 0], [1, 1]],
+    "T_override": {
+        "0": [[0, 0]],
+        "1": [[1, 0], [0, 1]],
+        "2": [[2, 0], [1, 1], [0, 2]],
+        "3": [[3, 0], [2, 1], [1, 2]],
+        "4": [[3, 1], [2, 2]],
+        "5": [[3, 2]],
+    },
+    "roots": [{"point": ["-3/2", "1"]}, {"point": ["2", "1"]}],
+}
+
+
 # (x1 - 1/3)^3, (x2 + 2/3)^2 (x2 - 1/3) and a line with thirds: roots
 # (1/3, -2/3) of multiplicity 6 and (1/3, 1/3) of multiplicity 3, whose dual
 # bases are left to inverse_system.  Coordinates and coefficients have
@@ -216,6 +261,7 @@ KERNEL_SYSTEM = {
 SYSTEMS = (
     ("bundled system", BUNDLED_SYSTEM),
     ("grid system", GRID_SYSTEM),
+    ("mixed grid system", MIXED_GRID_SYSTEM),
     ("thirds system", THIRDS_SYSTEM),
     ("parameter system", PARAM_SYSTEM),
     ("parameter kernel system", KERNEL_SYSTEM),

@@ -398,23 +398,27 @@ def _gauss_jordan(rows: List[list]) -> Tuple[list, List[int], Callable[[Scalar],
     """Fraction-free Gauss-Jordan elimination of ``rows``; the one kernel of
     ``nullspace`` and ``reduced_echelon``.
 
-    Rational rows are taken as their integer numerators, each over the
-    lcm of its denominators (``_numerators``), which leaves the row space
-    as it is; rows with a
-    ``ParamPoly`` entry are taken over the parameter polynomials.  Zero
-    rows are dropped.  Pivots are searched column by column, from the
-    first row not yet a pivot row down.  At pivot p in column c, every
-    other row becomes (p * row - row[c] * pivot_row) // prev, where prev
-    is the previous pivot, 1 at the start.  Every entry is then a minor
-    of the scaled matrix up to sign, so each division is exact, over the
-    integers and over the parameter polynomials alike, and each pivot row
-    holds the last pivot d on its pivot and d times the reduced echelon
-    form.
+    All-int rows, as ``inverse_system`` gives, are taken as they are.  Other
+    rational rows are taken as their integer numerators, each over the lcm
+    of its denominators (``_numerators``), which leaves the row space as it
+    is; rows with a ``ParamPoly`` entry are taken over the parameter
+    polynomials.  Zero rows are dropped.  Pivots are searched column by
+    column, from the first row not yet a pivot row down.  At pivot p in
+    column c, every other row becomes (p * row - row[c] * pivot_row) //
+    prev, where prev is the previous pivot, 1 at the start.  Every entry is
+    then a minor of the scaled matrix up to sign, so each division is exact,
+    over the integers and over the parameter polynomials alike, and each
+    pivot row holds the last pivot d on its pivot and d times the reduced
+    echelon form.
     Returns the rows, the pivot columns, and the map v -> v / d into the
     scalar domain.
     """
-    parametric = any(isinstance(v, ParamPoly) for row in rows for v in row)
-    if not parametric:
+    kinds = {type(v) for row in rows for v in row}
+    parametric = ParamPoly in kinds
+    if kinds <= {int}:
+        # rows are replaced below, never changed in place, so none is copied
+        a = rows
+    elif not parametric:
         a = [_numerators(row)[0] for row in rows]
     else:
         a = [[v if isinstance(v, ParamPoly) else ParamPoly.constant(v) for v in row] for row in rows]

@@ -13,12 +13,17 @@ The arithmetic runs on integer numerators over one integer denominator,
 as ``_numerators`` makes them.  A point coordinate u/v expands through a
 table of C(a, k) u^(a - k) v^k (``_binomial_tables``), so every term of
 x^alpha shares the denominator prod_i v_i^alpha_i.  Every value L(f), in
-``dual_eval`` and in the dual Wronskian and Vandermonde matrices of
-``poisson``, comes from one evaluator, ``_values``, which builds a point's
-tables once per call, reads no translate and divides once per value.
-``inverse_system`` reads translates (``_translate``) instead.  A
-``ParamPoly`` coordinate or coefficient is scaled to integer coefficients
-and goes through the same loops.  Every reader of the tables lives here.
+``dual_eval``, in the dual Wronskian and Vandermonde matrices and in the
+quotient of ``poisson``, comes from one evaluator, ``_values``.  It builds
+each root's tables once per call, sums L(x^gamma) once per monomial and
+root, reads no translate, and returns integer numerators with one scale
+per polynomial and one per functional: L_j(f_i) = nums[i][j] /
+(row_dens[i] * col_dens[j]).  The public matrices divide each numerator
+back; ``poisson_delta`` keeps the integer rows and divides each
+determinant once.  ``inverse_system`` reads translates (``_translate``)
+instead, and hands its kernels all-int rows.  A ``ParamPoly`` coordinate
+or coefficient is scaled to integer coefficients and goes through the
+same loops.  Every reader of the tables lives here.
 """
 
 from __future__ import annotations
@@ -103,45 +108,68 @@ class DualFunctional:
 def dual_eval(func: DualFunctional, f: MultiPoly) -> Scalar:
     """Apply the functional to a polynomial.  It reads no translate of f,
     so it checks ``inverse_system`` independently."""
-    if f.n != func.point.n:
-        raise DomainError("functional in %d variables applied to %d" % (func.point.n, f.n))
-    return _values(func.point, [func], [f])[0][0]
+    (nums,), (row_den,), (col_den,) = _values(f.n, [(func.point, [func])], [f.terms])
+    return _quotient(nums[0], row_den * col_den)
 
 
-def _values(point: Point, funcs: Sequence[DualFunctional], polys: Sequence[MultiPoly]) -> list:
-    """[[L(f) for L in funcs] for f in polys], every L anchored at point.
+def _values(n: int, groups: Sequence[Tuple], polys: Sequence[Mapping[Expo, Scalar]]) -> Tuple:
+    """(nums, row_dens, col_dens) with L_j(f_i) = nums[i][j] / (row_dens[i]
+    * col_dens[j]), for the polynomials f_i in n variables, given by their
+    terms, and the functionals L_j of the groups (point, functionals), in
+    order.
 
-    Sums a_alpha c_gamma C(gamma, alpha) point^(gamma - alpha) over the
-    terms a_alpha d_alpha of L and c_gamma x^gamma of f, in integers from
-    one set of the point's tables, and divides once per value.
+    Each L_j(x^gamma) is summed once per root, over the terms a_alpha
+    d_alpha of L_j, as a_alpha C(gamma, alpha) point^(gamma - alpha) in
+    integers from one set of the point's tables, lifted to the point's
+    v^top scale; nums[i][j] combines them with f_i's coefficients.
+    row_dens[i] is the lcm of f_i's coefficient denominators; col_dens[j]
+    is the lcm of L_j's times v^top, v the point's coordinate denominators
+    and top the largest exponents among the polynomials.  Numerators are
+    ints, or ``ParamPoly``s with integer coefficients.
     """
-    tops = [max((e[i] for f in polys for e in f.terms), default=0) for i in range(point.n)]
-    tables, dens = _binomial_tables(point.coords, tops)
-    scale = prod(v**top for v, top in zip(dens, tops))
-    coefficients = [(func.terms, *_numerators([a for _, a in func.terms])) for func in funcs]
-    rows = []
-    for f in polys:
-        c_nums, c_den = _numerators(list(f.terms.values()))
-        # C(g, a) x^(g - a) is table[g][a] / v^g: lift every term to v^top
-        lifted = [
-            (gamma, c * prod(v ** (top - g) for v, top, g in zip(dens, tops, gamma)))
-            for gamma, c in zip(f.terms, c_nums)
-        ]
-        row = []
-        for terms, a_nums, a_den in coefficients:
-            acc = 0
-            for gamma, c in lifted:
-                for (alpha, _), a in zip(terms, a_nums):
-                    term = a * c
-                    for table, g, k in zip(tables, gamma, alpha):
-                        if k > g or not table[g][k]:
-                            break
-                        term = term * table[g][k]
-                    else:
-                        acc = acc + term
-            row.append(_quotient(acc, a_den * c_den * scale))
-        rows.append(row)
-    return rows
+    for point, _ in groups:
+        if point.n != n:
+            raise DomainError("functional in %d variables applied to %d" % (point.n, n))
+    tops = [max((e[i] for f in polys for e in f), default=0) for i in range(n)]
+    coefficients = [(list(f), _numerators(list(f.values()))) for f in polys]
+    rows = [[] for _ in polys]
+    col_dens = []
+    for point, funcs in groups:
+        tables, dens = _binomial_tables(point.coords, tops)
+        powers = [[v**e for e in range(top + 1)] for v, top in zip(dens, tops)]
+        scale = prod(p[-1] for p in powers)
+        terms = []
+        for func in funcs:
+            a_nums, a_den = _numerators([a for _, a in func.terms])
+            terms.append([(alpha, a) for (alpha, _), a in zip(func.terms, a_nums)])
+            col_dens.append(a_den * scale)
+        # L(x^gamma) for every functional, at the scale v^top; None where no
+        # term of L reaches x^gamma, so that x^gamma's coefficient, maybe a
+        # parameter, stays out of the sum, as it does from L(f).
+        monomial: dict = {}
+        for row, (gammas, (c_nums, _)) in zip(rows, coefficients):
+            acc = [0] * len(terms)
+            for gamma, c in zip(gammas, c_nums):
+                values = monomial.get(gamma)
+                if values is None:
+                    # C(g, a) x^(g - a) is table[g][a] / v^g: lift to v^top
+                    lift = prod(p[top - g] for p, top, g in zip(powers, tops, gamma))
+                    values = []
+                    for func_terms in terms:
+                        total = None
+                        for alpha, a in func_terms:
+                            term = a
+                            for table, g, k in zip(tables, gamma, alpha):
+                                if k > g or not table[g][k]:
+                                    break
+                                term = term * table[g][k]
+                            else:
+                                total = term if total is None else total + term
+                        values.append(None if total is None else total * lift)
+                    monomial[gamma] = values
+                acc = [x if v is None else x + c * v for x, v in zip(acc, values)]
+            row.extend(acc)
+    return rows, [d for _, (_, d) in coefficients], col_dens
 
 
 def sigma_shift(func: DualFunctional, beta: Expo) -> Optional[DualFunctional]:
@@ -201,20 +229,17 @@ def _translate(g: MultiPoly, point: Point) -> dict:
 
 def dual_wronskian(h: MultiPoly, monomials: Sequence[Expo], basis: DualBasis) -> ExactMatrix:
     """Rows indexed by monomials, columns by functionals; entry L(x^alpha h),
-    each group's values read by ``_values`` from one set of tables."""
+    read by ``_values`` from one table per root."""
     monomials = [tuple(e) for e in monomials]
     n = h.n
     for expo in monomials:
         if len(expo) != n or any(not isinstance(e, int) or e < 0 for e in expo):
             raise DomainError("bad exponent vector %r for %d variables" % (expo, n))
-    multiples = [h.shift(alpha) for alpha in monomials]
-    rows = [[] for _ in monomials]
-    for point, funcs in basis.groups:
-        if point.n != n:
-            raise DomainError("functional in %d variables applied to %d" % (point.n, n))
-        for row, values in zip(rows, _values(point, funcs, multiples)):
-            row.extend(values)
-    return ExactMatrix(rows)
+    multiples = [h.shift(alpha).terms for alpha in monomials]
+    nums, row_dens, col_dens = _values(n, basis.groups, multiples)
+    return ExactMatrix(
+        [_quotient(v, r * c) for v, c in zip(row, col_dens)] for row, r in zip(nums, row_dens)
+    )
 
 
 def dual_vandermonde(monomials: Sequence[Expo], basis: DualBasis) -> ExactMatrix:
@@ -382,8 +407,7 @@ def _canonical(basis: list, point: Point) -> Tuple[DualFunctional, ...]:
     """The reduced echelon form of the span, read from the last monomial
     backwards, as functionals sorted by order and then by last monomial."""
     columns = sorted({alpha for b in basis for alpha in b}, key=canon_key, reverse=True)
-    zero = Rat(0)
-    rows = reduced_echelon([[b.get(alpha, zero) for alpha in columns] for b in basis])
+    rows = reduced_echelon([[b.get(alpha, 0) for alpha in columns] for b in basis])
     funcs = [DualFunctional(point, {alpha: c for alpha, c in zip(columns, row) if c}) for row in rows]
     funcs.sort(key=lambda f: (f.order, canon_key(f.terms[-1][0])))
     return tuple(funcs)

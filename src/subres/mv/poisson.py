@@ -5,24 +5,34 @@ order-(t, S) subresultant factors as the product of the leading-form
 determinants for the free degrees times det(O_S(Lambda)) / det(V_T(Lambda)),
 where O_S stacks the monomial evaluations on S and T* over the evaluations
 of the last polynomial's multiples indexed by R.  The two routes agree up
-to a fixed sign per configuration.  Both kinds of rows come from
-``dual_vandermonde`` and ``dual_wronskian`` of ``duality``, which read
-every value L(x^alpha) and L(x^alpha f_(n+1)) through its one evaluator,
-from each root's tables built once per matrix.  ``poisson_delta``
-evaluates each monomial of T, S and T* once and takes V_T's rows and
-O_S's monomial rows from that one table.
+to a fixed sign per configuration.
+
+``poisson_delta`` reads every value L(x^alpha) and L(x^alpha f_(n+1))
+from one table per root, one call of ``duality``'s evaluator over the
+monomials of T, S and T* and the multiples indexed by R.  V_T and O_S are
+integer rows from that table: entry (i, j) is the value times the scale
+of row i (1 for a monomial, the lcm of f_(n+1)'s denominators for a
+multiple) and of column j (shared by both matrices), so each determinant
+is the integer one over the product of its scales.  ``dual_vandermonde``
+and ``dual_wronskian`` build the same matrices in rationals, and stay
+importable from here.
 """
 
 from __future__ import annotations
 
+from math import prod
 from typing import Sequence
 
 from ..errors import DomainError, StructuralError
 from ..matrix import ExactMatrix, det_exact
 from ..scalar import Rat, Scalar
-from .duality import DualBasis, dual_vandermonde, dual_wronskian
+from . import duality
+from .duality import DualBasis, _values
 from .hilbert import MonomialSets, build_monomial_sets
 from .macaulay import MVSystem, _check_s, leading_form_subres
+
+# The public dual matrices stay importable from here, beside the quotient.
+dual_vandermonde, dual_wronskian = duality.dual_vandermonde, duality.dual_wronskian
 
 Expo = tuple
 
@@ -51,25 +61,29 @@ def poisson_delta(
             % (len(basis), combo.bezout)
         )
     t_list, t_star = list(sets.T.monomials), list(sets.T_star.monomials)
-    # T* lies in T; S may meet it too.  Each monomial is evaluated once.
+    # T* lies in T; S may meet it too.  Each monomial is evaluated once, and
+    # each root once, over the monomials and the multiples x^alpha f_(n+1).
     evaluated = list(dict.fromkeys(t_list + s_list + t_star))
-    rows = dict(zip(evaluated, dual_vandermonde(evaluated, basis).rows))
-    v_t = ExactMatrix([rows[e] for e in t_list])
-    det_vt = det_exact(v_t)
+    last = sys.polys[-1]
+    multiples = [last.shift(alpha).terms for alpha in sets.R.monomials]
+    nums, row_dens, col_dens = _values(
+        sys.n, basis.groups, [{e: 1} for e in evaluated] + multiples
+    )
+    # A monomial row has scale 1; the columns share theirs across V_T and O_S.
+    rows = dict(zip(evaluated, nums))
+    columns = prod(col_dens)
+    det_vt = det_exact(ExactMatrix([rows[e] for e in t_list])) / columns
     if not det_vt:
         raise StructuralError(
             "V_T is singular: T is not a basis of the quotient for this dual basis; "
             "supply a different T_j override"
         )
-    o_s = ExactMatrix(
-        [rows[e] for e in s_list + t_star]
-        + dual_wronskian(sys.polys[-1], sets.R.monomials, basis).rows
-    )
-    if o_s.nrows != combo.bezout:
+    o_s = [rows[e] for e in s_list + t_star] + nums[len(evaluated) :]
+    if len(o_s) != combo.bezout:
         raise StructuralError(
-            "O_S has %d rows, expected %d" % (o_s.nrows, combo.bezout)
+            "O_S has %d rows, expected %d" % (len(o_s), combo.bezout)
         )
-    det_os = det_exact(o_s)
+    det_os = det_exact(ExactMatrix(o_s)) / (columns * prod(row_dens[len(evaluated) :]))
     factor: Scalar = Rat(1)
     forms = sys.leading_forms()
     d_last = sys.degrees[-1]

@@ -44,6 +44,15 @@ __all__ = [
 ]
 
 
+# Parse errors echo the offending input, cut past this many characters.
+_ECHO_LIMIT = 200
+
+
+def _cut(text: str) -> str:
+    """text, cut after _ECHO_LIMIT characters with a visible "..."."""
+    return text if len(text) <= _ECHO_LIMIT else text[:_ECHO_LIMIT] + "..."
+
+
 # ---------------------------------------------------------------------------
 # scalars
 
@@ -112,9 +121,9 @@ class _Parser:
 
     def fail(self, expected: str):
         kind, val = self.peek()
-        got = "end of input" if kind == "end" else repr(val)
+        got = "end of input" if kind == "end" else _cut(repr(val))
         raise DomainError(
-            "scalar parse error in %r: expected %s, got %s" % (self.text, expected, got)
+            "scalar parse error in %s: expected %s, got %s" % (_cut(repr(self.text)), expected, got)
         )
 
     def expr(self) -> Scalar:
@@ -186,7 +195,7 @@ def _exact_div(num: Scalar, den: Scalar) -> Scalar:
 def parse_scalar(text: str) -> Scalar:
     """Parse the infix scalar grammar: rationals, parameter names, + - * / ^ ()."""
     if not isinstance(text, str):
-        raise DomainError("expected a scalar string, got %r" % (text,))
+        raise DomainError("expected a scalar string, got %s" % (_cut(repr(text)),))
     if "." in text:
         raise DomainError("floats are not accepted; write rationals as p/q")
     p = _Parser(text)
@@ -206,7 +215,7 @@ def scalar_from_json(v) -> Scalar:
         raise DomainError("floats are not accepted; write rationals as strings \"p/q\"")
     if isinstance(v, str):
         return parse_scalar(v)
-    raise DomainError("expected an int or a scalar string, got %r" % (v,))
+    raise DomainError("expected an int or a scalar string, got %s" % (_cut(repr(v)),))
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +244,12 @@ def parse_rootset(doc) -> MultiRootSet:
     pairs = []
     for entry in doc:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise DomainError("each root entry must be a [root, multiplicity] pair, got %r" % (entry,))
+            raise DomainError(
+                "each root entry must be a [root, multiplicity] pair, got %s" % (_cut(repr(entry)),)
+            )
         root, mult = entry
         if not isinstance(mult, int) or isinstance(mult, bool):
-            raise DomainError("multiplicity must be an integer, got %r" % (mult,))
+            raise DomainError("multiplicity must be an integer, got %s" % (_cut(repr(mult)),))
         pairs.append((scalar_from_json(root), mult))
     return MultiRootSet(pairs)
 
@@ -276,9 +287,9 @@ def _exponent_vector(doc, n: Optional[int]) -> Tuple[int, ...]:
         raise DomainError("an exponent vector must be an array of nonnegative integers")
     expo = tuple(doc)
     if any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in expo):
-        raise DomainError("exponents must be nonnegative integers, got %r" % (doc,))
+        raise DomainError("exponents must be nonnegative integers, got %s" % (_cut(repr(doc)),))
     if n is not None and len(expo) != n:
-        raise DomainError("exponent vector %r must have %d entries" % (doc, n))
+        raise DomainError("exponent vector %s must have %d entries" % (_cut(repr(doc)), n))
     return expo
 
 
@@ -289,7 +300,8 @@ def parse_multipoly(doc, n: Optional[int] = None) -> MultiPoly:
     for rec in doc:
         if not isinstance(rec, Mapping) or set(rec) != {"exponents", "coeff"}:
             raise DomainError(
-                "each term record must be {\"exponents\": [...], \"coeff\": ...}, got %r" % (rec,)
+                "each term record must be {\"exponents\": [...], \"coeff\": ...}, got %s"
+                % (_cut(repr(rec)),)
             )
         expo = _exponent_vector(rec["exponents"], n)
         if n is None:
@@ -328,7 +340,8 @@ def parse_functional(doc, point: Point) -> DualFunctional:
     for rec in doc["terms"]:
         if not isinstance(rec, Mapping) or set(rec) != {"alpha", "coeff"}:
             raise DomainError(
-                "each functional term must be {\"alpha\": [...], \"coeff\": ...}, got %r" % (rec,)
+                "each functional term must be {\"alpha\": [...], \"coeff\": ...}, got %s"
+                % (_cut(repr(rec)),)
             )
         terms.append((_exponent_vector(rec["alpha"], point.n), scalar_from_json(rec["coeff"])))
     return DualFunctional(point, terms)
@@ -353,7 +366,7 @@ def _opt_int(doc, key):
     if v is None:
         return None
     if not isinstance(v, int) or isinstance(v, bool):
-        raise DomainError("%r must be an integer" % (key,))
+        raise DomainError("%s must be an integer" % (_cut(repr(key)),))
     return v
 
 
@@ -364,7 +377,7 @@ def parse_system(doc) -> SystemDocument:
     known = {"n", "variables", "polynomials", "degrees", "t", "S", "roots", "T_override"}
     extra = set(doc) - known
     if extra:
-        raise DomainError("unknown system document keys: %s" % ", ".join(sorted(extra)))
+        raise DomainError("unknown system document keys: %s" % _cut(", ".join(sorted(extra))))
     n = doc.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError("\"n\" must be a positive integer")
@@ -414,7 +427,9 @@ def parse_system(doc) -> SystemDocument:
                 raise DomainError("each root record must be {\"point\": [...], \"dual\"?: [...]}")
             point = parse_point(rec["point"])
             if point.n != n:
-                raise DomainError("root point %r must have %d coordinates" % (rec["point"], n))
+                raise DomainError(
+                    "root point %s must have %d coordinates" % (_cut(repr(rec["point"])), n)
+                )
             dual = rec.get("dual")
             if dual is not None:
                 dual = tuple(parse_functional(f, point) for f in dual)
@@ -429,9 +444,13 @@ def parse_system(doc) -> SystemDocument:
             try:
                 j = int(key)
             except (TypeError, ValueError):
-                raise DomainError("T_override keys must be degrees, got %r" % (key,)) from None
+                raise DomainError(
+                    "T_override keys must be degrees, got %s" % (_cut(repr(key)),)
+                ) from None
             if not isinstance(mons, (list, tuple)):
-                raise DomainError("T_override[%r] must be an array of exponent vectors" % (key,))
+                raise DomainError(
+                    "T_override[%s] must be an array of exponent vectors" % (_cut(repr(key)),)
+                )
             t_override[j] = [_exponent_vector(g, n) for g in mons]
     return SystemDocument(system, t, s_cols, roots, t_override)
 

@@ -25,6 +25,12 @@ multiple and translating it to the functional's point term by term, in
 rationals, where the package reads integer binomial tables and translates
 h alone.
 
+The dual-basis quotient is kept as the package formed it before it
+evaluated each root once into integer rows with known scales
+(``poisson_by_matrices``): V_T and O_S as the public rational matrices
+``dual_vandermonde`` and ``dual_wronskian`` build them, each determinant
+read by ``det_exact``.
+
 ``RatParamPoly`` is the parameter polynomial as the package held it before
 it moved to int numerators over one denominator: one rational per term,
 every operation in rationals.  ``CoeffUniPoly`` and ``coeff_taylor`` are the
@@ -225,6 +231,26 @@ def functional_of_multiple(func, h, alpha):
     for expo, c in func.terms:
         total = total + c * local.get(expo, Rat(0))
     return total
+
+
+def poisson_by_matrices(sys, t, s_cols, basis, sets):
+    """factor * det_exact(O_S) / det_exact(V_T), O_S stacked from the rows
+    of S and T* over the dual Wronskian of f_(n+1) on R, factor the
+    product of the leading-form subresultants of the free degrees."""
+    from subres.mv.duality import dual_vandermonde, dual_wronskian
+    from subres.mv.macaulay import leading_form_subres
+
+    s_list = [tuple(g) for g in s_cols]
+    det_vt = det_exact(dual_vandermonde(sets.T.monomials, basis))
+    o_s = ExactMatrix(
+        dual_vandermonde(s_list + list(sets.T_star.monomials), basis).rows
+        + dual_wronskian(sys.polys[-1], sets.R.monomials, basis).rows
+    )
+    factor = Rat(1)
+    forms = sys.leading_forms()
+    for j in range(max(0, t - sys.degrees[-1] + 1), t + 1):
+        factor = factor * leading_form_subres(forms, sys.degrees[:-1], j, sets.tj[j].monomials)
+    return factor * det_exact(o_s) / det_vt
 
 
 def _up_to_degree(n, order):

@@ -532,6 +532,60 @@ class TestErrorReporting:
         for f in ("@%s" % path, "\ufeff[1,2]"):
             assert run(capsys, ["coeffs", "--f", f, "--g", "[1,1]", "-t", "0"]) == want
 
+    @pytest.mark.parametrize(
+        "root_set, head",
+        [
+            (json.dumps([[1] * 100000]), "[1, 1, 1, "),
+            ("[" * 900 + "]" * 900, "[[[[[[[[[["),
+        ],
+        ids=["wide", "deep"],
+    )
+    def test_long_echo_is_cut(self, capsys, root_set, head):
+        code, out, err = run(capsys, ["roots", "--A", root_set, "--B", "[[1,1]]", "-t", "0"])
+        prefix = "error: each root entry must be a [root, multiplicity] pair, got "
+        assert (code, out) == (2, "")
+        assert err.startswith(prefix + head)
+        assert err.endswith("...\n")
+        assert len(err) == len(prefix) + 200 + len("...\n")
+
+    def test_long_list_of_unknown_keys_is_cut(self, capsys):
+        doc = dict(system_doc(), **{"k%05d" % i: 0 for i in range(20000)})
+        code, out, err = run(capsys, ["mv", "--system", json.dumps(doc)])
+        prefix = "error: unknown system document keys: "
+        assert (code, out) == (2, "")
+        assert err == prefix + ", ".join("k%05d" % i for i in range(20000))[:200] + "...\n"
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (
+                ["roots", "--A", "[[1,1,1]]", "--B", "[[1,1]]", "-t", "0"],
+                "error: each root entry must be a [root, multiplicity] pair, got [1, 1, 1]\n",
+            ),
+            (
+                ["roots", "--A", '[["1","x"]]', "--B", "[[1,1]]", "-t", "0"],
+                "error: multiplicity must be an integer, got 'x'\n",
+            ),
+            (
+                ["coeffs", "--f", '["1+"]', "--g", "[1,1]", "-t", "0"],
+                "error: scalar parse error in '1+': expected a number, a parameter name, or '(', "
+                "got end of input\n",
+            ),
+        ],
+        ids=["entry", "multiplicity", "scalar"],
+    )
+    def test_short_echo_is_whole(self, capsys, argv, want):
+        assert run(capsys, argv) == (2, "", want)
+
+    def test_long_scalar_echo_is_cut(self, capsys):
+        text = "1+" * 150 + "*"
+        argv = ["coeffs", "--f", json.dumps([text]), "--g", "[1,1]", "-t", "0"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: scalar parse error in '1+1+")
+        assert "..." in err and text not in err
+        assert len(err) < 300
+
     def test_parser_reused_after_failed_parse(self, capsys):
         argv = ["verify", "--A", "[[0,2],[1,1]]", "--B", "[[2,2],[3,2]]"]
         first = run(capsys, argv)

@@ -3,10 +3,13 @@
 ``dual_wronskian``, ``dual_vandermonde`` and ``dual_eval`` against an
 oracle that expands x^alpha h and translates it to the functional's point
 term by term (``oracles.functional_of_multiple``), at points whose
-coordinates have different denominators and at a parameter point; then
-``inverse_system`` and ``poisson_delta`` on two seeded grid systems with
-non-dyadic roots, against values pinned from the rational implementation
-they replaced.
+coordinates have different denominators and at a parameter point; the
+integer numerators and scales of the one evaluator against the same
+entries; then ``inverse_system`` and ``poisson_delta`` on two seeded grid
+systems with non-dyadic roots, against values pinned from the rational
+implementation they replaced, and ``poisson_delta`` on seeded grid
+systems at rational and parameter points against the quotient of the
+public matrices' determinants (``oracles.poisson_by_matrices``).
 """
 
 import random
@@ -15,10 +18,17 @@ from math import comb
 
 import pytest
 
-from oracles import functional_of_multiple
-from subres import MultiPoly, Rat, param
+from oracles import functional_of_multiple, poisson_by_matrices
+from subres import DomainError, MultiPoly, ParamPoly, Rat, StructuralError, param
 from subres.combinat import monomials_up_to_degree
-from subres.mv.duality import DualBasis, DualFunctional, Point, assemble_dual_basis, dual_eval
+from subres.mv.duality import (
+    DualBasis,
+    DualFunctional,
+    Point,
+    _values,
+    assemble_dual_basis,
+    dual_eval,
+)
 from subres.mv.hilbert import build_monomial_sets
 from subres.mv.poisson import dual_vandermonde, dual_wronskian, poisson_delta
 from subres.serialize import parse_system, scalar_to_str
@@ -197,3 +207,117 @@ class TestPinnedGridSystems:
             quotient = poisson_delta(doc.system, doc.t, doc.s_cols, basis, sets=sets)
             assert scalar_to_str(quotient) == delta
             assert all(c.ok for c in mv_checks(doc))
+
+
+class TestSplitEvaluator:
+    @pytest.mark.parametrize("basis", [mixed_denominators(), parameter_point()])
+    @pytest.mark.parametrize("h", MULTIPLIERS)
+    def test_numerators_over_scales_are_the_wronskian_entries(self, basis, h):
+        monos = monomials_up_to_degree(2, 4)
+        nums, row_dens, col_dens = _values(2, basis.groups, [h.shift(e).terms for e in monos])
+        assert [
+            [v / Rat(r * c) for v, c in zip(row, col_dens)] for row, r in zip(nums, row_dens)
+        ] == dual_wronskian(h, monos, basis).rows
+        assert all(type(d) is int and d > 0 for d in row_dens + col_dens)
+        assert all(
+            type(v) is int or (isinstance(v, ParamPoly) and v.denominator == 1)
+            for row in nums
+            for v in row
+        )
+
+    def test_row_scale_is_the_polynomials_and_shared_by_every_root(self):
+        basis = mixed_denominators()
+        h = MULTIPLIERS[1]
+        _, row_dens, col_dens = _values(2, basis.groups, [h.terms, {(0, 0): 1}])
+        assert row_dens == [15, 1]
+        assert len(col_dens) == len(basis)
+
+    def test_wrong_variable_count_names_both(self):
+        with pytest.raises(DomainError) as err:
+            _values(3, mixed_denominators().groups, [{(0, 0, 0): 1}])
+        assert str(err.value) == "functional in 2 variables applied to 3"
+
+
+# Heavy roots at x1 = a or a half, x2 a half or an integer.
+HALVES_AND_INTEGERS = tuple(sorted({Rat(num, den) for num in range(-3, 4) for den in (1, 2)}))
+
+
+def grid_doc(seed, parametric):
+    """(x1 - r)^3 (x1 - r')^m', (x2 - s)^3 (x2 - s')^n' and a line with
+    coefficient denominators drawn from 1, 2, 3 and 5, at an order t
+    between 1 and D1 + D2 - 3 with S a random k-subset of the monomials of
+    degree <= t.  With ``parametric`` the x1 roots are a, and a + 1 or
+    a - 1/2 for a second one, so the points have a parameter coordinate."""
+    rng = random.Random(seed)
+    m1 = (3,) + rng.choice(((), (1,)))
+    m2 = (3,) + rng.choice(((), (1,)))
+    if parametric:
+        xs = [A, A + rng.choice((1, Rat(-1, 2)))][: len(m1)]
+    else:
+        xs = rng.sample(HALVES_AND_INTEGERS, len(m1))
+    ys = rng.sample(HALVES_AND_INTEGERS, len(m2))
+
+    def expand(roots):
+        coeffs = [Rat(1)]
+        for r, m in roots:
+            for _ in range(m):
+                coeffs = [Rat(0)] + coeffs
+                for i in range(len(coeffs) - 1):
+                    coeffs[i] = coeffs[i] - r * coeffs[i + 1]
+        return coeffs
+
+    degrees = (sum(m1), sum(m2))
+    f1 = [[[i, 0], c] for i, c in enumerate(expand(zip(xs, m1))) if c]
+    f2 = [[[0, i], c] for i, c in enumerate(expand(zip(ys, m2))) if c]
+    f3 = [
+        [e, Rat(rng.choice((-7, -1, 1, 11)), den)]
+        for e, den in zip(([0, 0], [1, 0], [0, 1]), rng.sample((1, 2, 3, 5), 3))
+    ]
+    t = rng.randrange(1, sum(degrees) - 2)
+    below = [[a, s - a] for s in range(t + 1) for a in range(s, -1, -1)]
+    return {
+        "n": 2,
+        "polynomials": [
+            [{"exponents": e, "coeff": scalar_to_str(c)} for e, c in f] for f in (f1, f2, f3)
+        ],
+        "degrees": [degrees[0], degrees[1], 1],
+        "t": t,
+        "S": rng.sample(below, len(_reduced(degrees, t))),
+        "T_override": {str(j): _reduced(degrees, j) for j in range(sum(degrees) - 1)},
+        "roots": [{"point": [scalar_to_str(x), scalar_to_str(y)]} for x in xs for y in ys],
+    }
+
+
+class TestQuotientAgainstMatrices:
+    """``poisson_delta`` reads one integer table per root; the oracle
+    builds the public rational matrices and divides their determinants."""
+
+    @pytest.mark.parametrize("parametric", [False, True], ids=["rational", "parameter"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_value_and_text(self, seed, parametric):
+        doc = parse_system(grid_doc(seed, parametric))
+        sets = build_monomial_sets(doc.system.degrees, doc.t, doc.t_override)
+        basis = assemble_dual_basis(resolved_groups(doc))
+        assert max(len(funcs) for _, funcs in basis.groups) == 9
+        got = poisson_delta(doc.system, doc.t, doc.s_cols, basis, sets=sets)
+        want = poisson_by_matrices(doc.system, doc.t, doc.s_cols, basis, sets)
+        assert got == want
+        assert type(got) is type(want)
+        assert scalar_to_str(got) == scalar_to_str(want)
+
+    def test_singular_v_t_message(self):
+        doc = parse_system(grid_doc(0, False))
+        override = dict(doc.t_override)
+        # Modulo f1, x1^D1 is a combination of 1, x1, ..., x1^(D1 - 1), all in T.
+        d1 = doc.system.degrees[0]
+        override[d1] = [(d1, 0)] + list(override[d1][1:])
+        sets = build_monomial_sets(doc.system.degrees, doc.t, override)
+        basis = assemble_dual_basis(resolved_groups(doc))
+        with pytest.raises(StructuralError) as err:
+            poisson_delta(doc.system, doc.t, doc.s_cols, basis, sets=sets)
+        assert str(err.value) == (
+            "V_T is singular: T is not a basis of the quotient for this dual basis; "
+            "supply a different T_j override"
+        )
+        with pytest.raises(ZeroDivisionError):
+            poisson_by_matrices(doc.system, doc.t, doc.s_cols, basis, sets)

@@ -1,5 +1,6 @@
 """Exact matrices: fraction-free determinants, kernels, products."""
 
+import math
 import random
 
 import pytest
@@ -681,6 +682,21 @@ class TestNullspace:
         for i, j in enumerate(leads):
             assert [row[j] for row in reduced] == [Rat(int(k == i)) for k in range(len(reduced))]
         assert nullspace_gauss_jordan(reduced, ncols) == nullspace_gauss_jordan(rows, ncols)
+
+    @given(rank_deficient())
+    def test_int_rows_as_rats(self, rows):
+        """All-int rows skip the scaling to numerators; the kernel and the
+        echelon form are those of the same rows as rationals."""
+        ints = [[int(v * math.lcm(*(w.denominator for w in row))) for v in row] for row in rows]
+        rats = [[Rat(v) for v in row] for row in ints]
+        kept = [list(row) for row in ints]
+        kernel = ExactMatrix(ints).nullspace()
+        assert kernel == ExactMatrix(rats).nullspace()
+        assert all(type(v) is RAT for vec in kernel for v in vec)
+        reduced = reduced_echelon(ints)
+        assert reduced == reduced_echelon(rats)
+        assert all(type(v) is RAT for row in reduced for v in row)
+        assert ints == kept
 
     def test_parameter_entries_divide_exactly(self):
         # Dividing the first row by its pivot a leaves 1/a, so elimination
