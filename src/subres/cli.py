@@ -164,6 +164,8 @@ def _cmd_verify(args):
     else:
         if args.A is None or args.B is None:
             raise DomainError("pass either --system or the pair --A/--B")
+        if args.t is not None or args.S is not None:
+            raise DomainError("-t and --S apply to --system only")
         checks = univariate_checks(*_pair(args))
     ok = all(c.ok for c in checks)
     doc = {

@@ -22,9 +22,12 @@ roots, and each row grows from the one above by an integer step
 integral rows from it with known row scales.  The table is the
 Wronskian of 1: ``_wronskian_rows`` of 1 are its own rows, so the
 confluent Vandermonde matrix is ``wronskian`` of 1, which divides each
-row back by its scale, and det V is ``wronskian_det`` of 1.
-``wronskian_det`` and ``confluent_inverse_holds`` work on the integral
-rows and divide once at the end.
+row back by its scale, and det V is ``wronskian_det`` of 1.  Row 0 of
+the Wronskian of h is the Taylor data of h at A, the one place it is read
+from: by the Hermite route (``roots_formulas``) for g, by
+``confluent_inverse_holds`` for each Hermite basis polynomial and by
+``vprime`` for each f_i.  ``wronskian_det`` divides its integral rows
+once at the end; ``confluent_inverse_holds`` compares them with their scales.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .errors import DomainError
 from .matrix import ExactMatrix, det_exact
 from .rootsets import MultiRootSet, _monic, pairing_R
 from .scalar import ParamPoly, Rat, Scalar, _numerators, _quotient
-from .unipoly import UniPoly, taylor_coeff
+from .unipoly import UniPoly
 
 
 def vandermonde_confluent(a: MultiRootSet, u: int) -> ExactMatrix:
@@ -310,29 +313,19 @@ def confluent_inverse(a: MultiRootSet) -> ExactMatrix:
 
 def confluent_inverse_holds(a: MultiRootSet) -> bool:
     """Whether ``confluent_inverse`` times the square confluent
-    Vandermonde matrix is the identity, tested on integers: the matrix's
-    row k is row k of the integral table over q^k.
+    Vandermonde matrix is the identity, tested on integers.
 
-    With basis polynomial r as numerators n_k over D, entry (r, c) of the
-    product is sum_k n_k q^(d-1-k) T[k][c] / (D q^(d-1)), so the product
-    is the identity exactly when that sum is D q^(d-1) for c = r and 0
-    otherwise.
+    Row r of that product is the Taylor data at A of basis polynomial r,
+    row 0 of its Wronskian (``_wronskian_rows``), so the product is the
+    identity exactly when that integral row is its scale at column r and 0
+    elsewhere.
     """
-    d = a.total
-    table, q = _vandermonde_rows(a, d)
-    lift = [q ** (d - 1 - k) for k in range(d)]
     r = 0
     for i in range(1, a.m + 1):
         for p in _hermite_row(a, i):
-            num = [(z * s, k) for k, (z, s) in enumerate(zip(p.numerators, lift)) if z]
-            for c in range(d):
-                acc = 0
-                for z, k in num:
-                    v = table[k][c]
-                    if v:
-                        acc = acc + z * v
-                if acc != (p.denominator * q ** (d - 1) if c == r else 0):
-                    return False
+            (row,), (scale,) = _wronskian_rows(p, a, 1)
+            if any(v != (scale if c == r else 0) for c, v in enumerate(row)):
+                return False
             r += 1
     return True
 
@@ -341,15 +334,15 @@ def vprime(a: MultiRootSet) -> ExactMatrix:
     """Block-diagonal companion of the confluent Vandermonde matrix.
 
     Block i is upper-triangular Toeplitz in the normalized derivatives of
-    f_i = prod_{j != i}(x - alpha_j)^(d_j) at alpha_i, so the determinant
-    is the product of f_i(alpha_i)^(d_i).
+    f_i = prod_{j != i}(x - alpha_j)^(d_j) at alpha_i, block i of its
+    Taylor data at A, so the determinant is the product of f_i(alpha_i)^(d_i).
     """
     d = a.total
     rows = [[Rat(0)] * d for _ in range(d)]
     offset = 0
-    for i, (alpha_i, d_i) in enumerate(a, start=1):
-        fi = _root(a, i)[1][0]
-        taylor = [taylor_coeff(fi, alpha_i, s) for s in range(d_i)]
+    for i, (_, d_i) in enumerate(a, start=1):
+        (row,), (scale,) = _wronskian_rows(_root(a, i)[1][0], a, 1)
+        taylor = [_quotient(v, scale) for v in row[offset : offset + d_i]]
         for r in range(d_i):
             for c in range(r, d_i):
                 rows[offset + r][offset + c] = taylor[c - r]

@@ -32,9 +32,10 @@ q^(k+1) on both parts of row k of W(x - z, A).  The product of the row
 scales joins the Vandermonde determinants in the divisor ``den``.
 
 Two closed-form specializations avoid determinants entirely: the order
-d-1 subresultant is the Hermite interpolant of g on A, and the order-1
-subresultant is an explicit weighted sum over the roots, its weights one
-truncated series product per root (``confluent._pole_weights``).
+d-1 subresultant is the Hermite interpolant of g on A, from the Taylor
+data of g at A (row 0 of its Wronskian), and the order-1 subresultant is
+an explicit weighted sum over the roots, its weights one truncated
+series product per root (``confluent._pole_weights``).
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ from .confluent import (
 from .errors import DomainError
 from .matrix import det_bordered, det_in_x
 from .rootsets import MultiRootSet, pairing_R, poly_from_roots
-from .scalar import Rat
+from .scalar import Rat, _quotient
 from .subresultants import _check_t
-from .unipoly import UniPoly, taylor_coeff
+from .unipoly import UniPoly
 
 VARIANTS = ("compact", "block", "wronskian-full")
 
@@ -137,18 +138,16 @@ def _sres_wronskian_full(a: MultiRootSet, b: MultiRootSet, t: int) -> UniPoly:
 def sres_dm1_hermite(a: MultiRootSet, b: MultiRootSet) -> UniPoly:
     """Order d-1 subresultant: the Hermite interpolant of g on A.
 
-    Needs d <= e; with a single root this is the Taylor expansion of g
-    at that root truncated below order d.
+    Needs d <= e; the Taylor data is row 0 of g's Wronskian over A.  With
+    a single root this is the Taylor expansion of g at that root truncated
+    below order d.
     """
     d, e = a.total, b.total
     if d > e:
         raise DomainError("need total multiplicity of A at most that of B (d <= e)")
-    g = poly_from_roots(b)
-    data = {}
-    for i, (alpha, d_i) in enumerate(a, start=1):
-        for j in range(d_i):
-            data[(i, j)] = taylor_coeff(g, alpha, j)
-    return hermite_interpolate(a, data)
+    (row,), (scale,) = _wronskian_rows(poly_from_roots(b), a, 1)
+    keys = [(i, j) for i, (_, d_i) in enumerate(a, start=1) for j in range(d_i)]
+    return hermite_interpolate(a, {key: _quotient(v, scale) for key, v in zip(keys, row)})
 
 
 def sres_one(a: MultiRootSet, b: MultiRootSet) -> UniPoly:

@@ -279,7 +279,8 @@ def taylor_coeff(p: UniPoly, a: Scalar, j: int) -> Scalar:
     Equals the j-th derivative at a divided by j!, computed without
     factorials so it stays exact over any scalar domain: with a = v / w
     and p of degree n, the sum over k >= j of num[k] C(k, j) v^(k-j)
-    w^(n-k), over den w^(n-j).
+    w^(n-k), over den w^(n-j).  The package reads Taylor data from
+    Wronskian rows (``confluent``); tests check those rows against this.
     """
     if j < 0:
         raise DomainError("negative derivative order")

@@ -23,13 +23,13 @@ from .confluent import (
 )
 from .errors import DomainError, StructuralError
 from .matrix import det_exact
-from .mv.duality import assemble_dual_basis, dual_wronskian, inverse_system
+from .mv.duality import _values, assemble_dual_basis, inverse_system
 from .mv.hilbert import build_monomial_sets
 from .mv.macaulay import _extraneous_divisor, macaulay_matrix
 from .mv.poisson import poisson_delta
 from .roots_formulas import VARIANTS, sres_dm1_hermite, sres_one, sres_roots
 from .rootsets import MultiRootSet, pairing_R, poly_from_roots
-from .scalar import Rat
+from .scalar import Rat, _quotient
 from .serialize import SystemDocument
 from .subresultants import sres_coeff, sylv_double_sum, sylvester_identity_scale
 from .unipoly import UniPoly
@@ -211,13 +211,14 @@ def mv_checks(doc: SystemDocument) -> List[Check]:
 
     if doc.roots is not None:
         basis = assemble_dual_basis(resolved_groups(doc), expected_total=combo.bezout)
-        # Row 0 of the dual Wronskian of g holds every L(g).
-        values = [dual_wronskian(g, [(0,) * sys.n], basis).rows[0] for g in sys.polys[:-1]]
+        # Every L_j(f_i) from one evaluation, tested for zero on its numerator.
+        nums, row_dens, col_dens = _values(sys.n, basis.groups, [g.terms for g in sys.polys[:-1]])
         annihilated, witness = True, ""
-        for func, column in zip(basis.functionals, zip(*values)):
-            for i, val in enumerate(column):
-                if val != 0:
+        for j, func in enumerate(basis.functionals):
+            for i, row in enumerate(nums):
+                if row[j]:
                     annihilated = False
+                    val = _quotient(row[j], row_dens[i] * col_dens[j])
                     witness = "functional %s on polynomial %d gives %s" % (func, i + 1, val)
         dims = [len(funcs) for _, funcs in basis.groups]
         _record(checks, "dual functionals annihilate the defining polynomials",

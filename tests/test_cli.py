@@ -268,6 +268,13 @@ class TestVerifyCommand:
             },
         ]
 
+    @pytest.mark.parametrize("extra", [["-t", "7"], ["--S", "[[9]]"]])
+    def test_system_options_refused_in_pair_mode(self, capsys, extra):
+        argv = ["verify", "--A", "[[1,1]]", "--B", "[[2,2]]"] + extra
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: -t and --S apply to --system only\n"
+
     def test_zero_last_polynomial(self, capsys):
         # (x1 - 1/2)^3 and (x2 + 1)^3: one root of multiplicity 9, whose dual
         # basis inverse_system computes; with f3 = 0 both routes give 0.

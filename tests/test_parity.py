@@ -2,7 +2,8 @@
 against the constructions they replaced: rebuild-and-interpolate
 determinants, the Taylor-recursion Wronskian, and Hermite bases rebuilt per
 call from fresh ``fiki`` products (``oracles``).  Both sides are compared as
-JSON, byte for byte."""
+JSON, byte for byte.  ``scripts/parity.py``'s digests of its fixed CLI calls
+are pinned too: a change that alters an output on purpose updates them."""
 
 import json
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import parity
 from conftest import rootsets
 from oracles import (
     basic_hermite_per_call,
@@ -193,3 +195,11 @@ class TestClosedFormParity:
         for build in (sres_dm1_hermite, sres_dm1_hermite_per_call):
             with pytest.raises(DomainError):
                 build(a, b)
+
+
+def test_cli_output_digests(capsys):
+    assert parity.main(["--seeds", "1", "2", "3"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "624 calls, sha256 5ef9adc6494930125c9e422ae1649e9cdb8ce7520fed846be5c7f590dfe7893d",
+        "38 grid-system calls, sha256 000b2fd3ae4f6594958d3ecaa035ea35ceee25a02cce23709d38fa6b5b003f03",
+    ]

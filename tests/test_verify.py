@@ -127,9 +127,9 @@ class TestMVBattery:
 
         monkeypatch.setattr(duality, "_binomial_tables", spy)
         assert all(c.ok for c in mv_checks(parse_system(GRID_SYSTEM)))
-        # One root: two translates for inverse_system, one evaluation per
-        # generator for the annihilation record, then V_T and O_S.
-        assert len(builds) <= 6
+        # One root: two translates for inverse_system, one evaluation for
+        # the annihilation record and one for V_T and O_S.
+        assert len(builds) <= 4
 
     def test_without_roots_runs_matrix_checks_only(self):
         raw = circle_line_doc()
