@@ -10,9 +10,9 @@ the set is read; the closed-form Vandermonde determinant, a product of
 root differences (``rootsets.pairing_R``); per root
 alpha_i, the product f_i of the other roots' factors, its value
 f_i(alpha_i) and the chain (x - alpha_i)^k f_i, k < d_i; and the Hermite
-basis, built from that chain.  The basis and the order-1 pole formula (``roots_formulas``) take
-their pole weights from one truncated product of per-root series
-(``_pole_weights``).
+basis, built from that chain.  The basis and the order-1 pole formula
+(``roots_formulas``) take their pole weights from one truncated product
+of per-slot series, in any slot order (``_pole_weights``).
 
 The table has no rational entries.  With q the lcm of the roots'
 denominators (a ``ParamPoly`` root has one), its row k is q^k V_k, ints
@@ -191,35 +191,24 @@ def _root_chain(a: MultiRootSet, i: int) -> tuple:
 
 def _pole_weights(alpha: Scalar, slots, n: int) -> list:
     """w_k for k < n: the coefficient of y^k in the product over the slots
-    (gamma, m, p) of sum_k C(m-1+k, k) (alpha - gamma)^(p-k) y^k, that is the
-    sum over compositions (k_l) of k of prod_l C(m_l-1+k_l, k_l)
+    (gamma, m, p) of sum_j s_j y^j, s_j = C(m-1+j, j) (alpha - gamma)^(p-j),
+    that is the sum over compositions (k_l) of k of prod_l C(m_l-1+k_l, k_l)
     (alpha - gamma_l)^(p_l-k_l).  With every p = 0, w_k is (-1)^k F(alpha)
     times the coefficient of (x - alpha)^k in 1/F, F = prod_l (x - gamma_l)^m_l.
 
-    A slot divides only for k > p.  Slots with p > 0 go first, so that the
-    later divisions act on their folded powers: that keeps them exact for
-    symbolic roots.
+    Each slot's series is a power of alpha - gamma for j < p, the binomial
+    alone at j = p and one division for j > p; the product is truncated
+    below y^n and folds the slots in any order.  With parameter roots a
+    division is exact only when alpha - gamma is a constant.
     """
     w = [Rat(1)] + [Rat(0)] * (n - 1)
     for gamma, m, p in slots:
         diff = alpha - gamma
-        # pw[q] = diff^(low + q) holds the factors diff^(p - j), j < p, and,
-        # with low = 0, the divisors diff^(j - p), j > p.
-        low = max(p - n + 1, 0)
-        pw = [diff**low if low else Rat(1)]
-        while len(pw) < n:
-            pw.append(pw[-1] * diff)
-        binom = [comb(m - 1 + j, j) for j in range(n)]
-        for k in range(n - 1, -1, -1):
-            acc: Scalar = Rat(0)
-            for j in range(k + 1):
-                term = w[k - j] * binom[j]
-                if j < p:
-                    term = term * pw[p - j - low]
-                elif j > p:
-                    term = term / pw[j - p]
-                acc = acc + term
-            w[k] = acc
+        s = []
+        for j in range(n):
+            c = comb(m - 1 + j, j)
+            s.append(c * diff ** (p - j) if j < p else c / diff ** (j - p) if j > p else c)
+        w = [sum((w[k - j] * s[j] for j in range(1, k + 1)), w[k] * s[0]) for k in range(n)]
     return w
 
 

@@ -36,7 +36,7 @@ import math
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from .errors import DomainError
-from .scalar import ParamPoly, Rat, Scalar, _collapse, _numerators, as_scalar, is_rational
+from .scalar import ParamPoly, Rat, Scalar, _collapse, _numerators, _quotient, as_scalar, is_rational
 from .unipoly import UniPoly
 
 Unpack = Optional[Callable[[int], ParamPoly]]  # None for rational rows
@@ -98,7 +98,7 @@ class ExactMatrix:
         column whose entries are all zero yields the plain unit vector, so
         distinguished generators survive untouched.
         """
-        a, pivots, over = _gauss_jordan(self.rows)
+        a, pivots, last = _gauss_jordan(self.rows)
         basis = []
         taken = set(pivots)
         for c in range(self.ncols):
@@ -107,7 +107,7 @@ class ExactMatrix:
                 v[c] = Rat(1)
                 for row, pc in zip(a, pivots):
                     if row[c]:
-                        v[pc] = over(-row[c])
+                        v[pc] = _quotient(-row[c], last)
                 basis.append(v)
         return basis
 
@@ -389,12 +389,12 @@ def _bareiss(a: List[list], steps: int, prev: int = 1) -> Optional[Tuple[int, in
 
 def reduced_echelon(rows: List[list]) -> List[List[Scalar]]:
     """The nonzero rows of the reduced row echelon form of ``rows``."""
-    a, pivots, over = _gauss_jordan(rows)
+    a, pivots, last = _gauss_jordan(rows)
     zero = Rat(0)
-    return [[over(v) if v else zero for v in row] for row in a[: len(pivots)]]
+    return [[_quotient(v, last) if v else zero for v in row] for row in a[: len(pivots)]]
 
 
-def _gauss_jordan(rows: List[list]) -> Tuple[list, List[int], Callable[[Scalar], Scalar]]:
+def _gauss_jordan(rows: List[list]) -> Tuple[list, List[int], Scalar]:
     """Fraction-free Gauss-Jordan elimination of ``rows``; the one kernel of
     ``nullspace`` and ``reduced_echelon``.
 
@@ -410,15 +410,14 @@ def _gauss_jordan(rows: List[list]) -> Tuple[list, List[int], Callable[[Scalar],
     over the integers and over the parameter polynomials alike, and each
     pivot row holds the last pivot d on its pivot and d times the reduced
     echelon form.
-    Returns the rows, the pivot columns, and the map v -> v / d into the
-    scalar domain.
+    Returns the rows, the pivot columns and d (1 with no pivot), which
+    ``_quotient`` divides back out of an entry.
     """
     kinds = {type(v) for row in rows for v in row}
-    parametric = ParamPoly in kinds
     if kinds <= {int}:
         # rows are replaced below, never changed in place, so none is copied
         a = rows
-    elif not parametric:
+    elif ParamPoly not in kinds:
         a = [_numerators(row)[0] for row in rows]
     else:
         a = [[v if isinstance(v, ParamPoly) else ParamPoly.constant(v) for v in row] for row in rows]
@@ -447,9 +446,7 @@ def _gauss_jordan(rows: List[list]) -> Tuple[list, List[int], Callable[[Scalar],
                 a[i] = [pivot * x // prev for x in row_i]
         pivots.append(c)
         prev = pivot
-    if parametric:
-        return a, pivots, lambda v: v / prev
-    return a, pivots, lambda v: Rat(v, prev)
+    return a, pivots, prev
 
 
 def det_in_x(p: List[list], q: List[list], free: List[list], den: Scalar = 1) -> UniPoly:

@@ -35,7 +35,9 @@ Two closed-form specializations avoid determinants entirely: the order
 d-1 subresultant is the Hermite interpolant of g on A, from the Taylor
 data of g at A (row 0 of its Wronskian), and the order-1 subresultant is
 an explicit weighted sum over the roots, its weights one truncated
-series product per root (``confluent._pole_weights``).
+product of per-slot series (``confluent._pole_weights``).  Both divide by
+differences of roots within A, exactly for parameter roots when those
+differences are constants.
 """
 
 from __future__ import annotations
@@ -158,9 +160,11 @@ def sres_one(a: MultiRootSet, b: MultiRootSet) -> UniPoly:
     the pole weights of orders d_i - 1 and d_i - 2 of alpha_i
     (``_pole_weights``) over the roots of B and the other roots of A.
     The roots of B carry p = e_l (d_i - 1), which folds g(alpha_i)^(d_i-1)
-    into every weight and keeps its divisions exact for symbolic roots.
-    The contribution is scaled by prod_{j != i} g(alpha_j)^(d_j), which is
-    ``pairing_R`` of the other roots of A against B, over f_i(alpha_i).
+    into every weight, so their series never divide.  The contribution
+    is scaled by prod_{j != i} g(alpha_j)^(d_j), which is ``pairing_R``
+    of the other roots of A against B, over f_i(alpha_i).  A root whose
+    weights or scale divide inexactly (parameter roots of A differing by
+    a non-constant) is refused.
     """
     d, e = a.total, b.total
     if not 1 < d <= e:
@@ -174,10 +178,17 @@ def sres_one(a: MultiRootSet, b: MultiRootSet) -> UniPoly:
         others = a.pairs[: i - 1] + a.pairs[i:]
         slots = [(beta, e_l, e_l * (d_i - 1)) for beta, e_l in b]
         slots += [(alpha, d_l, 0) for alpha, d_l in others]
-        w = _pole_weights(alpha_i, slots, d_i)
+        at = _root(a, i)[0]
+        try:
+            w = _pole_weights(alpha_i, slots, d_i)
+            scale = pairing_R(others, b) / at
+        except DomainError:
+            raise DomainError(
+                "the order-1 closed form divides by f_%d(%s) = %s; the roots within "
+                "a set must differ by constants" % (i, alpha_i, at)
+            ) from None
         s1, s0 = w[d_i - 1], (w[d_i - 2] if d_i > 1 else Rat(0))
-        lin = UniPoly.root_factor(alpha_i) * s1 + UniPoly([s0])
-        term = lin * (pairing_R(others, b) / _root(a, i)[0])
+        term = (UniPoly.root_factor(alpha_i) * s1 + UniPoly([s0])) * scale
         if (d - d_i) % 2:
             term = -term
         total = total + term

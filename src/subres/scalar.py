@@ -429,9 +429,9 @@ def _content(num) -> int:
     return math.gcd(*num._num.values()) if isinstance(num, ParamPoly) else num
 
 
-def _quotient(num, den: int) -> Scalar:
-    """num / den back in the scalar domain, for an int or a ``ParamPoly``
-    num and a nonzero int den."""
+def _quotient(num, den) -> Scalar:
+    """num / den back in the scalar domain, for an int num and a nonzero int
+    den, or a ``ParamPoly`` num and an int or exact ``ParamPoly`` den."""
     return num / den if isinstance(num, ParamPoly) else Rat(num, den)
 
 

@@ -462,6 +462,24 @@ def hermite_weight_sum(a: MultiRootSet, i: int, k: int):
     return total
 
 
+def pole_weight_sum(alpha, slots, k: int):
+    """w_k of the slots (gamma, m, p) as a composition sum: over the
+    compositions (k_l) of k, prod_l C(m_l-1+k_l, k_l) (alpha - gamma_l)^(p_l-k_l),
+    each term's positive powers multiplied out before its negative ones
+    divide once."""
+    total = Rat(0)
+    for ks in monomials_of_degree_naive(len(slots), k):
+        num, den = Rat(1), Rat(1)
+        for (gamma, m, p), kl in zip(slots, ks):
+            num = num * comb(m - 1 + kl, kl)
+            if kl < p:
+                num = num * (alpha - gamma) ** (p - kl)
+            elif kl > p:
+                den = den * (alpha - gamma) ** (kl - p)
+        total = total + num / den
+    return total
+
+
 def sres_one_sum(a: MultiRootSet, b: MultiRootSet, i: int, k: int, g_at):
     """S_k of the order-1 pole formula as the paper displays it: over the
     compositions of k across the other roots of A and the roots of B, the

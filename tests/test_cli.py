@@ -1,10 +1,12 @@
 """End-to-end command-line behavior: documents in, one JSON document out."""
 
 import copy
+import importlib
 import io
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -399,6 +401,24 @@ class TestErrorReporting:
         assert err.endswith("; the roots within a set must differ by constants\n")
         assert "Traceback" not in err
 
+    def test_order_one_refuses_an_inexact_division_by_a_root_difference(self, capsys):
+        # The scale of root a is (b - c)^2 over f_1(a) = a - b.
+        code, out, err = run(capsys, ["one", "--A", '[["a",1],["b",1]]', "--B", '[["c",2]]'])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the order-1 closed form divides by f_1(a) = a - b; "
+            "the roots within a set must differ by constants\n"
+        )
+
+    def test_order_one_divides_exactly_by_a_free_root_difference(self, capsys):
+        # The scale of root a is (b - (2b - a))^2 = (a - b)^2 over a - b.
+        a, b = '[["a",1],["b",1]]', '[["2*b-a",2]]'
+        want = ["a^2 - 5*a*b + 4*b^2", "3*a - 3*b"]
+        assert out_json(capsys, ["one", "--A", a, "--B", b]) == want
+        assert out_json(capsys, ["roots", "--A", a, "--B", b, "-t", "1"]) == want
+        f, g = '["a*b","-a-b","1"]', '["(2*b-a)^2","-2*(2*b-a)","1"]'
+        assert out_json(capsys, ["coeffs", "--f", f, "--g", g, "-t", "1"]) == want
+
     def test_symbolic_roots_with_constant_differences_pass(self, capsys):
         for a, b in (
             ('[["a",2],["a+1",1]]', '[["b",1],["b-2",2]]'),
@@ -643,6 +663,15 @@ class TestErrorReporting:
         assert capsys.readouterr().out == want
         if backend.__module__ == "fractions":
             assert want == "sres 0.1.0 (rational backend: fractions.Fraction)\n"
+
+    def test_console_scripts_name_importable_callables(self):
+        tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts["sres"] == "subres.cli:main"
+        for name, target in scripts.items():
+            module, _, attr = target.partition(":")
+            assert callable(getattr(importlib.import_module(module), attr)), name
 
     def test_output_is_single_json_document(self, capsys):
         code, out, _ = run(capsys, ["coeffs", "--f", "[1,-2,1]", "--g", "[0,0,0,1]", "-t", "1"])

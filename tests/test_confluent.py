@@ -1,6 +1,7 @@
 """Confluent Vandermonde / Wronskian matrices and Hermite interpolation."""
 
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,7 @@ from oracles import (
     hermite_weight_sum,
     lagrange_interpolant,
     matrix_rows,
+    pole_weight_sum,
     poly_product,
     sres_one_sum,
     vandermonde_binomial,
@@ -509,6 +511,32 @@ class TestPoleWeights:
                     slots += [(r, d, 0) for idx, (r, d) in enumerate(a, start=1) if idx != i]
                     w = _pole_weights(alpha, slots, d_i)
                     assert w == [sres_one_sum(a, b, i, k, g(alpha)) for k in range(d_i)]
+
+    def test_every_slot_order_gives_the_oracle_sums(self):
+        # The slots fold by one product, so each of their orders gives the
+        # paper's composition sums; root 1 of the first set has 5 slots.
+        for pairs_a in self.A_SETS:
+            for pairs_b in self.B_SETS:
+                a, b = MultiRootSet(pairs_a), MultiRootSet(pairs_b)
+                g = poly_product(b)
+                for i, (alpha, d_i) in enumerate(a, start=1):
+                    slots = [(beta, e, e * (d_i - 1)) for beta, e in b]
+                    slots += [(r, d, 0) for idx, (r, d) in enumerate(a, start=1) if idx != i]
+                    want = [sres_one_sum(a, b, i, k, g(alpha)) for k in range(d_i)]
+                    for order in permutations(slots):
+                        assert _pole_weights(alpha, list(order), d_i) == want
+
+    def test_a_slot_that_multiplies_and_divides(self):
+        # p = 2 with n = 5: the first slot's series is a power for j < 2 and
+        # a division for j > 2.
+        a, b = param("a"), param("b")
+        for alpha, slots in (
+            (Rat(1), [(Rat(3), 2, 2), (Rat(-1), 1, 0), (Rat(1, 2), 3, 4)]),
+            (a, [(a + 2, 2, 2), (b, 1, 4), (a - 1, 3, 0)]),
+        ):
+            want = [pole_weight_sum(alpha, slots, k) for k in range(5)]
+            for order in permutations(slots):
+                assert _pole_weights(alpha, list(order), 5) == want
 
     def test_no_division_at_order_zero(self):
         # A slot with p = 0 divides only for k >= 1: a simple root against
