@@ -196,20 +196,27 @@ def _pole_weights(alpha: Scalar, slots, n: int) -> list:
     (alpha - gamma_l)^(p_l-k_l).  With every p = 0, w_k is (-1)^k F(alpha)
     times the coefficient of (x - alpha)^k in 1/F, F = prod_l (x - gamma_l)^m_l.
 
-    Each slot's series is a power of alpha - gamma for j < p, the binomial
-    alone at j = p and one division for j > p; the product is truncated
-    below y^n and folds the slots in any order.  With parameter roots a
-    division is exact only when alpha - gamma is a constant.
+    Each slot's series is taken times (alpha - gamma)^(t-p), t = max(p, n-1),
+    so that it never divides; their product, truncated below y^n and folded
+    in any slot order, is divided once per weight by the product of those
+    powers, exactly whenever the weight is a polynomial in the parameters.
     """
     w = [Rat(1)] + [Rat(0)] * (n - 1)
+    den: Scalar = Rat(1)
     for gamma, m, p in slots:
         diff = alpha - gamma
-        s = []
-        for j in range(n):
-            c = comb(m - 1 + j, j)
-            s.append(c * diff ** (p - j) if j < p else c / diff ** (j - p) if j > p else c)
-        w = [sum((w[k - j] * s[j] for j in range(1, k + 1)), w[k] * s[0]) for k in range(n)]
-    return w
+        top = max(p, n - 1)
+        if top > p:
+            den = den * diff ** (top - p)
+        s = [comb(m - 1 + j, j) for j in range(n)]
+        for j in range(min(top, n)):
+            s[j] = s[j] * diff ** (top - j)
+        for k in range(n - 1, -1, -1):
+            acc = w[k] * s[0]
+            for j in range(1, k + 1):
+                acc = acc + w[k - j] * s[j]
+            w[k] = acc
+    return [v / den for v in w]
 
 
 def basic_hermite(a: MultiRootSet, i: int, j: int) -> UniPoly:

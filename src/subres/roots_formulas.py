@@ -36,8 +36,7 @@ d-1 subresultant is the Hermite interpolant of g on A, from the Taylor
 data of g at A (row 0 of its Wronskian), and the order-1 subresultant is
 an explicit weighted sum over the roots, its weights one truncated
 product of per-slot series (``confluent._pole_weights``).  Both divide by
-differences of roots within A, exactly for parameter roots when those
-differences are constants.
+differences of roots within A and refuse a division they cannot do exactly.
 """
 
 from __future__ import annotations
@@ -160,11 +159,12 @@ def sres_one(a: MultiRootSet, b: MultiRootSet) -> UniPoly:
     the pole weights of orders d_i - 1 and d_i - 2 of alpha_i
     (``_pole_weights``) over the roots of B and the other roots of A.
     The roots of B carry p = e_l (d_i - 1), which folds g(alpha_i)^(d_i-1)
-    into every weight, so their series never divide.  The contribution
-    is scaled by prod_{j != i} g(alpha_j)^(d_j), which is ``pairing_R``
-    of the other roots of A against B, over f_i(alpha_i).  A root whose
-    weights or scale divide inexactly (parameter roots of A differing by
-    a non-constant) is refused.
+    into every weight and keeps its divisions exact for symbolic roots.
+    The contribution is scaled by prod_{j != i} g(alpha_j)^(d_j), which is
+    ``pairing_R`` of the other roots of A against B, over f_i(alpha_i).
+    A division of the weights or of the scale that leaves a remainder,
+    possible only where parameter roots of A differ by a non-constant, is
+    refused.
     """
     d, e = a.total, b.total
     if not 1 < d <= e:
@@ -189,7 +189,5 @@ def sres_one(a: MultiRootSet, b: MultiRootSet) -> UniPoly:
             ) from None
         s1, s0 = w[d_i - 1], (w[d_i - 2] if d_i > 1 else Rat(0))
         term = (UniPoly.root_factor(alpha_i) * s1 + UniPoly([s0])) * scale
-        if (d - d_i) % 2:
-            term = -term
-        total = total + term
+        total = total - term if (d - d_i) % 2 else total + term
     return total

@@ -419,6 +419,13 @@ class TestErrorReporting:
         f, g = '["a*b","-a-b","1"]', '["(2*b-a)^2","-2*(2*b-a)","1"]'
         assert out_json(capsys, ["coeffs", "--f", f, "--g", g, "-t", "1"]) == want
 
+    def test_order_one_weights_absorb_a_free_root_difference(self, capsys):
+        # Root a's weight w_1 = 3 (2a - 2b)^2 + (2a - 2b)^3 / (a - b): the
+        # power of g(a) takes up the division by the other root of A.
+        a, b = '[["a",2],["b",1]]', '[["2*b-a",3]]'
+        want = out_json(capsys, ["roots", "--A", a, "--B", b, "-t", "1"])
+        assert out_json(capsys, ["one", "--A", a, "--B", b]) == want
+
     def test_symbolic_roots_with_constant_differences_pass(self, capsys):
         for a, b in (
             ('[["a",2],["a+1",1]]', '[["b",1],["b-2",2]]'),

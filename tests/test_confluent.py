@@ -528,15 +528,18 @@ class TestPoleWeights:
 
     def test_a_slot_that_multiplies_and_divides(self):
         # p = 2 with n = 5: the first slot's series is a power for j < 2 and
-        # a division for j > 2.
+        # a division for j > 2.  In the last case (b, 1, 0) alone divides
+        # by a - b at j = 1, and (2b - a, 3, 3) brings (2a - 2b)^3 to the
+        # same weight, so the weights are polynomials in either order.
         a, b = param("a"), param("b")
-        for alpha, slots in (
-            (Rat(1), [(Rat(3), 2, 2), (Rat(-1), 1, 0), (Rat(1, 2), 3, 4)]),
-            (a, [(a + 2, 2, 2), (b, 1, 4), (a - 1, 3, 0)]),
+        for alpha, slots, n in (
+            (Rat(1), [(Rat(3), 2, 2), (Rat(-1), 1, 0), (Rat(1, 2), 3, 4)], 5),
+            (a, [(a + 2, 2, 2), (b, 1, 4), (a - 1, 3, 0)], 5),
+            (a, [(2 * b - a, 3, 3), (b, 1, 0)], 2),
         ):
-            want = [pole_weight_sum(alpha, slots, k) for k in range(5)]
+            want = [pole_weight_sum(alpha, slots, k) for k in range(n)]
             for order in permutations(slots):
-                assert _pole_weights(alpha, list(order), 5) == want
+                assert _pole_weights(alpha, list(order), n) == want
 
     def test_no_division_at_order_zero(self):
         # A slot with p = 0 divides only for k >= 1: a simple root against
