@@ -3,9 +3,9 @@
 One invocation runs one subcommand; the result document goes to standard
 output as a single JSON value and diagnostics go to standard error.  All
 rationals cross the boundary as strings.  Exit status: 0 on success, 1 when
-`verify` finds a disagreement, 2 on domain or parse errors, 3 on structural
-errors (non-square subresultant matrix, singular quotient-basis matrix), 4
-on an internal error, any other exception, reported on standard error as
+`verify` finds a disagreement, 2 on domain or parse errors, 3 when the
+quotient-basis matrix V_T is singular (a structural error), 4 on an internal
+error, any other exception, reported on standard error as
 ``error: internal: <Type>: <message>`` so that it never reads as a failed
 check.  ``sres --version`` prints the version and the rational backend.
 

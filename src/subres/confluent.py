@@ -27,13 +27,15 @@ the Wronskian of h is the Taylor data of h at A, the one place it is read
 from: by the Hermite route (``roots_formulas``) for g, by
 ``confluent_inverse_holds`` for each Hermite basis polynomial and by
 ``vprime`` for each f_i.  ``wronskian_det`` divides its integral rows
-once at the end; ``confluent_inverse_holds`` compares them with their scales.
+once at the end; ``confluent_inverse_holds`` compares them with their
+scales, and divides them back only to show a product that is not the
+identity (``_inverse_mismatch``).
 """
 
 from __future__ import annotations
 
 from math import comb, prod
-from typing import Mapping, Tuple
+from typing import Mapping, Optional, Tuple
 
 from .errors import DomainError
 from .matrix import ExactMatrix, det_exact
@@ -309,21 +311,28 @@ def confluent_inverse(a: MultiRootSet) -> ExactMatrix:
 
 def confluent_inverse_holds(a: MultiRootSet) -> bool:
     """Whether ``confluent_inverse`` times the square confluent
-    Vandermonde matrix is the identity, tested on integers.
+    Vandermonde matrix is the identity, tested on integers
+    (``_inverse_mismatch``)."""
+    return _inverse_mismatch(a) is None
 
-    Row r of that product is the Taylor data at A of basis polynomial r,
+
+def _inverse_mismatch(a: MultiRootSet) -> Optional[ExactMatrix]:
+    """None when ``confluent_inverse`` times the square confluent
+    Vandermonde matrix is the identity, else that product.
+
+    Row r of the product is the Taylor data at A of basis polynomial r,
     row 0 of its Wronskian (``_wronskian_rows``), so the product is the
     identity exactly when that integral row is its scale at column r and 0
-    elsewhere.
+    elsewhere; otherwise the rows divided by their scales are returned.
     """
-    r = 0
+    rows = []
     for i in range(1, a.m + 1):
         for p in _hermite_row(a, i):
             (row,), (scale,) = _wronskian_rows(p, a, 1)
-            if any(v != (scale if c == r else 0) for c, v in enumerate(row)):
-                return False
-            r += 1
-    return True
+            rows.append((row, scale))
+    if all(v == (s if c == r else 0) for r, (row, s) in enumerate(rows) for c, v in enumerate(row)):
+        return None
+    return ExactMatrix([[_quotient(v, s) for v in row] for row, s in rows])
 
 
 def vprime(a: MultiRootSet) -> ExactMatrix:

@@ -2,8 +2,8 @@
 
 DomainError marks inputs outside a documented precondition (bad degrees,
 shared roots, wrong cardinalities).  StructuralError marks a computation
-that fell apart structurally (non-square matrix where squareness is
-guaranteed, singular quotient-basis matrix).
+that fell apart structurally: a singular quotient-basis matrix V_T, when
+the chosen T is not a basis of the quotient for the dual basis.
 """
 
 

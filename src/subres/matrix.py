@@ -89,26 +89,14 @@ class ExactMatrix:
         return ExactMatrix(out)
 
     def nullspace(self) -> List[List[Scalar]]:
-        """Kernel basis, one vector per free column, by ``_gauss_jordan``.
-
-        The vector of free column c is 1 at c, 0 at the other free
-        columns, and minus the reduced echelon entry in column c of the
-        pivot row at each pivot column: the reduced echelon form of the
-        kernel read from the last column backwards, which is unique.  A
-        column whose entries are all zero yields the plain unit vector, so
-        distinguished generators survive untouched.
-        """
-        a, pivots, last = _gauss_jordan(self.rows)
+        """Kernel basis, one vector per free column: the vectors of
+        ``_kernel`` filled in with zeros."""
         basis = []
-        taken = set(pivots)
-        for c in range(self.ncols):
-            if c not in taken:
-                v: List[Scalar] = [Rat(0)] * self.ncols
-                v[c] = Rat(1)
-                for row, pc in zip(a, pivots):
-                    if row[c]:
-                        v[pc] = _quotient(-row[c], last)
-                basis.append(v)
+        for pairs in _kernel(self.rows):
+            v: List[Scalar] = [Rat(0)] * self.ncols
+            for c, x in pairs:
+                v[c] = x
+            basis.append(v)
         return basis
 
     def __repr__(self):
@@ -387,6 +375,29 @@ def _bareiss(a: List[list], steps: int, prev: int = 1) -> Optional[Tuple[int, in
     return sign, prev
 
 
+def _kernel(rows: List[list]) -> List[List[Tuple[int, Scalar]]]:
+    """Kernel basis of ``rows``, one vector per free column, each as its
+    nonzero (column, entry) pairs in column order, by ``_gauss_jordan``.
+
+    The vector of free column c is 1 at c, 0 at the other free columns,
+    and minus the reduced echelon entry in column c of the pivot row at
+    each pivot column: the reduced echelon form of the kernel read from
+    the last column backwards, which is unique.  A column whose entries
+    are all zero yields the plain unit vector, so distinguished generators
+    survive untouched.
+    """
+    a, pivots, last = _gauss_jordan(rows)
+    taken = set(pivots)
+    basis = []
+    for c in range(len(rows[0]) if rows else 0):
+        if c not in taken:
+            # An echelon row is zero left of its pivot, so these pivots lie left of c.
+            pairs = [(pc, _quotient(-row[c], last)) for row, pc in zip(a, pivots) if row[c]]
+            pairs.append((c, Rat(1)))
+            basis.append(pairs)
+    return basis
+
+
 def reduced_echelon(rows: List[list]) -> List[List[Scalar]]:
     """The nonzero rows of the reduced row echelon form of ``rows``."""
     a, pivots, last = _gauss_jordan(rows)
@@ -395,8 +406,8 @@ def reduced_echelon(rows: List[list]) -> List[List[Scalar]]:
 
 
 def _gauss_jordan(rows: List[list]) -> Tuple[list, List[int], Scalar]:
-    """Fraction-free Gauss-Jordan elimination of ``rows``; the one kernel of
-    ``nullspace`` and ``reduced_echelon``.
+    """Fraction-free Gauss-Jordan elimination of ``rows``; the one elimination
+    of ``_kernel`` and ``reduced_echelon``.
 
     All-int rows, as ``inverse_system`` gives, are taken as they are.  Other
     rational rows are taken as their integer numerators, each over the lcm

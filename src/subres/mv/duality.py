@@ -34,7 +34,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 
 from ..combinat import canon_key
 from ..errors import DomainError
-from ..matrix import ExactMatrix, reduced_echelon
+from ..matrix import ExactMatrix, _kernel, reduced_echelon
 from ..multipoly import MultiPoly
 from ..scalar import Rat, Scalar, _numerators, _quotient, as_scalar
 
@@ -392,12 +392,11 @@ def _integrate(basis: list, local: Sequence[dict], n: int) -> list:
                 rows.append([row.get(col, 0) for col in range(n * size)])
     terms = [term for per_i in integrals for term in per_i]
     grown = [basis[0]]
-    for vec in ExactMatrix(rows).nullspace():
-        used = [(lam, term) for lam, term in zip(vec, terms) if lam]
-        lams, _ = _numerators([lam for lam, _ in used])
+    for pairs in _kernel(rows):
+        lams, _ = _numerators([lam for _, lam in pairs])
         functional: dict = {}
-        for lam, (_, term) in zip(lams, used):
-            for alpha, c in term.items():
+        for lam, (col, _) in zip(lams, pairs):
+            for alpha, c in terms[col].items():
                 functional[alpha] = functional.get(alpha, 0) + lam * c
         grown.append({alpha: c for alpha, c in functional.items() if c})
     return grown

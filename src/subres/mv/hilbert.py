@@ -27,6 +27,23 @@ def _check_degrees(degrees: Sequence[int], minimum: int = 1) -> Tuple[int, ...]:
     return degs
 
 
+def _tau_series(first: Sequence[int]) -> list:
+    """tau_0..tau_rho of the degrees ``first``, rho = sum (D_i - 1): the
+    coefficients of prod (1 - z^{D_i}) / (1 - z)^n, i.e. of the product of
+    the truncated geometric series of each degree, with tau_j = 0 beyond
+    rho.  At z = 1 each factor is D_i, so the coefficients sum to prod D_i.
+    """
+    series = [1]
+    for d in first:
+        out = [0] * (len(series) + d - 1)
+        for a, ca in enumerate(series):
+            if ca:
+                for b in range(d):
+                    out[a + b] += ca
+        series = out
+    return series
+
+
 def hilbert_function(degrees: Sequence[int], t: int) -> int:
     """Number of alpha in N^n with |alpha| <= t, alpha_i < D_i for i <= n
     and t - |alpha| < D_{n+1}: the sum of tau_j(D_1..D_n) over the window
@@ -34,24 +51,15 @@ def hilbert_function(degrees: Sequence[int], t: int) -> int:
     degs = _check_degrees(degrees, minimum=2)
     if not isinstance(t, int) or t < 0:
         raise DomainError("t must be a nonnegative int")
-    first, last = degs[:-1], degs[-1]
-    return sum(tau(first, j) for j in range(max(0, t - last + 1), t + 1))
+    return sum(_tau_series(degs[:-1])[max(0, t - degs[-1] + 1) : t + 1])
 
 
 def tau(degrees: Sequence[int], j: int) -> int:
-    """Coefficient of z^j in prod (1 - z^{D_i}) / (1 - z)^n, i.e. in the
-    product of the truncated geometric series of each degree."""
+    """Coefficient of z^j in prod (1 - z^{D_i}) / (1 - z)^n (``_tau_series``)."""
     degs = _check_degrees(degrees, minimum=1)
     if not isinstance(j, int) or j < 0:
         raise DomainError("j must be a nonnegative int")
-    series = [1]
-    for d in degs:
-        out = [0] * (len(series) + d - 1)
-        for a, ca in enumerate(series):
-            if ca:
-                for b in range(d):
-                    out[a + b] += ca
-        series = out
+    series = _tau_series(degs)
     return series[j] if j < len(series) else 0
 
 
@@ -115,20 +123,25 @@ def build_monomial_sets(
     of degree j.  Above that any tau_j distinct monomials of degree j are
     admissible; the default takes the first ones in canonical order, and
     ``t_override`` substitutes a caller-supplied slice per degree.
+
+    The tau series of the first n degrees is built once; tau_j, k and the
+    counts are read from it.  Each T_j has tau_j elements and the series
+    sums to prod D_i, so |T| = prod D_i.  R takes the degrees below the
+    window t - D_{n+1} < j <= t that k sums, and T* those above it, so
+    k + |T*| + |R| = prod D_i as well.
     """
     degs = _check_degrees(degrees, minimum=2)
     if not isinstance(t, int) or t < 0:
         raise DomainError("t must be a nonnegative int")
     first, last = degs[:-1], degs[-1]
     n = len(first)
-    rho = sum(d - 1 for d in first)
+    series = _tau_series(first)
+    rho = len(series) - 1
     forced_below = t - last + 1
     override = {int(j): list(m) for j, m in (t_override or {}).items()}
+    tau_values = series + [0] * (t - rho)
     tj: Dict[int, MonomialSet] = {}
-    tau_values = []
-    for j in range(0, max(rho, t) + 1):
-        tau_j = tau(first, j)
-        tau_values.append(tau_j)
+    for j, tau_j in enumerate(tau_values):
         if j < forced_below:
             chosen = _reduced_of_degree(first, j)
             if j in override and sorted(map(tuple, override[j])) != sorted(chosen):
@@ -153,23 +166,14 @@ def build_monomial_sets(
     T = MonomialSet([m for j in range(rho + 1) for m in tj[j]])
     T_star = MonomialSet([m for j in range(t + 1, rho + 1) for m in tj[j]])
     R = MonomialSet([m for j in range(min(forced_below, rho + 1)) for m in tj[j]])
-    k = hilbert_function(degs, t)
-    bezout = prod(first)
     combo = SystemCombinatorics(
         degrees=degs,
         t=t,
-        k=k,
+        k=sum(tau_values[max(0, forced_below) : t + 1]),
         rho=rho,
-        bezout=bezout,
+        bezout=prod(first),
         tau_values=tuple(tau_values),
         s=len(T_star),
         r=len(R),
     )
-    if len(T) != bezout:
-        raise DomainError("|T| = %d does not match the degree product %d" % (len(T), bezout))
-    if k + combo.s + combo.r != bezout:
-        raise DomainError(
-            "count mismatch: k + |T*| + |R| = %d + %d + %d != %d"
-            % (k, combo.s, combo.r, bezout)
-        )
     return MonomialSets(tj=tj, T=T, T_star=T_star, R=R, combinatorics=combo)

@@ -3,10 +3,12 @@
 The degree-t matrix has one column per degree-t monomial in the n+1
 homogeneous variables, minus a distinguished set S of k columns, and one
 row per admissible multiple x^beta f_i^h.  Admissibility (|beta| = t - D_i
-with beta_j < D_j for j < i) puts the rows in bijection with the deleted
-classes of columns, so the matrix is square by construction.  It, the
-extraneous factor's corner and the leading-form matrices all come from
-one row builder, ``_square_matrix``.
+with beta_j < D_j for j < i) puts the rows in bijection with the reducible
+degree-t monomials x^beta x_i^(D_i), i the first index whose exponent
+reaches D_i.  The others number k (``hilbert_function``), as many as S
+has, so the matrix is square by construction; so is the leading-form
+matrix, whose T_j has tau_j elements.  Both, and the extraneous factor's
+corner, come from one row builder, ``_square_matrix``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from ..combinat import monomials_of_degree
-from ..errors import DomainError, StructuralError
+from ..errors import DomainError
 from ..matrix import ExactMatrix, det_exact
 from ..multipoly import MultiPoly
 from ..scalar import Rat, Scalar
@@ -77,11 +79,8 @@ def _row_indices(degrees: Sequence[int], t: int, nvars: int) -> list:
 def _square_matrix(polys, multipliers, columns) -> ExactMatrix:
     """The rows x^beta p_i for the (i, beta) ``multipliers`` over the
     monomials ``columns``; a term landing off the columns is dropped, and
-    absent entries share one zero."""
-    if len(multipliers) != len(columns):
-        raise StructuralError(
-            "matrix is not square: %d rows vs %d columns" % (len(multipliers), len(columns))
-        )
+    absent entries share one zero.  Every caller passes one multiplier per
+    column, so the matrix is square."""
     index = {c: j for j, c in enumerate(columns)}
     zero = Rat(0)
     rows = []

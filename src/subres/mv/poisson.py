@@ -4,8 +4,10 @@ Given a dual basis Lambda of the quotient by the first n equations, the
 order-(t, S) subresultant factors as the product of the leading-form
 determinants for the free degrees times det(O_S(Lambda)) / det(V_T(Lambda)),
 where O_S stacks the monomial evaluations on S and T* over the evaluations
-of the last polynomial's multiples indexed by R.  The two routes agree up
-to a fixed sign per configuration.
+of the last polynomial's multiples indexed by R.  It has one row per
+functional (the counts of ``build_monomial_sets``), so it is square by
+construction, like V_T.  The two routes agree up to a fixed sign per
+configuration.
 
 ``poisson_delta`` reads every value L(x^alpha) and L(x^alpha f_(n+1))
 from one table per root, one call of ``duality``'s evaluator over the
@@ -79,10 +81,6 @@ def poisson_delta(
             "supply a different T_j override"
         )
     o_s = [rows[e] for e in s_list + t_star] + nums[len(evaluated) :]
-    if len(o_s) != combo.bezout:
-        raise StructuralError(
-            "O_S has %d rows, expected %d" % (len(o_s), combo.bezout)
-        )
     det_os = det_exact(ExactMatrix(o_s)) / (columns * prod(row_dens[len(evaluated) :]))
     factor: Scalar = Rat(1)
     forms = sys.leading_forms()

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .confluent import (
-    confluent_inverse,
-    confluent_inverse_holds,
-    vandermonde_confluent,
+    _inverse_mismatch,
     vandermonde_det_closed,
     wronskian_det,
     wronskian_det_closed,
@@ -150,12 +148,12 @@ def univariate_checks(a: MultiRootSet, b: MultiRootSet) -> List[Check]:
         wronskian_det(g, a),
         wronskian_det_closed(g, a),
     )
-    ok = confluent_inverse_holds(a)
+    product = _inverse_mismatch(a)
     _record(
         checks,
         "basic Hermite coefficients invert the confluent Vandermonde",
-        ok,
-        "" if ok else "product %s" % (confluent_inverse(a) @ vandermonde_confluent(a, d)).pretty(),
+        product is None,
+        "" if product is None else "product %s" % product.pretty(),
     )
 
     if all(m == 1 for _, m in a) and all(m == 1 for _, m in b) and resultant:

@@ -3,14 +3,18 @@
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from subres import DomainError
+from subres import DomainError, MultiPoly, Rat
+from subres.combinat import monomials_of_degree, monomials_up_to_degree
 from subres.mv.hilbert import (
     MonomialSet,
     build_monomial_sets,
     hilbert_function,
     tau,
 )
+from subres.mv.macaulay import MVSystem, _row_indices, macaulay_matrix
 from oracles import enumerated_hilbert, series_hilbert
 
 
@@ -156,3 +160,34 @@ class TestBuildMonomialSets:
                 assert len(sets.T) == c.bezout
                 assert c.k + c.s + c.r == c.bezout
                 assert c.k == hilbert_function(degs, t)
+
+    @given(st.data())
+    def test_counts_hold_for_any_slices_and_any_s(self, data):
+        # |T| = prod D_i and k + |T*| + |R| = prod D_i hold for every
+        # admissible choice of the free slices, and the Macaulay matrix is
+        # square for every k-set S, reducible monomials included.
+        n = data.draw(st.integers(1, 3), label="n")
+        degs = tuple(data.draw(st.lists(st.integers(1, 3), min_size=n + 1, max_size=n + 1)))
+        first, last = degs[:-1], degs[-1]
+        rho = sum(d - 1 for d in first)
+        t = data.draw(st.integers(0, rho + last + 1), label="t")
+        override = {}
+        for j in range(max(0, t - last + 1), max(rho, t) + 1):
+            if data.draw(st.booleans(), label="override T_%d" % j):
+                pool = monomials_of_degree(n, j)
+                picked = data.draw(st.permutations(pool), label="T_%d" % j)
+                override[j] = picked[: tau(first, j)]
+        sets = build_monomial_sets(degs, t, override)
+        c = sets.combinatorics
+        assert len(sets.T) == c.bezout
+        assert c.k + c.s + c.r == c.bezout
+        assert c.k == hilbert_function(degs, t)
+        pool = monomials_up_to_degree(n, t)
+        s_cols = data.draw(st.permutations(pool), label="S")[: c.k]
+        polys = [
+            MultiPoly(n, {m: Rat(1) for m in monomials_up_to_degree(n, d)}) for d in degs
+        ]
+        m = macaulay_matrix(MVSystem(n, polys, degs), t, s_cols)
+        assert m.nrows == m.ncols
+        for j in range(rho + 2):
+            assert len(_row_indices(first, j, n)) == len(monomials_of_degree(n, j)) - tau(first, j)

@@ -105,6 +105,32 @@ class TestUnivariateBattery:
         ]
         assert failed[1].detail.startswith("product [")
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(Rat(1, 2), 2), (Rat(-3), 1)],
+            [(param("a"), 2), (param("a") + 1, 1)],
+        ],
+    )
+    def test_inverse_failure_prints_the_matrix_product(self, monkeypatch, pairs):
+        # The record's ok and its detail come from the same integral Taylor
+        # rows; the detail reads as the product of the public matrices.
+        hermite_basis = confluent._hermite_basis
+
+        def off(a, i):
+            row = hermite_basis(a, i)
+            return [row[0] + UniPoly([Rat(1, 3), Rat(1, 3)])] + row[1:] if i == 1 else row
+
+        monkeypatch.setattr(confluent, "_hermite_basis", off)
+        a = MultiRootSet(pairs)
+        checks = univariate_checks(a, rs((2, 2), (5, 2)))
+        record = next(
+            c for c in checks if c.name == "basic Hermite coefficients invert the confluent Vandermonde"
+        )
+        assert not record.ok
+        product = confluent_inverse(a) @ vandermonde_confluent(a, a.total)
+        assert record.detail == "product " + product.pretty()
+
     def test_failed_check_carries_detail(self):
         assert Check("x", False, "why").detail == "why"
         assert Check("x", True).detail == ""
