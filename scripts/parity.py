@@ -33,6 +33,10 @@ left to the inverse-system solver, so ``mv --route poisson`` prints a
 dual-basis quotient computed from it.  The first line stays the digest of
 the calls above alone, so it compares with trees older than the grid
 systems.
+
+A third line digests ``dual`` at the origin on parametric generator pairs,
+twenty per seed (``dual_pair``), so that which of them are refused, and
+with which message, is pinned too.  The first two lines stay as they were.
 """
 
 import argparse
@@ -180,6 +184,34 @@ def grid_calls(seeds):
     return calls
 
 
+DUALS_PER_SEED = 20
+DUAL_COEFFS = ("1", "-1", "2", "-3", "1/2", "a", "-a", "a+1", "b", "2*a", "a*b", "a^2")
+
+
+def dual_pair(rng):
+    """Two generators in x1, x2, each of one to four terms of degree 1 to
+    3 with coefficients from DUAL_COEFFS, so both vanish at the origin."""
+    gens = []
+    for _ in range(2):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            degree = rng.randint(1, 3)
+            i = rng.randint(0, degree)
+            terms[(i, degree - i)] = rng.choice(DUAL_COEFFS)
+        gens.append([{"exponents": list(e), "coeff": c} for e, c in terms.items()])
+    return gens
+
+
+def dual_calls(seeds):
+    calls = []
+    for seed in seeds:
+        rng = random.Random("dual %d" % seed)
+        for _ in range(DUALS_PER_SEED):
+            generators = json.dumps(dual_pair(rng))
+            calls.append(["dual", "--generators", generators, "--point", json.dumps(["0", "0"])])
+    return calls
+
+
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -203,7 +235,11 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, nargs="+", required=True, help="seeds of the random pairs")
     seeds = parser.parse_args(argv).seeds
     internal = []
-    for label, calls in (("calls", calls_for(seeds)), ("grid-system calls", grid_calls(seeds))):
+    for label, calls in (
+        ("calls", calls_for(seeds)),
+        ("grid-system calls", grid_calls(seeds)),
+        ("parametric dual calls", dual_calls(seeds)),
+    ):
         digest = hashlib.sha256()
         for call in calls:
             result = run(call)

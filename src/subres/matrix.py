@@ -25,9 +25,15 @@ several rows, each linear in x: the columns free of x are eliminated once,
 after which the same elimination is finished at each integer value of x
 from the trailing block alone, and the packed integers are interpolated,
 so x never enters the scalar domain and only the coefficients are read
-back; only the ``wronskian-full`` layout uses it.  Kernels and reduced
-echelon forms come from one fraction-free Gauss-Jordan loop on the same
-integer-scaled rows.
+back; only the ``wronskian-full`` layout uses it.
+
+Kernels and reduced echelon forms come from one left-looking
+fraction-free Gauss-Jordan elimination on the same integer-scaled rows,
+``_GaussJordan``.  It takes the matrix column by column: each pivot step
+is recorded and replayed on every later column, so the elimination can be
+resumed with more columns, and with more rows as long as they are zero on
+every earlier column.  ``_kernel`` and ``reduced_echelon`` feed it a whole
+matrix at once; ``inverse_system`` grows one elimination order by order.
 """
 
 from __future__ import annotations
@@ -377,7 +383,8 @@ def _bareiss(a: List[list], steps: int, prev: int = 1) -> Optional[Tuple[int, in
 
 def _kernel(rows: List[list]) -> List[List[Tuple[int, Scalar]]]:
     """Kernel basis of ``rows``, one vector per free column, each as its
-    nonzero (column, entry) pairs in column order, by ``_gauss_jordan``.
+    nonzero (column, entry) pairs in column order, by one batch of
+    ``_GaussJordan``.
 
     The vector of free column c is 1 at c, 0 at the other free columns,
     and minus the reduced echelon entry in column c of the pivot row at
@@ -386,78 +393,167 @@ def _kernel(rows: List[list]) -> List[List[Tuple[int, Scalar]]]:
     are all zero yields the plain unit vector, so distinguished generators
     survive untouched.
     """
-    a, pivots, last = _gauss_jordan(rows)
-    taken = set(pivots)
-    basis = []
-    for c in range(len(rows[0]) if rows else 0):
-        if c not in taken:
-            # An echelon row is zero left of its pivot, so these pivots lie left of c.
-            pairs = [(pc, _quotient(-row[c], last)) for row, pc in zip(a, pivots) if row[c]]
-            pairs.append((c, Rat(1)))
-            basis.append(pairs)
-    return basis
+    g, free = _batch(rows)
+    last = g.last
+    return [
+        [(g.pivots[s], _quotient(-x, last)) for s, x in sorted(entries.items())] + [(c, Rat(1))]
+        for c, entries in free
+    ]
 
 
 def reduced_echelon(rows: List[list]) -> List[List[Scalar]]:
     """The nonzero rows of the reduced row echelon form of ``rows``."""
-    a, pivots, last = _gauss_jordan(rows)
+    g, free = _batch(rows)
+    last = g.last
+    a = [[0] * len(rows[0]) for _ in g.pivots]
+    for row, c in zip(a, g.pivots):
+        row[c] = last
+    for c, entries in free:
+        for s, x in entries.items():
+            a[s][c] = x
     zero = Rat(0)
-    return [[_quotient(v, last) if v else zero for v in row] for row in a[: len(pivots)]]
+    return [[_quotient(v, last) if v else zero for v in row] for row in a]
 
 
-def _gauss_jordan(rows: List[list]) -> Tuple[list, List[int], Scalar]:
-    """Fraction-free Gauss-Jordan elimination of ``rows``; the one elimination
-    of ``_kernel`` and ``reduced_echelon``.
+def _batch(rows: List[list]) -> Tuple[_GaussJordan, List[Tuple[int, dict]]]:
+    """``rows`` eliminated in one batch, column by column: the elimination
+    and each free column with its entries by step as they stand at the
+    last pivot.
 
-    All-int rows, as ``inverse_system`` gives, are taken as they are.  Other
+    All-int rows, as ``_canonical`` gives, are taken as they are.  Other
     rational rows are taken as their integer numerators, each over the lcm
     of its denominators (``_numerators``), which leaves the row space as it
     is; rows with a ``ParamPoly`` entry are taken over the parameter
-    polynomials.  Zero rows are dropped.  Pivots are searched column by
-    column, from the first row not yet a pivot row down.  At pivot p in
-    column c, every other row becomes (p * row - row[c] * pivot_row) //
-    prev, where prev is the previous pivot, 1 at the start.  Every entry is
-    then a minor of the scaled matrix up to sign, so each division is exact,
-    over the integers and over the parameter polynomials alike, and each
-    pivot row holds the last pivot d on its pivot and d times the reduced
-    echelon form.
-    Returns the rows, the pivot columns and d (1 with no pivot), which
-    ``_quotient`` divides back out of an entry.
+    polynomials.  Zero rows are dropped.  These are the rows and the pivot
+    rule of a row-by-row Gauss-Jordan loop, so every entry, and every
+    inexact division that ``_quotient`` reports, is the same.
     """
     kinds = {type(v) for row in rows for v in row}
     if kinds <= {int}:
-        # rows are replaced below, never changed in place, so none is copied
         a = rows
     elif ParamPoly not in kinds:
         a = [_numerators(row)[0] for row in rows]
     else:
         a = [[v if isinstance(v, ParamPoly) else ParamPoly.constant(v) for v in row] for row in rows]
     a = [row for row in a if any(row)]
-    nr = len(a)
-    pivots: List[int] = []
-    prev = 1
-    for c in range(len(a[0]) if a else 0):
-        r = len(pivots)
-        if r == nr:
-            break
-        p = next((i for i in range(r, nr) if a[i][c]), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        row_r = a[r]
-        pivot = row_r[c]
-        for i in range(nr):
-            if i == r:
+    g = _GaussJordan(len(a))
+    free = []
+    for column in zip(*a) if a else [()] * (len(rows[0]) if rows else 0):
+        entries = g.add({i: x for i, x in enumerate(column) if x})
+        if entries is not None:
+            free.append((g.width - 1, entries, len(g.steps), g.last))
+    # Later steps only scale a free column, by the last pivot over its own.
+    last = g.last
+    return g, [
+        (c, {s: x * last // then for s, x in entries.items()} if k < len(g.steps) else entries)
+        for c, entries, k, then in free
+    ]
+
+
+class _GaussJordan:
+    """One left-looking fraction-free Gauss-Jordan elimination, fed one
+    column at a time; ``_kernel``, ``reduced_echelon`` and
+    ``inverse_system`` all run it.
+
+    Rows are numbered in order of arrival, and ``add_rows`` may append
+    rows between columns as long as they are zero on every column taken
+    so far.  ``add`` first replays each recorded pivot step on the new
+    column: at the step with pivot p in row r, after the previous pivot
+    prev (1 at the start), every other entry x becomes (p * x - f * x_r) //
+    prev, f the pivot column's entry in that row as it stood, and x_r
+    stays.  A left-looking elimination takes the same steps in the same
+    order as a row-by-row one, so every entry is a minor of the scaled
+    matrix up to sign and every division is exact, over the integers and
+    over the parameter polynomials alike; a row appended later is one
+    whose earlier entries were zero all along.  A step at which the
+    column is zero in row r only scales it by p / prev, and a run of such
+    steps by the last pivot over the first prev, so the replay divides
+    once per run.  The column then takes a pivot in its first nonzero row
+    that is not yet a pivot row, in the current order, which is swapped
+    into place after the pivot rows, or it is free: zero on every other
+    row, its entries on the pivot rows are last times minus its kernel
+    vector's entries on their pivot columns, last the last pivot.
+    Entries are ints or ``ParamPoly``s; from the first column with a
+    ``ParamPoly`` entry on, every column is taken over the parameter
+    polynomials, so no int is ever divided by one.
+    """
+
+    __slots__ = ("steps", "pivots", "width", "order", "position", "parametric")
+
+    def __init__(self, nrows: int = 0):
+        # (pivot row, pivot, previous pivot, the pivot column as it stood)
+        self.steps: List[Tuple[int, Scalar, Scalar, dict]] = []
+        self.pivots: List[int] = []  # the column of each step
+        self.width = 0
+        self.parametric = False
+        # Rows by position: the pivot rows first, in order of their steps.
+        self.order = list(range(nrows))
+        self.position = list(range(nrows))
+
+    @property
+    def last(self) -> Scalar:
+        """The last pivot, 1 before the first; pivot row s holds it on its
+        pivot and it times the reduced echelon form elsewhere."""
+        return self.steps[-1][1] if self.steps else 1
+
+    def add_rows(self, count: int) -> int:
+        """Append ``count`` rows, zero on every column taken so far, and
+        return the number of the first."""
+        start = len(self.order)
+        self.order.extend(range(start, start + count))
+        self.position.extend(range(start, start + count))
+        return start
+
+    def add(self, column: dict) -> Optional[dict]:
+        """Eliminate one more column, given as its nonzero entries by row.
+        Returns None when it takes a pivot; else it is free, and its
+        entries, all on pivot rows, as they stand after every step so far,
+        keyed by the step of their row."""
+        if self.parametric or any(isinstance(x, ParamPoly) for x in column.values()):
+            self.parametric = True
+            column = {i: x if isinstance(x, ParamPoly) else ParamPoly.constant(x) for i, x in column.items()}
+        v = self._replay(column)
+        self.width += 1
+        k = len(self.steps)
+        position = self.position
+        rows = [i for i in v if position[i] >= k]
+        if not rows:
+            return {position[i]: x for i, x in v.items()}
+        r = min(rows, key=position.__getitem__)
+        top, p = self.order[k], position[r]
+        self.order[k], self.order[p] = r, top
+        position[r], position[top] = k, p
+        self.steps.append((r, v[r], self.last, v))
+        self.pivots.append(self.width - 1)
+        return None
+
+    def _replay(self, column: dict) -> dict:
+        """The column after every recorded step, nonzero entries by row."""
+        v = column
+        scale = 1  # v holds the column as it stood after step ``at``
+        at = -1
+        for s, (r, pivot, prev, f) in enumerate(self.steps):
+            x = v.get(r)
+            if not x:
                 continue
-            row_i = a[i]
-            f = row_i[c]
-            if f:
-                a[i] = [(pivot * x - f * y) // prev for x, y in zip(row_i, row_r)]
-            elif pivot != prev:
-                a[i] = [pivot * x // prev for x in row_i]
-        pivots.append(c)
-        prev = pivot
-    return a, pivots, prev
+            # The steps at + 1 .. s - 1 only scaled v by prev / scale, which
+            # this step's one division by scale takes along.
+            out = {}
+            for i, y in v.items():
+                if i != r:
+                    z = f.get(i)
+                    w = (pivot * y - z * x if z else pivot * y) // scale
+                    if w:
+                        out[i] = w
+            for i, z in f.items():
+                if i not in v:
+                    out[i] = -z * x // scale
+            out[r] = x if at == s - 1 else x * prev // scale
+            v, scale, at = out, pivot, s
+        if at != len(self.steps) - 1:
+            last = self.last
+            v = {i: y * last // scale for i, y in v.items()}
+        return v
 
 
 def det_in_x(p: List[list], q: List[list], free: List[list], den: Scalar = 1) -> UniPoly:

@@ -7,7 +7,9 @@ out delta_{alpha,gamma}.  In local coordinates y = x - point, d_alpha
 reads the coefficient of y^alpha.  The sigma operators lower derivative
 exponents and witness closedness of a local dual space under "division"
 by the variables; the integrals raise them, and ``inverse_system`` grows
-the dual space order by order with them.
+the dual space order by order with them, on one resumable elimination
+(``_Integration``) to which each order adds only the unknowns of the
+functionals the order before it found.
 
 The arithmetic runs on integer numerators over one integer denominator,
 as ``_numerators`` makes them.  A point coordinate u/v expands through a
@@ -21,22 +23,22 @@ per polynomial and one per functional: L_j(f_i) = nums[i][j] /
 (row_dens[i] * col_dens[j]).  The public matrices divide each numerator
 back; ``poisson_delta`` keeps the integer rows and divides each
 determinant once.  ``inverse_system`` reads translates (``_translate``)
-instead, and hands its kernels all-int rows.  A ``ParamPoly`` coordinate
-or coefficient is scaled to integer coefficients and goes through the
-same loops.  Every reader of the tables lives here.
+instead, and its elimination runs on their integer numerators.  A
+``ParamPoly`` coordinate or coefficient is scaled to integer coefficients
+and goes through the same loops.  Every reader of the tables lives here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb, gcd, prod
 from typing import Mapping, Optional, Sequence, Tuple
 
 from ..combinat import canon_key
 from ..errors import DomainError
-from ..matrix import ExactMatrix, _kernel, reduced_echelon
+from ..matrix import ExactMatrix, _GaussJordan, reduced_echelon
 from ..multipoly import MultiPoly
-from ..scalar import Rat, Scalar, _numerators, _quotient, as_scalar
+from ..scalar import ParamPoly, Rat, Scalar, _content, _numerators, _quotient, as_scalar
 
 Expo = Tuple[int, ...]
 
@@ -292,13 +294,20 @@ def inverse_system(
     Lambda_i commute, sigma_j Lambda_i = sigma_i Lambda_j for i < j (then
     sigma_i of it is Lambda_i, so the space stays closed under
     ``sigma_shift``), and it kills each generator g(point + y).  The
-    unknowns are the coordinates of the Lambda_i in the basis of D_k, and
-    dim D_(k+1) = 1 + the dimension of their kernel.  The dimension
-    stalling between two consecutive orders ends the search.  The basis
-    returned is the reduced echelon form of the dual space taken from the
-    last monomial of ``monomials_up_to_degree`` backwards, which is
-    unique: each functional ends in its own monomial with coefficient 1,
-    on which every other functional is zero.
+    unknowns are the coordinates of the Lambda_i in a basis of D_k: the
+    functionals found so far, in order of arrival, each with its n
+    unknowns.  As D_k lies in D_(k+1), order k + 1 keeps the elimination
+    of order k and adds only the unknowns of the functionals that order k
+    found (``_Integration``); the conditions they bring on monomials no
+    earlier functional reaches are new rows, zero on the earlier columns.
+    So the kernel vectors of the earlier free columns are the earlier
+    functionals, and each new free column gives one new functional: dim
+    D_(k+1) - dim D_k is the number of new free columns.  The search
+    stalls at order k when no new column is free.  The basis returned is
+    the reduced echelon form of the dual space taken from the last
+    monomial of ``monomials_up_to_degree`` backwards, which is unique:
+    each functional ends in its own monomial with coefficient 1, on which
+    every other functional is zero.
 
     The default ``order_bound`` is the product of max(deg g, 1); a
     negative one is refused with a ``DomainError``.  An
@@ -309,9 +318,13 @@ def inverse_system(
     isolated the dimension never stalls: the result is truncated at the
     bound, or as soon as the dimension exceeds the degree product.
 
-    Over parameters, a division by a parameter polynomial that is not
-    exact (a basis coefficient needs 1/a) refuses the point with a
-    ``DomainError`` that names it and chains the failed division.
+    Over parameters, every division of the growing elimination is exact,
+    and the functionals it finds have polynomial coefficients.  Only the
+    reduced echelon form can need a coefficient outside the parameter
+    polynomials (such as 1/a); an inexact division inside that last
+    elimination refuses the point with a ``DomainError`` that names it
+    and chains the failed division.  So a point is refused exactly when
+    its canonical basis is not polynomial.
     """
     if not generators:
         raise DomainError("need at least one generator")
@@ -333,16 +346,18 @@ def inverse_system(
     bezout = prod(max(int(g.total_degree()), 1) for g in generators)
     if order_bound is None:
         order_bound = bezout
-    basis = [{(0,) * n: 1}]
+    evaluation = {(0,) * n: 1}
+    found, new = [evaluation], [evaluation]
+    grow = _Integration(local, n)
     try:
         for order in range(1, order_bound + 1):
-            grown = _integrate(basis, local, n)
-            if len(grown) == len(basis):
-                return InverseSystemResult(_canonical(basis, point), False, order - 1)
-            if len(grown) > bezout:
-                return InverseSystemResult(_canonical(grown, point), True, None)
-            basis = grown
-        return InverseSystemResult(_canonical(basis, point), True, None)
+            new = [f for func in new for f in grow.add(func)]
+            if not new:
+                return InverseSystemResult(_canonical(found, point), False, order - 1)
+            found += new
+            if len(found) > bezout:
+                break
+        return InverseSystemResult(_canonical(found, point), True, None)
     except DomainError as ex:
         # Past the checks above only an inexact ParamPoly division raises.
         raise DomainError(
@@ -350,56 +365,95 @@ def inverse_system(
         ) from ex
 
 
-def _integrate(basis: list, local: Sequence[dict], n: int) -> list:
-    """A basis of D_(k+1) from one of D_k, both as dicts from exponents to
-    integer coefficients (ints, or ``ParamPoly``s with integer
-    coefficients); ``local`` holds the translated generators likewise,
-    each scaled by its denominator.  Unknown (i, m) is the coefficient of
-    basis[m] in Lambda_i.  Each kernel vector is scaled to integers too:
-    scaling a generator, a functional or a kernel vector by a nonzero
-    constant leaves every kernel and every span as it is."""
-    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    integrals = []
-    lowered = []
-    for i, unit in enumerate(units):
-        integrals.append([
-            {tuple(a + u for a, u in zip(alpha, unit)): c for alpha, c in b.items() if not any(alpha[:i])}
-            for b in basis
-        ])
-        lowered.append([
-            {tuple(a - u for a, u in zip(alpha, unit)): c for alpha, c in b.items() if alpha[i]}
-            for b in basis
-        ])
-    rows = []
-    for coeff in local:
-        rows.append([
-            sum(c * coeff[alpha] for alpha, c in term.items() if alpha in coeff)
-            for per_i in integrals
-            for term in per_i
-        ])
-    size = len(basis)
-    for i in range(n):
-        for j in range(i + 1, n):
-            # sigma_j Lambda_i - sigma_i Lambda_j, one row per monomial
-            conditions: dict = {}
-            for m, term in enumerate(lowered[j]):
-                for gamma, c in term.items():
-                    conditions.setdefault(gamma, {})[i * size + m] = c
-            for m, term in enumerate(lowered[i]):
-                for gamma, c in term.items():
-                    conditions.setdefault(gamma, {})[j * size + m] = -c
-            for row in conditions.values():
-                rows.append([row.get(col, 0) for col in range(n * size)])
-    terms = [term for per_i in integrals for term in per_i]
-    grown = [basis[0]]
-    for pairs in _kernel(rows):
-        lams, _ = _numerators([lam for _, lam in pairs])
+class _Integration:
+    """The integration conditions of ``inverse_system`` as one resumable
+    ``_GaussJordan`` elimination, its columns the unknowns in order of
+    arrival.
+
+    Unknown (i, m) is the coefficient of functional m in Lambda_i; its
+    column holds the value of integral_i m on each translated generator
+    and its terms in the commutation conditions sigma_j Lambda_i -
+    sigma_i Lambda_j = 0, one row per pair i < j and monomial.  A
+    monomial that no earlier functional reaches is a new row, zero on
+    every earlier column.  Values are ints, or ``ParamPoly``s with
+    integer coefficients: scaling a generator, a functional or a kernel
+    vector by a nonzero constant, or by a parameter monomial, leaves every
+    span as it is, and so the canonical basis.
+    """
+
+    def __init__(self, local: Sequence[dict], n: int):
+        self.local = local
+        self.units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+        self.elimination = _GaussJordan(len(local))
+        self.integrals: list = []  # integral_i m of each column
+        self.rows: dict = {}  # (i, j, monomial) -> commutation row
+
+    def add(self, func: dict) -> list:
+        """Add the n unknowns of functional ``func`` and return the
+        functionals that their free columns give: the kernel vector of a
+        free column c, whose unknowns are the Lambda_i, names the functional
+        sum_i integral_i Lambda_i.  Those of earlier free columns are the
+        earlier functionals padded with zeros, so these are the new ones."""
+        elimination, units = self.elimination, self.units
+        found = []
+        for i, unit in enumerate(units):
+            integral = {
+                tuple(a + u for a, u in zip(alpha, unit)): c
+                for alpha, c in func.items()
+                if not any(alpha[:i])
+            }
+            self.integrals.append(integral)
+            column = {}
+            for row, coeff in enumerate(self.local):
+                value = sum(c * coeff[beta] for beta, c in integral.items() if beta in coeff)
+                if value:
+                    column[row] = value
+            for j, other in enumerate(units):
+                if j == i:
+                    continue
+                sign, key = (1, (i, j)) if i < j else (-1, (j, i))
+                for alpha, c in func.items():
+                    if alpha[j]:
+                        gamma = tuple(a - u for a, u in zip(alpha, other))
+                        row = self.rows.get(key + (gamma,))
+                        if row is None:
+                            row = self.rows[key + (gamma,)] = elimination.add_rows(1)
+                        column[row] = sign * c
+            entries = elimination.add(column)
+            if entries is not None:
+                found.append(self._functional(entries))
+        return found
+
+    def _functional(self, entries: dict) -> dict:
+        """sum_i integral_i Lambda_i for the kernel vector of the column
+        just taken: minus its entries on the pivot columns, and the last
+        pivot on itself, made primitive (``_primitive``)."""
+        elimination = self.elimination
+        cols = [elimination.pivots[s] for s in entries] + [elimination.width - 1]
+        lams = _primitive([-x for x in entries.values()] + [elimination.last])
         functional: dict = {}
-        for lam, (col, _) in zip(lams, pairs):
-            for alpha, c in terms[col].items():
+        for col, lam in zip(cols, lams):
+            for alpha, c in self.integrals[col].items():
                 functional[alpha] = functional.get(alpha, 0) + lam * c
-        grown.append({alpha: c for alpha, c in functional.items() if c})
-    return grown
+        return {alpha: c for alpha, c in functional.items() if c}
+
+
+def _primitive(vector: list) -> list:
+    """``vector`` divided by its content: the gcd of its integer
+    coefficients, signed like the last entry when that is an int, times
+    the largest monomial in the parameters that divides every entry.  On
+    ints these are the numerators ``_numerators`` gives for the vector
+    over its last entry."""
+    g = gcd(*map(_content, vector))
+    if type(vector[-1]) is int and vector[-1] < 0:
+        g = -g
+    if all(isinstance(v, ParamPoly) for v in vector):
+        keys = [dict(key) for v in vector for key in v.numerators]
+        common = tuple((name, min(k.get(name, 0) for k in keys)) for name, _ in sorted(keys[0].items()))
+        common = tuple((name, e) for name, e in common if e)
+        if common:
+            g = ParamPoly.from_integers({common: g})
+    return [v // g for v in vector]
 
 
 def _canonical(basis: list, point: Point) -> Tuple[DualFunctional, ...]:

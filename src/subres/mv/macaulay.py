@@ -7,8 +7,9 @@ with beta_j < D_j for j < i) puts the rows in bijection with the reducible
 degree-t monomials x^beta x_i^(D_i), i the first index whose exponent
 reaches D_i.  The others number k (``hilbert_function``), as many as S
 has, so the matrix is square by construction; so is the leading-form
-matrix, whose T_j has tau_j elements.  Both, and the extraneous factor's
-corner, come from one row builder, ``_square_matrix``.
+matrix, whose T_j has tau_j elements.  Both, and the doubly-reducible
+corner that each is divided by, come from one row builder,
+``_square_matrix``.
 """
 
 from __future__ import annotations
@@ -123,45 +124,55 @@ def macaulay_matrix(sys: MVSystem, t: int, s_cols: Sequence[Expo]) -> ExactMatri
 
 
 def extraneous_factor(sys: MVSystem, t: int) -> Scalar:
-    """Determinant of the doubly-reducible corner of the full degree-t matrix.
+    """Determinant of the doubly-reducible corner of the full degree-t
+    matrix (``_corner``)."""
+    homog = [p.homogenize(d) for p, d in zip(sys.polys, sys.degrees)]
+    return _corner(homog, sys.degrees, t, sys.n + 1)
 
-    Rows and columns are the degree-t monomials divisible by x_j^(D_j) for
-    at least two indices j; rows enter through the class bijection
-    gamma -> x^(gamma - D_i e_i) f_i^h.  An empty corner gives 1.
+
+def _corner(forms, degrees: Sequence[int], degree: int, nvars: int) -> Scalar:
+    """Determinant of the doubly-reducible corner of the degree-``degree``
+    matrix of the homogeneous ``forms`` in ``nvars`` variables: the
+    system's extraneous factor, or the leading forms' one level down.
+
+    Rows and columns are the monomials of that degree divisible by
+    x_j^(D_j) for at least two indices j; rows enter through the class
+    bijection gamma -> x^(gamma - D_i e_i) f_i, i the first such index.
+    An empty corner gives 1.
     """
     doubly, multipliers = [], []
-    for gamma in monomials_of_degree(sys.n + 1, t):
-        hits = [i for i, (e, d) in enumerate(zip(gamma, sys.degrees)) if e >= d]
+    for gamma in monomials_of_degree(nvars, degree):
+        hits = [i for i, (e, d) in enumerate(zip(gamma, degrees)) if e >= d]
         if len(hits) >= 2:
             i = hits[0]
             doubly.append(gamma)
-            multipliers.append((i, gamma[:i] + (gamma[i] - sys.degrees[i],) + gamma[i + 1 :]))
+            multipliers.append((i, gamma[:i] + (gamma[i] - degrees[i],) + gamma[i + 1 :]))
     if not doubly:
         return Rat(1)
-    homog = [p.homogenize(d) for p, d in zip(sys.polys, sys.degrees)]
-    return det_exact(_square_matrix(homog, multipliers, doubly))
+    return det_exact(_square_matrix(forms, multipliers, doubly))
 
 
-def _extraneous_divisor(sys: MVSystem, t: int) -> Scalar:
-    """The extraneous factor, refused when it vanishes."""
-    e = extraneous_factor(sys, t)
-    if not e:
+def _divide_out(det: Scalar, corner: Scalar) -> Scalar:
+    """det / corner, an exact division, refused when the corner vanishes."""
+    if not corner:
         raise DomainError("extraneous factor vanishes; perturb the system before dividing")
-    return e
+    return det / corner
 
 
 def delta_s(sys: MVSystem, t: int, s_cols: Sequence[Expo]) -> Scalar:
     """Subresultant of order (t, S): det of the S-deleted matrix divided by
     the extraneous factor, an exact division."""
-    e = _extraneous_divisor(sys, t)
-    return det_exact(macaulay_matrix(sys, t, s_cols)) / e
+    e = extraneous_factor(sys, t)
+    return _divide_out(det_exact(macaulay_matrix(sys, t, s_cols)), e)
 
 
 def leading_form_subres(
     forms: Sequence[MultiPoly], degrees: Sequence[int], j: int, tj: Sequence[Expo]
 ) -> Scalar:
-    """Same construction one level down: n forms in n variables at degree j
-    with the tau_j columns of T_j deleted."""
+    """Same construction one level down: the determinant of n forms in n
+    variables at degree j with the tau_j columns of T_j deleted, divided
+    by their own corner (``_corner``), as ``delta_s`` divides by the
+    extraneous factor."""
     n = len(forms)
     degrees = tuple(degrees)
     if len(degrees) != n:
@@ -184,4 +195,5 @@ def leading_form_subres(
         if m not in degree_j:
             raise DomainError("T_j monomial %r is not a degree-%d monomial" % (m, j))
     columns = [m for m in degree_j if m not in t_list]
-    return det_exact(_square_matrix(forms, _row_indices(degrees, j, n), columns))
+    det = det_exact(_square_matrix(forms, _row_indices(degrees, j, n), columns))
+    return _divide_out(det, _corner(forms, degrees, j, n))

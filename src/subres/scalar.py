@@ -257,8 +257,8 @@ class ParamPoly:
 
     def __floordiv__(self, other):
         """The exact quotient, as ``/``: it never rounds.  Only
-        ``matrix._gauss_jordan`` divides ``ParamPoly`` values with ``//``,
-        so that its integer and parameter rows share one loop."""
+        ``matrix._GaussJordan`` divides ``ParamPoly`` values with ``//``,
+        so that its integer and parameter columns share one loop."""
         return self / other
 
     def __rtruediv__(self, other):

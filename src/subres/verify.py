@@ -23,7 +23,7 @@ from .errors import DomainError, StructuralError
 from .matrix import det_exact
 from .mv.duality import _values, assemble_dual_basis, inverse_system
 from .mv.hilbert import build_monomial_sets
-from .mv.macaulay import _extraneous_divisor, macaulay_matrix
+from .mv.macaulay import _divide_out, extraneous_factor, macaulay_matrix
 from .mv.poisson import poisson_delta
 from .roots_formulas import VARIANTS, sres_dm1_hermite, sres_one, sres_roots
 from .rootsets import MultiRootSet, pairing_R, poly_from_roots
@@ -197,8 +197,8 @@ def mv_checks(doc: SystemDocument) -> List[Check]:
     _record(checks, "subresultant matrix is square", m.nrows == m.ncols,
             "%dx%d" % (m.nrows, m.ncols))
     det = det_exact(m)
-    e_factor = _extraneous_divisor(sys, t)
-    delta = det / e_factor
+    e_factor = extraneous_factor(sys, t)
+    delta = _divide_out(det, e_factor)
     ok = det == e_factor * delta
     _record(
         checks,

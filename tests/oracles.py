@@ -31,6 +31,10 @@ evaluated each root once into integer rows with known scales
 ``dual_vandermonde`` and ``dual_wronskian`` build them, each determinant
 read by ``det_exact``.
 
+Kernels and reduced echelon forms are kept as the package eliminated them
+before it took them column by column (``gauss_jordan_by_rows``): one
+row-by-row fraction-free Gauss-Jordan loop over the whole matrix.
+
 ``RatParamPoly`` is the parameter polynomial as the package held it before
 it moved to int numerators over one denominator: one rational per term,
 every operation in rationals.  ``CoeffUniPoly`` and ``coeff_taylor`` are the
@@ -206,6 +210,61 @@ def nullspace_gauss_jordan(rows, ncols):
                 v[pc] = -m[i][c]
             basis.append(v)
     return basis
+
+
+def gauss_jordan_by_rows(rows):
+    """The row-by-row fraction-free Gauss-Jordan loop that ``matrix``
+    eliminated its kernels and echelon forms with before it took them
+    column by column: the rows as it left them, the pivot columns and the
+    last pivot.  Rows are scaled as ``matrix._batch`` scales them, zero
+    rows dropped, and at pivot p every other row becomes (p * row -
+    row[c] * pivot_row) // prev."""
+    from subres.scalar import _numerators
+
+    kinds = {type(v) for row in rows for v in row}
+    if kinds <= {int}:
+        a = [list(row) for row in rows]
+    elif ParamPoly not in kinds:
+        a = [_numerators(row)[0] for row in rows]
+    else:
+        a = [[v if isinstance(v, ParamPoly) else ParamPoly.constant(v) for v in row] for row in rows]
+    a = [row for row in a if any(row)]
+    pivots, prev = [], 1
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        pivot = a[r][c]
+        for i in range(len(a)):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        prev = pivot
+    return a, pivots, prev
+
+
+def kernel_by_rows(rows):
+    """``matrix._kernel`` read from ``gauss_jordan_by_rows``."""
+    from subres.scalar import _quotient
+
+    a, pivots, last = gauss_jordan_by_rows(rows)
+    basis = []
+    for c in range(len(rows[0]) if rows else 0):
+        if c not in pivots:
+            pairs = [(pc, _quotient(-row[c], last)) for row, pc in zip(a, pivots) if row[c]]
+            basis.append(pairs + [(c, Rat(1))])
+    return basis
+
+
+def reduced_echelon_by_rows(rows):
+    """``matrix.reduced_echelon`` read from ``gauss_jordan_by_rows``."""
+    from subres.scalar import _quotient
+
+    a, pivots, last = gauss_jordan_by_rows(rows)
+    return [[_quotient(v, last) if v else Rat(0) for v in row] for row in a[: len(pivots)]]
 
 
 def _local_coefficients(g, point):

@@ -345,6 +345,41 @@ class TestVerifyCommand:
         for argv in (["verify"], ["mv"]):
             assert run(capsys, argv + ["--system", json.dumps(doc)]) == (2, "", message)
 
+    @pytest.mark.parametrize(
+        "f3, degrees, s_cols, value",
+        [
+            (
+                [([0, 0], "1"), ([1, 0], "2"), ([0, 1], "-1"), ([2, 0], "5"), ([3, 0], "1"),
+                 ([1, 2], "3"), ([0, 3], "-2")],
+                [1, 1, 3],
+                [[0, 0]],
+                "9",
+            ),
+            ([([0, 0], "3"), ([1, 0], "1"), ([0, 1], "-1")], [1, 1, 1], [], "-6"),
+        ],
+    )
+    def test_leading_forms_with_a_corner_verify(self, capsys, f3, degrees, s_cols, value):
+        # 2x1 + x2 and x1 - x2 have corner determinant 2 at degree 2, which
+        # the Poisson route divides out as the Macaulay route does.
+        doc = {
+            "n": 2,
+            "polynomials": [
+                [{"exponents": [1, 0], "coeff": "2"}, {"exponents": [0, 1], "coeff": "1"},
+                 {"exponents": [0, 0], "coeff": "-4"}],
+                [{"exponents": [1, 0], "coeff": "1"}, {"exponents": [0, 1], "coeff": "-1"},
+                 {"exponents": [0, 0], "coeff": "1"}],
+                [{"exponents": e, "coeff": c} for e, c in f3],
+            ],
+            "degrees": degrees,
+            "t": 2,
+            "S": s_cols,
+            "roots": [{"point": ["1", "2"]}],
+        }
+        system = ["--system", json.dumps(doc)]
+        assert out_json(capsys, ["verify"] + system)["ok"] is True
+        for route in ("macaulay", "poisson"):
+            assert out_json(capsys, ["mv", "--route", route] + system) == value
+
     def test_requires_one_input_mode(self, capsys):
         code, _, err = run(capsys, ["verify"])
         assert code == 2

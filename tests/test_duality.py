@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import rationals
 from oracles import inverse_system_dialytic
-from subres import DomainError, MultiPoly, Rat, param
+from subres import DomainError, MultiPoly, Rat, param, substitute_scalar
 from subres.matrix import ExactMatrix
 from subres.combinat import monomials_up_to_degree
 from subres.mv.duality import (
@@ -105,7 +105,24 @@ def integration(gens, point, bound):
     return res.functionals, res.truncated, res.order_stabilized
 
 
-A = param("a")
+A, B = param("a"), param("b")
+PARAM_COEFFS = (Rat(1), Rat(-1), Rat(2), Rat(-3), Rat(1, 2), A, -A, A + 1, B, 2 * A, A * B, A * A)
+
+
+@st.composite
+def parametric_pairs(draw):
+    """Two generators in two variables, each of one to four terms of
+    degree 1 to 3 with coefficients from PARAM_COEFFS, so both vanish at
+    the origin."""
+    gens = []
+    for _ in range(2):
+        terms = {}
+        for _ in range(draw(st.integers(1, 4))):
+            degree = draw(st.integers(1, 3))
+            i = draw(st.integers(0, degree))
+            terms[(i, degree - i)] = draw(st.sampled_from(PARAM_COEFFS))
+        gens.append(MultiPoly(2, terms))
+    return gens
 
 
 def rank(rows):
@@ -351,12 +368,36 @@ class TestIntegrationAgainstDialyticOracle:
                 2,
             ),
             ([MultiPoly(2, {(1, 0): A, (0, 2): Rat(1)}), MultiPoly(2, {(0, 3): Rat(1)})], (0, 0), "DomainError"),
+            # {1, d1,0, d2,0 - 2b d0,1, d3,0 - 2b d1,1}: polynomial, though
+            # rebuilding each order through kernel divisions needed 1/b.
+            ([MultiPoly(2, {(0, 1): Rat(1, 2), (2, 0): B}), MultiPoly(2, {(0, 2): Rat(2)})], (0, 0), 4),
         ],
     )
     def test_parameter_coefficients(self, gens, point, outcome):
         got = dual_outcome(integration, gens, point, None)
         assert got == dual_outcome(inverse_system_dialytic, gens, point, None)
         assert (got if got == "DomainError" else len(json.loads(got)[0])) == outcome
+
+    @given(parametric_pairs())
+    @example([MultiPoly(2, {(0, 1): Rat(1, 2), (2, 0): B}), MultiPoly(2, {(0, 2): Rat(2)})])
+    @example([MultiPoly(2, {(2, 0): Rat(1), (0, 1): -A}), MultiPoly(2, {(0, 3): Rat(1)})])
+    def test_parametric_pairs_at_the_origin(self, gens):
+        # The canonical basis is unique, so where the oracle gives one the
+        # outputs are equal, and a refusal is the oracle's too.  The oracle
+        # divides each row by its pivot as it goes, so it also refuses
+        # where only an intermediate entry needs 1/a; there the basis must
+        # specialize to the rational one at a generic point.
+        got = dual_outcome(integration, gens, (0, 0), None)
+        want = dual_outcome(inverse_system_dialytic, gens, (0, 0), None)
+        if want != "DomainError" or got == "DomainError":
+            assert got == want
+            return
+        point = {"a": Rat(101, 7), "b": Rat(-113, 5)}
+        special = [MultiPoly(2, {e: substitute_scalar(c, point) for e, c in g.terms.items()}) for g in gens]
+        funcs, truncated, order = integration(gens, (0, 0), None)
+        funcs = [DualFunctional(f.point, {e: substitute_scalar(c, point) for e, c in f.terms}) for f in funcs]
+        want = dual_outcome(inverse_system_dialytic, special, (0, 0), None)
+        assert json.dumps([[functional_to_json(f) for f in funcs], truncated, order]) == want
 
 
 class TestAssembleDualBasis:

@@ -8,7 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import rationals
-from oracles import det_cofactor, matrix_rows, nullspace_gauss_jordan
+from oracles import (
+    det_cofactor,
+    kernel_by_rows,
+    matrix_rows,
+    nullspace_gauss_jordan,
+    reduced_echelon_by_rows,
+)
 from subres import (
     DomainError,
     ExactMatrix,
@@ -21,7 +27,7 @@ from subres import (
 )
 from subres import matrix
 from subres.confluent import vandermonde_det_closed, wronskian, wronskian_det_closed
-from subres.matrix import _unpack, det_bordered, det_in_x, reduced_echelon
+from subres.matrix import _GaussJordan, _kernel, _unpack, det_bordered, det_in_x, reduced_echelon
 from subres.rootsets import MultiRootSet
 
 
@@ -716,3 +722,91 @@ class TestNullspace:
     def test_parameter_kernel_outside_the_polynomials_raises(self):
         with pytest.raises(DomainError):
             ExactMatrix([[param("a"), Rat(1)]]).nullspace()
+
+
+@st.composite
+def staged_columns(draw):
+    """One to four batches of columns, each batch after some rows that are
+    zero on every earlier column: a list of (rows appended, columns), each
+    column a dict of its nonzero entries by row.  Entries are ints, or
+    ints and ParamPolys in a and b."""
+    parametric = draw(st.booleans())
+    entry = st.one_of(st.just(0), st.integers(-5, 5), *([integer_param_polys()] if parametric else []))
+    staged, nrows = [], 0
+    for b in range(draw(st.integers(1, 4))):
+        added = draw(st.integers(0 if b else 1, 3))
+        nrows += added
+        columns = []
+        for _ in range(draw(st.integers(1, 3))):
+            values = [draw(entry) for _ in range(nrows)]
+            columns.append({i: v for i, v in enumerate(values) if v})
+        staged.append((added, columns))
+    return staged
+
+
+def eliminate(staged, batches):
+    """Feed ``staged`` to one elimination, appending each batch's rows
+    before its columns, or with every row there from the start; returns
+    the elimination and, per column, what ``add`` returned and the last
+    pivot after it."""
+    g = _GaussJordan(0 if batches else sum(added for added, _ in staged))
+    seen = []
+    for added, columns in staged:
+        if batches:
+            g.add_rows(added)
+        for column in columns:
+            seen.append((g.add(column), g.last))
+    return g, seen
+
+
+class TestResumableElimination:
+    @given(staged_columns())
+    def test_batches_match_one_batch(self, staged):
+        whole, one = eliminate(staged, False)
+        parts, many = eliminate(staged, True)
+        assert parts.pivots == whole.pivots
+        assert [(r, p) for r, p, _, _ in parts.steps] == [(r, p) for r, p, _, _ in whole.steps]
+        assert many == one
+        # Each free column's vector, last at the column and minus its
+        # entries at the pivot columns, is in the kernel.
+        columns = [column for _, batch in staged for column in batch]
+        for c, (entries, last) in enumerate(one):
+            if entries is not None:
+                vector = {c: last}
+                vector.update({whole.pivots[s]: -x for s, x in entries.items()})
+                rows = {i for j in vector for i in columns[j]}
+                assert all(
+                    not sum((columns[j].get(i, 0) * x for j, x in vector.items()), 0) for i in rows
+                )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_batch_reproduces_the_row_loop(self, seed):
+        # Values, entry types and the division that a refusal names are
+        # those of the row-by-row loop, on ints, rationals and ParamPolys.
+        rng = random.Random(seed)
+        a, b = param("a"), param("b")
+        pool = {
+            "int": lambda: rng.randint(-4, 4),
+            "rat": lambda: Rat(rng.randint(-4, 4), rng.randint(1, 3)),
+            "pp": lambda: rng.choice([Rat(1), Rat(-2), a, a + 1, b, a * b, a * a - 1, a / 2, Rat(3)]),
+        }
+
+        def outcome(f, rows):
+            try:
+                return [[(type(v).__name__, str(v)) for v in vec] for vec in f(rows)]
+            except DomainError as ex:
+                return str(ex)
+
+        refusals = 0
+        for _ in range(150):
+            draw = pool[rng.choice(["int", "rat", "pp"])]
+            ncols = rng.randint(1, 7)
+            rows = [
+                [draw() if rng.random() < 0.55 else 0 * draw() for _ in range(ncols)]
+                for _ in range(rng.randint(0, 6))
+            ]
+            got = outcome(_kernel, rows)
+            assert got == outcome(kernel_by_rows, rows)
+            assert outcome(reduced_echelon, rows) == outcome(reduced_echelon_by_rows, rows)
+            refusals += isinstance(got, str)
+        assert refusals

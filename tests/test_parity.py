@@ -202,4 +202,5 @@ def test_cli_output_digests(capsys):
     assert capsys.readouterr().out.splitlines() == [
         "624 calls, sha256 5ef9adc6494930125c9e422ae1649e9cdb8ce7520fed846be5c7f590dfe7893d",
         "38 grid-system calls, sha256 000b2fd3ae4f6594958d3ecaa035ea35ceee25a02cce23709d38fa6b5b003f03",
+        "60 parametric dual calls, sha256 3c1a4516ae8ba7623ab4e5adfeca9644e156443c90b76bc9f24834e11e3ad2cc",
     ]

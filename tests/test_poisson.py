@@ -1,6 +1,8 @@
 """The dual-basis route to the Macaulay-style subresultant."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from oracles import functional_of_multiple
 from subres import DomainError, MultiPoly, ParamPoly, Rat, StructuralError, param
@@ -13,9 +15,9 @@ from subres.mv.duality import (
     dual_eval,
     inverse_system,
 )
-from subres.combinat import monomials_up_to_degree
-from subres.mv.hilbert import build_monomial_sets
-from subres.mv.macaulay import MVSystem, delta_s
+from subres.combinat import monomials_of_degree, monomials_up_to_degree
+from subres.mv.hilbert import build_monomial_sets, hilbert_function
+from subres.mv.macaulay import MVSystem, delta_s, leading_form_subres
 from subres.mv.poisson import dual_vandermonde, dual_wronskian, poisson_delta
 
 C0, C1, C2 = param("c0"), param("c1"), param("c2")
@@ -219,3 +221,81 @@ class TestPoissonDelta:
         with pytest.raises(DomainError) as err:
             poisson_delta(sys_, 2, [(2, 0)], circle_line_basis(), sets)
         assert "different system or order" in str(err.value)
+
+
+def poly(terms):
+    return MultiPoly(2, {e: Rat(c) for e, c in terms.items()})
+
+
+# f1 and f2 meet in the one simple root (1, 2); the leading forms 2x1 + x2
+# and x1 - x2 have corner determinant 2 at degree 2.
+LINES = (poly({(1, 0): 2, (0, 1): 1, (0, 0): -4}), poly({(1, 0): 1, (0, 1): -1, (0, 0): 1}))
+CUBIC = poly({(0, 0): 1, (1, 0): 2, (0, 1): -1, (2, 0): 5, (3, 0): 1, (1, 2): 3, (0, 3): -2})
+
+
+def routes(sys_, t, s_cols, roots):
+    """(poisson, macaulay) with the dual basis at each root from the
+    inverse system."""
+    f = list(sys_.polys[:-1])
+    groups = [(p, list(inverse_system(f, p))) for p in map(Point, roots)]
+    basis = assemble_dual_basis(groups)
+    return poisson_delta(sys_, t, s_cols, basis), delta_s(sys_, t, s_cols)
+
+
+@st.composite
+def two_root_systems(draw):
+    """f1 a line through P, f2 the product of a line through P and a line
+    through a second point Q of f1 = 0, f3 of degree 1 to 3, an order t up
+    to rho + 2 and a random k-set S: (system, t, S, [P, Q])."""
+    small = st.integers(-3, 3)
+    p = (draw(small), draw(small))
+    a1, b1 = draw(st.tuples(small, small).filter(any))
+    step = draw(st.sampled_from([-2, -1, 1, 2]))
+    q = (p[0] - step * b1, p[1] + step * a1)
+
+    def line(point):
+        # Not parallel to f1, so it meets f1 = 0 at the point alone.
+        a, b = draw(st.tuples(small, small).filter(lambda ab: ab[0] * b1 != ab[1] * a1))
+        return poly({(1, 0): a, (0, 1): b, (0, 0): -a * point[0] - b * point[1]})
+
+    f1 = poly({(1, 0): a1, (0, 1): b1, (0, 0): -a1 * p[0] - b1 * p[1]})
+    f2 = line(p) * line(q)
+    d3 = draw(st.integers(1, 3))
+    f3 = MultiPoly(2, {
+        e: Rat(draw(st.integers(-5, 5)))
+        for e in draw(st.lists(st.sampled_from(monomials_up_to_degree(2, d3)), min_size=1, max_size=5))
+    })
+    degrees = (1, 2, d3)
+    t = draw(st.integers(0, d3 + 2))
+    below = [e for j in range(t + 1) for e in monomials_of_degree(2, j)]
+    k = hilbert_function(degrees, t)
+    s_cols = draw(st.permutations(below))[:k]
+    return MVSystem(2, (f1, f2, f3), degrees), t, s_cols, [p, q]
+
+
+class TestLeadingFormCorner:
+    """Each leading-form factor is divided by its own corner determinant,
+    as the Macaulay side is divided by the extraneous factor."""
+
+    @pytest.mark.parametrize(
+        "f3, degrees, s_cols, want",
+        [(CUBIC, (1, 1, 3), [(0, 0)], 9), (poly({(0, 0): 3, (1, 0): 1, (0, 1): -1}), (1, 1, 1), [], -6)],
+    )
+    def test_roadmap_witnesses(self, f3, degrees, s_cols, want):
+        sys_ = MVSystem(2, LINES + (f3,), degrees)
+        assert routes(sys_, 2, s_cols, [(1, 2)]) == (want, want)
+
+    def test_vanishing_corner_refused(self):
+        # At degree 2 the corner of x2 and x1 + x2 is the x1-coefficient of x2.
+        with pytest.raises(DomainError) as err:
+            leading_form_subres((poly({(0, 1): 1}), poly({(1, 0): 1, (0, 1): 1})), (1, 1), 2, [])
+        assert "extraneous factor vanishes" in str(err.value)
+
+    @given(two_root_systems())
+    def test_poisson_matches_macaulay_up_to_sign(self, case):
+        sys_, t, s_cols, roots = case
+        try:
+            poisson, macaulay = routes(sys_, t, s_cols, roots)
+        except (DomainError, StructuralError):
+            return
+        assert poisson in (macaulay, -macaulay)
