@@ -13,10 +13,13 @@ integer.  Evaluation is a ring homomorphism, so the integer
 determinant of the packed matrix is the packed determinant, and its
 digits, read back once at the end, give the polynomial.
 
-The same elimination takes bordered determinants (``det_bordered``): on
-an n x (n-1+k) matrix it eliminates the n-1 shared columns once, and its
-last row then holds the k determinants of the shared columns bordered by
-each later column.  A determinant whose last column is a polynomial in a
+The same elimination takes bordered determinants (``_dets``): the first
+n-r columns of n rows are eliminated once, and each later block of r
+columns is then finished from the last shared pivot alone, which gives
+the determinant of the shared columns bordered by that block.  With r = 1
+the last row already holds them, one per later column (``det_bordered``);
+``poisson_delta`` borders the columns its two matrices share by the |R|
+columns of each.  A determinant whose last column is a polynomial in a
 main variable x, sum_k x^k c_k, is the polynomial whose coefficient of
 x^k is the determinant bordered by c_k (the determinantal polynomial of
 Collins); with unit columns e_k as borders, the coefficients are the
@@ -125,8 +128,7 @@ def det_exact(m: ExactMatrix) -> Scalar:
     """
     if m.nrows != m.ncols:
         raise DomainError("determinant of a non-square matrix (%d x %d)" % (m.nrows, m.ncols))
-    values, scale, unpack = _dets(m.rows)
-    return unpack(values[0]) if unpack else Rat(values[0], scale)
+    return _read(*_dets(m.rows))[0]
 
 
 def det_bordered(rows: List[list], den: Scalar = 1) -> UniPoly:
@@ -135,11 +137,11 @@ def det_bordered(rows: List[list], den: Scalar = 1) -> UniPoly:
     c_0, c_1, ...
 
     The determinant is linear in its last column, so the coefficient of
-    x^k is the determinant of the shared columns bordered by c_k alone.
-    ``_bareiss`` takes all of them in one elimination of the shared
-    columns.  ``den`` must divide each of them exactly, as the closed-form
-    Vandermonde determinants times the row scales of integral rows do.
-    Coefficients free of parameters come back rational.
+    x^k is the determinant of the shared columns bordered by c_k alone:
+    the borders of width one of ``_dets``, all taken in one elimination of
+    the shared columns.  ``den`` must divide each of them exactly, as the
+    closed-form Vandermonde determinants times the row scales of integral
+    rows do.  Coefficients free of parameters come back rational.
     """
     if not 0 < len(rows) <= len(rows[0]):
         raise DomainError(
@@ -148,18 +150,41 @@ def det_bordered(rows: List[list], den: Scalar = 1) -> UniPoly:
     return _polynomial(*_dets(rows), den)
 
 
-def _dets(rows: List[list]) -> Tuple[List[int], int, Unpack]:
-    """The integer determinants of the first n-1 columns of the n ``rows``,
-    as ``_integers`` scales or packs them, bordered by each later column,
-    with its scale and unpack map.  The empty matrix gives the one
-    determinant 1."""
-    a, scale, unpack = _integers(rows)
+def _dets(rows: List[list], r: int = 1) -> Tuple[List[int], int, Unpack]:
+    """The integer determinants of the first n-r columns of the n ``rows``,
+    as ``_integers`` scales or packs them, bordered by each later block of
+    r columns, with its scale and unpack map; r is at least 1.
+
+    One ``_bareiss`` phase eliminates the n-r shared columns.  The last r
+    rows then hold, in each block, the minors that the rest of the same
+    elimination would see, so each block is finished on its own from the
+    last shared pivot, as ``det_in_x`` finishes its nodes.  With r = 1 the
+    block is one entry of the last row and already the determinant.  The
+    empty matrix gives the one determinant 1.
+    """
+    a, scale, unpack = _integers(rows, r=r)
     n = len(a)
     if n == 0:
         return [1], scale, unpack
-    done = _bareiss(a, n - 1)
-    width = len(a[0]) - n + 1
-    return ([done[0] * v for v in a[n - 1][n - 1 :]] if done else [0] * width), scale, unpack
+    width = len(a[0])
+    done = _bareiss(a, n - r)
+    if done is None:
+        return [0] * ((width - n) // r + 1), scale, unpack
+    sign, prev = done
+    if r == 1:
+        return [sign * v for v in a[n - 1][n - 1 :]], scale, unpack
+    tail = a[n - r :]
+    values = []
+    for j in range(n - r, width, r):
+        node = _bareiss([row[j : j + r] for row in tail], r, prev)
+        values.append(sign * node[0] * node[1] if node else 0)
+    return values, scale, unpack
+
+
+def _read(values: List[int], scale: int, unpack: Unpack) -> List[Scalar]:
+    """The integer determinants of ``_dets`` read back: each over the
+    scale, or unpacked when the rows were packed."""
+    return [unpack(v) if unpack else Rat(v, scale) for v in values]
 
 
 def _polynomial(values: List[int], scale: int, unpack: Unpack, den: Scalar) -> UniPoly:
@@ -171,10 +196,10 @@ def _polynomial(values: List[int], scale: int, unpack: Unpack, den: Scalar) -> U
     if unpack is None and is_rational(den):
         (n,), d = _numerators([den])
         return UniPoly.from_integers([v * d for v in values], scale * n)
-    return UniPoly(_collapse((unpack(v) if unpack else Rat(v, scale)) / den) for v in values)
+    return UniPoly(_collapse(v / den) for v in _read(values, scale, unpack))
 
 
-def _integers(rows: List[list], t: int = 0) -> Tuple[List[List[int]], int, Unpack]:
+def _integers(rows: List[list], t: int = 0, r: int = 1) -> Tuple[List[List[int]], int, Unpack]:
     """Integer rows for ``_bareiss``, the product of their row scales, and,
     for rows with a ``ParamPoly`` entry, the map that reads an integer
     determinant of them back as a ``ParamPoly``, None for rational rows,
@@ -185,12 +210,12 @@ def _integers(rows: List[list], t: int = 0) -> Tuple[List[List[int]], int, Unpac
     numerators over the lcm of their denominators (``_numerators``), on
     either backend.  Rows with a ``ParamPoly`` entry are packed by
     ``_pack``, whose reader divides by the scale itself; ``t`` is its
-    count of x columns.
+    count of x columns and ``r`` its border width.
     """
     if all(type(v) is int for row in rows for v in row):
         return [list(row) for row in rows], 1, None
     if not all(is_rational(v) for row in rows for v in row):
-        a, unpack = _pack(rows, t)
+        a, unpack = _pack(rows, t, r)
         return a, 1, unpack
     a = []
     scale = 1
@@ -201,18 +226,20 @@ def _integers(rows: List[list], t: int = 0) -> Tuple[List[List[int]], int, Unpac
     return a, scale, None
 
 
-def _pack(rows: List[list], t: int = 0) -> Tuple[List[List[int]], Callable[[int], ParamPoly]]:
+def _pack(
+    rows: List[list], t: int = 0, r: int = 1
+) -> Tuple[List[List[int]], Callable[[int], ParamPoly]]:
     """Kronecker substitution for n rows with a ``ParamPoly`` entry: the
     packed integer rows, and the map that reads a packed determinant back.
 
-    The determinants to read are those of the first n-1 columns bordered
-    by each later column.  With ``t`` > 0 the last 2t columns are instead
-    p_0..p_(t-1) then q_0..q_(t-1); the values read back are the
-    coefficients of det M(x), M's last columns x * p_k - q_k, and no value
-    at an integer node.  Each is a Fourier coefficient over the unit torus
-    |x| = |p| = 1, where an x column entry is at most |p|_1 + |q|_1, so the
-    entry enters the bounds below with that 1-norm and the larger of its
-    parts' degrees.
+    The determinants to read are those of the first n-r columns bordered
+    by each later block of r columns.  With ``t`` > 0 (and r = 1) the
+    last 2t columns are instead p_0..p_(t-1) then q_0..q_(t-1); the values
+    read back are the coefficients of det M(x), M's last columns x * p_k -
+    q_k, and no value at an integer node.  Each is a Fourier coefficient
+    over the unit torus |x| = |p| = 1, where an x column entry is at most
+    |p|_1 + |q|_1, so the entry enters the bounds below with that 1-norm
+    and the larger of its parts' degrees.
 
     Each row is taken as its numerators over the lcm of its entries'
     denominators (``_numerators``), so every entry has integer coefficients.
@@ -220,15 +247,15 @@ def _pack(rows: List[list], t: int = 0) -> Tuple[List[List[int]], Callable[[int]
     row and each of its columns, so its degree in parameter p is at most
     D_p, the sum over the rows of the largest degree in p of an entry of the
     row (any column), and also the same sum over the shared columns plus the
-    largest such degree of a border column; the smaller one is used.  A
+    largest such sum over a border block; the smaller one is used.  A
     coefficient of the determinant is its mean times a monomial's inverse
     over the unit torus |p| = 1, where an entry is at most its coefficient
     1-norm in absolute value.  So by Hadamard's inequality every coefficient
     is at most sqrt(prod over the rows of the summed squared 1-norms of the
     row's entries), and likewise by columns, the shared ones times the
-    largest border one; B is the smaller one, rounded down, as the
-    coefficients are integers.  With k = B.bit_length() + 1, each
-    coefficient fits one balanced digit in [-2^(k-1), 2^(k-1)).  The
+    largest product over a border block; B is the smaller one, rounded
+    down, as the coefficients are integers.  With k = B.bit_length() + 1,
+    each coefficient fits one balanced digit in [-2^(k-1), 2^(k-1)).  The
     parameters, in sorted order, are evaluated at
     p_i = 2^(k * prod_{j<i} (D_j + 1)), which gives each monomial of a
     determinant its own digit.  Evaluation is linear, so the packed
@@ -248,7 +275,7 @@ def _pack(rows: List[list], t: int = 0) -> Tuple[List[List[int]], Callable[[int]
         scale *= s
     names = sorted({name for row in terms for entry in row for key, _ in entry for name, _ in key})
     pos = {name: i for i, name in enumerate(names)}
-    shared = len(rows) - 1
+    shared = len(rows) - r
     width = len(rows[0])
     lead = width - 2 * t
     by_rows = [0] * len(names)
@@ -284,10 +311,15 @@ def _pack(rows: List[list], t: int = 0) -> Tuple[List[List[int]], Callable[[int]
             [max(p, q) for p, q in zip(cp, cq)]
             for cp, cq in zip(col_tops[lead : lead + t], col_tops[lead + t :])
         ]
-    product = min(row_product, math.prod(col_squares[:shared]) * max(col_squares[shared:]))
-    bound = math.isqrt(product)
+    tops = list(zip(*col_tops))
+    borders, border_tops = col_squares[shared:], [c[shared:] for c in tops]
+    if r > 1:
+        # Each border block enters the column bounds as one column.
+        borders = [math.prod(borders[j : j + r]) for j in range(0, len(borders), r)]
+        border_tops = [[sum(c[j : j + r]) for j in range(0, len(c), r)] for c in border_tops]
+    bound = math.isqrt(min(row_product, math.prod(col_squares[:shared]) * max(borders)))
     degrees = [
-        min(r, sum(c[:shared]) + max(c[shared:])) for r, c in zip(by_rows, zip(*col_tops))
+        min(d, sum(c[:shared]) + max(b)) for d, c, b in zip(by_rows, tops, border_tops)
     ]
     k = bound.bit_length() + 1
     shift = {}

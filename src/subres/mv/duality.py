@@ -91,6 +91,16 @@ class DualFunctional:
             self, "terms", tuple(sorted(clean.items(), key=lambda kv: canon_key(kv[0])))
         )
 
+    @classmethod
+    def _unchecked(cls, point: Point, terms: tuple) -> "DualFunctional":
+        """The functional of ``terms`` as the constructor would leave them:
+        nonzero scalars on distinct exponents in ``canon_key`` order.  No
+        check is made; ``_canonical`` builds them so."""
+        func = object.__new__(cls)
+        object.__setattr__(func, "point", point)
+        object.__setattr__(func, "terms", terms)
+        return func
+
     @property
     def order(self) -> int:
         return max(sum(e) for e, _ in self.terms)
@@ -461,7 +471,13 @@ def _canonical(basis: list, point: Point) -> Tuple[DualFunctional, ...]:
     backwards, as functionals sorted by order and then by last monomial."""
     columns = sorted({alpha for b in basis for alpha in b}, key=canon_key, reverse=True)
     rows = reduced_echelon([[b.get(alpha, 0) for alpha in columns] for b in basis])
-    funcs = [DualFunctional(point, {alpha: c for alpha, c in zip(columns, row) if c}) for row in rows]
+    # Reversed, the columns are in canon_key order, and every entry of the
+    # rows is a rational or a ParamPoly, as the constructor would make it.
+    columns.reverse()
+    funcs = [
+        DualFunctional._unchecked(point, tuple((a, c) for a, c in zip(columns, row[::-1]) if c))
+        for row in rows
+    ]
     funcs.sort(key=lambda f: (f.order, canon_key(f.terms[-1][0])))
     return tuple(funcs)
 

@@ -33,7 +33,8 @@ read by ``det_exact``.
 
 Kernels and reduced echelon forms are kept as the package eliminated them
 before it took them column by column (``gauss_jordan_by_rows``): one
-row-by-row fraction-free Gauss-Jordan loop over the whole matrix.
+row-by-row fraction-free Gauss-Jordan loop over the whole matrix.  The
+dialytic inverse system counts its kernels with the same loop.
 
 ``RatParamPoly`` is the parameter polynomial as the package held it before
 it moved to int numerators over one denominator: one rational per term,
@@ -248,11 +249,19 @@ def gauss_jordan_by_rows(rows):
 
 def kernel_by_rows(rows):
     """``matrix._kernel`` read from ``gauss_jordan_by_rows``."""
+    return _kernel_of(gauss_jordan_by_rows(rows), len(rows[0]) if rows else 0)
+
+
+def _kernel_of(elimination, ncols):
+    """The kernel vectors, as (column, entry) pairs, of the rows that
+    ``gauss_jordan_by_rows`` left, one per free column: 1 there and minus
+    the reduced entry, the row's entry over the last pivot, on each pivot
+    column."""
     from subres.scalar import _quotient
 
-    a, pivots, last = gauss_jordan_by_rows(rows)
+    a, pivots, last = elimination
     basis = []
-    for c in range(len(rows[0]) if rows else 0):
+    for c in range(ncols):
         if c not in pivots:
             pairs = [(pc, _quotient(-row[c], last)) for row, pc in zip(a, pivots) if row[c]]
             basis.append(pairs + [(c, Rat(1))])
@@ -322,6 +331,12 @@ def inverse_system_dialytic(generators, point, order_bound=None):
     ISSAC 2005): at each order k the kernel of the matrix whose rows are
     y^beta g(point + y), |beta| <= k, over all monomials of degree <= k.
 
+    Each order is eliminated by the fraction-free ``gauss_jordan_by_rows``,
+    which only counts its kernel; the kernel vectors are read, dividing by
+    the last pivot, at the returned order alone.  Over parameters that read
+    is exact exactly where the reduced basis is polynomial, so a refusal
+    here and one of ``inverse_system`` mean the same.
+
     Returns (functionals, truncated, order_stabilized) as ``inverse_system``
     does, with the same order bound, stall rule and truncation past the
     degree product.
@@ -337,8 +352,9 @@ def inverse_system_dialytic(generators, point, order_bound=None):
     if order_bound is None:
         order_bound = bezout
 
-    def functionals(kernel, columns):
-        funcs = [DualFunctional(point, {e: c for e, c in zip(columns, v) if c != 0}) for v in kernel]
+    def functionals(elimination, columns):
+        kernel = _kernel_of(elimination, len(columns))
+        funcs = [DualFunctional(point, {columns[c]: x for c, x in v}) for v in kernel]
         funcs.sort(key=lambda f: (f.order, sum(f.terms[-1][0]), tuple(-e for e in f.terms[-1][0])))
         return funcs
 
@@ -350,13 +366,14 @@ def inverse_system_dialytic(generators, point, order_bound=None):
             for beta in columns:
                 shifted = {tuple(a + b for a, b in zip(alpha, beta)): c for alpha, c in g_p.items()}
                 rows.append([shifted.get(alpha, Rat(0)) for alpha in columns])
-        kernel = nullspace_gauss_jordan(rows, len(columns))
-        if prev is not None and len(kernel) == len(prev[0]):
-            return functionals(*prev), False, order - 1
-        if len(kernel) > bezout:
-            return functionals(kernel, columns), True, None
-        prev = (kernel, columns)
-    return functionals(*prev), True, None
+        elimination = gauss_jordan_by_rows(rows)
+        dimension = len(columns) - len(elimination[1])
+        if prev is not None and dimension == prev[0]:
+            return functionals(*prev[1:]), False, order - 1
+        if dimension > bezout:
+            return functionals(elimination, columns), True, None
+        prev = (dimension, elimination, columns)
+    return functionals(*prev[1:]), True, None
 
 
 def wronskian_taylor(h: UniPoly, a: MultiRootSet, u: int) -> ExactMatrix:

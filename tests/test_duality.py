@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import rationals
 from oracles import inverse_system_dialytic
-from subres import DomainError, MultiPoly, Rat, param, substitute_scalar
+from subres import DomainError, MultiPoly, Rat, param
 from subres.matrix import ExactMatrix
 from subres.combinat import monomials_up_to_degree
 from subres.mv.duality import (
@@ -382,22 +382,39 @@ class TestIntegrationAgainstDialyticOracle:
     @example([MultiPoly(2, {(0, 1): Rat(1, 2), (2, 0): B}), MultiPoly(2, {(0, 2): Rat(2)})])
     @example([MultiPoly(2, {(2, 0): Rat(1), (0, 1): -A}), MultiPoly(2, {(0, 3): Rat(1)})])
     def test_parametric_pairs_at_the_origin(self, gens):
-        # The canonical basis is unique, so where the oracle gives one the
-        # outputs are equal, and a refusal is the oracle's too.  The oracle
-        # divides each row by its pivot as it goes, so it also refuses
-        # where only an intermediate entry needs 1/a; there the basis must
-        # specialize to the rational one at a generic point.
+        # The canonical basis is unique, and both sides divide only to read
+        # it, so they agree on every answer and on every refusal.
         got = dual_outcome(integration, gens, (0, 0), None)
-        want = dual_outcome(inverse_system_dialytic, gens, (0, 0), None)
-        if want != "DomainError" or got == "DomainError":
-            assert got == want
+        assert got == dual_outcome(inverse_system_dialytic, gens, (0, 0), None)
+
+
+class TestCanonicalFunctionals:
+    """``inverse_system`` builds its functionals without the constructor's
+    checks; each must be what the constructor makes of its own terms."""
+
+    @staticmethod
+    def check(gens, point, bound=None):
+        try:
+            res = inverse_system(gens, point, order_bound=bound)
+        except DomainError:
             return
-        point = {"a": Rat(101, 7), "b": Rat(-113, 5)}
-        special = [MultiPoly(2, {e: substitute_scalar(c, point) for e, c in g.terms.items()}) for g in gens]
-        funcs, truncated, order = integration(gens, (0, 0), None)
-        funcs = [DualFunctional(f.point, {e: substitute_scalar(c, point) for e, c in f.terms}) for f in funcs]
-        want = dual_outcome(inverse_system_dialytic, special, (0, 0), None)
-        assert json.dumps([[functional_to_json(f) for f in funcs], truncated, order]) == want
+        for f in res:
+            again = DualFunctional(f.point, dict(f.terms))
+            assert f == again
+            assert [type(c) for _, c in f.terms] == [type(c) for _, c in again.terms]
+            assert not any(type(c) is int for _, c in f.terms)
+
+    @given(moved_systems())
+    def test_rational_points(self, case):
+        self.check(*case)
+
+    @given(parametric_pairs())
+    def test_parameter_coefficients(self, gens):
+        self.check(gens, (0, 0))
+
+    def test_parameter_point(self):
+        gens = [MultiPoly(2, {(2, 0): Rat(1), (1, 0): -2 * A, (0, 0): A * A}), MultiPoly(2, {(0, 1): Rat(1)})]
+        self.check(gens, (A, 0))
 
 
 class TestAssembleDualBasis:

@@ -419,6 +419,101 @@ class TestBordered:
             assert all(type(c) is RAT for c in got.coeffs)
 
 
+# Entries of one domain per matrix: ints, rationals, parameter polynomials.
+KINDS = {
+    "int": st.integers(-9, 9),
+    "rational": ENTRIES.map(Rat),
+    "param": param_polys(("a", "b")),
+}
+
+
+class TestWideBorders:
+    """``_dets`` with borders of width r: the first n-r columns bordered by
+    each later block of r columns, in one elimination of the shared ones."""
+
+    @staticmethod
+    def read(rows, r):
+        return matrix._read(*matrix._dets(rows, r))
+
+    @staticmethod
+    def squares(rows, r):
+        """The square matrix of each block: the shared columns, then it."""
+        shared = len(rows) - r
+        return [
+            [row[:shared] + row[j : j + r] for row in rows]
+            for j in range(shared, len(rows[0]), r)
+        ]
+
+    @given(
+        st.sampled_from([1, 2, 3]),
+        st.integers(0, 3),
+        st.integers(1, 3),
+        st.sampled_from(sorted(KINDS)),
+        st.data(),
+    )
+    def test_each_block_is_det_exact(self, r, shared, blocks, kind, data):
+        n = shared + r
+        rows = [[data.draw(KINDS[kind]) for _ in range(shared + r * blocks)] for _ in range(n)]
+        want = [det_exact(ExactMatrix(m)) for m in self.squares(rows, r)]
+        assert self.read(rows, r) == want
+
+    @given(
+        st.sampled_from([1, 2, 3]),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.sampled_from(sorted(KINDS)),
+        st.data(),
+    )
+    def test_singular_shared_columns_give_zeros(self, r, shared, blocks, kind, data):
+        # Shared columns of rank below their count: an n x k times k x
+        # shared product, k < shared.
+        n = shared + r
+        k = data.draw(st.integers(0, shared - 1))
+        draw = KINDS[kind]
+        left = [[data.draw(draw) for _ in range(k)] for _ in range(n)]
+        right = [[data.draw(draw) for _ in range(shared)] for _ in range(k)]
+        rows = [
+            [sum((left[i][m] * right[m][j] for m in range(k)), 0) for j in range(shared)]
+            + [data.draw(draw) for _ in range(r * blocks)]
+            for i in range(n)
+        ]
+        assert self.read(rows, r) == [0] * blocks
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_blocks_with_the_highest_degree_and_largest_coefficients(self, r):
+        # Linear shared columns with small coefficients; one block carries
+        # a^4 b^3 near 10^9, so packing must size its digits for it.
+        rng = random.Random(r)
+        big = 10**9 + 7
+        a, b = param("a"), param("b")
+        n = r + 2
+        rows = [
+            [rng.randint(-3, 3) + rng.randint(-2, 2) * a + rng.randint(-2, 2) * b for _ in range(2)]
+            + [rng.randint(-3, 3) * a for _ in range(r)]
+            + [rng.choice([-1, 1]) * big * a**4 * b**3 + rng.randint(-big, big) for _ in range(r)]
+            for _ in range(n)
+        ]
+        want = [det_exact(ExactMatrix(m)) for m in self.squares(rows, r)]
+        assert self.read(rows, r) == want
+        assert want[1].parameters() == {"a", "b"}
+
+    @pytest.mark.parametrize("r, blocks", [(1, 4), (2, 1), (2, 3), (3, 2)])
+    def test_one_shared_phase_and_one_finish_per_wider_block(self, monkeypatch, r, blocks):
+        # Width one reads the last row as it is: one _bareiss call and one
+        # _pack pass, as det_exact and det_bordered always made.
+        calls = []
+        for name in ("_bareiss", "_pack"):
+            real = getattr(matrix, name)
+            monkeypatch.setattr(
+                matrix, name, lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args)
+            )
+        rng = random.Random(blocks)
+        a = param("a")
+        rows = [[rng.randint(-5, 5) * a + rng.randint(-5, 5) for _ in range(2 + r * blocks)] for _ in range(2 + r)]
+        self.read(rows, r)
+        assert calls == ["_pack", "_bareiss"] + ["_bareiss"] * (blocks if r > 1 else 0)
+
+
 class TestIntegerDeterminants:
     """Integer determinants come back over the row scales whatever the
     rational backend, and a polynomial made of them has Python-int

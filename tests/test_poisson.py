@@ -1,10 +1,12 @@
 """The dual-basis route to the Macaulay-style subresultant."""
 
+import itertools
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import functional_of_multiple
+from oracles import functional_of_multiple, poisson_by_matrices
 from subres import DomainError, MultiPoly, ParamPoly, Rat, StructuralError, param
 from subres.matrix import ExactMatrix, det_exact
 from subres.mv.duality import (
@@ -221,6 +223,126 @@ class TestPoissonDelta:
         with pytest.raises(DomainError) as err:
             poisson_delta(sys_, 2, [(2, 0)], circle_line_basis(), sets)
         assert "different system or order" in str(err.value)
+
+
+def moved(g, a):
+    """g(x1 - a, x2): its roots moved by a along x1."""
+    out = MultiPoly(2)
+    for (i, j), c in g.terms.items():
+        term = MultiPoly(2, {(0, j): c})
+        for _ in range(i):
+            term = term * MultiPoly(2, {(1, 0): Rat(1), (0, 0): -a})
+        out = out + term
+    return out
+
+
+def moved_circle(f3, d3):
+    """circle_line's first two equations moved by the parameter a, with
+    f3, and their dual basis at (a, 0) and (a, 2)."""
+    a = param("a")
+    f1, f2 = (moved(g, a) for g in circle_line().polys[:2])
+    p0, p2 = Point((a, Rat(0))), Point((a, Rat(2)))
+    group0 = (
+        evaluation(p0),
+        DualFunctional(p0, {(1, 0): Rat(1)}),
+        DualFunctional(p0, {(0, 1): Rat(1), (2, 0): Rat(2)}),
+    )
+    return MVSystem(2, (f1, f2, f3), (2, 2, d3)), DualBasis(((p0, group0), (p2, (evaluation(p2),))))
+
+
+F3 = {
+    1: MultiPoly(2, {(0, 0): Rat(3), (1, 0): Rat(-1), (0, 1): Rat(2)}),
+    2: MultiPoly(2, {(0, 0): Rat(1), (1, 0): Rat(2), (0, 2): Rat(-1), (1, 1): Rat(1, 2), (2, 0): Rat(5)}),
+    3: MultiPoly(2, {(0, 0): C0, (3, 0): Rat(1), (1, 2): C1, (0, 1): Rat(-2)}),
+}
+
+
+def circle(d3):
+    base = circle_line()
+    return MVSystem(2, (base.polys[0], base.polys[1], F3[d3]), (2, 2, d3)), circle_line_basis()
+
+
+class TestOneSharedElimination:
+    """``poisson_delta`` takes det V_T and det O_S from one elimination of
+    the rows they share, each border its own rows; its value, type and
+    text are those of the two determinants taken apart."""
+
+    @staticmethod
+    def compare(sys_, t, s_cols, basis):
+        """The quotient, checked against ``oracles.poisson_by_matrices``;
+        None where V_T is singular, which both routes must see."""
+        sets = build_monomial_sets(sys_.degrees, t)
+        try:
+            got = poisson_delta(sys_, t, s_cols, basis, sets)
+        except StructuralError:
+            assert det_exact(dual_vandermonde(sets.T.monomials, basis)) == 0
+            return None
+        except DomainError as ex:
+            with pytest.raises(DomainError) as err:
+                poisson_by_matrices(sys_, t, s_cols, basis, sets)
+            assert str(err.value) == str(ex)
+            return None
+        want = poisson_by_matrices(sys_, t, s_cols, basis, sets)
+        assert (got, type(got), str(got)) == (want, type(want), str(want))
+        return got
+
+    @staticmethod
+    def rows(sys_, t, s_cols):
+        sets = build_monomial_sets(sys_.degrees, t)
+        return set(sets.T.monomials), list(s_cols) + list(sets.T_star.monomials), sets.R.monomials
+
+    @pytest.mark.parametrize("build", [circle, lambda d3: moved_circle(F3[d3], d3)])
+    @pytest.mark.parametrize(
+        "d3, t, s_cols",
+        [
+            (1, 0, [(0, 0)]),
+            (2, 1, [(0, 0), (1, 0), (0, 1)]),
+            (2, 1, [(0, 1), (0, 0), (1, 0)]),
+            (3, 2, [(2, 0), (0, 1), (0, 0), (1, 0)]),
+        ],
+    )
+    def test_no_multiples_permute_the_rows_of_v_t(self, build, d3, t, s_cols):
+        sys_, basis = build(d3)
+        t_set, o_s, r = self.rows(sys_, t, s_cols)
+        assert not r and sorted(o_s) == sorted(t_set)
+        # Reversing S permutes O_S's rows once more: the same quotient up
+        # to sign, each checked against the oracle.
+        got = self.compare(sys_, t, s_cols, basis)
+        assert got and self.compare(sys_, t, s_cols[::-1], basis) in (got, -got)
+
+    @pytest.mark.parametrize("build", [circle, lambda d3: moved_circle(F3[d3], d3)])
+    @pytest.mark.parametrize("d3, t, s_cols", [(1, 2, [(1, 1)]), (1, 2, [(0, 2)]), (2, 4, [])])
+    def test_no_shared_rows(self, build, d3, t, s_cols):
+        sys_, basis = build(d3)
+        t_set, o_s, r = self.rows(sys_, t, s_cols)
+        assert not t_set & set(o_s)
+        self.compare(sys_, t, s_cols, basis)
+
+    @pytest.mark.parametrize("build", [circle, lambda d3: moved_circle(F3[d3], d3)])
+    @pytest.mark.parametrize(
+        "d3, t, s_cols",
+        [(1, 2, [(0, 2)]), (2, 2, [(0, 2), (1, 0), (0, 0)]), (3, 3, [(1, 0), (0, 2), (0, 0)])],
+    )
+    def test_s_outside_t(self, build, d3, t, s_cols):
+        sys_, basis = build(d3)
+        t_set, _, _ = self.rows(sys_, t, s_cols)
+        assert not set(s_cols) <= t_set
+        assert self.compare(sys_, t, s_cols, basis)
+
+    @pytest.mark.parametrize("d3", [1, 2, 3])
+    @pytest.mark.parametrize("parametric", [False, True])
+    def test_every_s_at_every_order(self, d3, parametric):
+        # mv_dual takes S as the first k monomials, where the quotient is
+        # often 0; here every k-set S is taken, at parameter points too,
+        # and it is nonzero at orders 0 to 2 and at 3 for f3 past degree 1.
+        sys_, basis = moved_circle(F3[d3], d3) if parametric else circle(d3)
+        nonzero = set()
+        for t in range(d3 + 3):
+            k = hilbert_function(sys_.degrees, t)
+            for s_cols in itertools.combinations(monomials_up_to_degree(2, t), k):
+                if self.compare(sys_, t, list(s_cols), basis):
+                    nonzero.add(t)
+        assert nonzero >= ({0, 1, 2, 3} if d3 > 1 else {0, 1, 2})
 
 
 def poly(terms):
