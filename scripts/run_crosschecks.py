@@ -6,7 +6,8 @@ comparison the preconditions allow, replays a few fixed symbolic pairs
 (roots a+k against b+k or against integers, and a triple root a against
 a quadruple root b, so the determinants carry parameter entries and run
 through the packed integer kernel) and one fixed rational pair whose
-roots have denominators 7, 9 and 11, then replays six bundled
+roots have denominators 7, 9 and 11, and two pairs that share a root, one
+rational and one symbolic, then replays six bundled
 two-variable systems through the document-level battery: the
 circle-line example, whose dual basis is given, a grid system with one
 root of multiplicity 9, a second grid system with roots of multiplicity
@@ -49,6 +50,13 @@ SYMBOLIC_PAIRS = (
 # and the paired rows by lcm 693.  Under gmpy2 the roots are mpq, so the
 # tables are built from int() of their mpz parts.
 FINE_PAIR = ([["1/7", 3], ["-2/9", 1]], [["5/11", 2], ["-3/7", 1], ["4/9", 3]])
+
+# Pairs that share roots, so that the one elimination behind each root-side
+# layout meets a zero where it wants a pivot and swaps columns, and meets a
+# bottom row with nothing left, which makes every lower order 0: a rational
+# pair with a root at 0, and a symbolic pair that shares the parameter root a.
+SHARED_RATIONAL_PAIR = ([["0", 2], ["1/2", 1]], [["0", 1], ["1/2", 2], ["-3/4", 1]])
+SHARED_SYMBOLIC_PAIR = ([["a", 2], ["a+1", 1]], [["a", 1], ["b", 2]])
 
 BUNDLED_SYSTEM = {
     "n": 2,
@@ -289,7 +297,9 @@ def main(argv=None):
             total += 1
             if not check.ok:
                 failures.append(("pair %d: %s vs %s" % (i, a, b), check))
-    for a_doc, b_doc in SYMBOLIC_PAIRS + (FINE_PAIR,):
+    symbolic = SYMBOLIC_PAIRS + (SHARED_SYMBOLIC_PAIR,)
+    rational = (FINE_PAIR, SHARED_RATIONAL_PAIR)
+    for a_doc, b_doc in symbolic + rational:
         for check in univariate_checks(parse_rootset(a_doc), parse_rootset(b_doc)):
             total += 1
             if not check.ok:
@@ -302,8 +312,9 @@ def main(argv=None):
     elapsed = time.perf_counter() - started
 
     print(
-        "%d checks on %d random pairs + %d symbolic pairs + 1 rational pair + %d bundled "
-        "systems in %.2f s" % (total, args.cases, len(SYMBOLIC_PAIRS), len(SYSTEMS), elapsed)
+        "%d checks on %d random pairs + %d symbolic pairs + %d rational pairs + %d bundled "
+        "systems in %.2f s"
+        % (total, args.cases, len(symbolic), len(rational), len(SYSTEMS), elapsed)
     )
     for origin, check in failures:
         print("FAIL [%s] %s: %s" % (origin, check.name, check.detail), file=sys.stderr)

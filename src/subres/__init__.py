@@ -45,7 +45,7 @@ from .mv import (
     sigma_shift,
     tau,
 )
-from .roots_formulas import VARIANTS, sres_dm1_hermite, sres_one, sres_roots
+from .roots_formulas import VARIANTS, sres_dm1_hermite, sres_one, sres_roots, sres_roots_all
 from .rootsets import MultiRootSet, pairing_R, poly_from_roots
 from .scalar import ParamPoly, Rat, Scalar, as_scalar, is_rational, param, rat, substitute_scalar
 from .subresultants import resultant, sres_coeff, sylv_double_sum, sylvester_identity_scale
@@ -98,6 +98,7 @@ __all__ = [
     # root side
     "VARIANTS",
     "sres_roots",
+    "sres_roots_all",
     "sres_dm1_hermite",
     "sres_one",
     # multivariate

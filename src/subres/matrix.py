@@ -26,9 +26,17 @@ Collins); with unit columns e_k as borders, the coefficients are the
 cofactors of the border.  ``det_in_x`` keeps the other route for x in
 several rows, each linear in x: the columns free of x are eliminated once,
 after which the same elimination is finished at each integer value of x
-from the trailing block alone, and the packed integers are interpolated,
-so x never enters the scalar domain and only the coefficients are read
-back; only the ``wronskian-full`` layout uses it.
+from the trailing block alone (``_in_x``), and the packed integers are
+interpolated, so x never enters the scalar domain and only the
+coefficients are read back.
+
+``det_orders`` takes a family of nested determinants, one per order t: the
+first w - t of a list of bottom rows, w their width, under top rows
+0..t, either bordered or as x rows.  One elimination, resumed order by
+order, takes the bottom rows as pivots, with column swaps, and each order
+is finished from the top rows it leaves and the last pivot, by the border
+or by ``_in_x``; the root-side subresultants of every order come from it.
+Its rows are packed once, within the largest of the orders' bounds.
 
 Kernels and reduced echelon forms come from one left-looking
 fraction-free Gauss-Jordan elimination on the same integer-scaled rows,
@@ -42,13 +50,16 @@ matrix at once; ``inverse_system`` grows one elimination order by order.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import DomainError
 from .scalar import ParamPoly, Rat, Scalar, _collapse, _numerators, _quotient, as_scalar, is_rational
 from .unipoly import UniPoly
 
 Unpack = Optional[Callable[[int], ParamPoly]]  # None for rational rows
+# (entry 1-norms by row, largest degree per parameter by row) -> (squared
+# coefficient bound, degree bound per parameter); see ``_pack``
+Bound = Callable[[List[List[int]], List[List[int]]], Tuple[int, List[int]]]
 
 
 class ExactMatrix:
@@ -199,7 +210,9 @@ def _polynomial(values: List[int], scale: int, unpack: Unpack, den: Scalar) -> U
     return UniPoly(_collapse(v / den) for v in _read(values, scale, unpack))
 
 
-def _integers(rows: List[list], t: int = 0, r: int = 1) -> Tuple[List[List[int]], int, Unpack]:
+def _integers(
+    rows: List[list], t: int = 0, r: int = 1, bound: Optional[Bound] = None
+) -> Tuple[List[List[int]], int, Unpack]:
     """Integer rows for ``_bareiss``, the product of their row scales, and,
     for rows with a ``ParamPoly`` entry, the map that reads an integer
     determinant of them back as a ``ParamPoly``, None for rational rows,
@@ -210,12 +223,13 @@ def _integers(rows: List[list], t: int = 0, r: int = 1) -> Tuple[List[List[int]]
     numerators over the lcm of their denominators (``_numerators``), on
     either backend.  Rows with a ``ParamPoly`` entry are packed by
     ``_pack``, whose reader divides by the scale itself; ``t`` is its
-    count of x columns and ``r`` its border width.
+    count of x columns, ``r`` its border width and ``bound`` its bound for
+    determinants of other shapes.
     """
     if all(type(v) is int for row in rows for v in row):
         return [list(row) for row in rows], 1, None
     if not all(is_rational(v) for row in rows for v in row):
-        a, unpack = _pack(rows, t, r)
+        a, unpack = _pack(rows, t, r, bound)
         return a, 1, unpack
     a = []
     scale = 1
@@ -227,13 +241,17 @@ def _integers(rows: List[list], t: int = 0, r: int = 1) -> Tuple[List[List[int]]
 
 
 def _pack(
-    rows: List[list], t: int = 0, r: int = 1
+    rows: List[list], t: int = 0, r: int = 1, bound: Optional[Bound] = None
 ) -> Tuple[List[List[int]], Callable[[int], ParamPoly]]:
     """Kronecker substitution for n rows with a ``ParamPoly`` entry: the
     packed integer rows, and the map that reads a packed determinant back.
 
     The determinants to read are those of the first n-r columns bordered
-    by each later block of r columns.  With ``t`` > 0 (and r = 1) the
+    by each later block of r columns, unless ``bound`` is given: then it
+    takes each row's entry 1-norms and its largest degree in each
+    parameter and returns the squared coefficient bound and the degree
+    bounds of whatever determinants of the rows are read (``det_orders``),
+    in place of the two below.  With ``t`` > 0 (and r = 1) the
     last 2t columns are instead p_0..p_(t-1) then q_0..q_(t-1); the values
     read back are the coefficients of det M(x), M's last columns x * p_k -
     q_k, and no value at an integer node.  Each is a Fourier coefficient
@@ -275,16 +293,12 @@ def _pack(
         scale *= s
     names = sorted({name for row in terms for entry in row for key, _ in entry for name, _ in key})
     pos = {name: i for i, name in enumerate(names)}
-    shared = len(rows) - r
     width = len(rows[0])
-    lead = width - 2 * t
-    by_rows = [0] * len(names)
+    norms, tops = [], []
     col_tops = [[0] * len(names) for _ in range(width)]
-    col_squares = [0] * (width - t)
-    row_product = 1
     for row in terms:
         top = [0] * len(names)
-        norms = []
+        row_norms = []
         for j, entry in enumerate(row):
             col = col_tops[j]
             norm = 0
@@ -296,32 +310,14 @@ def _pack(
                         top[i] = e
                     if e > col[i]:
                         col[i] = e
-            norms.append(norm)
-        if t:
-            norms[lead:] = [p + q for p, q in zip(norms[lead : lead + t], norms[lead + t :])]
-        squares = 0
-        for j, norm in enumerate(norms):
-            square = norm * norm
-            squares += square
-            col_squares[j] += square
-        by_rows = [d + e for d, e in zip(by_rows, top)]
-        row_product *= squares
-    if t:
-        col_tops[lead:] = [
-            [max(p, q) for p, q in zip(cp, cq)]
-            for cp, cq in zip(col_tops[lead : lead + t], col_tops[lead + t :])
-        ]
-    tops = list(zip(*col_tops))
-    borders, border_tops = col_squares[shared:], [c[shared:] for c in tops]
-    if r > 1:
-        # Each border block enters the column bounds as one column.
-        borders = [math.prod(borders[j : j + r]) for j in range(0, len(borders), r)]
-        border_tops = [[sum(c[j : j + r]) for j in range(0, len(c), r)] for c in border_tops]
-    bound = math.isqrt(min(row_product, math.prod(col_squares[:shared]) * max(borders)))
-    degrees = [
-        min(d, sum(c[:shared]) + max(b)) for d, c, b in zip(by_rows, tops, border_tops)
-    ]
-    k = bound.bit_length() + 1
+            row_norms.append(norm)
+        norms.append(row_norms)
+        tops.append(top)
+    if bound is None:
+        squares, degrees = _bordered_bound(norms, tops, col_tops, t, r)
+    else:
+        squares, degrees = bound(norms, tops)
+    k = math.isqrt(squares).bit_length() + 1
     shift = {}
     stride = k
     for name, d in zip(names, degrees):
@@ -332,6 +328,46 @@ def _pack(
         for row in terms
     ]
     return a, lambda v: _unpack(v, k, names, degrees, scale)
+
+
+def _bordered_bound(
+    norms: List[List[int]], tops: List[List[int]], col_tops: List[List[int]], t: int, r: int
+) -> Tuple[int, List[int]]:
+    """``_pack``'s squared coefficient bound and degree bounds for one
+    matrix bordered by blocks of r columns, or with t x columns, from the
+    entry 1-norms and largest degrees by row and by column: the smaller of
+    the row side and the column side of each."""
+    width = len(col_tops)
+    lead = width - 2 * t
+    shared = len(norms) - r
+    col_squares = [0] * (width - t)
+    row_product = 1
+    for row in norms:
+        if t:
+            row = row[:lead] + [p + q for p, q in zip(row[lead : lead + t], row[lead + t :])]
+        squares = 0
+        for j, norm in enumerate(row):
+            square = norm * norm
+            squares += square
+            col_squares[j] += square
+        row_product *= squares
+    if t:
+        col_tops = col_tops[:lead] + [
+            [max(p, q) for p, q in zip(cp, cq)]
+            for cp, cq in zip(col_tops[lead : lead + t], col_tops[lead + t :])
+        ]
+    by_rows = [sum(c) for c in zip(*tops)]
+    columns = list(zip(*col_tops))
+    borders, border_tops = col_squares[shared:], [c[shared:] for c in columns]
+    if r > 1:
+        # Each border block enters the column bounds as one column.
+        borders = [math.prod(borders[j : j + r]) for j in range(0, len(borders), r)]
+        border_tops = [[sum(c[j : j + r]) for j in range(0, len(c), r)] for c in border_tops]
+    squares = min(row_product, math.prod(col_squares[:shared]) * max(borders))
+    degrees = [
+        min(d, sum(c[:shared]) + max(b)) for d, c, b in zip(by_rows, columns, border_tops)
+    ]
+    return squares, degrees
 
 
 def _integer_terms(v) -> Iterable[Tuple[tuple, int]]:
@@ -351,9 +387,11 @@ def _unpack(value: int, k: int, names: List[str], degrees: List[int], scale: int
     digits of one nonnegative integer below 2^(n k), which its binary
     string splits in linear time.  A value outside that range has something
     left over after the last digit, broke its bounds, and no polynomial is
-    returned for it.
+    returned for it.  Only the digits up to the value's top one are read:
+    a top digit m makes |value| at least 2^(m k) / 3, so m is at most
+    |value|.bit_length() // k + 1.
     """
-    n = math.prod(d + 1 for d in degrees)
+    n = min(math.prod(d + 1 for d in degrees), abs(value).bit_length() // k + 2)
     zero = "1" + "0" * (k - 1)
     value += int(zero * n, 2)
     if value < 0 or value.bit_length() > n * k:
@@ -374,9 +412,12 @@ def _unpack(value: int, k: int, names: List[str], degrees: List[int], scale: int
     return ParamPoly.from_integers(out, scale)
 
 
-def _bareiss(a: List[list], steps: int, prev: int = 1) -> Optional[Tuple[int, int]]:
+def _bareiss(
+    a: List[list], steps: int, prev: int = 1, start: int = 0
+) -> Optional[Tuple[int, int]]:
     """Eliminate the first ``steps`` columns of the integer rows ``a`` in
-    place, continuing from the pivot ``prev``.
+    place, continuing from the pivot ``prev``; with ``start`` > 0 the first
+    ``start`` steps were taken by an earlier call, which returned ``prev``.
 
     Step k replaces each entry below and right of the pivot by
     (pivot * a_ij - a_ik * a_kj) // previous pivot, a division that is
@@ -395,7 +436,7 @@ def _bareiss(a: List[list], steps: int, prev: int = 1) -> Optional[Tuple[int, in
     n = len(a)
     width = len(a[0]) if a else 0
     sign = 1
-    for k in range(steps):
+    for k in range(start, steps):
         if not a[k][k]:
             p = next((i for i in range(k + 1, n) if a[i][k]), None)
             if p is None:
@@ -613,13 +654,23 @@ def det_in_x(p: List[list], q: List[list], free: List[list], den: Scalar = 1) ->
     sign, prev = done
     if t * u % 2:
         sign = -sign
-    lin = [(row[u : u + t], row[u + t :]) for row in a[u:]]
+    values = _in_x([(row[u : u + t], row[u + t :]) for row in a[u:]], prev)
+    return _polynomial([sign * v for v in values], scale, unpack, den)
+
+
+def _in_x(lin: List[Tuple[list, list]], prev: int) -> List[int]:
+    """The t+1 coefficients in x of the determinant that an elimination
+    with last pivot ``prev`` leaves in the t x t block x p_k - q_k, given
+    as the pairs (p_k, q_k) of ``lin``: the block is finished by
+    ``_bareiss`` at x = 0, 1, ..., t, and the node values are interpolated
+    in Newton form and expanded by Horner's rule, all in integers."""
+    t = len(lin)
     diffs = []
     for c in range(t + 1):
         block = [[c * x - y for x, y in zip(pr, qr)] for pr, qr in lin]
         node = _bareiss(block, t, prev)
-        diffs.append(sign * node[0] * node[1] if node else 0)
-    # The node values are values of det M(x), a polynomial in x with
+        diffs.append(node[0] * node[1] if node else 0)
+    # The node values are values of the determinant, a polynomial in x with
     # coefficients in Z[params], scaled by the row scales and packed, so of
     # a polynomial in x with integer coefficients.  Every divided difference
     # over nodes one apart is then an integer, Stirling numbers times those
@@ -631,5 +682,109 @@ def det_in_x(p: List[list], q: List[list], free: List[list], den: Scalar = 1) ->
     out = [diffs[t]]
     for k in range(t - 1, -1, -1):
         out = [diffs[k] - k * out[0]] + [lo - k * hi for lo, hi in zip(out, out[1:])] + [out[-1]]
-    return _polynomial(out, scale, unpack, den)
+    return out
 
+
+def det_orders(
+    bottom: List[list],
+    top: List[list],
+    dens: Dict[int, Scalar],
+    borders: Optional[List[int]] = None,
+    c: int = 1,
+) -> Dict[int, UniPoly]:
+    """det(M_t) / dens[t] as a polynomial in x for each order t in
+    ``dens``, all from one elimination.  With w the width of the rows, M_t
+    is the first w - t rows of ``bottom`` on top of
+
+    - with ``borders``, the rows ``top`` 0..t, bordered by the column
+      sum_k x^k borders[k] e_k, zero on the bottom rows;
+    - without, the t rows x c top_k - top_(k+1), k < t.
+
+    Each M_t is square, and a lower order takes more bottom rows and fewer
+    top rows, so the matrices are nested.  The rows are taken as columns
+    (packed by ``_pack`` when an entry is a ``ParamPoly``, within the
+    bounds of ``_orders_bound``), and one ``_bareiss`` elimination,
+    resumed order by order, takes the bottom rows in order as pivots, each
+    in the first column left where it is nonzero; a swap of columns flips
+    the sign.  After the w - t pivots of M_t, the top rows 0..t hold, on
+    the t columns left, the minors that the rest of the elimination of M_t
+    would see, so M_t is finished from them and the last pivot alone
+    (Sylvester's identity, as in ``_dets``).  A border entry is borders[k]
+    times that pivot, as the bottom rows are zero in the border, so the
+    border is never carried: the t + 1 coefficients, one border entry
+    each, come from one more ``_bareiss`` of t steps.  The x rows are
+    finished at x = 0, ..., t by ``_in_x``.  Lower orders read fewer top
+    rows, and only those are carried on.  A bottom row with no nonzero
+    entry left makes every lower order 0.  Each ``dens[t]`` must divide
+    det(M_t) exactly, as in ``det_bordered``.  The rows must be integral,
+    ints or ``ParamPoly``s with integer coefficients: the orders take
+    different rows, so no row scale could be divided back for all of them.
+    """
+    width, nb = len(top[0]), len(bottom)
+    orders = sorted(dens, reverse=True)
+    a, scale, unpack = _integers(
+        bottom + top, bound=_orders_bound(nb, width, orders, borders, c)
+    )
+    cols = [list(col) for col in zip(*a)]
+    out = {t: UniPoly.zero() for t in reversed(orders)}
+    sign, prev, done = 1, 1, 0
+    for i, t in enumerate(orders):
+        s = width - t
+        step = _bareiss(cols, s, prev, done)
+        if step is None:
+            break
+        sign, prev, done = sign * step[0], step[1], s
+        left = cols[s:]
+        if borders is None:
+            values = _in_x(
+                [
+                    ([c * row[nb + k] for row in left], [row[nb + k + 1] for row in left])
+                    for k in range(t)
+                ],
+                prev,
+            )
+        else:
+            block = [
+                [row[nb + k] for row in left] + [0] * k + [borders[k] * prev] + [0] * (t - k)
+                for k in range(t + 1)
+            ]
+            end = _bareiss(block, t, prev)
+            values = [end[0] * v for v in block[t][t:]] if end else [0] * (t + 1)
+        out[t] = _polynomial([sign * v for v in values], scale, unpack, dens[t])
+        if i + 1 < len(orders):
+            keep = nb + orders[i + 1] + 1
+            for row in cols:
+                del row[keep:]
+    return out
+
+
+def _orders_bound(
+    nb: int, width: int, orders: List[int], borders: Optional[List[int]], c: int
+) -> Bound:
+    """``_pack``'s bound for the determinants of ``det_orders``: the largest
+    over the orders of the row side of M_t, the product over its rows of
+    the summed squared entry 1-norms, and, for each parameter, the sum over
+    its rows of the largest degree.  A top row counts its border entry; an
+    x row x c top_k - top_(k+1) counts c |top_k| + |top_(k+1)| for an entry,
+    as over the unit torus in x, and the larger of the two degrees."""
+
+    def bound(norms: List[List[int]], tops: List[List[int]]) -> Tuple[int, List[int]]:
+        squares = [sum(n * n for n in row) for row in norms[:nb]]
+        if borders is None:
+            rows = [
+                sum((c * p + q) ** 2 for p, q in zip(pr, qr))
+                for pr, qr in zip(norms[nb:], norms[nb + 1 :])
+            ]
+            degs = [[max(p, q) for p, q in zip(dp, dq)] for dp, dq in zip(tops[nb:], tops[nb + 1 :])]
+        else:
+            rows = [sum(n * n for n in row) + b * b for row, b in zip(norms[nb:], borders)]
+            degs = tops[nb:]
+        most, degrees = 0, [0] * len(tops[0])
+        for t in orders:
+            s, used = width - t, t if borders is None else t + 1
+            most = max(most, math.prod(squares[:s]) * math.prod(rows[:used]))
+            sums = [sum(col) for col in zip(*tops[:s], *degs[:used])]
+            degrees = [max(d, e) for d, e in zip(degrees, sums)]
+        return most, degrees
+
+    return bound

@@ -12,24 +12,33 @@ polynomials behind two root sets A and B (total multiplicities d <= e):
 
 In ``compact`` and ``block`` only the border column depends on x, and it
 is sum_k x^k e_k over the unit columns of the top t+1 rows, so the
-coefficient of x^k is the cofactor of the border's entry in row k.
-``det_bordered`` takes all t+1 cofactors in one elimination of the x-free
-columns.  In ``wronskian-full`` x sits in t rows, row k being
-x V_k - V_(k+1) over A; that layout keeps the evaluation route as an
-independent check on the other two.  ``det_in_x`` eliminates the
-Vandermonde columns, free of x, once, finishes that elimination at
-x = 0, 1, ..., t from the t x t block left over, and interpolates.  x
-never enters the scalar domain, so roots may carry any parameter names.  Each
-coefficient is divided by the closed-form Vandermonde determinants, a
-division that is exact by construction.  The Vandermonde and Wronskian
-blocks come from each root set's one integral table (``confluent``), so
-every matrix is built of ints, or of integer-coefficient ``ParamPoly``s
-for parameter roots, with a known scale per row: q^k on Vandermonde row k
-of a set whose denominators have lcm q, its unit border entry included;
-l^k, l = lcm(q_A, q_B), on the rows that pair A with B; G q^(deg g + k) on
+coefficient of x^k is the cofactor of the border's entry in row k.  In
+``wronskian-full`` x sits in t rows, row k being x V_k - V_(k+1) over A;
+that layout keeps the evaluation route as an independent check on the
+other two.  x never enters the scalar domain, so roots may carry any
+parameter names.
+
+The matrices of one variant are nested across the orders.  With the
+x-free block at the bottom moved to the top, order t takes the first
+d - t (``compact``) or d + e - t rows of one fixed list, the Wronskian
+rows of g over A or the paired Vandermonde rows, and below them rows
+built from V_0..V_t of A.  So ``sres_roots_all`` gives every order from
+one elimination (``matrix.det_orders``): the bottom rows are pivots in
+turn, and after the pivots of order t the rows from V_0..V_t are all
+that is left to finish that order, the border by one more elimination
+of t steps, the x rows at x = 0, 1, ..., t and interpolated.
+``sres_roots`` is the call for one order.  Each coefficient is divided
+by the closed-form Vandermonde determinants, a division that is exact
+by construction.  The Vandermonde and Wronskian rows come from each root
+set's one integral table (``confluent``), so every matrix is built of
+ints, or of integer-coefficient ``ParamPoly``s for parameter roots, with
+a known scale per row: q^k on Vandermonde row k of a set whose
+denominators have lcm q, its unit border entry included; l^k,
+l = lcm(q_A, q_B), on the rows that pair A with B; G q^(deg g + k) on
 Wronskian row k, G the common denominator of g's coefficients; and
-q^(k+1) on both parts of row k of W(x - z, A).  The product of the row
-scales joins the Vandermonde determinants in the divisor ``den``.
+q^(k+1) on both parts of row k of W(x - z, A).  The product of the
+scales of the rows an order takes joins the Vandermonde determinants in
+its divisor.
 
 Two closed-form specializations avoid determinants entirely: the order
 d-1 subresultant is the Hermite interpolant of g on A, from the Taylor
@@ -42,7 +51,7 @@ differences of roots within A and refuse a division they cannot do exactly.
 from __future__ import annotations
 
 from math import lcm, prod
-from typing import Tuple
+from typing import Dict, Iterable, Optional
 
 from .confluent import (
     _pole_weights,
@@ -53,7 +62,7 @@ from .confluent import (
     vandermonde_det_closed,
 )
 from .errors import DomainError
-from .matrix import det_bordered, det_in_x
+from .matrix import det_orders
 from .rootsets import MultiRootSet, pairing_R, poly_from_roots
 from .scalar import Rat, _quotient
 from .subresultants import _check_t
@@ -63,77 +72,81 @@ VARIANTS = ("compact", "block", "wronskian-full")
 
 
 def sres_roots(a: MultiRootSet, b: MultiRootSet, t: int, variant: str = "compact") -> UniPoly:
-    """Order-t subresultant of the monic polynomials with roots A and B."""
+    """Order-t subresultant of the monic polynomials with roots A and B:
+    the one-order call of ``sres_roots_all``."""
+    return sres_roots_all(a, b, variant, (t,))[t]
+
+
+def sres_roots_all(
+    a: MultiRootSet,
+    b: MultiRootSet,
+    variant: str = "compact",
+    orders: Optional[Iterable[int]] = None,
+) -> Dict[int, UniPoly]:
+    """Subresultants of the monic polynomials with roots A and B, by order,
+    for each t in ``orders`` (by default every t that ``_check_t`` allows),
+    all from one layout of the variant and one elimination (``det_orders``).
+
+    The bottom rows come first: the Wronskian rows of g over A for
+    ``compact`` (w = d columns), the paired Vandermonde rows of A and B for
+    ``block`` and ``wronskian-full`` (w = d + e columns).  Order t takes
+    the first s = w - t of them and, from the Vandermonde rows V_0..V_t of
+    A, either the bordered rows or the t rows x V_k - V_(k+1) of
+    W(x - z, A).  Moving the s bottom rows above the others multiplies the
+    variant's sign by (-1)^(s (t+1)), or (-1)^(s t) for ``wronskian-full``.
+    The divisor is the Vandermonde determinants times the scales of the
+    rows that order takes.
+    """
     if variant not in VARIANTS:
         raise DomainError("unknown variant %r; pick one of %s" % (variant, ", ".join(VARIANTS)))
     d, e = a.total, b.total
-    _check_t(d, e, t)
+    orders = list(range(d + 1 if d < e else d) if orders is None else orders)
+    for t in orders:
+        _check_t(d, e, t)
+    if not orders:
+        return {}
+    low, high = min(orders), max(orders)
+    v, q = _vandermonde_rows(a, high + 1)
+    top = v[: high + 1]
     if variant == "compact":
-        return _sres_compact(a, b, t)
-    if variant == "block":
-        return _sres_block(a, b, t)
-    return _sres_wronskian_full(a, b, t)
-
-
-def _sres_compact(a: MultiRootSet, b: MultiRootSet, t: int) -> UniPoly:
-    d = a.total
-    v, q = _vandermonde_rows(a, t + 1)
-    w, scales = _wronskian_rows(poly_from_roots(b), a, d - t)
-    rows = [v[k] + _border(k, q**k, t) for k in range(t + 1)]
-    rows += [row + [0] * (t + 1) for row in w]
-    scale = prod(q**k for k in range(t + 1)) * prod(scales)
-    det = det_bordered(rows, vandermonde_det_closed(a) * scale)
-    return -det if (d - t) % 2 else det
-
-
-def _sres_block(a: MultiRootSet, b: MultiRootSet, t: int) -> UniPoly:
-    d, e = a.total, b.total
-    u = d + e - t
-    v, q = _vandermonde_rows(a, t + 1)
-    bottom, scale = _paired(a, b, u)
-    rows = [v[k] + [0] * e + _border(k, q**k, t) for k in range(t + 1)]
-    rows += [row + [0] * (t + 1) for row in bottom]
-    scale *= prod(q**k for k in range(t + 1))
-    det = det_bordered(rows, vandermonde_det_closed(a) * vandermonde_det_closed(b) * scale)
-    return -det if e % 2 or (d - t) % 2 else det
-
-
-def _border(k: int, s: int, t: int) -> list:
-    """Row k of the border columns e_0, ..., e_t, its unit scaled by s: the
-    border (1, x, ..., x^t, 0, ..., 0) is sum_k x^k e_k."""
-    return [0] * k + [s] + [0] * (t - k)
-
-
-def _paired(a: MultiRootSet, b: MultiRootSet, u: int) -> Tuple[list, int]:
-    """(rows, scale): rows k < u of the confluent Vandermonde blocks of A
-    and B side by side, row k scaled by l^k, l the lcm of the two tables'
-    q, and the product of these row scales."""
-    va, qa = _vandermonde_rows(a, u)
-    vb, qb = _vandermonde_rows(b, u)
-    l = lcm(qa, qb)
-    ra, rb = l // qa, l // qb
-    # A table row is shared: it is taken as it is where its scale is 1.
-    rows = [
-        (va[k] if ra == 1 else [ra**k * x for x in va[k]])
-        + (vb[k] if rb == 1 else [rb**k * x for x in vb[k]])
-        for k in range(u)
-    ]
-    return rows, prod(l**k for k in range(u))
-
-
-def _sres_wronskian_full(a: MultiRootSet, b: MultiRootSet, t: int) -> UniPoly:
-    d, e = a.total, b.total
-    u = d + e - t
-    v, q = _vandermonde_rows(a, t + 1)
-    bottom, scale = _paired(a, b, u)
-    zero_b = [0] * e
-    # Row k of W(x - z, A) is x V_k - V_(k+1), as z^k (x - z) = x z^k - z^(k+1);
-    # both parts share the row scale q^(k+1).
-    p = [[q * x for x in v[k]] + zero_b for k in range(t)]
-    r = [v[k + 1] + zero_b for k in range(t)]
-    scale *= prod(q ** (k + 1) for k in range(t))
-    det = det_in_x(p, r, bottom, vandermonde_det_closed(a) * vandermonde_det_closed(b) * scale)
-    return -det if ((d - t) * e) % 2 else det
+        w = d
+        bottom, scales = _wronskian_rows(poly_from_roots(b), a, w - low)
+        vdet = vandermonde_det_closed(a)
+    else:
+        w = d + e
+        va, qa = _vandermonde_rows(a, w - low)
+        vb, qb = _vandermonde_rows(b, w - low)
+        l = lcm(qa, qb)
+        ra, rb = l // qa, l // qb
+        # Row k pairs V_k of A and of B, scaled by l^k.  A table row is
+        # shared: it is taken as it is where its scale is 1.
+        bottom = [
+            (va[k] if ra == 1 else [ra**k * x for x in va[k]])
+            + (vb[k] if rb == 1 else [rb**k * x for x in vb[k]])
+            for k in range(w - low)
+        ]
+        scales = [l**k for k in range(w - low)]
+        top = [row + [0] * e for row in top]
+        vdet = vandermonde_det_closed(a) * vandermonde_det_closed(b)
+    dens = {}
+    for t in orders:
+        s = w - t
+        # The variant's sign, then the sign of moving the s bottom rows up.
+        if variant == "wronskian-full":
+            # Row k of W(x - z, A) is x V_k - V_(k+1), as z^k (x - z) = x z^k -
+            # z^(k+1); both parts share the row scale q^(k+1).
+            flip = ((d - t) * e + s * t) % 2
+            scale = prod(q ** (k + 1) for k in range(t))
+        else:
+            # Row k of the border (1, x, ..., x^t) shares the row scale q^k.
+            own = (d - t) % 2 or (variant == "block" and e % 2)
+            flip = bool(own) != bool(s * (t + 1) % 2)
+            scale = prod(q**k for k in range(t + 1))
+        den = vdet * scale * prod(scales[:s])
+        dens[t] = -den if flip else den
+    if variant == "wronskian-full":
+        return det_orders(bottom, top, dens, c=q)
+    return det_orders(bottom, top, dens, borders=[q**k for k in range(high + 1)])
 
 
 def sres_dm1_hermite(a: MultiRootSet, b: MultiRootSet) -> UniPoly:

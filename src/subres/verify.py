@@ -25,7 +25,7 @@ from .mv.duality import _values, assemble_dual_basis, inverse_system
 from .mv.hilbert import build_monomial_sets
 from .mv.macaulay import _divide_out, extraneous_factor, macaulay_matrix
 from .mv.poisson import poisson_delta
-from .roots_formulas import VARIANTS, sres_dm1_hermite, sres_one, sres_roots
+from .roots_formulas import VARIANTS, sres_dm1_hermite, sres_one, sres_roots_all
 from .rootsets import MultiRootSet, pairing_R, poly_from_roots
 from .scalar import Rat, _quotient
 from .serialize import SystemDocument
@@ -101,13 +101,14 @@ def univariate_checks(a: MultiRootSet, b: MultiRootSet) -> List[Check]:
     f, g = poly_from_roots(a), poly_from_roots(b)
     checks: List[Check] = []
     coeff_side = {t: sres_coeff(f, g, t) for t in _valid_t_range(d, e)}
+    root_side = {variant: sres_roots_all(a, b, variant) for variant in VARIANTS}
 
     for t, want in coeff_side.items():
         for variant in VARIANTS:
             _match(
                 checks,
                 "t=%d %s matches coefficient determinant" % (t, variant),
-                sres_roots(a, b, t, variant),
+                root_side[variant][t],
                 want,
             )
 

@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 
 from conftest import rationals
 from parity import BROKEN_DUAL_SYSTEM
-from run_crosschecks import BUNDLED_SYSTEM
+from run_crosschecks import BUNDLED_SYSTEM, SHARED_RATIONAL_PAIR, SHARED_SYMBOLIC_PAIR
 from subres import MultiRootSet, Rat, UniPoly, __version__, param, wronskian_det_closed
 from subres import cli
 from subres.cli import _build_parser, main
 from subres.mv.hilbert import hilbert_function
-from subres.roots_formulas import VARIANTS, sres_one
-from subres.serialize import scalar_to_str, unipoly_to_json
+from subres.roots_formulas import VARIANTS, sres_one, sres_roots_all
+from subres.serialize import parse_rootset, scalar_to_str, unipoly_to_json
 
 
 def run(capsys, argv):
@@ -77,6 +77,38 @@ class TestUnivariateCommands:
                 ["roots", "--A", "[[1,2]]", "--B", "[[0,3]]", "-t", "1", "--variant", variant],
             )
             assert got == ["-2", "3"]
+
+    @pytest.mark.parametrize("pair", [SHARED_RATIONAL_PAIR, SHARED_SYMBOLIC_PAIR])
+    def test_roots_one_order_is_an_entry_of_all_orders(self, capsys, pair):
+        a, b = map(parse_rootset, pair)
+        d, e = a.total, b.total
+        ab = ["--A", json.dumps(pair[0]), "--B", json.dumps(pair[1])]
+        for variant in VARIANTS:
+            every = sres_roots_all(a, b, variant)
+            assert list(every) == list(range(d + 1 if d < e else d))
+            for t, want in every.items():
+                argv = ["roots"] + ab + ["-t", str(t), "--variant", variant]
+                assert out_json(capsys, argv) == unipoly_to_json(want)
+
+    @pytest.mark.parametrize(
+        "a, t, message",
+        [
+            ("[[1,2]]", "2", "error: t = deg f = deg g is outside the defined range\n"),
+            ("[[1,2]]", "3", "error: need 0 <= t <= deg f <= deg g, got t=3 d=2 e=2\n"),
+            ("[[1,3]]", "0", "error: need 0 <= t <= deg f <= deg g, got t=0 d=3 e=2\n"),
+            ("[[1,2]]", "-1", "error: order t must be a nonnegative int\n"),
+        ],
+    )
+    def test_roots_order_out_of_range_exit_two(self, capsys, a, t, message):
+        for variant in VARIANTS:
+            argv = ["roots", "--A", a, "--B", "[[0,2]]", "-t", t, "--variant", variant]
+            assert run(capsys, argv) == (2, "", message)
+
+    def test_roots_unknown_variant_exit_two(self, capsys):
+        with pytest.raises(SystemExit) as ex:
+            main(["roots", "--A", "[[1,1]]", "--B", "[[0,2]]", "-t", "0", "--variant", "fancy"])
+        assert ex.value.code == 2
+        assert "argument --variant: invalid choice: 'fancy'" in capsys.readouterr().err
 
     def test_hermite(self, capsys):
         got = out_json(capsys, ["hermite", "--A", "[[1,2]]", "--B", "[[0,3]]"])

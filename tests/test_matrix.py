@@ -27,7 +27,15 @@ from subres import (
 )
 from subres import matrix
 from subres.confluent import vandermonde_det_closed, wronskian, wronskian_det_closed
-from subres.matrix import _GaussJordan, _kernel, _unpack, det_bordered, det_in_x, reduced_echelon
+from subres.matrix import (
+    _GaussJordan,
+    _kernel,
+    _unpack,
+    det_bordered,
+    det_in_x,
+    det_orders,
+    reduced_echelon,
+)
 from subres.rootsets import MultiRootSet
 
 
@@ -687,6 +695,73 @@ class TestDetInX:
         p1 = [[Rat(0)] + row for row in p]
         q1 = [[Rat(0)] + row for row in q]
         assert det_in_x(p1, q1, free) == (-1) ** t * want
+
+
+class TestDetOrders:
+    """``det_orders`` against the cofactor expansion of each order's matrix,
+    built whole: the first w - t bottom rows on top of the bordered top
+    rows 0..t, or of the x rows x c top_k - top_(k+1), k < t."""
+
+    @staticmethod
+    def whole(bottom, top, t, borders=None, c=1):
+        rows = [[UniPoly([v]) for v in row] for row in bottom[: len(top[0]) - t]]
+        if borders is None:
+            rows += [
+                [UniPoly([-y, c * x]) for x, y in zip(top[k], top[k + 1])] for k in range(t)
+            ]
+            return det_cofactor(rows)
+        rows = [row + [UniPoly.zero()] for row in rows]
+        rows += [
+            [UniPoly([v]) for v in top[k]] + [UniPoly([0] * k + [borders[k]])]
+            for k in range(t + 1)
+        ]
+        return det_cofactor(rows)
+
+    @staticmethod
+    def layout(draw_entry, w, bordered):
+        bottom = [[draw_entry() for _ in range(w)] for _ in range(w)]
+        top = [[draw_entry() for _ in range(w)] for _ in range(w + 1)]
+        return bottom, top, ([draw_entry.border() for _ in range(w + 1)] if bordered else None)
+
+    @pytest.mark.parametrize("bordered", [True, False])
+    def test_integer_rows_with_zeros_match_cofactor_oracle(self, bordered):
+        # Entries are 0 half the time, so pivots are swapped for and bottom
+        # rows run out: every lower order is then 0.
+        rng = random.Random(1968)
+        for _ in range(40):
+            w = rng.randint(1, 4)
+
+            def entry():
+                return rng.choice([0, 0, 0, 1, -1, 2, -3])
+
+            entry.border = lambda: rng.choice([1, 2, 3])
+            bottom, top, borders = self.layout(entry, w, bordered)
+            orders = sorted(rng.sample(range(w + 1), rng.randint(1, w + 1)))
+            c = rng.choice([1, 2])
+            got = det_orders(bottom, top, {t: 1 for t in orders}, borders, c)
+            assert got == {t: self.whole(bottom, top, t, borders, c) for t in orders}
+
+    @pytest.mark.parametrize("bordered", [True, False])
+    @given(st.integers(1, 3), st.data())
+    def test_parameter_rows_match_cofactor_oracle(self, bordered, w, data):
+        def entry():
+            return data.draw(st.one_of(st.just(0), integer_param_polys()))
+
+        entry.border = lambda: data.draw(st.sampled_from([1, 3, 9]))
+        bottom, top, borders = self.layout(entry, w, bordered)
+        got = det_orders(bottom, top, {t: 1 for t in range(w + 1)}, borders, 3)
+        assert got == {t: self.whole(bottom, top, t, borders, 3) for t in range(w + 1)}
+
+    def test_divisors_and_an_empty_bottom(self):
+        a = param("a")
+        bottom, top, borders = [[2, 0], [a, 1]], [[a, 1], [1, a], [a + 1, 0]], [1, 2, 4]
+        want = {t: self.whole(bottom, top, t, borders) for t in range(3)}
+        # The first bottom row times a + 1; orders 0 and 1 take it.
+        scaled = [[2 * a + 2, 0], bottom[1]]
+        dens = {0: (a + 1) * 3, 1: (a + 1) * Rat(-1, 2), 2: Rat(5)}
+        got = det_orders(scaled, top, dens, borders)
+        assert got == {0: want[0] * Rat(1, 3), 1: want[1] * Rat(-2), 2: want[2] * Rat(1, 5)}
+        assert det_orders([], top, {2: 1}, borders) == {2: want[2]}
 
 
 class TestStructure:

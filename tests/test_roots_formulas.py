@@ -1,6 +1,7 @@
 """Root-side subresultant formulas against the coefficient-side oracle."""
 
 import random
+from collections import Counter
 from itertools import product as iproduct
 from math import comb
 
@@ -20,6 +21,7 @@ from subres import (
     sres_dm1_hermite,
     sres_one,
     sres_roots,
+    sres_roots_all,
     taylor_coeff,
 )
 from subres import matrix
@@ -117,6 +119,108 @@ class TestSresRoots:
             want = sres_coeff(f, g, t)
             for variant in VARIANTS:
                 assert sres_roots(a, b, t, variant) == want
+
+
+ALPHA, BETA = param("a"), param("b")
+
+
+def valid_orders(a, b):
+    d, e = a.total, b.total
+    return range(d + 1 if d < e else d)
+
+
+def shared_pairs(seed, count):
+    """Seeded rational pairs (A, B), d <= e, of roots with denominators up
+    to 4 and multiplicities up to 2: A has a root at 0, and B shares one of
+    the roots of A."""
+    rng = random.Random(seed)
+    pool = sorted({Rat(n, q) for n in range(-4, 5) for q in range(1, 5)} - {Rat(0)})
+    pairs = []
+    for _ in range(count):
+        roots_a = [Rat(0)] + rng.sample(pool, rng.randint(0, 2))
+        roots_b = [rng.choice(roots_a)]
+        roots_b += rng.sample([r for r in pool if r not in roots_a], rng.randint(0, 2))
+        a, b = (MultiRootSet([(r, rng.randint(1, 2)) for r in rs]) for rs in (roots_a, roots_b))
+        pairs.append((a, b) if a.total <= b.total else (b, a))
+    return pairs
+
+
+class TestAllOrders:
+    """``sres_roots_all``: every order of a variant from one elimination,
+    against the oracle that rebuilds each order's matrix at x = 0..t."""
+
+    @staticmethod
+    def branches(monkeypatch):
+        """Counts of the shared elimination's column swaps and zero exits:
+        its ``_bareiss`` calls are the ones that resume from a step, and a
+        swap there exchanges two rows of the transposed layout."""
+        seen = Counter()
+        bareiss = matrix._bareiss
+
+        def spy(*args):
+            if len(args) < 4:
+                return bareiss(*args)
+            rows = list(map(id, args[0]))
+            got = bareiss(*args)
+            if got is None:
+                seen["zero"] += 1
+            elif rows != list(map(id, args[0])):
+                seen["swap"] += 1
+            return got
+
+        monkeypatch.setattr(matrix, "_bareiss", spy)
+        return seen
+
+    @staticmethod
+    def assert_matches_oracle(a, b):
+        for variant in VARIANTS:
+            want = {t: sres_roots_interpolated(a, b, t, variant) for t in valid_orders(a, b)}
+            assert sres_roots_all(a, b, variant) == want
+
+    def test_rational_pairs_sharing_a_root(self, monkeypatch):
+        seen = self.branches(monkeypatch)
+        for a, b in shared_pairs(5, 12):
+            self.assert_matches_oracle(a, b)
+        assert seen["swap"] and seen["zero"]
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([(ALPHA, 2), (ALPHA + 1, 1)], [(ALPHA, 1), (BETA, 2)]),
+            ([(ALPHA, 1), (ALPHA + 2, 1)], [(ALPHA, 2), (ALPHA - 1, 1)]),
+            ([(ALPHA + 1, 2)], [(ALPHA + 1, 1), (ALPHA, 2), (ALPHA - 3, 1)]),
+        ],
+    )
+    def test_parameter_clusters_sharing_a_root(self, monkeypatch, a, b):
+        seen = self.branches(monkeypatch)
+        self.assert_matches_oracle(MultiRootSet(a), MultiRootSet(b))
+        assert seen["swap"] and seen["zero"]
+
+    def test_extremal_pair(self):
+        a, b = MultiRootSet([(ALPHA, 3)]), MultiRootSet([(BETA, 4)])
+        self.assert_matches_oracle(a, b)
+        want = [extremal_sres(ALPHA, BETA, 3, 4, t) for t in range(3)] + [poly_from_roots(a)]
+        for variant in VARIANTS:
+            assert list(sres_roots_all(a, b, variant).values()) == want
+
+    def test_any_set_of_orders_reads_the_same_entries(self):
+        a, b = rs((0, 2), (Rat(1, 2), 1)), rs((0, 1), (Rat(1, 2), 2), (Rat(-3, 4), 1))
+        for variant in VARIANTS:
+            every = sres_roots_all(a, b, variant)
+            assert list(every) == list(valid_orders(a, b))
+            assert sres_roots_all(a, b, variant, [2, 0, 2]) == {0: every[0], 2: every[2]}
+            assert sres_roots_all(a, b, variant, []) == {}
+
+    def test_refusals_keep_their_messages(self):
+        a, b = rs((1, 2)), rs((0, 2))
+        with pytest.raises(DomainError, match="^unknown variant 'fancy'; pick one of compact, "):
+            sres_roots_all(a, b, "fancy")
+        with pytest.raises(DomainError, match="^t = deg f = deg g is outside the defined range$"):
+            sres_roots_all(a, b, "block", [0, 2])
+        with pytest.raises(DomainError, match=r"^need 0 <= t <= deg f <= deg g, got t=0 d=3 e=2$"):
+            sres_roots_all(rs((1, 3)), b)
+        with pytest.raises(DomainError, match="^order t must be a nonnegative int$"):
+            sres_roots_all(a, b, "compact", [-1])
 
 
 @st.composite
