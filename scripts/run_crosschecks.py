@@ -5,8 +5,9 @@ Draws random multiple-root pairs, runs every coefficient-side vs root-side
 comparison the preconditions allow, replays a few fixed symbolic pairs
 (roots a+k against b+k or against integers, and a triple root a against
 a quadruple root b, so the determinants carry parameter entries and run
-through the packed integer kernel) and one fixed rational pair whose
-roots have denominators 7, 9 and 11, and two pairs that share a root, one
+through the packed integer kernel), two fixed rational pairs whose
+roots have denominators 7, 9 and 11, and 5, 7 and 11 with every root
+multiple, and two pairs that share a root, one
 rational and one symbolic, then replays six bundled
 two-variable systems through the document-level battery: the
 circle-line example, whose dual basis is given, a grid system with one
@@ -50,6 +51,12 @@ SYMBOLIC_PAIRS = (
 # and the paired rows by lcm 693.  Under gmpy2 the roots are mpq, so the
 # tables are built from int() of their mpz parts.
 FINE_PAIR = ([["1/7", 3], ["-2/9", 1]], [["5/11", 2], ["-3/7", 1], ["4/9", 3]])
+
+# Multiple roots with coprime denominators 5 and 7 against 11 and 1: each
+# set's q exceeds its roots' own denominators, and the closed forms that
+# read both sets (the resultant product, the order-1 pole formula) run on
+# numerators over q = 385.
+COPRIME_PAIR = ([["1/5", 3], ["-2/7", 2]], [["3/11", 2], ["4", 3]])
 
 # Pairs that share roots, so that the one elimination behind each root-side
 # layout meets a zero where it wants a pivot and swaps columns, and meets a
@@ -298,7 +305,7 @@ def main(argv=None):
             if not check.ok:
                 failures.append(("pair %d: %s vs %s" % (i, a, b), check))
     symbolic = SYMBOLIC_PAIRS + (SHARED_SYMBOLIC_PAIR,)
-    rational = (FINE_PAIR, SHARED_RATIONAL_PAIR)
+    rational = (FINE_PAIR, COPRIME_PAIR, SHARED_RATIONAL_PAIR)
     for a_doc, b_doc in symbolic + rational:
         for check in univariate_checks(parse_rootset(a_doc), parse_rootset(b_doc)):
             total += 1

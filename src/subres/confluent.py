@@ -7,12 +7,12 @@ polynomial.  What depends on a root set alone is derived once and kept in
 the set's store (``MultiRootSet._once``): the integral confluent
 Vandermonde table, from which every Vandermonde or Wronskian matrix of
 the set is read; the closed-form Vandermonde determinant, a product of
-root differences (``rootsets.pairing_R``); per root
-alpha_i, the product f_i of the other roots' factors, its value
-f_i(alpha_i) and the chain (x - alpha_i)^k f_i, k < d_i; and the Hermite
-basis, built from that chain.  The basis and the order-1 pole formula
-(``roots_formulas``) take their pole weights from one truncated product
-of per-slot series, in any slot order (``_pole_weights``).
+root differences (``rootsets._difference_product``); per root alpha_i,
+the chain (x - alpha_i)^k f_i, k < d_i, f_i the product of the other
+roots' factors; and the Hermite basis, built from that chain.  The basis
+and the order-1 pole formula (``roots_formulas``) take their pole
+weights from one truncated product of per-slot series, in any slot order
+(``_pole_weights``).
 
 The table has no rational entries.  With q the lcm of the roots'
 denominators (a ``ParamPoly`` root has one), its row k is q^k V_k, ints
@@ -30,17 +30,30 @@ from: by the Hermite route (``roots_formulas``) for g, by
 once at the end; ``confluent_inverse_holds`` compares them with their
 scales, and divides them back only to show a product that is not the
 identity (``_inverse_mismatch``).
+
+The closed forms run on integer numerators too.  Each reads the roots
+once as numerators over one common denominator q (``_numerators``, or
+the table's own), forms its products and series in ints, or in
+integer-coefficient ``ParamPoly``s for parameter roots, and divides once
+per value it returns: the root-difference products once per product,
+the pole weights once per weight (``_pole_numerators`` gives them over
+one denominator), ``wronskian_det_closed`` once for the product of the
+h(alpha_i)^(d_i), and the Hermite basis and interpolant once per
+polynomial, summing numerators over the lcm of the denominators
+(``UniPoly.from_integers``).  With p = -d_l on the other roots the
+weights are the Taylor coefficients of 1/f_i themselves, so the basis
+never divides by f_i(alpha_i) on its own.
 """
 
 from __future__ import annotations
 
-from math import comb, prod
+from math import comb, lcm, prod
 from typing import Mapping, Optional, Tuple
 
 from .errors import DomainError
 from .matrix import ExactMatrix, det_exact
-from .rootsets import MultiRootSet, _monic, pairing_R
-from .scalar import ParamPoly, Rat, Scalar, _numerators, _quotient
+from .rootsets import MultiRootSet, _difference_product, _monic
+from .scalar import Rat, Scalar, _numerators, _quotient
 from .unipoly import UniPoly
 
 
@@ -98,10 +111,9 @@ def vandermonde_det_closed(a: MultiRootSet) -> Scalar:
 
 
 def _vandermonde_det(a: MultiRootSet) -> Scalar:
-    """The product over j of ``pairing_R`` of root j against the roots
-    before it."""
-    pairs = a.pairs
-    return prod(pairing_R(pairs[j : j + 1], pairs[:j]) for j in range(len(pairs)))
+    """The root-difference product (``rootsets._difference_product``) over
+    every root j against the roots before it."""
+    return _difference_product(a.pairs, [(j, i) for j in range(a.m) for i in range(j)])
 
 
 def wronskian(h: UniPoly, a: MultiRootSet, u: int) -> ExactMatrix:
@@ -161,8 +173,24 @@ def wronskian_det(h: UniPoly, a: MultiRootSet) -> Scalar:
 
 
 def wronskian_det_closed(h: UniPoly, a: MultiRootSet) -> Scalar:
-    """Closed form for the square case u = d: det V(A) times prod h(alpha_i)^d_i."""
-    return vandermonde_det_closed(a) * prod(h(alpha) ** d for alpha, d in a)
+    """Closed form for the square case u = d: det V(A) times prod h(alpha_i)^d_i.
+
+    With h = sum_k g_k x^k / G of degree n and the roots x_i / q read from
+    the set's table, h(alpha_i) is H_i = sum_k g_k x_i^k q^(n-k) over
+    G q^n, so the product is that of the H_i^(d_i), divided once by
+    (G q^n)^d.
+    """
+    g, big = h.numerators, h.denominator
+    n = max(len(g) - 1, 0)
+    _, q, roots = a._once("vandermonde", _new_table)
+    coeffs = [c * q ** (n - k) for k, c in enumerate(g)]
+    acc = 1
+    for x, d in roots:
+        v = 0
+        for c in reversed(coeffs):
+            v = v * x + c
+        acc = acc * v**d
+    return vandermonde_det_closed(a) * _quotient(acc, (big * q**n) ** a.total)
 
 
 def fiki(a: MultiRootSet, i: int, k: int) -> UniPoly:
@@ -171,24 +199,33 @@ def fiki(a: MultiRootSet, i: int, k: int) -> UniPoly:
         raise DomainError("root index i out of range (1-based)")
     if not isinstance(k, int) or not 0 <= k < a.pairs[i - 1][1]:
         raise DomainError("shift order k must satisfy 0 <= k < d_i")
-    return _root(a, i)[1][k]
+    return _root(a, i)[k]
 
 
-def _root(a: MultiRootSet, i: int) -> tuple:
-    """(f_i(alpha_i), [f_i, (x - alpha_i) f_i, ..., (x - alpha_i)^(d_i-1) f_i])
-    for the 1-based root i, with f_i = prod_{j != i} (x - alpha_j)^(d_j);
-    built once per set."""
+def _root(a: MultiRootSet, i: int) -> list:
+    """[f_i, (x - alpha_i) f_i, ..., (x - alpha_i)^(d_i-1) f_i] for the
+    1-based root i, with f_i = prod_{j != i} (x - alpha_j)^(d_j); built
+    once per set."""
     return a._once(("root", i), _root_chain, i)
 
 
-def _root_chain(a: MultiRootSet, i: int) -> tuple:
+def _root_chain(a: MultiRootSet, i: int) -> list:
     alpha_i, d_i = a.pairs[i - 1]
-    f = _monic(a.pairs[: i - 1] + a.pairs[i:])
-    chain = [f]
+    chain = [_monic(a.pairs[: i - 1] + a.pairs[i:])]
     step = UniPoly.root_factor(alpha_i)
     while len(chain) < d_i:
         chain.append(chain[-1] * step)
-    return f(alpha_i), chain
+    return chain
+
+
+def _refusal(formula: str, a: MultiRootSet, i: int) -> DomainError:
+    """The error of a closed form that cannot divide exactly by
+    f_i(alpha_i): parameter roots of A that differ by a non-constant."""
+    alpha_i = a.pairs[i - 1][0]
+    return DomainError(
+        "the %s divides by f_%d(%s) = %s; the roots within a set must differ "
+        "by constants" % (formula, i, alpha_i, _root(a, i)[0](alpha_i))
+    )
 
 
 def _pole_weights(alpha: Scalar, slots, n: int) -> list:
@@ -196,29 +233,48 @@ def _pole_weights(alpha: Scalar, slots, n: int) -> list:
     (gamma, m, p) of sum_j s_j y^j, s_j = C(m-1+j, j) (alpha - gamma)^(p-j),
     that is the sum over compositions (k_l) of k of prod_l C(m_l-1+k_l, k_l)
     (alpha - gamma_l)^(p_l-k_l).  With every p = 0, w_k is (-1)^k F(alpha)
-    times the coefficient of (x - alpha)^k in 1/F, F = prod_l (x - gamma_l)^m_l.
+    times the coefficient of (x - alpha)^k in 1/F, F = prod_l (x - gamma_l)^m_l;
+    with every p = -m, it is (-1)^k times that coefficient itself.
 
-    Each slot's series is taken times (alpha - gamma)^(t-p), t = max(p, n-1),
-    so that it never divides; their product, truncated below y^n and folded
-    in any slot order, is divided once per weight by the product of those
-    powers, exactly whenever the weight is a polynomial in the parameters.
+    alpha and the gammas are read once, as numerators over one q
+    (``_numerators``), the product runs on them (``_pole_numerators``) and
+    each weight is one division.
     """
-    w = [Rat(1)] + [Rat(0)] * (n - 1)
-    den: Scalar = Rat(1)
-    for gamma, m, p in slots:
-        diff = alpha - gamma
+    nums, q = _numerators([alpha] + [gamma for gamma, _, _ in slots])
+    diffs = [(nums[0] - x, m, p) for x, (_, m, p) in zip(nums[1:], slots)]
+    num, den = _pole_numerators(diffs, q, n)
+    return [_quotient(v, den) for v in num]
+
+
+def _pole_numerators(slots, q: int, n: int) -> Tuple[list, Scalar]:
+    """(num, den) with w_k = num[k] / den for k < n, the pole weights of
+    ``_pole_weights`` on integers.  Each slot is (D, m, p) with
+    D = q (alpha - gamma), an int or an integer-coefficient ``ParamPoly``.
+
+    A slot's series is taken times q^t (alpha - gamma)^(t-p), t = max(p,
+    n-1), and its term at y^j times q^-j, which leaves C(m-1+j, j) D^(t-j):
+    never a division.  Every term of the product at y^k has lost q^k in
+    all, so the product, truncated below y^n and folded in any slot order,
+    is c_k = w_k q^(P-k) prod D^(t-p) at y^k, P = sum p.  So num[k] is
+    c_k q^(k-l) and den is q^(P-l) prod D^(t-p), l = min(P, 0), an int or
+    a ``ParamPoly``; the division is exact whenever the weight is a
+    polynomial in the parameters.
+    """
+    w = [1] + [0] * (n - 1)
+    den, power = 1, 0
+    for diff, m, p in slots:
         top = max(p, n - 1)
+        power += p
         if top > p:
             den = den * diff ** (top - p)
-        s = [comb(m - 1 + j, j) for j in range(n)]
-        for j in range(min(top, n)):
-            s[j] = s[j] * diff ** (top - j)
+        s = [comb(m - 1 + j, j) * diff ** (top - j) for j in range(n)]
         for k in range(n - 1, -1, -1):
             acc = w[k] * s[0]
             for j in range(1, k + 1):
                 acc = acc + w[k - j] * s[j]
             w[k] = acc
-    return [v / den for v in w]
+    low = min(power, 0)
+    return [v * q ** (k - low) for k, v in enumerate(w)], den * q ** (power - low)
 
 
 def basic_hermite(a: MultiRootSet, i: int, j: int) -> UniPoly:
@@ -243,33 +299,41 @@ def _hermite_row(a: MultiRootSet, i: int) -> list:
 
 
 def _hermite_basis(a: MultiRootSet, i: int) -> list:
-    """Basis polynomial (i, j) is sum_k (-1)^k w_k (x-alpha_i)^(j+k) f_i / f_i(alpha_i)
+    """Basis polynomial (i, j) is sum_k (-1)^k w_k (x-alpha_i)^(j+k) f_i
     over k < d_i - j, w_k the pole weights of alpha_i over the other roots
-    (``_pole_weights``, p = 0): f_i times the expansion of 1/f_i at alpha_i
-    truncated below order d_i - j.  Every term is read from the root's one
-    chain of (x - alpha_i) multiples of f_i.
+    with p = -d_l (``_pole_weights``), (-1)^k w_k being the coefficient
+    of (x - alpha_i)^k in 1/f_i: f_i times the expansion of 1/f_i at
+    alpha_i truncated below order d_i - j.  Every term is read from the
+    root's one chain of (x - alpha_i) multiples of f_i.
 
-    The division by f_i(alpha_i) and the weights' divisions by the root
-    differences are exact only when those differences are constants, so a
-    parameter set is refused up front otherwise.
+    The weights are taken as numerators over one denominator
+    (``_numerators``); those times the chain's numerators, brought to the
+    lcm of the chain's denominators, are summed, and each polynomial is
+    reduced once (``UniPoly.from_integers``).  The weights divide by the
+    differences of the roots, exactly only when those are constants, so a
+    parameter set is refused otherwise.
     """
-    at, chain = _root(a, i)
-    if isinstance(at, ParamPoly) and not at.is_constant():
-        raise DomainError(
-            "the Hermite interpolant divides by f_%d(%s) = %s; the roots within "
-            "a set must differ by constants" % (i, a.pairs[i - 1][0], at)
-        )
     alpha_i, d_i = a.pairs[i - 1]
-    others = [(alpha, d, 0) for idx, (alpha, d) in enumerate(a, start=1) if idx != i]
-    weights = _pole_weights(alpha_i, others, d_i)
+    others = [(alpha, d, -d) for idx, (alpha, d) in enumerate(a, start=1) if idx != i]
+    try:
+        w, den = _numerators(_pole_weights(alpha_i, others, d_i))
+    except DomainError:
+        raise _refusal("Hermite interpolant", a, i) from None
+    chain = _root(a, i)
+    big = lcm(*(p.denominator for p in chain))
+    scaled = [[z * (big // p.denominator) for z in p.numerators] for p in chain]
+    den *= big
     row = []
     for j in range(d_i):
-        out = UniPoly.zero()
+        out = [0] * a.total
         for k in range(d_i - j):
-            if weights[k]:
-                term = chain[j + k] * weights[k]
-                out = out - term if k % 2 else out + term
-        row.append(out / at)
+            c = w[k]
+            if c:
+                if k % 2:
+                    c = -c
+                for t, z in enumerate(scaled[j + k]):
+                    out[t] = out[t] + c * z
+        row.append(UniPoly.from_integers(out, den))
     return row
 
 
@@ -278,7 +342,8 @@ def hermite_interpolate(a: MultiRootSet, data: Mapping[Tuple[int, int], Scalar])
 
     ``data`` maps (i, j) with 1-based root index i and 0 <= j < d_i to the
     coefficient of (x-alpha_i)^j required at that root; the key set must
-    cover exactly those pairs.
+    cover exactly those pairs.  The values are read once as numerators
+    over one denominator (``_numerators``) for ``_interpolate``.
     """
     wanted = {(i, j) for i in range(1, a.m + 1) for j in range(a.pairs[i - 1][1])}
     got = set(data)
@@ -287,11 +352,24 @@ def hermite_interpolate(a: MultiRootSet, data: Mapping[Tuple[int, int], Scalar])
             "interpolation data must cover exactly the (root, order) pairs; "
             "missing %s, extra %s" % (sorted(wanted - got), sorted(got - wanted))
         )
-    out = UniPoly.zero()
-    for (i, j), y in data.items():
-        if y:
-            out = out + _hermite_row(a, i)[j] * y
-    return out
+    keys = list(data)
+    nums, den = _numerators([data[key] for key in keys])
+    return _interpolate(a, zip(keys, nums), den)
+
+
+def _interpolate(a: MultiRootSet, data, den: int) -> UniPoly:
+    """The polynomial of degree < d whose (i, j) Taylor datum is y / den,
+    for each ((i, j), y) in ``data``, y an int or an integer-coefficient
+    ``ParamPoly``: the numerators of the basis polynomials, brought to the
+    lcm of their denominators and times the y, summed and reduced once."""
+    terms = [(_hermite_row(a, i)[j], y) for (i, j), y in data if y]
+    big = lcm(*(p.denominator for p, _ in terms))
+    out = [0] * a.total
+    for p, y in terms:
+        c = y * (big // p.denominator)
+        for k, z in enumerate(p.numerators):
+            out[k] = out[k] + c * z
+    return UniPoly.from_integers(out, big * den)
 
 
 def confluent_inverse(a: MultiRootSet) -> ExactMatrix:
@@ -346,7 +424,7 @@ def vprime(a: MultiRootSet) -> ExactMatrix:
     rows = [[Rat(0)] * d for _ in range(d)]
     offset = 0
     for i, (_, d_i) in enumerate(a, start=1):
-        (row,), (scale,) = _wronskian_rows(_root(a, i)[1][0], a, 1)
+        (row,), (scale,) = _wronskian_rows(_root(a, i)[0], a, 1)
         taylor = [_quotient(v, scale) for v in row[offset : offset + d_i]]
         for r in range(d_i):
             for c in range(r, d_i):

@@ -44,8 +44,12 @@ Two closed-form specializations avoid determinants entirely: the order
 d-1 subresultant is the Hermite interpolant of g on A, from the Taylor
 data of g at A (row 0 of its Wronskian), and the order-1 subresultant is
 an explicit weighted sum over the roots, its weights one truncated
-product of per-slot series (``confluent._pole_weights``).  Both divide by
-differences of roots within A and refuse a division they cannot do exactly.
+product of per-slot series (``confluent._pole_numerators``).  Both run
+on integer numerators: the interpolant takes the integral Taylor row
+with its scale as it is (``confluent._interpolate``), and the order-1
+sum reads the roots of A and B once over one common denominator and is
+reduced once.  Both divide by differences of roots within A and refuse
+a division they cannot do exactly.
 """
 
 from __future__ import annotations
@@ -54,17 +58,17 @@ from math import lcm, prod
 from typing import Dict, Iterable, Optional
 
 from .confluent import (
-    _pole_weights,
-    _root,
+    _interpolate,
+    _pole_numerators,
+    _refusal,
     _vandermonde_rows,
     _wronskian_rows,
-    hermite_interpolate,
     vandermonde_det_closed,
 )
 from .errors import DomainError
 from .matrix import det_orders
-from .rootsets import MultiRootSet, pairing_R, poly_from_roots
-from .scalar import Rat, _quotient
+from .rootsets import MultiRootSet, poly_from_roots
+from .scalar import ParamPoly, _numerators
 from .subresultants import _check_t
 from .unipoly import UniPoly
 
@@ -142,8 +146,8 @@ def sres_roots_all(
             own = (d - t) % 2 or (variant == "block" and e % 2)
             flip = bool(own) != bool(s * (t + 1) % 2)
             scale = prod(q**k for k in range(t + 1))
-        den = vdet * scale * prod(scales[:s])
-        dens[t] = -den if flip else den
+        den = scale * prod(scales[:s])
+        dens[t] = vdet * (-den if flip else den)
     if variant == "wronskian-full":
         return det_orders(bottom, top, dens, c=q)
     return det_orders(bottom, top, dens, borders=[q**k for k in range(high + 1)])
@@ -161,7 +165,7 @@ def sres_dm1_hermite(a: MultiRootSet, b: MultiRootSet) -> UniPoly:
         raise DomainError("need total multiplicity of A at most that of B (d <= e)")
     (row,), (scale,) = _wronskian_rows(poly_from_roots(b), a, 1)
     keys = [(i, j) for i, (_, d_i) in enumerate(a, start=1) for j in range(d_i)]
-    return hermite_interpolate(a, {key: _quotient(v, scale) for key, v in zip(keys, row)})
+    return _interpolate(a, zip(keys, row), scale)
 
 
 def sres_one(a: MultiRootSet, b: MultiRootSet) -> UniPoly:
@@ -170,14 +174,21 @@ def sres_one(a: MultiRootSet, b: MultiRootSet) -> UniPoly:
     Needs 1 < d <= e and disjoint root sets.  Each root alpha_i
     contributes (x - alpha_i) S_1 + [d_i > 1] S_0, where S_1 and S_0 are
     the pole weights of orders d_i - 1 and d_i - 2 of alpha_i
-    (``_pole_weights``) over the roots of B and the other roots of A.
+    (``_pole_numerators``) over the roots of B and the other roots of A.
     The roots of B carry p = e_l (d_i - 1), which folds g(alpha_i)^(d_i-1)
-    into every weight and keeps its divisions exact for symbolic roots.
-    The contribution is scaled by prod_{j != i} g(alpha_j)^(d_j), which is
-    ``pairing_R`` of the other roots of A against B, over f_i(alpha_i).
-    A division of the weights or of the scale that leaves a remainder,
-    possible only where parameter roots of A differ by a non-constant, is
-    refused.
+    into every weight and keeps its divisions exact for symbolic roots;
+    the other roots of A carry p = -d_l, which divides every weight by
+    f_i(alpha_i).  The contribution is scaled by
+    prod_{j != i} g(alpha_j)^(d_j), ``pairing_R`` of the other roots of A
+    against B.
+
+    All of it runs on the roots' numerators x / q over one q: with
+    G_l = q^e g(alpha_l), the contribution of alpha_i has integer
+    numerators over q^(1 + e (d - d_i)) times the weights' denominator.
+    The contributions are summed over the lcm of their denominators and
+    reduced once.  A parameter denominator divides its contribution
+    exactly first; one that leaves a remainder, possible only where
+    parameter roots of A differ by a non-constant, is refused.
     """
     d, e = a.total, b.total
     if not 1 < d <= e:
@@ -186,21 +197,29 @@ def sres_one(a: MultiRootSet, b: MultiRootSet) -> UniPoly:
         for beta, _ in b:
             if alpha == beta:
                 raise DomainError("root sets must be disjoint, %s is shared" % (alpha,))
-    total = UniPoly.zero()
-    for i, (alpha_i, d_i) in enumerate(a, start=1):
-        others = a.pairs[: i - 1] + a.pairs[i:]
-        slots = [(beta, e_l, e_l * (d_i - 1)) for beta, e_l in b]
-        slots += [(alpha, d_l, 0) for alpha, d_l in others]
-        at = _root(a, i)[0]
-        try:
-            w = _pole_weights(alpha_i, slots, d_i)
-            scale = pairing_R(others, b) / at
-        except DomainError:
-            raise DomainError(
-                "the order-1 closed form divides by f_%d(%s) = %s; the roots within "
-                "a set must differ by constants" % (i, alpha_i, at)
-            ) from None
-        s1, s0 = w[d_i - 1], (w[d_i - 2] if d_i > 1 else Rat(0))
-        term = (UniPoly.root_factor(alpha_i) * s1 + UniPoly([s0])) * scale
-        total = total - term if (d - d_i) % 2 else total + term
-    return total
+    nums, q = _numerators(a.roots + b.roots)
+    xs, ys = nums[: a.m], nums[a.m :]
+    gs = [prod((x - y) ** e_l for y, e_l in zip(ys, b.mults)) for x in xs]
+    parts = []
+    for i, (x_i, d_i) in enumerate(zip(xs, a.mults)):
+        others = [l for l in range(a.m) if l != i]
+        slots = [(x_i - y, e_l, e_l * (d_i - 1)) for y, e_l in zip(ys, b.mults)]
+        slots += [(x_i - xs[l], a.mults[l], -a.mults[l]) for l in others]
+        w, den = _pole_numerators(slots, q, d_i)
+        s1, s0 = w[d_i - 1], (w[d_i - 2] if d_i > 1 else 0)
+        scale = prod(gs[l] ** a.mults[l] for l in others)
+        if (d - d_i) % 2:
+            scale = -scale
+        num = [(q * s0 - x_i * s1) * scale, q * s1 * scale]
+        den = den * q ** (1 + e * (d - d_i))
+        if isinstance(den, ParamPoly):
+            try:
+                num, den = _numerators([v / den for v in num])
+            except DomainError:
+                raise _refusal("order-1 closed form", a, i + 1) from None
+        parts.append((num, den))
+    big = lcm(*(den for _, den in parts))
+    total = [0, 0]
+    for num, den in parts:
+        total = [acc + v * (big // den) for acc, v in zip(total, num)]
+    return UniPoly.from_integers(total, big)

@@ -9,10 +9,10 @@ built on first use and lives as long as the set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from .errors import DomainError
-from .scalar import Rat, Scalar, as_scalar
+from .scalar import Scalar, _numerators, _quotient, as_scalar
 from .unipoly import UniPoly
 
 
@@ -90,11 +90,29 @@ def pairing_R(a: Iterable[Tuple[Scalar, int]], b: Iterable[Tuple[Scalar, int]]) 
     root sets or of any (root, multiplicity) pairs.
 
     Zero exactly when the sets share a root; for monic polynomials this is
-    the resultant of the two products.  The closed-form Vandermonde
-    determinant and the order-1 closed form take their products here.
+    the resultant of the two products, as the cross-check battery reads
+    it, and the double sum takes its weights here.  The pairs are read
+    once, so generators serve, and the product runs on integer numerators
+    with one division (``_difference_product``).
     """
-    acc: Scalar = Rat(1)
-    for alpha, d in a:
-        for beta, e in b:
-            acc = acc * (alpha - beta) ** (d * e)
-    return acc
+    pairs = list(a)
+    n = len(pairs)
+    pairs += b
+    return _difference_product(pairs, [(i, j) for i in range(n) for j in range(n, len(pairs))])
+
+
+def _difference_product(pairs: Sequence[Tuple[Scalar, int]], links) -> Scalar:
+    """Product of (r_i - r_j)^(m_i m_j) over the index pairs (i, j) in
+    ``links`` of the (root, multiplicity) pairs.
+
+    With the roots r = x / q over one common denominator q (``_numerators``),
+    it is the product of (x_i - x_j)^(m_i m_j), ints or integer-coefficient
+    ``ParamPoly``s, divided once by q^(sum m_i m_j).  No link gives 1.
+    """
+    nums, q = _numerators([root for root, _ in pairs])
+    acc, power = 1, 0
+    for i, j in links:
+        k = pairs[i][1] * pairs[j][1]
+        acc = acc * (nums[i] - nums[j]) ** k
+        power += k
+    return _quotient(acc, q**power)

@@ -36,10 +36,15 @@ def rationals(draw, num_bound=9, den_bound=4):
 
 
 @st.composite
-def rootsets(draw, max_blocks=3, max_mult=3):
+def rootsets(draw, max_blocks=3, max_mult=3, den_bound=4):
     m = draw(st.integers(1, max_blocks))
     roots = draw(
-        st.lists(rationals(), min_size=m, max_size=m, unique_by=lambda r: (r.numerator, r.denominator))
+        st.lists(
+            rationals(den_bound=den_bound),
+            min_size=m,
+            max_size=m,
+            unique_by=lambda r: (r.numerator, r.denominator),
+        )
     )
     mults = draw(st.lists(st.integers(1, max_mult), min_size=m, max_size=m))
     return MultiRootSet(list(zip(roots, mults)))

@@ -1,6 +1,8 @@
 """Confluent Vandermonde / Wronskian matrices and Hermite interpolation."""
 
+import fractions
 import random
+import sys
 from itertools import permutations
 
 import pytest
@@ -34,6 +36,7 @@ from subres import (
     confluent_inverse,
     det_exact,
     hermite_interpolate,
+    pairing_R,
     param,
     poly_from_roots,
     taylor_coeff,
@@ -44,7 +47,7 @@ from subres import (
     wronskian_det_closed,
 )
 from subres import confluent, rootsets as rootset_module
-from subres.confluent import _pole_weights, fiki
+from subres.confluent import _pole_weights, confluent_inverse_holds, fiki
 from subres.verify import random_rootset, univariate_checks
 
 
@@ -333,6 +336,63 @@ class TestDerivedOnce:
         assert sorted(dets) == sorted([(id(a),), (id(b),)])
         assert len(chains) == len(set(chains))
         assert sorted(bases) == [(id(small), i) for i in range(1, small.m + 1)]
+
+
+def fraction_ops(call):
+    """(call(), n), n the calls into ``fractions`` made from outside it
+    while call runs: constructions and operations, not reads of a value's
+    numerator or denominator."""
+    path = fractions.__file__
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        code = frame.f_code
+        if (
+            event == "call"
+            and code.co_filename == path
+            and frame.f_back.f_code.co_filename != path
+            and code.co_name not in ("numerator", "denominator")
+        ):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, count
+
+
+@pytest.mark.skipif(type(Rat(0)) is not fractions.Fraction, reason="counts Fraction operations")
+class TestOneRationalPerValue:
+    """On rational roots the closed forms run on integer numerators: the
+    root-difference product, the pole weights and the Hermite basis take
+    at most one Fraction operation per value they return."""
+
+    A = ((Rat(1, 5), 3), (Rat(-2, 7), 2), (Rat(3), 1))
+    B = ((Rat(3, 11), 2), (Rat(4), 3))
+
+    def test_pairing_is_one_division(self):
+        a, b = MultiRootSet(self.A), MultiRootSet(self.B)
+        g = poly_product(b)
+        value, ops = fraction_ops(lambda: pairing_R(a, b))
+        assert value == g(Rat(1, 5)) ** 3 * g(Rat(-2, 7)) ** 2 * g(Rat(3))
+        assert ops <= 1
+
+    def test_pole_weights_divide_once_each(self):
+        alpha, d_i = self.A[0]
+        slots = [(beta, e, e * (d_i - 1)) for beta, e in self.B]
+        slots += [(gamma, d, 0) for gamma, d in self.A[1:]]
+        weights, ops = fraction_ops(lambda: _pole_weights(alpha, slots, d_i))
+        assert len(weights) == d_i and ops <= d_i
+
+    def test_hermite_basis_takes_one_per_polynomial(self):
+        a = MultiRootSet(self.A)
+        for i, (_, d_i) in enumerate(a, start=1):
+            row, ops = fraction_ops(lambda: confluent._hermite_row(a, i))
+            assert len(row) == d_i and ops <= d_i
+        assert confluent_inverse_holds(a)
 
 
 class TestFiki:

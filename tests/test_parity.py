@@ -66,7 +66,12 @@ def cluster(draw, name, max_roots=2, max_mult=2):
     return MultiRootSet(list(zip(roots, mults)))
 
 
-RATIONAL_PAIRS = st.tuples(rootsets(max_blocks=3, max_mult=2), rootsets(max_blocks=3, max_mult=2))
+# Denominators up to 12, coprime ones among them, so the lcm behind a
+# set's numerators, or a pair's, often exceeds every root's own.
+RATIONAL_PAIRS = st.tuples(
+    rootsets(max_blocks=3, max_mult=2, den_bound=12),
+    rootsets(max_blocks=3, max_mult=2, den_bound=12),
+)
 SYMBOLIC_PAIRS = st.tuples(
     cluster("a"), st.one_of(cluster("b"), cluster(None, max_roots=3))
 )
@@ -120,7 +125,10 @@ class TestOracleParity:
 # value keeps its own entry type.
 DATA_VALUES = st.sampled_from([Rat(0), Rat(1), Rat(-3, 2), Rat(7), param("c") - 1])
 ROOT_PAIRS = st.one_of(
-    st.tuples(rootsets(max_blocks=3, max_mult=4), rootsets(max_blocks=3, max_mult=4)),
+    st.tuples(
+        rootsets(max_blocks=3, max_mult=4, den_bound=12),
+        rootsets(max_blocks=3, max_mult=4, den_bound=12),
+    ),
     st.tuples(
         cluster("a", max_roots=3, max_mult=4),
         st.one_of(cluster("b", max_mult=3), cluster(None, max_roots=3, max_mult=4)),

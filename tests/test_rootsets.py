@@ -88,6 +88,17 @@ class TestPairing:
         expect = g(Rat(1)) ** 2 * g(Rat(3))
         assert pairing_R(a, b) == expect
 
+    def test_reads_any_pairs_once(self):
+        # Generators are read once; multiple roots over coprime denominators
+        # give the product its one common denominator 385.
+        a = [(Rat(1, 5), 3), (Rat(-2, 7), 2)]
+        b = [(Rat(3, 11), 2), (Rat(4), 3)]
+        g = poly_from_roots(MultiRootSet(b))
+        expect = g(Rat(1, 5)) ** 3 * g(Rat(-2, 7)) ** 2
+        assert pairing_R((p for p in a), (p for p in b)) == expect
+        assert pairing_R(MultiRootSet(a), iter(b)) == expect
+        assert pairing_R([], (p for p in b)) == 1
+
     @given(rootsets(max_blocks=2), rootsets(max_blocks=2))
     def test_antisymmetry(self, a, b):
         d, e = a.total, b.total
