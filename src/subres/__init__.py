@@ -12,6 +12,7 @@ from .combinat import canon_key, compositions, monomials_of_degree, monomials_up
 from .confluent import (
     basic_hermite,
     confluent_inverse,
+    fiki,
     hermite_interpolate,
     vandermonde_confluent,
     vandermonde_det_closed,
@@ -92,6 +93,7 @@ __all__ = [
     "wronskian",
     "wronskian_det_closed",
     "basic_hermite",
+    "fiki",
     "hermite_interpolate",
     "confluent_inverse",
     "vprime",

@@ -24,12 +24,11 @@ Wronskian of 1: ``_wronskian_rows`` of 1 are its own rows, so the
 confluent Vandermonde matrix is ``wronskian`` of 1, which divides each
 row back by its scale, and det V is ``wronskian_det`` of 1.  Row 0 of
 the Wronskian of h is the Taylor data of h at A, the one place it is read
-from: by the Hermite route (``roots_formulas``) for g, by
-``confluent_inverse_holds`` for each Hermite basis polynomial and by
+from: by the Hermite route (``roots_formulas``) for g, by the inverse
+check (``_inverse_mismatch``) for each Hermite basis polynomial and by
 ``vprime`` for each f_i.  ``wronskian_det`` divides its integral rows
-once at the end; ``confluent_inverse_holds`` compares them with their
-scales, and divides them back only to show a product that is not the
-identity (``_inverse_mismatch``).
+once at the end; the inverse check compares them with their scales, and
+divides them back only to show a product that is not the identity.
 
 The closed forms run on integer numerators too.  Each reads the roots
 once as numerators over one common denominator q (``_numerators``, or
@@ -385,13 +384,6 @@ def confluent_inverse(a: MultiRootSet) -> ExactMatrix:
         for p in _hermite_row(a, i):
             rows.append([p.coeff(k) for k in range(d)])
     return ExactMatrix(rows)
-
-
-def confluent_inverse_holds(a: MultiRootSet) -> bool:
-    """Whether ``confluent_inverse`` times the square confluent
-    Vandermonde matrix is the identity, tested on integers
-    (``_inverse_mismatch``)."""
-    return _inverse_mismatch(a) is None
 
 
 def _inverse_mismatch(a: MultiRootSet) -> Optional[ExactMatrix]:

@@ -23,20 +23,19 @@ columns of each.  A determinant whose last column is a polynomial in a
 main variable x, sum_k x^k c_k, is the polynomial whose coefficient of
 x^k is the determinant bordered by c_k (the determinantal polynomial of
 Collins); with unit columns e_k as borders, the coefficients are the
-cofactors of the border.  ``det_in_x`` keeps the other route for x in
-several rows, each linear in x: the columns free of x are eliminated once,
-after which the same elimination is finished at each integer value of x
-from the trailing block alone (``_in_x``), and the packed integers are
-interpolated, so x never enters the scalar domain and only the
-coefficients are read back.
+cofactors of the border.
 
 ``det_orders`` takes a family of nested determinants, one per order t: the
 first w - t of a list of bottom rows, w their width, under top rows
 0..t, either bordered or as x rows.  One elimination, resumed order by
 order, takes the bottom rows as pivots, with column swaps, and each order
 is finished from the top rows it leaves and the last pivot, by the border
-or by ``_in_x``; the root-side subresultants of every order come from it.
-Its rows are packed once, within the largest of the orders' bounds.
+or, for x in several rows, each linear in x, by ``_in_x``: the same
+elimination finished at each integer value of x from the trailing block
+alone, and the packed integers interpolated, so x never enters the scalar
+domain and only the coefficients are read back.  The root-side
+subresultants of every order come from it.  Its rows are packed once,
+within the largest of the orders' bounds.
 
 Kernels and reduced echelon forms come from one left-looking
 fraction-free Gauss-Jordan elimination on the same integer-scaled rows,
@@ -57,9 +56,10 @@ from .scalar import ParamPoly, Rat, Scalar, _collapse, _numerators, _quotient, a
 from .unipoly import UniPoly
 
 Unpack = Optional[Callable[[int], ParamPoly]]  # None for rational rows
-# (entry 1-norms by row, largest degree per parameter by row) -> (squared
-# coefficient bound, degree bound per parameter); see ``_pack``
-Bound = Callable[[List[List[int]], List[List[int]]], Tuple[int, List[int]]]
+# (entry 1-norms by row, largest degree per parameter by row and by column)
+# -> (squared coefficient bound, degree bound per parameter) of the
+# determinants ``_pack`` reads back: ``_bordered_bound`` or ``_orders_bound``
+Bound = Callable[[List[List[int]], List[List[int]], List[List[int]]], Tuple[int, List[int]]]
 
 
 class ExactMatrix:
@@ -169,11 +169,11 @@ def _dets(rows: List[list], r: int = 1) -> Tuple[List[int], int, Unpack]:
     One ``_bareiss`` phase eliminates the n-r shared columns.  The last r
     rows then hold, in each block, the minors that the rest of the same
     elimination would see, so each block is finished on its own from the
-    last shared pivot, as ``det_in_x`` finishes its nodes.  With r = 1 the
+    last shared pivot, as ``det_orders`` finishes its orders.  With r = 1 the
     block is one entry of the last row and already the determinant.  The
     empty matrix gives the one determinant 1.
     """
-    a, scale, unpack = _integers(rows, r=r)
+    a, scale, unpack = _integers(rows, _bordered_bound(r))
     n = len(a)
     if n == 0:
         return [1], scale, unpack
@@ -199,7 +199,7 @@ def _read(values: List[int], scale: int, unpack: Unpack) -> List[Scalar]:
 
 
 def _polynomial(values: List[int], scale: int, unpack: Unpack, den: Scalar) -> UniPoly:
-    """The one read-back of ``det_bordered`` and ``det_in_x``: coefficient
+    """The one read-back of ``det_bordered`` and ``det_orders``: coefficient
     k is values[k] / (scale * den), or unpack(values[k]) / den when the
     rows were packed.  Rational rows and ``den`` give it from the integers,
     over scale times den's numerator; otherwise each coefficient is divided
@@ -210,9 +210,7 @@ def _polynomial(values: List[int], scale: int, unpack: Unpack, den: Scalar) -> U
     return UniPoly(_collapse(v / den) for v in _read(values, scale, unpack))
 
 
-def _integers(
-    rows: List[list], t: int = 0, r: int = 1, bound: Optional[Bound] = None
-) -> Tuple[List[List[int]], int, Unpack]:
+def _integers(rows: List[list], bound: Bound) -> Tuple[List[List[int]], int, Unpack]:
     """Integer rows for ``_bareiss``, the product of their row scales, and,
     for rows with a ``ParamPoly`` entry, the map that reads an integer
     determinant of them back as a ``ParamPoly``, None for rational rows,
@@ -222,14 +220,12 @@ def _integers(
     are, with scale 1.  Other rational rows become their Python-int
     numerators over the lcm of their denominators (``_numerators``), on
     either backend.  Rows with a ``ParamPoly`` entry are packed by
-    ``_pack``, whose reader divides by the scale itself; ``t`` is its
-    count of x columns, ``r`` its border width and ``bound`` its bound for
-    determinants of other shapes.
+    ``_pack`` within ``bound``, and its reader divides by the scale itself.
     """
     if all(type(v) is int for row in rows for v in row):
         return [list(row) for row in rows], 1, None
     if not all(is_rational(v) for row in rows for v in row):
-        a, unpack = _pack(rows, t, r, bound)
+        a, unpack = _pack(rows, bound)
         return a, 1, unpack
     a = []
     scale = 1
@@ -240,45 +236,24 @@ def _integers(
     return a, scale, None
 
 
-def _pack(
-    rows: List[list], t: int = 0, r: int = 1, bound: Optional[Bound] = None
-) -> Tuple[List[List[int]], Callable[[int], ParamPoly]]:
-    """Kronecker substitution for n rows with a ``ParamPoly`` entry: the
+def _pack(rows: List[list], bound: Bound) -> Tuple[List[List[int]], Callable[[int], ParamPoly]]:
+    """Kronecker substitution for rows with a ``ParamPoly`` entry: the
     packed integer rows, and the map that reads a packed determinant back.
-
-    The determinants to read are those of the first n-r columns bordered
-    by each later block of r columns, unless ``bound`` is given: then it
-    takes each row's entry 1-norms and its largest degree in each
-    parameter and returns the squared coefficient bound and the degree
-    bounds of whatever determinants of the rows are read (``det_orders``),
-    in place of the two below.  With ``t`` > 0 (and r = 1) the
-    last 2t columns are instead p_0..p_(t-1) then q_0..q_(t-1); the values
-    read back are the coefficients of det M(x), M's last columns x * p_k -
-    q_k, and no value at an integer node.  Each is a Fourier coefficient
-    over the unit torus |x| = |p| = 1, where an x column entry is at most
-    |p|_1 + |q|_1, so the entry enters the bounds below with that 1-norm
-    and the larger of its parts' degrees.
 
     Each row is taken as its numerators over the lcm of its entries'
     denominators (``_numerators``), so every entry has integer coefficients.
-    A bordered determinant's permutation expansion takes one entry from each
-    row and each of its columns, so its degree in parameter p is at most
-    D_p, the sum over the rows of the largest degree in p of an entry of the
-    row (any column), and also the same sum over the shared columns plus the
-    largest such sum over a border block; the smaller one is used.  A
-    coefficient of the determinant is its mean times a monomial's inverse
-    over the unit torus |p| = 1, where an entry is at most its coefficient
-    1-norm in absolute value.  So by Hadamard's inequality every coefficient
-    is at most sqrt(prod over the rows of the summed squared 1-norms of the
-    row's entries), and likewise by columns, the shared ones times the
-    largest product over a border block; B is the smaller one, rounded
-    down, as the coefficients are integers.  With k = B.bit_length() + 1,
-    each coefficient fits one balanced digit in [-2^(k-1), 2^(k-1)).  The
-    parameters, in sorted order, are evaluated at
-    p_i = 2^(k * prod_{j<i} (D_j + 1)), which gives each monomial of a
-    determinant its own digit.  Evaluation is linear, so the packed
-    determinants are the integer determinants of the packed entries,
-    which ``_bareiss`` takes exactly, and ``_unpack`` reads each back.
+    ``bound`` takes each row's entry 1-norms, its largest degree in each
+    parameter and each column's, and returns B^2 and D_p: a bound on the
+    squared absolute value of every integer coefficient of the
+    determinants that will be read back, and on their degree in each
+    parameter p.  As the coefficients are integers, B may be rounded
+    down.  With k = B.bit_length() + 1, each coefficient fits one balanced
+    digit in [-2^(k-1), 2^(k-1)).  The parameters, in sorted order, are
+    evaluated at p_i = 2^(k * prod_{j<i} (D_j + 1)), which gives each
+    monomial of a determinant its own digit.  Evaluation is linear, so the
+    packed determinants are the integer determinants of the packed
+    entries, which ``_bareiss`` takes exactly, and ``_unpack`` reads each
+    back.
 
     The packed integers have k * prod_p (D_p + 1) bits, dense in the
     monomials however sparse the determinant is, so their size grows
@@ -313,10 +288,7 @@ def _pack(
             row_norms.append(norm)
         norms.append(row_norms)
         tops.append(top)
-    if bound is None:
-        squares, degrees = _bordered_bound(norms, tops, col_tops, t, r)
-    else:
-        squares, degrees = bound(norms, tops)
+    squares, degrees = bound(norms, tops, col_tops)
     k = math.isqrt(squares).bit_length() + 1
     shift = {}
     stride = k
@@ -330,44 +302,51 @@ def _pack(
     return a, lambda v: _unpack(v, k, names, degrees, scale)
 
 
-def _bordered_bound(
-    norms: List[List[int]], tops: List[List[int]], col_tops: List[List[int]], t: int, r: int
-) -> Tuple[int, List[int]]:
-    """``_pack``'s squared coefficient bound and degree bounds for one
-    matrix bordered by blocks of r columns, or with t x columns, from the
-    entry 1-norms and largest degrees by row and by column: the smaller of
-    the row side and the column side of each."""
-    width = len(col_tops)
-    lead = width - 2 * t
-    shared = len(norms) - r
-    col_squares = [0] * (width - t)
-    row_product = 1
-    for row in norms:
-        if t:
-            row = row[:lead] + [p + q for p, q in zip(row[lead : lead + t], row[lead + t :])]
-        squares = 0
-        for j, norm in enumerate(row):
-            square = norm * norm
-            squares += square
-            col_squares[j] += square
-        row_product *= squares
-    if t:
-        col_tops = col_tops[:lead] + [
-            [max(p, q) for p, q in zip(cp, cq)]
-            for cp, cq in zip(col_tops[lead : lead + t], col_tops[lead + t :])
+def _bordered_bound(r: int) -> Bound:
+    """``_pack``'s bound for the determinants of the first n-r columns of n
+    rows bordered by each later block of r columns: of the row side and
+    the column side of each, the smaller.
+
+    A bordered determinant's permutation expansion takes one entry from
+    each row and each of its columns, so its degree in parameter p is at
+    most the sum over the rows of the largest degree in p of an entry of
+    the row (any column), and also the same sum over the shared columns
+    plus the largest such sum over a border block.  A coefficient of the
+    determinant is its mean times a monomial's inverse over the unit torus
+    |p| = 1, where an entry is at most its coefficient 1-norm in absolute
+    value.  So by Hadamard's inequality every coefficient is at most
+    sqrt(prod over the rows of the summed squared 1-norms of the row's
+    entries), and likewise by columns, the shared ones times the largest
+    product over a border block.
+    """
+
+    def bound(
+        norms: List[List[int]], tops: List[List[int]], col_tops: List[List[int]]
+    ) -> Tuple[int, List[int]]:
+        shared = len(norms) - r
+        col_squares = [0] * len(col_tops)
+        row_product = 1
+        for row in norms:
+            squares = 0
+            for j, norm in enumerate(row):
+                square = norm * norm
+                squares += square
+                col_squares[j] += square
+            row_product *= squares
+        by_rows = [sum(c) for c in zip(*tops)]
+        columns = list(zip(*col_tops))
+        borders, border_tops = col_squares[shared:], [c[shared:] for c in columns]
+        if r > 1:
+            # Each border block enters the column bounds as one column.
+            borders = [math.prod(borders[j : j + r]) for j in range(0, len(borders), r)]
+            border_tops = [[sum(c[j : j + r]) for j in range(0, len(c), r)] for c in border_tops]
+        squares = min(row_product, math.prod(col_squares[:shared]) * max(borders))
+        degrees = [
+            min(d, sum(c[:shared]) + max(b)) for d, c, b in zip(by_rows, columns, border_tops)
         ]
-    by_rows = [sum(c) for c in zip(*tops)]
-    columns = list(zip(*col_tops))
-    borders, border_tops = col_squares[shared:], [c[shared:] for c in columns]
-    if r > 1:
-        # Each border block enters the column bounds as one column.
-        borders = [math.prod(borders[j : j + r]) for j in range(0, len(borders), r)]
-        border_tops = [[sum(c[j : j + r]) for j in range(0, len(c), r)] for c in border_tops]
-    squares = min(row_product, math.prod(col_squares[:shared]) * max(borders))
-    degrees = [
-        min(d, sum(c[:shared]) + max(b)) for d, c, b in zip(by_rows, columns, border_tops)
-    ]
-    return squares, degrees
+        return squares, degrees
+
+    return bound
 
 
 def _integer_terms(v) -> Iterable[Tuple[tuple, int]]:
@@ -629,35 +608,6 @@ class _GaussJordan:
         return v
 
 
-def det_in_x(p: List[list], q: List[list], free: List[list], den: Scalar = 1) -> UniPoly:
-    """det(M(x)) / den as a polynomial in x of degree at most t, where
-    M(x) has the t rows x * p_k - q_k on top of the x-free rows ``free``.
-
-    The columns of M are taken as rows, with the u x-free columns first
-    (sign (-1)^(t u)), so x sits in the last t columns only and any row
-    may serve as a pivot.  One ``_bareiss`` phase over the u leading
-    columns, with p and q carried as separate trailing columns, is shared
-    by every node; at x = c = 0, 1, ..., t the trailing t x t block is then
-    c * p' - q', which the same elimination finishes from the last shared
-    pivot.  The node determinants stay integers, packed by ``_pack`` when
-    a row has a ``ParamPoly`` entry; they are interpolated in Newton form
-    and expanded by Horner's rule in integers, and only the t + 1
-    coefficients are read back, by ``_polynomial``.  ``den`` must divide
-    det(M(x)) exactly, as the closed-form Vandermonde determinants do.
-    Coefficients free of parameters come back rational.
-    """
-    t, u = len(p), len(free)
-    a, scale, unpack = _integers(list(zip(*free, *p, *q)), t)
-    done = _bareiss(a, u)
-    if done is None:
-        return UniPoly.zero()
-    sign, prev = done
-    if t * u % 2:
-        sign = -sign
-    values = _in_x([(row[u : u + t], row[u + t :]) for row in a[u:]], prev)
-    return _polynomial([sign * v for v in values], scale, unpack, den)
-
-
 def _in_x(lin: List[Tuple[list, list]], prev: int) -> List[int]:
     """The t+1 coefficients in x of the determinant that an elimination
     with last pivot ``prev`` leaves in the t x t block x p_k - q_k, given
@@ -722,9 +672,7 @@ def det_orders(
     """
     width, nb = len(top[0]), len(bottom)
     orders = sorted(dens, reverse=True)
-    a, scale, unpack = _integers(
-        bottom + top, bound=_orders_bound(nb, width, orders, borders, c)
-    )
+    a, scale, unpack = _integers(bottom + top, _orders_bound(nb, width, orders, borders, c))
     cols = [list(col) for col in zip(*a)]
     out = {t: UniPoly.zero() for t in reversed(orders)}
     sign, prev, done = 1, 1, 0
@@ -764,11 +712,14 @@ def _orders_bound(
     """``_pack``'s bound for the determinants of ``det_orders``: the largest
     over the orders of the row side of M_t, the product over its rows of
     the summed squared entry 1-norms, and, for each parameter, the sum over
-    its rows of the largest degree.  A top row counts its border entry; an
-    x row x c top_k - top_(k+1) counts c |top_k| + |top_(k+1)| for an entry,
-    as over the unit torus in x, and the larger of the two degrees."""
+    its rows of the largest degree; the column side is not used.  A top row
+    counts its border entry; an x row x c top_k - top_(k+1) counts c
+    |top_k| + |top_(k+1)| for an entry, as over the unit torus in x, and
+    the larger of the two degrees."""
 
-    def bound(norms: List[List[int]], tops: List[List[int]]) -> Tuple[int, List[int]]:
+    def bound(
+        norms: List[List[int]], tops: List[List[int]], col_tops: List[List[int]]
+    ) -> Tuple[int, List[int]]:
         squares = [sum(n * n for n in row) for row in norms[:nb]]
         if borders is None:
             rows = [

@@ -1,6 +1,6 @@
 """Every name a module under src/subres imports is used in that module, and
-every private module-level function or class is named somewhere else in
-the package.
+every module-level function or class, private or public, is named
+somewhere else in the package.
 
 Package ``__init__`` files re-export what they import and are skipped by
 the import check.  Names are taken from the syntax tree, string
@@ -68,20 +68,47 @@ def references(tree):
             yield node.name
 
 
-def test_no_orphaned_private_helper():
+def exported(tree):
+    """Each name listed in a module-level ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            for item in ast.walk(node.value):
+                if isinstance(item, ast.Constant) and isinstance(item.value, str):
+                    yield item.value
+
+
+def orphans(private):
+    """The module-level functions and classes, private or public, that the
+    package names nowhere but in their own definitions, as in recursion,
+    and the count of those checked."""
     trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.rglob("*.py")}
-    named = Counter(name for tree in trees.values() for name in references(tree))
-    private = [
+    named = Counter(
+        name for tree in trees.values() for name in (*references(tree), *exported(tree))
+    )
+    defined = [
         (path, node)
         for path, tree in trees.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
+        and node.name.startswith("_") == private
     ]
-    # A definition's references to itself, as in recursion, do not count.
-    orphans = sorted(
+    found = sorted(
         "%s:%s" % (path.relative_to(PACKAGE), node.name)
-        for path, node in private
+        for path, node in defined
         if named[node.name] <= Counter(references(node))[node.name]
     )
-    assert private and not orphans, "private helpers named nowhere else: " + ", ".join(orphans)
+    return found, len(defined)
+
+
+def test_no_orphaned_private_helper():
+    found, checked = orphans(private=True)
+    assert checked and not found, "private helpers named nowhere else: " + ", ".join(found)
+
+
+def test_no_orphaned_public_name():
+    # An export from ``subres`` counts as a use: the package's own imports
+    # and ``__all__`` lists are what name its public API.
+    found, checked = orphans(private=False)
+    assert checked and not found, "public names named nowhere else: " + ", ".join(found)

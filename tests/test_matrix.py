@@ -32,7 +32,6 @@ from subres.matrix import (
     _kernel,
     _unpack,
     det_bordered,
-    det_in_x,
     det_orders,
     reduced_echelon,
 )
@@ -537,166 +536,6 @@ class TestIntegerDeterminants:
         assert all(type(z) is int for z in got.numerators)
 
 
-class TestDetInX:
-    @staticmethod
-    def x_rows(rng, n, x_rows, extra=Rat(0)):
-        """n x n UniPoly rows; the first x_rows rows are linear in x."""
-        def entry(i):
-            lin = Rat(rng.randint(-3, 3)) if i < x_rows else Rat(0)
-            return UniPoly([Rat(rng.randint(-4, 4), rng.randint(1, 2)) + extra, lin])
-
-        return [[entry(i) for _ in range(n)] for i in range(n)]
-
-    @staticmethod
-    def split(rows, t):
-        """(p, q, free) of UniPoly rows whose first t rows are x p_k - q_k."""
-        p = [[v.coeff(1) for v in row] for row in rows[:t]]
-        q = [[-v.coeff(0) for v in row] for row in rows[:t]]
-        free = [[v.coeff(0) for v in row] for row in rows[t:]]
-        return p, q, free
-
-    @staticmethod
-    def joined(p, q, free):
-        """The UniPoly rows x p_k - q_k on top of the rows ``free``."""
-        top = [[UniPoly([-y, x]) for x, y in zip(pr, qr)] for pr, qr in zip(p, q)]
-        return top + [[UniPoly([v]) for v in row] for row in free]
-
-    def test_matches_cofactor_oracle(self):
-        # x_rows = 0 is t = 0, every row free of x; x_rows = n is u = 0.
-        rng = random.Random(314)
-        for n in range(1, 6):
-            for x_rows in range(n + 1):
-                rows = self.x_rows(rng, n, x_rows)
-                assert det_in_x(*self.split(rows, x_rows)) == det_cofactor(rows)
-
-    def test_parameter_entries_and_exact_divisor(self):
-        rng = random.Random(2718)
-        a = param("a")
-        rows = self.x_rows(rng, 4, 3, extra=a)
-        want = det_cofactor(rows)
-        assert det_in_x(*self.split(rows, 3)) == want
-        scaled = [[p * (a + 1) for p in rows[0]]] + rows[1:]
-        assert det_in_x(*self.split(scaled, 3), a + 1) == want
-
-    def test_parameter_free_coefficients_are_rational(self):
-        a = param("a")
-        rows = [[UniPoly([a, 1]), UniPoly([a])], [UniPoly([Rat(1)]), UniPoly([Rat(1)])]]
-        got = det_in_x(*self.split(rows, 1))
-        assert got == UniPoly([Rat(0), Rat(1)])
-        assert not any(isinstance(c, ParamPoly) for c in got.coeffs)
-
-    @staticmethod
-    def spy_bareiss(monkeypatch):
-        """The (sign, last pivot) or None of every ``_bareiss`` call, with
-        a copy of the leading entry of the rows it was given."""
-        seen = []
-        bareiss = matrix._bareiss
-
-        def spy(a, steps, prev=1):
-            lead = a[0][0] if a and steps else None
-            done = bareiss(a, steps, prev)
-            seen.append((steps, lead, done))
-            return done
-
-        monkeypatch.setattr(matrix, "_bareiss", spy)
-        return seen
-
-    def test_zero_leading_entry_swaps_in_the_shared_phase(self, monkeypatch):
-        # The first column of M leads the shared rows; its top entry is 0.
-        free = [[Rat(0), Rat(2), Rat(1)], [Rat(1), Rat(0), Rat(3)]]
-        p, q = [[Rat(1), Rat(-1), Rat(2)]], [[Rat(3), Rat(0), Rat(1, 2)]]
-        seen = self.spy_bareiss(monkeypatch)
-        assert det_in_x(p, q, free) == det_cofactor(self.joined(p, q, free))
-        steps, lead, done = seen[0]
-        assert (steps, lead) == (2, 0) and done is not None and done[0] == -1
-
-    @pytest.mark.parametrize(
-        "free, p, q",
-        [
-            ([], [[1, 2], [3, -2]], [[1, -1], [2, 3]]),
-            ([[2, 1, -1]], [[1, 1, 2], [3, -2, 1]], [[1, 1, -1], [2, 3, 5]]),
-        ],
-    )
-    def test_zero_leading_entry_swaps_at_one_node(self, monkeypatch, free, p, q):
-        # Column 0 of the trailing block is x p_0[i] - q_0[i] with no free
-        # row, and x (2 p_0[i] - p_0[0]) - (2 q_0[i] - q_0[0]) after the
-        # shared step on (2, 1, -1); its top entry vanishes at x = 1 alone.
-        seen = self.spy_bareiss(monkeypatch)
-        assert det_in_x(p, q, free) == det_cofactor(self.joined(p, q, free))
-        nodes = seen[1:]
-        assert [lead == 0 for _, lead, _ in nodes] == [False, True, False]
-        assert nodes[1][2] is not None and nodes[1][2][0] == -1
-
-    @pytest.mark.parametrize("den", [Rat(-3, 2), Rat(5, 12), Rat(1)])
-    def test_rational_divisor_folds_into_the_denominator(self, den):
-        rng = random.Random(1618)
-        for n in range(1, 5):
-            for x_rows in range(n + 1):
-                rows = self.x_rows(rng, n, x_rows)
-                want = det_cofactor(rows)
-                scaled = [[v * den for v in rows[0]]] + rows[1:]
-                got = det_in_x(*self.split(scaled, x_rows), den)
-                assert got == want
-                assert all(type(c) is RAT for c in got.coeffs)
-
-    def test_no_rows(self):
-        assert det_in_x([], [], []) == UniPoly([Rat(1)])
-        assert det_in_x([], [], [], Rat(-2)) == UniPoly([Rat(-1, 2)])
-
-    def test_dependent_free_rows_give_zero(self, monkeypatch):
-        # Two equal x-free rows: no pivot left in the shared phase.
-        free = [[Rat(1), Rat(2), Rat(0)], [Rat(1), Rat(2), Rat(0)]]
-        p, q = [[Rat(1), Rat(5), Rat(7)]], [[Rat(0), Rat(1), Rat(-1)]]
-        seen = self.spy_bareiss(monkeypatch)
-        assert det_in_x(p, q, free) == UniPoly.zero() == det_cofactor(self.joined(p, q, free))
-        assert [done for _, _, done in seen] == [None]
-
-    @given(st.integers(1, 3), st.integers(0, 2), st.data())
-    def test_parameter_entries_match_cofactor_oracle(self, t, u, data):
-        n = t + u
-
-        def rows(count):
-            return [[data.draw(integer_param_polys()) for _ in range(n)] for _ in range(count)]
-
-        p, q, free = rows(t), rows(t), rows(u)
-        assert det_in_x(p, q, free) == det_cofactor(self.joined(p, q, free))
-
-    def test_reads_back_only_the_coefficients(self, monkeypatch):
-        # (x + 1) a on the diagonal at t = 3: the node values stay packed and
-        # only the four coefficients C(3, i) a^3 are unpacked.  Each x entry
-        # has |p|_1 + |q|_1 = 2, so B = 2^3 and the digits are k = 5 bits
-        # wide; a bound that also held at the node x = 3 would need 8.
-        seen = []
-
-        def spy(value, k, names, degrees, scale):
-            seen.append(k)
-            return _unpack(value, k, names, degrees, scale)
-
-        monkeypatch.setattr(matrix, "_unpack", spy)
-        a = param("a")
-        p = [[a if i == k else Rat(0) for i in range(3)] for k in range(3)]
-        q = [[-a if i == k else Rat(0) for i in range(3)] for k in range(3)]
-        assert det_in_x(p, q, []) == UniPoly([Rat(1), Rat(1)]) ** 3 * UniPoly([a**3])
-        assert seen == [5] * 4
-
-    @pytest.mark.parametrize("t", [2, 3])
-    def test_parameter_bound_holds_at_the_last_node(self, t):
-        # Diagonal entries x a + a = (x + 1) a: det = (x + 1)^t a^t, read
-        # back by its coefficients C(t, i) a^t, not by its node values.  On
-        # the unit torus |x| = |a| = 1 each entry is at most |p|_1 + |q|_1 =
-        # 2, so every coefficient is at most 2^t, and C(t, i) <= 2^t fits
-        # one digit of the packing.
-        a = param("a")
-        p = [[a if i == k else Rat(0) for i in range(t)] for k in range(t)]
-        q = [[-a if i == k else Rat(0) for i in range(t)] for k in range(t)]
-        want = UniPoly([Rat(1), Rat(1)]) ** t * UniPoly([a**t])
-        assert det_in_x(p, q, []) == want == det_cofactor(self.joined(p, q, []))
-        free = [[Rat(1)] + [Rat(0)] * t]
-        p1 = [[Rat(0)] + row for row in p]
-        q1 = [[Rat(0)] + row for row in q]
-        assert det_in_x(p1, q1, free) == (-1) ** t * want
-
-
 class TestDetOrders:
     """``det_orders`` against the cofactor expansion of each order's matrix,
     built whole: the first w - t bottom rows on top of the bordered top
@@ -762,6 +601,89 @@ class TestDetOrders:
         got = det_orders(scaled, top, dens, borders)
         assert got == {0: want[0] * Rat(1, 3), 1: want[1] * Rat(-2), 2: want[2] * Rat(1, 5)}
         assert det_orders([], top, {2: 1}, borders) == {2: want[2]}
+        # With no bottom row the x rows are the Hankel pencil
+        # det[x c_(i+j) - c_(i+j+1)], from top_k = (c_k, ..., c_(k+t-1)).
+        for seq in ([3, -1, 4, 1, -5, 9, 2, -6, 5], [a, 1, a - 2, 0, 3, a, -1, 2 * a, 1]):
+            for t in range(1, 5):
+                hankel = [
+                    [UniPoly([-seq[i + j + 1], seq[i + j]]) for j in range(t)] for i in range(t)
+                ]
+                top = [seq[k : k + t] for k in range(t + 1)]
+                assert det_orders([], top, {t: Rat(-1, 2)}, c=1) == {t: det_cofactor(hankel) * -2}
+
+    @pytest.mark.parametrize(
+        "bottom, top, orders, path",
+        [
+            # bottom[0] leads with 0, so the shared phase swaps columns.
+            (
+                [[0, 2, 1], [1, 0, 3]],
+                [[1, -1, 2], [3, 0, 1]],
+                [1],
+                [(True, -1), (False, 1), (False, 1)],
+            ),
+            # The leading entry x - 1 of the x rows vanishes at the node x = 1
+            # alone, so ``_in_x`` swaps rows there; with no bottom row, and
+            # after the shared step on (2, 1, -1).
+            ([], [[1, 2], [1, -1], [2, 3]], [2], [(False, 1), (False, 1), (True, -1), (False, 1)]),
+            (
+                [[2, 1, -1]],
+                [[1, 1, 2], [1, 1, -1], [3, -2, 1]],
+                [2],
+                [(False, 1), (False, 1), (True, -1), (False, 1)],
+            ),
+            # Two equal bottom rows: order 2 is finished, then no pivot is
+            # left for order 1, and orders 1 and 0 are 0 with no more steps.
+            (
+                [[1, 2, 0], [1, 2, 0], [0, 0, 1]],
+                [[1, 5, 7], [0, 1, -1], [2, 0, 1], [1, 1, 1]],
+                [0, 1, 2],
+                [(False, 1)] * 4 + [(True, None)],
+            ),
+        ],
+    )
+    def test_x_rows_at_zero_pivots_and_dependent_bottom_rows(
+        self, monkeypatch, bottom, top, orders, path
+    ):
+        # Each ``_bareiss`` call as (whether the leading entry of its first
+        # step is 0, the sign of its row swaps or None).
+        seen = []
+        bareiss = matrix._bareiss
+
+        def spy(a, steps, prev=1, start=0):
+            zero = steps > start and a[start][start] == 0
+            done = bareiss(a, steps, prev, start)
+            seen.append((zero, done and done[0]))
+            return done
+
+        monkeypatch.setattr(matrix, "_bareiss", spy)
+        got = det_orders(bottom, top, {t: 1 for t in orders})
+        assert got == {t: self.whole(bottom, top, t) for t in orders}
+        assert seen == path
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_x_rows_read_back_only_the_coefficients(self, monkeypatch, t):
+        # Top rows a e_0, a (e_k - e_(k-1)) for 0 < k < t and -a e_(t-1) make
+        # the x rows at c = 3 tridiagonal, with determinant a^t sum_k (3x)^k.
+        # Each entry is at most c |top_k|_1 + |top_(k+1)|_1 on the unit torus,
+        # which bounds the coefficients but not the node values: at the last
+        # node, x = t, the value is larger than one digit holds.  The node
+        # values stay packed and only the t + 1 coefficients are unpacked.
+        seen = []
+
+        def spy(value, k, names, degrees, scale):
+            seen.append(k)
+            return _unpack(value, k, names, degrees, scale)
+
+        monkeypatch.setattr(matrix, "_unpack", spy)
+        a = param("a")
+        unit = [[a if i == k else 0 for i in range(t)] for k in range(t)]
+        top = [unit[0]] + [[x - y for x, y in zip(unit[k], unit[k - 1])] for k in range(1, t)]
+        top.append([-x for x in unit[t - 1]])
+        got = det_orders([], top, {t: 1}, c=3)[t]
+        assert got == UniPoly([Rat(3**k) for k in range(t + 1)]) * UniPoly([a**t])
+        assert got == self.whole([], top, t, c=3)
+        assert len(seen) == t + 1
+        assert sum((3 * t) ** k for k in range(t + 1)) >= 2 ** (seen[0] - 1)
 
 
 class TestStructure:
