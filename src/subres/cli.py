@@ -22,8 +22,9 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .confluent import wronskian, wronskian_det
+from .confluent import wronskian
 from .errors import DomainError, StructuralError
+from .matrix import det_exact
 from .mv.duality import assemble_dual_basis, inverse_system
 from .mv.hilbert import build_monomial_sets
 from .mv.macaulay import delta_s
@@ -118,8 +119,7 @@ def _cmd_wronskian(args):
     m = wronskian(h, a, u)
     doc = {"matrix": matrix_to_json(m)}
     if m.nrows == m.ncols:
-        # Square when u is the total multiplicity; otherwise u is 0 and m empty.
-        doc["det"] = scalar_to_str(wronskian_det(h, a) if u == a.total else Rat(1))
+        doc["det"] = scalar_to_str(det_exact(m))
     return doc, 0
 
 

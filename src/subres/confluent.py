@@ -11,8 +11,10 @@ root differences (``rootsets._difference_product``); per root alpha_i,
 the chain (x - alpha_i)^k f_i, k < d_i, f_i the product of the other
 roots' factors; and the Hermite basis, built from that chain.  The basis
 and the order-1 pole formula (``roots_formulas``) take their pole
-weights from one truncated product of per-slot series, in any slot order
-(``_pole_weights``).
+weights from one truncated product of per-slot series on integer
+numerators, in any slot order (``_pole_numerators``), and read them back
+through one step that divides a parameter denominator exactly or
+refuses (``_exact_weights``).
 
 The table has no rational entries.  With q the lcm of the roots'
 denominators (a ``ParamPoly`` root has one), its row k is q^k V_k, ints
@@ -35,13 +37,13 @@ once as numerators over one common denominator q (``_numerators``, or
 the table's own), forms its products and series in ints, or in
 integer-coefficient ``ParamPoly``s for parameter roots, and divides once
 per value it returns: the root-difference products once per product,
-the pole weights once per weight (``_pole_numerators`` gives them over
-one denominator), ``wronskian_det_closed`` once for the product of the
-h(alpha_i)^(d_i), and the Hermite basis and interpolant once per
-polynomial, summing numerators over the lcm of the denominators
-(``UniPoly.from_integers``).  With p = -d_l on the other roots the
-weights are the Taylor coefficients of 1/f_i themselves, so the basis
-never divides by f_i(alpha_i) on its own.
+``wronskian_det_closed`` once for the product of the h(alpha_i)^(d_i),
+and the Hermite basis and interpolant once per polynomial, summing
+numerators over the lcm of the denominators (``UniPoly.from_integers``);
+the basis keeps the pole weights over their one denominator until then.
+With p = -d_l on the other roots the weights are the Taylor
+coefficients of 1/f_i themselves, so the basis never divides by
+f_i(alpha_i) on its own.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from typing import Mapping, Optional, Tuple
 from .errors import DomainError
 from .matrix import ExactMatrix, det_exact
 from .rootsets import MultiRootSet, _difference_product, _monic
-from .scalar import Rat, Scalar, _numerators, _quotient
+from .scalar import ParamPoly, Rat, Scalar, _numerators, _quotient
 from .unipoly import UniPoly
 
 
@@ -217,47 +219,26 @@ def _root_chain(a: MultiRootSet, i: int) -> list:
     return chain
 
 
-def _refusal(formula: str, a: MultiRootSet, i: int) -> DomainError:
-    """The error of a closed form that cannot divide exactly by
-    f_i(alpha_i): parameter roots of A that differ by a non-constant."""
-    alpha_i = a.pairs[i - 1][0]
-    return DomainError(
-        "the %s divides by f_%d(%s) = %s; the roots within a set must differ "
-        "by constants" % (formula, i, alpha_i, _root(a, i)[0](alpha_i))
-    )
-
-
-def _pole_weights(alpha: Scalar, slots, n: int) -> list:
-    """w_k for k < n: the coefficient of y^k in the product over the slots
-    (gamma, m, p) of sum_j s_j y^j, s_j = C(m-1+j, j) (alpha - gamma)^(p-j),
-    that is the sum over compositions (k_l) of k of prod_l C(m_l-1+k_l, k_l)
-    (alpha - gamma_l)^(p_l-k_l).  With every p = 0, w_k is (-1)^k F(alpha)
-    times the coefficient of (x - alpha)^k in 1/F, F = prod_l (x - gamma_l)^m_l;
-    with every p = -m, it is (-1)^k times that coefficient itself.
-
-    alpha and the gammas are read once, as numerators over one q
-    (``_numerators``), the product runs on them (``_pole_numerators``) and
-    each weight is one division.
-    """
-    nums, q = _numerators([alpha] + [gamma for gamma, _, _ in slots])
-    diffs = [(nums[0] - x, m, p) for x, (_, m, p) in zip(nums[1:], slots)]
-    num, den = _pole_numerators(diffs, q, n)
-    return [_quotient(v, den) for v in num]
-
-
 def _pole_numerators(slots, q: int, n: int) -> Tuple[list, Scalar]:
     """(num, den) with w_k = num[k] / den for k < n, the pole weights of
-    ``_pole_weights`` on integers.  Each slot is (D, m, p) with
-    D = q (alpha - gamma), an int or an integer-coefficient ``ParamPoly``.
+    alpha over the slots (gamma, m, p): w_k is the coefficient of y^k in
+    the product over the slots of sum_j s_j y^j, s_j = C(m-1+j, j)
+    (alpha - gamma)^(p-j), that is the sum over compositions (k_l) of k
+    of prod_l C(m_l-1+k_l, k_l) (alpha - gamma_l)^(p_l-k_l).  With every
+    p = 0, w_k is (-1)^k F(alpha) times the coefficient of (x - alpha)^k
+    in 1/F, F = prod_l (x - gamma_l)^m_l; with every p = -m, it is (-1)^k
+    times that coefficient itself.
 
-    A slot's series is taken times q^t (alpha - gamma)^(t-p), t = max(p,
-    n-1), and its term at y^j times q^-j, which leaves C(m-1+j, j) D^(t-j):
-    never a division.  Every term of the product at y^k has lost q^k in
-    all, so the product, truncated below y^n and folded in any slot order,
-    is c_k = w_k q^(P-k) prod D^(t-p) at y^k, P = sum p.  So num[k] is
-    c_k q^(k-l) and den is q^(P-l) prod D^(t-p), l = min(P, 0), an int or
-    a ``ParamPoly``; the division is exact whenever the weight is a
-    polynomial in the parameters.
+    The slots come as (D, m, p) with D = q (alpha - gamma), alpha and the
+    gammas read as numerators over one q: an int or an integer-coefficient
+    ``ParamPoly``.  A slot's series is taken times q^t (alpha - gamma)^(t-p),
+    t = max(p, n-1), and its term at y^j times q^-j, which leaves
+    C(m-1+j, j) D^(t-j): never a division.  Every term of the product at
+    y^k has lost q^k in all, so the product, truncated below y^n and
+    folded in any slot order, is c_k = w_k q^(P-k) prod D^(t-p) at y^k,
+    P = sum p.  So num[k] is c_k q^(k-l) and den is q^(P-l) prod D^(t-p),
+    l = min(P, 0), an int or a ``ParamPoly``; the division is exact
+    whenever the weight is a polynomial in the parameters.
     """
     w = [1] + [0] * (n - 1)
     den, power = 1, 0
@@ -274,6 +255,23 @@ def _pole_numerators(slots, q: int, n: int) -> Tuple[list, Scalar]:
             w[k] = acc
     low = min(power, 0)
     return [v * q ** (k - low) for k, v in enumerate(w)], den * q ** (power - low)
+
+
+def _exact_weights(num: list, den: Scalar, formula: str, a: MultiRootSet, i: int) -> tuple:
+    """num / den over one int denominator: as they are for an int den, else
+    each num[k] / den divided exactly (``_numerators``).  A remainder,
+    possible only where parameter roots of A differ by a non-constant, is
+    refused, naming f_i(alpha_i) of the 1-based root i."""
+    if not isinstance(den, ParamPoly):
+        return num, den
+    try:
+        return _numerators([v / den for v in num])
+    except DomainError:
+        alpha_i = a.pairs[i - 1][0]
+        raise DomainError(
+            "the %s divides by f_%d(%s) = %s; the roots within a set must differ "
+            "by constants" % (formula, i, alpha_i, _root(a, i)[0](alpha_i))
+        ) from None
 
 
 def basic_hermite(a: MultiRootSet, i: int, j: int) -> UniPoly:
@@ -300,24 +298,23 @@ def _hermite_row(a: MultiRootSet, i: int) -> list:
 def _hermite_basis(a: MultiRootSet, i: int) -> list:
     """Basis polynomial (i, j) is sum_k (-1)^k w_k (x-alpha_i)^(j+k) f_i
     over k < d_i - j, w_k the pole weights of alpha_i over the other roots
-    with p = -d_l (``_pole_weights``), (-1)^k w_k being the coefficient
+    with p = -d_l (``_pole_numerators``), (-1)^k w_k being the coefficient
     of (x - alpha_i)^k in 1/f_i: f_i times the expansion of 1/f_i at
     alpha_i truncated below order d_i - j.  Every term is read from the
     root's one chain of (x - alpha_i) multiples of f_i.
 
-    The weights are taken as numerators over one denominator
-    (``_numerators``); those times the chain's numerators, brought to the
-    lcm of the chain's denominators, are summed, and each polynomial is
-    reduced once (``UniPoly.from_integers``).  The weights divide by the
-    differences of the roots, exactly only when those are constants, so a
-    parameter set is refused otherwise.
+    The weights are numerators over one denominator, formed on the roots'
+    numerators in the set's table; a parameter denominator is divided out
+    exactly or refused (``_exact_weights``).  The weights times the
+    chain's numerators, brought to the lcm of the chain's denominators,
+    are summed, and each polynomial is reduced once
+    (``UniPoly.from_integers``).
     """
-    alpha_i, d_i = a.pairs[i - 1]
-    others = [(alpha, d, -d) for idx, (alpha, d) in enumerate(a, start=1) if idx != i]
-    try:
-        w, den = _numerators(_pole_weights(alpha_i, others, d_i))
-    except DomainError:
-        raise _refusal("Hermite interpolant", a, i) from None
+    _, q, roots = a._once("vandermonde", _new_table)
+    x_i, d_i = roots[i - 1]
+    slots = [(x_i - x, d, -d) for idx, (x, d) in enumerate(roots, start=1) if idx != i]
+    w, den = _pole_numerators(slots, q, d_i)
+    w, den = _exact_weights(w, den, "Hermite interpolant", a, i)
     chain = _root(a, i)
     big = lcm(*(p.denominator for p in chain))
     scaled = [[z * (big // p.denominator) for z in p.numerators] for p in chain]

@@ -43,13 +43,16 @@ its divisor.
 Two closed-form specializations avoid determinants entirely: the order
 d-1 subresultant is the Hermite interpolant of g on A, from the Taylor
 data of g at A (row 0 of its Wronskian), and the order-1 subresultant is
-an explicit weighted sum over the roots, its weights one truncated
-product of per-slot series (``confluent._pole_numerators``).  Both run
-on integer numerators: the interpolant takes the integral Taylor row
-with its scale as it is (``confluent._interpolate``), and the order-1
-sum reads the roots of A and B once over one common denominator and is
-reduced once.  Both divide by differences of roots within A and refuse
-a division they cannot do exactly.
+an explicit weighted sum over the roots.  Both rest on the pole weights
+of a root of A over the other roots, one truncated product of per-slot
+series on integer numerators (``confluent._pole_numerators``), and run
+on integer numerators throughout: the interpolant takes the integral
+Taylor row with its scale as it is (``confluent._interpolate``) and the
+Hermite basis on the set's own table numerators, and the order-1 sum
+reads the roots of A and B once over one common denominator and is
+reduced once.  Both divide by differences of roots within A, and one
+step divides a parameter denominator exactly or refuses the division
+(``confluent._exact_weights``).
 """
 
 from __future__ import annotations
@@ -58,9 +61,9 @@ from math import lcm, prod
 from typing import Dict, Iterable, Optional
 
 from .confluent import (
+    _exact_weights,
     _interpolate,
     _pole_numerators,
-    _refusal,
     _vandermonde_rows,
     _wronskian_rows,
     vandermonde_det_closed,
@@ -68,8 +71,8 @@ from .confluent import (
 from .errors import DomainError
 from .matrix import det_orders
 from .rootsets import MultiRootSet, poly_from_roots
-from .scalar import ParamPoly, _numerators
-from .subresultants import _check_t
+from .scalar import _numerators
+from .subresultants import _check_t, _valid_orders
 from .unipoly import UniPoly
 
 VARIANTS = ("compact", "block", "wronskian-full")
@@ -88,7 +91,7 @@ def sres_roots_all(
     orders: Optional[Iterable[int]] = None,
 ) -> Dict[int, UniPoly]:
     """Subresultants of the monic polynomials with roots A and B, by order,
-    for each t in ``orders`` (by default every t that ``_check_t`` allows),
+    for each t in ``orders`` (by default every t allowed, ``_valid_orders``),
     all from one layout of the variant and one elimination (``det_orders``).
 
     The bottom rows come first: the Wronskian rows of g over A for
@@ -104,7 +107,7 @@ def sres_roots_all(
     if variant not in VARIANTS:
         raise DomainError("unknown variant %r; pick one of %s" % (variant, ", ".join(VARIANTS)))
     d, e = a.total, b.total
-    orders = list(range(d + 1 if d < e else d) if orders is None else orders)
+    orders = list(_valid_orders(d, e) if orders is None else orders)
     for t in orders:
         _check_t(d, e, t)
     if not orders:
@@ -187,8 +190,7 @@ def sres_one(a: MultiRootSet, b: MultiRootSet) -> UniPoly:
     numerators over q^(1 + e (d - d_i)) times the weights' denominator.
     The contributions are summed over the lcm of their denominators and
     reduced once.  A parameter denominator divides its contribution
-    exactly first; one that leaves a remainder, possible only where
-    parameter roots of A differ by a non-constant, is refused.
+    exactly first, or is refused (``_exact_weights``).
     """
     d, e = a.total, b.total
     if not 1 < d <= e:
@@ -212,12 +214,7 @@ def sres_one(a: MultiRootSet, b: MultiRootSet) -> UniPoly:
             scale = -scale
         num = [(q * s0 - x_i * s1) * scale, q * s1 * scale]
         den = den * q ** (1 + e * (d - d_i))
-        if isinstance(den, ParamPoly):
-            try:
-                num, den = _numerators([v / den for v in num])
-            except DomainError:
-                raise _refusal("order-1 closed form", a, i + 1) from None
-        parts.append((num, den))
+        parts.append(_exact_weights(num, den, "order-1 closed form", a, i + 1))
     big = lcm(*(den for _, den in parts))
     total = [0, 0]
     for num, den in parts:

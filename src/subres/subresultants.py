@@ -37,6 +37,11 @@ def _check_t(d, e, t: int) -> None:
         raise DomainError("t = deg f = deg g is outside the defined range")
 
 
+def _valid_orders(d: int, e: int) -> range:
+    """Every order t that ``_check_t`` allows for degrees d <= e."""
+    return range(d + 1 if d < e else d)
+
+
 def sres_coeff(f: UniPoly, g: UniPoly, t: int) -> UniPoly:
     """Order-t subresultant of f and g from their coefficients."""
     d, e = f.degree, g.degree

@@ -29,7 +29,7 @@ from .roots_formulas import VARIANTS, sres_dm1_hermite, sres_one, sres_roots_all
 from .rootsets import MultiRootSet, pairing_R, poly_from_roots
 from .scalar import Rat, _quotient
 from .serialize import SystemDocument
-from .subresultants import sres_coeff, sylv_double_sum, sylvester_identity_scale
+from .subresultants import _valid_orders, sres_coeff, sylv_double_sum, sylvester_identity_scale
 from .unipoly import UniPoly
 
 __all__ = [
@@ -85,10 +85,6 @@ def _match(checks: List[Check], name: str, got, want) -> None:
 _ONE = UniPoly([1])
 
 
-def _valid_t_range(d: int, e: int) -> range:
-    return range(0, d + 1) if d < e else range(0, d)
-
-
 def univariate_checks(a: MultiRootSet, b: MultiRootSet) -> List[Check]:
     """Compare coefficient-side and root-side formulas on one pair.
 
@@ -100,7 +96,7 @@ def univariate_checks(a: MultiRootSet, b: MultiRootSet) -> List[Check]:
     d, e = a.total, b.total
     f, g = poly_from_roots(a), poly_from_roots(b)
     checks: List[Check] = []
-    coeff_side = {t: sres_coeff(f, g, t) for t in _valid_t_range(d, e)}
+    coeff_side = {t: sres_coeff(f, g, t) for t in _valid_orders(d, e)}
     root_side = {variant: sres_roots_all(a, b, variant) for variant in VARIANTS}
 
     for t, want in coeff_side.items():
