@@ -20,8 +20,9 @@ from the standard library and the constants of ``run_crosschecks.py``:
   with the default u;
 - on the A side of each symbolic pair and of the fine pair, ``wronskian``
   with a parameter in h;
-- the five bundled systems other than the mixed grid system.  On each:
-  ``verify``, ``mv`` on both routes, and ``dual`` at each root;
+- the five bundled systems other than the mixed grid system and the
+  division system.  On each: ``verify``, ``mv`` on both routes, and
+  ``dual`` at each root;
 - ``verify`` on the first bundled system with two of its dual functionals
   at (0, 0) replaced, so that the annihilation record and the quotient
   record fail (exit 1).
@@ -51,6 +52,7 @@ from fractions import Fraction
 
 from run_crosschecks import (
     BUNDLED_SYSTEM,
+    DIVISION_SYSTEM,
     FINE_PAIR,
     MIXED_GRID_SYSTEM,
     SYMBOLIC_PAIRS,
@@ -224,8 +226,13 @@ def calls_for(seeds):
     fixed = list(SYMBOLIC_PAIRS) + [FINE_PAIR]
     calls = [call for a, b in pairs + fixed for call in pair_calls(a, b)]
     calls += [["wronskian", "--A", json.dumps(a), "--h", H_PARAM] for a, _ in fixed]
+    # The mixed grid system is on the second line.  The division system is
+    # on none, so the first line still compares with trees that refuse it.
     calls += [
-        call for _, doc in SYSTEMS if doc is not MIXED_GRID_SYSTEM for call in system_calls(doc)
+        call
+        for _, doc in SYSTEMS
+        if doc is not MIXED_GRID_SYSTEM and doc is not DIVISION_SYSTEM
+        for call in system_calls(doc)
     ]
     return calls + [["verify", "--system", json.dumps(BROKEN_DUAL_SYSTEM)]]
 

@@ -8,14 +8,15 @@ a quadruple root b, so the determinants carry parameter entries and run
 through the packed integer kernel), two fixed rational pairs whose
 roots have denominators 7, 9 and 11, and 5, 7 and 11 with every root
 multiple, and two pairs that share a root, one
-rational and one symbolic, then replays six bundled
+rational and one symbolic, then replays seven bundled
 two-variable systems through the document-level battery: the
 circle-line example, whose dual basis is given, a grid system with one
 root of multiplicity 9, a second grid system with roots of multiplicity
 9 and 3 and a line with mixed denominators, a system with two multiple
 roots whose coordinates are thirds, a system whose roots lie at a
-parameter, and one whose dual basis has a parameter coefficient;
-``inverse_system`` computes the dual bases of the last five.
+parameter, one whose dual basis has a parameter coefficient, and one
+whose canonical dual basis would need a division by a parameter;
+``inverse_system`` computes the dual bases of the last six.
 Exits 1 if any check fails.
 """
 
@@ -273,6 +274,31 @@ KERNEL_SYSTEM = {
     "roots": [{"point": ["0", "0"]}],
 }
 
+# a*x1^2 + x1*x2, x2^2 and a rational line: one root (0, 0) of multiplicity
+# 4, left to inverse_system.  Its canonical dual basis needs a coefficient
+# 1/a, so `sres dual` refuses the point; the basis the integration finds has
+# polynomial coefficients and serves the quotient.  Both routes give -1.
+DIVISION_SYSTEM = {
+    "n": 2,
+    "variables": ["x1", "x2"],
+    "polynomials": [
+        [
+            {"exponents": [2, 0], "coeff": "a"},
+            {"exponents": [1, 1], "coeff": "1"},
+        ],
+        [{"exponents": [0, 2], "coeff": "1"}],
+        [
+            {"exponents": [0, 0], "coeff": "1"},
+            {"exponents": [1, 0], "coeff": "1"},
+            {"exponents": [0, 1], "coeff": "2"},
+        ],
+    ],
+    "degrees": [2, 2, 1],
+    "t": 2,
+    "S": [[2, 0]],
+    "roots": [{"point": ["0", "0"]}],
+}
+
 SYSTEMS = (
     ("bundled system", BUNDLED_SYSTEM),
     ("grid system", GRID_SYSTEM),
@@ -280,6 +306,7 @@ SYSTEMS = (
     ("thirds system", THIRDS_SYSTEM),
     ("parameter system", PARAM_SYSTEM),
     ("parameter kernel system", KERNEL_SYSTEM),
+    ("parameter division system", DIVISION_SYSTEM),
 )
 
 

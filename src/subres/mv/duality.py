@@ -9,7 +9,13 @@ exponents and witness closedness of a local dual space under "division"
 by the variables; the integrals raise them, and ``inverse_system`` grows
 the dual space order by order with them, on one resumable elimination
 (``_Integration``) to which each order adds only the unknowns of the
-functionals the order before it found.
+functionals the order before it found.  Its result keeps the functionals
+that elimination found (``primitive``: integer or parameter-polynomial
+coefficients, the evaluation first) and builds the canonical reduced
+echelon basis from them (``_canonical``) only when ``functionals`` is
+read, as ``sres dual`` does.  The Poisson quotient does not depend on the
+basis, so ``verify`` and ``mv`` take the primitive one and never build,
+or refuse a point for, the canonical form.
 
 The arithmetic runs on integer numerators over one integer denominator,
 as ``_numerators`` makes them.  A point coordinate u/v expands through a
@@ -21,8 +27,9 @@ each root's tables once per call, sums L(x^gamma) once per monomial and
 root, reads no translate, and returns integer numerators with one scale
 per polynomial and one per functional: L_j(f_i) = nums[i][j] /
 (row_dens[i] * col_dens[j]).  The public matrices divide each numerator
-back; ``poisson_delta`` keeps the integer rows and divides each
-determinant once.  ``inverse_system`` reads translates (``_translate``)
+back; the Poisson quotient keeps the integer rows and divides each
+determinant once, and the same call gives the system battery its
+annihilation numerators.  ``inverse_system`` reads translates (``_translate``)
 instead, and its elimination runs on their integer numerators.  A
 ``ParamPoly`` coordinate or coefficient is scaled to integer coefficients
 and goes through the same loops.  Every reader of the tables lives here.
@@ -31,6 +38,7 @@ and goes through the same loops.  Every reader of the tables lives here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, gcd, prod
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -95,7 +103,7 @@ class DualFunctional:
     def _unchecked(cls, point: Point, terms: tuple) -> "DualFunctional":
         """The functional of ``terms`` as the constructor would leave them:
         nonzero scalars on distinct exponents in ``canon_key`` order.  No
-        check is made; ``_canonical`` builds them so."""
+        check is made; ``inverse_system`` and ``_canonical`` build them so."""
         func = object.__new__(cls)
         object.__setattr__(func, "point", point)
         object.__setattr__(func, "terms", terms)
@@ -266,23 +274,41 @@ def dual_vandermonde(monomials: Sequence[Expo], basis: DualBasis) -> ExactMatrix
 class InverseSystemResult:
     """Basis of the local dual space, with a truncation marker.
 
-    ``truncated`` is set when the dimension was still growing at the order
-    bound; the functionals then span only the bounded-order part.
+    ``primitive`` is the basis the integration found, in order of arrival:
+    the evaluation first, then each functional as its kernel vector gives
+    it, with integer or parameter-polynomial coefficients and no common
+    content.  ``functionals`` is the canonical basis of the same span,
+    built from it on first read (``_canonical``); only that read can
+    refuse the point, with the ``DomainError`` of ``inverse_system``.
+    ``dimension``, ``len`` and iteration read ``primitive``.  ``truncated``
+    is set when the dimension was still growing at the order bound; the
+    functionals then span only the bounded-order part.
     """
 
-    functionals: Tuple[DualFunctional, ...]
+    primitive: Tuple[DualFunctional, ...]
     truncated: bool
     order_stabilized: Optional[int]
 
+    @cached_property
+    def functionals(self) -> Tuple[DualFunctional, ...]:
+        try:
+            return _canonical(self.primitive)
+        except DomainError as ex:
+            # Only an inexact ParamPoly division raises there.
+            raise DomainError(
+                "the dual basis at %s needs a division by a parameter polynomial: %s"
+                % (self.primitive[0].point, ex)
+            ) from ex
+
     @property
     def dimension(self) -> int:
-        return len(self.functionals)
+        return len(self.primitive)
 
     def __iter__(self):
-        return iter(self.functionals)
+        return iter(self.primitive)
 
     def __len__(self):
-        return len(self.functionals)
+        return len(self.primitive)
 
 
 def inverse_system(
@@ -313,11 +339,17 @@ def inverse_system(
     So the kernel vectors of the earlier free columns are the earlier
     functionals, and each new free column gives one new functional: dim
     D_(k+1) - dim D_k is the number of new free columns.  The search
-    stalls at order k when no new column is free.  The basis returned is
-    the reduced echelon form of the dual space taken from the last
-    monomial of ``monomials_up_to_degree`` backwards, which is unique:
-    each functional ends in its own monomial with coefficient 1, on which
-    every other functional is zero.
+    stalls at order k when no new column is free.
+
+    The result carries two bases of the dual space.  ``primitive`` is the
+    one the integration found, each functional read from its kernel
+    vector with no common content; ``resolved_groups`` hands it to the
+    Poisson quotient, which does not depend on the basis.
+    ``functionals``, built on first read, is the reduced echelon form of
+    the dual space taken from the last monomial of
+    ``monomials_up_to_degree`` backwards, which is unique: each
+    functional ends in its own monomial with coefficient 1, on which
+    every other functional is zero.  ``sres dual`` prints it.
 
     The default ``order_bound`` is the product of max(deg g, 1); a
     negative one is refused with a ``DomainError``.  An
@@ -333,8 +365,9 @@ def inverse_system(
     reduced echelon form can need a coefficient outside the parameter
     polynomials (such as 1/a); an inexact division inside that last
     elimination refuses the point with a ``DomainError`` that names it
-    and chains the failed division.  So a point is refused exactly when
-    its canonical basis is not polynomial.
+    and chains the failed division.  That happens on the first read of
+    ``functionals`` and nowhere else: a point is refused exactly when its
+    canonical basis is not polynomial and is asked for.
     """
     if not generators:
         raise DomainError("need at least one generator")
@@ -359,20 +392,20 @@ def inverse_system(
     evaluation = {(0,) * n: 1}
     found, new = [evaluation], [evaluation]
     grow = _Integration(local, n)
-    try:
-        for order in range(1, order_bound + 1):
-            new = [f for func in new for f in grow.add(func)]
-            if not new:
-                return InverseSystemResult(_canonical(found, point), False, order - 1)
-            found += new
-            if len(found) > bezout:
-                break
-        return InverseSystemResult(_canonical(found, point), True, None)
-    except DomainError as ex:
-        # Past the checks above only an inexact ParamPoly division raises.
-        raise DomainError(
-            "the dual basis at %s needs a division by a parameter polynomial: %s" % (point, ex)
-        ) from ex
+    stabilized = None
+    for order in range(1, order_bound + 1):
+        new = [f for func in new for f in grow.add(func)]
+        if not new:
+            stabilized = order - 1
+            break
+        found += new
+        if len(found) > bezout:
+            break
+    primitive = []
+    for f in found:
+        terms = sorted(((a, as_scalar(c)) for a, c in f.items()), key=lambda kv: canon_key(kv[0]))
+        primitive.append(DualFunctional._unchecked(point, tuple(terms)))
+    return InverseSystemResult(tuple(primitive), stabilized is None, stabilized)
 
 
 class _Integration:
@@ -466,11 +499,19 @@ def _primitive(vector: list) -> list:
     return [v // g for v in vector]
 
 
-def _canonical(basis: list, point: Point) -> Tuple[DualFunctional, ...]:
-    """The reduced echelon form of the span, read from the last monomial
-    backwards, as functionals sorted by order and then by last monomial."""
-    columns = sorted({alpha for b in basis for alpha in b}, key=canon_key, reverse=True)
-    rows = reduced_echelon([[b.get(alpha, 0) for alpha in columns] for b in basis])
+def _canonical(funcs: Sequence[DualFunctional]) -> Tuple[DualFunctional, ...]:
+    """The reduced echelon form of the span of ``funcs``, read from the last
+    monomial backwards, as functionals sorted by order and then by last
+    monomial.  Each functional is taken as its integer numerators, which
+    leaves the span as it is; the integration's own are integers already."""
+    point = funcs[0].point
+    columns = sorted({alpha for f in funcs for alpha, _ in f.terms}, key=canon_key, reverse=True)
+    rows = []
+    for f in funcs:
+        nums, _ = _numerators([c for _, c in f.terms])
+        coeffs = {alpha: c for (alpha, _), c in zip(f.terms, nums)}
+        rows.append([coeffs.get(alpha, 0) for alpha in columns])
+    rows = reduced_echelon(rows)
     # Reversed, the columns are in canon_key order, and every entry of the
     # rows is a rational or a ParamPoly, as the constructor would make it.
     columns.reverse()

@@ -19,12 +19,12 @@ from .confluent import (
     wronskian_det,
     wronskian_det_closed,
 )
-from .errors import DomainError, StructuralError
+from .errors import DomainError
 from .matrix import det_exact
-from .mv.duality import _values, assemble_dual_basis, inverse_system
+from .mv.duality import assemble_dual_basis, inverse_system
 from .mv.hilbert import build_monomial_sets
 from .mv.macaulay import _divide_out, extraneous_factor, macaulay_matrix
-from .mv.poisson import poisson_delta
+from .mv.poisson import SINGULAR_V_T, _poisson
 from .roots_formulas import VARIANTS, sres_dm1_hermite, sres_one, sres_roots_all
 from .rootsets import MultiRootSet, pairing_R, poly_from_roots
 from .scalar import Rat, _quotient
@@ -47,7 +47,11 @@ def resolved_groups(doc: SystemDocument):
 
     Each document root either carries its dual functionals or just the
     point; in the latter case the inverse system of the first n
-    polynomials at that point fills the group in.
+    polynomials at that point fills the group in, with the basis its
+    integration found (``InverseSystemResult.primitive``), led by the
+    evaluation.  The Poisson quotient does not depend on the basis, so
+    the canonical form is never built here, and a point whose canonical
+    basis needs a division such as 1/a is not refused.
     """
     if doc.roots is None:
         raise DomainError("the system document carries no root data")
@@ -59,7 +63,7 @@ def resolved_groups(doc: SystemDocument):
                 raise DomainError(
                     "inverse system at %s did not stabilize below the order bound" % (point,)
                 )
-            dual = result.functionals
+            dual = result.primitive
         groups.append((point, tuple(dual)))
     return groups
 
@@ -206,8 +210,11 @@ def mv_checks(doc: SystemDocument) -> List[Check]:
 
     if doc.roots is not None:
         basis = assemble_dual_basis(resolved_groups(doc), expected_total=combo.bezout)
-        # Every L_j(f_i) from one evaluation, tested for zero on its numerator.
-        nums, row_dens, col_dens = _values(sys.n, basis.groups, [g.terms for g in sys.polys[:-1]])
+        # Every L_j(f_i) from the evaluation that gives the quotient, tested
+        # for zero on its numerator.
+        quotient, (nums, row_dens, col_dens) = _poisson(
+            sys, t, s_cols, basis, sets, sys.polys[:-1]
+        )
         annihilated, witness = True, ""
         for j, func in enumerate(basis.functionals):
             for i, row in enumerate(nums):
@@ -224,23 +231,13 @@ def mv_checks(doc: SystemDocument) -> List[Check]:
             sum(dims) == combo.bezout,
             "dims %s, product %d" % (dims, combo.bezout),
         )
-        try:
-            quotient = poisson_delta(sys, t, s_cols, basis, sets=sets)
-        except StructuralError as ex:
-            _record(
-                checks,
-                "dual-basis quotient matches the Macaulay subresultant up to sign",
-                False,
-                str(ex),
-            )
+        if quotient is None:
+            ok, detail = False, SINGULAR_V_T
         else:
             ok = quotient == delta or quotient == -delta
-            _record(
-                checks,
-                "dual-basis quotient matches the Macaulay subresultant up to sign",
-                ok,
-                "" if ok else "poisson %s, macaulay %s" % (quotient, delta),
-            )
+            detail = "poisson %s, macaulay %s" % (quotient, delta)
+        _record(checks, "dual-basis quotient matches the Macaulay subresultant up to sign", ok,
+                detail)
     return checks
 
 

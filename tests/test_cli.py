@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 
 from conftest import rationals
 from parity import BROKEN_DUAL_SYSTEM
-from run_crosschecks import BUNDLED_SYSTEM, SHARED_RATIONAL_PAIR, SHARED_SYMBOLIC_PAIR
+from run_crosschecks import (
+    BUNDLED_SYSTEM,
+    DIVISION_SYSTEM,
+    SHARED_RATIONAL_PAIR,
+    SHARED_SYMBOLIC_PAIR,
+)
 from subres import MultiRootSet, Rat, UniPoly, __version__, param, wronskian_det_closed
 from subres import cli
 from subres.cli import _build_parser, main
@@ -517,8 +522,41 @@ class TestErrorReporting:
         )
 
     def test_parameter_dual_needing_division_in_verify_exit_two(self, capsys):
-        # f1 = x1^2 - a*x2, f2 = x2^3 at (0, 0), the dual left to
-        # inverse_system: the canonical basis needs 1/a.
+        # f1 = x1^2 - a*x2, f2 = x2^3 at (0, 0): the canonical basis needs
+        # 1/a, so `dual` refuses the point.
+        gens = json.dumps(
+            [
+                [{"exponents": [2, 0], "coeff": "1"}, {"exponents": [0, 1], "coeff": "-a"}],
+                [{"exponents": [0, 3], "coeff": "1"}],
+            ]
+        )
+        assert run(capsys, ["dual", "--generators", gens, "--point", '["0","0"]']) == (
+            2,
+            "",
+            "error: the dual basis at (0, 0) needs a division by a parameter polynomial: "
+            "inexact polynomial division: a^5 by a^6\n",
+        )
+
+    def test_canonical_division_stops_dual_only(self, capsys):
+        # a*x1^2 + x1*x2, x2^2 at (0, 0): the canonical basis needs 1/a, but
+        # verify and the Poisson route read the integration's own basis.
+        system = json.dumps(DIVISION_SYSTEM)
+        got = out_json(capsys, ["verify", "--system", system])
+        assert got["ok"] is True and len(got["checks"]) == 6
+        for route in ("poisson", "macaulay"):
+            assert run(capsys, ["mv", "--route", route, "--system", system]) == (0, '"-1"\n', "")
+        gens = json.dumps(DIVISION_SYSTEM["polynomials"][:2])
+        assert run(capsys, ["dual", "--generators", gens, "--point", '["0","0"]']) == (
+            2,
+            "",
+            "error: the dual basis at (0, 0) needs a division by a parameter polynomial: "
+            "inexact polynomial division: 1 by -a\n",
+        )
+
+    def test_dual_found_where_the_default_t_is_no_basis(self, capsys):
+        # f1 = x1^2 - a*x2, f2 = x2^3, f3 = 1 + x1 at (0, 0): the dual basis
+        # is found, and the default T is not a basis of the quotient, so the
+        # quotient record fails (exit 1) rather than the point being refused.
         doc = {
             "n": 2,
             "polynomials": [
@@ -531,12 +569,12 @@ class TestErrorReporting:
             "S": [[2, 0], [1, 1]],
             "roots": [{"point": ["0", "0"]}],
         }
-        assert run(capsys, ["verify", "--system", json.dumps(doc)]) == (
-            2,
-            "",
-            "error: the dual basis at (0, 0) needs a division by a parameter polynomial: "
-            "inexact polynomial division: a^5 by a^6\n",
-        )
+        got = out_json(capsys, ["verify", "--system", json.dumps(doc)], expect=1)
+        failed = [c for c in got["checks"] if not c["ok"]]
+        assert [c["name"] for c in failed] == [
+            "dual-basis quotient matches the Macaulay subresultant up to sign"
+        ]
+        assert failed[0]["detail"].startswith("V_T is singular")
 
     def test_root_that_is_not_isolated_prints_its_coordinates(self, capsys):
         # x1 x2 and x1^2 x2 vanish on both axes, so the inverse system at

@@ -19,6 +19,7 @@ from math import comb
 import pytest
 
 from oracles import functional_of_multiple, poisson_by_matrices
+from run_crosschecks import DIVISION_SYSTEM, SYSTEMS
 from subres import DomainError, MultiPoly, ParamPoly, Rat, StructuralError, param
 from subres.combinat import monomials_up_to_degree
 from subres.mv.duality import (
@@ -28,6 +29,7 @@ from subres.mv.duality import (
     _values,
     assemble_dual_basis,
     dual_eval,
+    inverse_system,
 )
 from subres.mv.hilbert import build_monomial_sets
 from subres.mv.poisson import dual_vandermonde, dual_wronskian, poisson_delta
@@ -188,6 +190,15 @@ PINNED = [
 ]
 
 
+def canonical_groups(doc):
+    """Each root's given dual basis, or the canonical one of ``inverse_system``."""
+    generators = doc.system.polys[:-1]
+    return [
+        (point, dual if dual is not None else inverse_system(generators, point).functionals)
+        for point, dual in doc.roots
+    ]
+
+
 class TestPinnedGridSystems:
     """The drawn systems depend on the seed, pattern and shear only; each
     order t below the top one keeps rows of T* in O_S."""
@@ -197,11 +208,12 @@ class TestPinnedGridSystems:
         seed, pattern, shear = system
         for t, delta in deltas.items():
             doc = parse_system(sheared_grid(seed, pattern, t, shear))
-            got = resolved_groups(doc)
+            canonical = canonical_groups(doc)
             assert [
                 (tuple(scalar_to_str(c) for c in point.coords), [str(f).split(" at ")[0] for f in funcs])
-                for point, funcs in got
+                for point, funcs in canonical
             ] == [(point, funcs) for point, funcs in groups]
+            got = resolved_groups(doc)
             sets = build_monomial_sets(doc.system.degrees, doc.t, doc.t_override)
             basis = assemble_dual_basis(got)
             quotient = poisson_delta(doc.system, doc.t, doc.s_cols, basis, sets=sets)
@@ -321,3 +333,44 @@ class TestQuotientAgainstMatrices:
         )
         with pytest.raises(ZeroDivisionError):
             poisson_by_matrices(doc.system, doc.t, doc.s_cols, basis, sets)
+
+
+INVARIANCE_CASES = (
+    [(name, raw) for name, raw in SYSTEMS if raw is not DIVISION_SYSTEM]
+    + [("parametric grid", grid_doc(1, True))]
+    + [
+        ("sheared grid %d" % seed, sheared_grid(seed, pattern, 1, shear))
+        for (seed, pattern, shear), _, _ in PINNED
+    ]
+)
+
+
+class TestBasisInvariance:
+    """A change of dual basis multiplies det V_T and det O_S by one
+    determinant, so the canonical basis and the integration's own, which
+    ``resolved_groups`` hands over, give the same quotient, sign included."""
+
+    @pytest.mark.parametrize("name, raw", INVARIANCE_CASES, ids=[n for n, _ in INVARIANCE_CASES])
+    def test_same_quotient_on_either_basis(self, name, raw):
+        doc = parse_system(raw)
+        sets = build_monomial_sets(doc.system.degrees, doc.t, doc.t_override)
+        canonical, own = canonical_groups(doc), resolved_groups(doc)
+        quotients = [
+            poisson_delta(doc.system, doc.t, doc.s_cols, assemble_dual_basis(groups), sets=sets)
+            for groups in (canonical, own)
+        ]
+        assert quotients[0] == quotients[1]
+        assert scalar_to_str(quotients[0]) == scalar_to_str(quotients[1])
+        # On a sheared grid the integration's functionals are not reduced.
+        if name.startswith("sheared"):
+            assert canonical != own
+
+    @pytest.mark.parametrize("t", [1, 4, 5])
+    def test_parameter_shear_needs_no_canonical_basis(self, t):
+        # x2 - a*x1 in f2: the canonical basis at the multiplicity-9 root
+        # needs a division by a, the integration's own does not.
+        doc = parse_system(sheared_grid(3, ((3, 1), (3,)), t, param("a")))
+        heavy = doc.roots[0][0]
+        with pytest.raises(DomainError):
+            inverse_system(doc.system.polys[:-1], heavy).functionals
+        assert all(c.ok for c in mv_checks(doc))

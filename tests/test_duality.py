@@ -1,6 +1,7 @@
 """Local dual spaces: functionals, shifts, and inverse systems."""
 
 import json
+from math import gcd
 
 import pytest
 from hypothesis import example, given
@@ -317,7 +318,7 @@ class TestInverseSystem:
         # a*x1 + x2 and x1^2 at (0, 0): the canonical basis needs 1/a.
         gens = [MultiPoly(2, {(1, 0): A, (0, 1): Rat(1)}), MultiPoly(2, {(2, 0): Rat(1)})]
         with pytest.raises(DomainError) as err:
-            inverse_system(gens, (0, 0))
+            inverse_system(gens, (0, 0)).functionals
         assert str(err.value).startswith(
             "the dual basis at (0, 0) needs a division by a parameter polynomial: "
         )
@@ -415,6 +416,46 @@ class TestCanonicalFunctionals:
     def test_parameter_point(self):
         gens = [MultiPoly(2, {(2, 0): Rat(1), (1, 0): -2 * A, (0, 0): A * A}), MultiPoly(2, {(0, 1): Rat(1)})]
         self.check(gens, (A, 0))
+
+
+class TestTwoBases:
+    """``primitive`` is the basis the integration found; ``functionals``,
+    the canonical basis of the same span, is built from it on first read,
+    and only that read can refuse the point."""
+
+    @pytest.mark.parametrize("pair", [circle_line_pair, quartic_pair])
+    def test_same_span(self, pair):
+        res = inverse_system(list(pair()), (0, 0))
+        assert list(res) == list(res.primitive) and res.primitive[0].is_evaluation()
+        order = max(f.order for f in res)
+        own = [as_vector(f, order) for f in res.primitive]
+        canonical = [as_vector(f, order) for f in res.functionals]
+        assert rank(own) == rank(canonical) == rank(own + canonical) == res.dimension
+        assert res.functionals is res.functionals
+
+    def test_integer_coefficients_without_content(self):
+        res = inverse_system(list(quartic_pair()), (0, 0))
+        for f in res.primitive:
+            coeffs = [c for _, c in f.terms]
+            assert all(c.denominator == 1 for c in coeffs)
+            assert gcd(*(int(c) for c in coeffs)) == 1
+
+    def test_refusal_waits_for_the_canonical_read(self):
+        # a*x1 + x2 and x1^2 at (0, 0): the integration's basis is
+        # polynomial; every read of the canonical one refuses the point.
+        gens = [MultiPoly(2, {(1, 0): A, (0, 1): Rat(1)}), MultiPoly(2, {(2, 0): Rat(1)})]
+        res = inverse_system(gens, (0, 0))
+        assert res.dimension == len(res) == 2 and not res.truncated
+        assert all(dual_eval(L, g) == 0 for L in res for g in gens)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(DomainError) as err:
+                res.functionals
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == (
+            "the dual basis at (0, 0) needs a division by a parameter polynomial: "
+            "inexact polynomial division: -1 by a"
+        )
 
 
 class TestAssembleDualBasis:

@@ -1,6 +1,8 @@
 """The cross-check batteries and their random input generators."""
 
+import json
 import random
+import sys
 
 import pytest
 
@@ -16,7 +18,7 @@ from subres import (
     vandermonde_confluent,
     wronskian,
 )
-from subres import confluent
+from subres import cli, confluent
 from subres.confluent import _inverse_mismatch, wronskian_det
 from subres.mv import duality
 from subres.serialize import parse_system
@@ -28,8 +30,23 @@ from subres.verify import (
     resolved_groups,
     univariate_checks,
 )
-from run_crosschecks import GRID_SYSTEM
+from run_crosschecks import DIVISION_SYSTEM, GRID_SYSTEM, MIXED_GRID_SYSTEM
 from test_serialize import circle_line_doc
+
+
+def spy(monkeypatch, module, name):
+    """Count the calls of ``module.name`` wherever a subres module bound it."""
+    real = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "subres" and mod.__dict__.get(name) is real:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 def rs(*pairs):
@@ -156,6 +173,29 @@ class TestMVBattery:
         # One root: two translates for inverse_system, one evaluation for
         # the annihilation record and one for V_T and O_S.
         assert len(builds) <= 4
+
+    def test_one_evaluation_per_system(self, monkeypatch):
+        # Two roots, dual bases left to inverse_system: the annihilation
+        # record and the quotient share one call of the evaluator.
+        calls = spy(monkeypatch, duality, "_values")
+        checks = mv_checks(parse_system(MIXED_GRID_SYSTEM))
+        assert all(c.ok for c in checks)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("raw", [MIXED_GRID_SYSTEM, DIVISION_SYSTEM])
+    def test_verify_never_builds_the_canonical_basis(self, monkeypatch, capsys, raw):
+        calls = spy(monkeypatch, duality, "_canonical")
+        assert cli.main(["verify", "--system", json.dumps(raw)]) == 0
+        assert cli.main(["mv", "--route", "poisson", "--system", json.dumps(raw)]) == 0
+        assert calls == []
+
+    def test_dual_builds_the_canonical_basis_once_per_point(self, monkeypatch, capsys):
+        calls = spy(monkeypatch, duality, "_canonical")
+        gens = json.dumps(MIXED_GRID_SYSTEM["polynomials"][:2])
+        points = [root["point"] for root in MIXED_GRID_SYSTEM["roots"]]
+        for point in points:
+            assert cli.main(["dual", "--generators", gens, "--point", json.dumps(point)]) == 0
+        assert len(calls) == len(points) == 2
 
     def test_without_roots_runs_matrix_checks_only(self):
         raw = circle_line_doc()
