@@ -135,7 +135,10 @@ def det_exact(m: ExactMatrix) -> Scalar:
     matrix with a parameter polynomial entry gives a ``ParamPoly``; its
     entries are packed into integers first (``_pack``).  Both run the
     same loop, ``_bareiss``, as the one-border case of ``det_bordered``.
-    The empty matrix has determinant one.
+    The empty matrix has determinant one.  Rows of ints are taken as they
+    are: the builders of integral rows, the Wronskian (``wronskian_det``)
+    and the Macaulay matrices (``mv.macaulay._det``), divide by their own
+    row scales.
     """
     if m.nrows != m.ncols:
         raise DomainError("determinant of a non-square matrix (%d x %d)" % (m.nrows, m.ncols))
@@ -170,8 +173,10 @@ def _dets(rows: List[list], r: int = 1) -> Tuple[List[int], int, Unpack]:
     rows then hold, in each block, the minors that the rest of the same
     elimination would see, so each block is finished on its own from the
     last shared pivot, as ``det_orders`` finishes its orders.  With r = 1 the
-    block is one entry of the last row and already the determinant.  The
-    empty matrix gives the one determinant 1.
+    block is one entry of the last row and already the determinant.  Only
+    the last r rows are read, from column n-r on: the entries that
+    ``_bareiss`` leaves up to date.  The empty matrix gives the one
+    determinant 1.
     """
     a, scale, unpack = _integers(rows, _bordered_bound(r))
     n = len(a)
@@ -411,25 +416,52 @@ def _bareiss(
     the whole.  Returns the sign of the row swaps and the last pivot
     (``prev`` after no step), or None when a column has no pivot left, so
     that the eliminated columns are dependent and every such minor is 0.
+
+    Rows are scaled lazily.  A step with a_ik = 0 only scales row i by
+    pivot / prev, and a run of such steps by its last pivot over its first
+    prev, as in ``_GaussJordan._replay``; so a row whose entry in the pivot
+    column is 0 is skipped, and ``since[i]``, the pivot its row was last
+    brought up to date with, takes the run along.  A row that is touched
+    becomes (pivot * a_ij - a_ik * a_kj) // since[i], the value above
+    exactly, and a pivot row is brought up to date before it serves.  A
+    pending factor is never 0, so the pivot search sees the same zeros.
+    On return the rows from ``steps`` on are up to date on the columns
+    from ``steps`` on, and these are the only entries that a caller may
+    read or resume from; earlier columns of later rows are left stale.
     """
     n = len(a)
     width = len(a[0]) if a else 0
     sign = 1
+    since = [prev] * n
     for k in range(start, steps):
         if not a[k][k]:
             p = next((i for i in range(k + 1, n) if a[i][k]), None)
             if p is None:
                 return None
             a[k], a[p] = a[p], a[k]
+            since[k], since[p] = since[p], since[k]
             sign = -sign
-        pivot = a[k][k]
         row_k = a[k]
+        then = since[k]
+        if then != prev:
+            for j in range(k, width):
+                row_k[j] = row_k[j] * prev // then
+        pivot = row_k[k]
         for i in range(k + 1, n):
-            aik = a[i][k]
             row_i = a[i]
-            for j in range(k + 1, width):
-                row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // prev
+            aik = row_i[k]
+            if aik:
+                then = since[i]
+                for j in range(k + 1, width):
+                    row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // then
+                since[i] = pivot
         prev = pivot
+    for i in range(steps, n):
+        then = since[i]
+        if then != prev:
+            row_i = a[i]
+            for j in range(steps, width):
+                row_i[j] = row_i[j] * prev // then
     return sign, prev
 
 

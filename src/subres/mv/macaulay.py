@@ -9,19 +9,24 @@ reaches D_i.  The others number k (``hilbert_function``), as many as S
 has, so the matrix is square by construction; so is the leading-form
 matrix, whose T_j has tau_j elements.  Both, and the doubly-reducible
 corner that each is divided by, come from one row builder,
-``_square_matrix``.
+``_square_matrix``, whose rows are integral: each polynomial is taken once
+as integer numerators over one scale, every row x^beta f_i is a shift of
+them, and each determinant is that of the integer rows over the product
+of their scales (``_det``).  ``macaulay_matrix`` reads the same rows back
+as the rational matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..combinat import monomials_of_degree
 from ..errors import DomainError
-from ..matrix import ExactMatrix, det_exact
+from ..matrix import ExactMatrix, _dets, _read
 from ..multipoly import MultiPoly
-from ..scalar import Rat, Scalar
+from ..scalar import Rat, Scalar, _numerators, _quotient
 from .hilbert import hilbert_function, tau
 
 Expo = Tuple[int, ...]
@@ -77,22 +82,36 @@ def _row_indices(degrees: Sequence[int], t: int, nvars: int) -> list:
     ]
 
 
-def _square_matrix(polys, multipliers, columns) -> ExactMatrix:
+def _square_matrix(polys, multipliers, columns) -> Tuple[List[list], List[int]]:
     """The rows x^beta p_i for the (i, beta) ``multipliers`` over the
-    monomials ``columns``; a term landing off the columns is dropped, and
-    absent entries share one zero.  Every caller passes one multiplier per
-    column, so the matrix is square."""
+    monomials ``columns``, as integer shifts: each p_i is taken once as its
+    numerators over the lcm G_i of its denominators (``_numerators``), and
+    row x^beta p_i comes back with its scale G_i.  The numerators are ints,
+    or ``ParamPoly``s with integer coefficients, which ``_dets`` packs.  A
+    term landing off the columns is dropped, and absent entries are 0.
+    Every caller passes one multiplier per column, so the rows are square."""
     index = {c: j for j, c in enumerate(columns)}
-    zero = Rat(0)
-    rows = []
+    integral = {}
+    rows, scales = [], []
     for i, beta in multipliers:
-        row = [zero] * len(columns)
-        for alpha, c in polys[i].terms.items():
+        if i not in integral:
+            nums, g = _numerators(list(polys[i].terms.values()))
+            integral[i] = list(zip(polys[i].terms, nums)), g
+        terms, g = integral[i]
+        row = [0] * len(columns)
+        for alpha, c in terms:
             j = index.get(tuple(a + b for a, b in zip(alpha, beta)))
             if j is not None:
                 row[j] = c
         rows.append(row)
-    return ExactMatrix(rows)
+        scales.append(g)
+    return rows, scales
+
+
+def _det(rows: List[list], scales: List[int]) -> Scalar:
+    """The determinant of ``_square_matrix``'s rational matrix: that of its
+    integer rows over the product of their scales."""
+    return _read(*_dets(rows))[0] / math.prod(scales)
 
 
 def _check_s(s_cols: Sequence[Expo], k: int, n: int, t: int) -> list:
@@ -115,6 +134,16 @@ def macaulay_matrix(sys: MVSystem, t: int, s_cols: Sequence[Expo]) -> ExactMatri
     variables, |gamma| <= t); each corresponds to the degree-t column
     x^gamma x_{n+1}^(t - |gamma|).
     """
+    rows, scales = _macaulay(sys, t, s_cols)
+    zero = Rat(0)
+    return ExactMatrix(
+        [[_quotient(v, g) if v else zero for v in row] for row, g in zip(rows, scales)]
+    )
+
+
+def _macaulay(sys: MVSystem, t: int, s_cols: Sequence[Expo]) -> Tuple[List[list], List[int]]:
+    """The integer rows of ``macaulay_matrix`` and their scales
+    (``_square_matrix``)."""
     n = sys.n
     s_list = _check_s(s_cols, hilbert_function(sys.degrees, t), n, t)
     homog = [p.homogenize(d) for p, d in zip(sys.polys, sys.degrees)]
@@ -147,9 +176,7 @@ def _corner(forms, degrees: Sequence[int], degree: int, nvars: int) -> Scalar:
             i = hits[0]
             doubly.append(gamma)
             multipliers.append((i, gamma[:i] + (gamma[i] - degrees[i],) + gamma[i + 1 :]))
-    if not doubly:
-        return Rat(1)
-    return det_exact(_square_matrix(forms, multipliers, doubly))
+    return _det(*_square_matrix(forms, multipliers, doubly))
 
 
 def _divide_out(det: Scalar, corner: Scalar) -> Scalar:
@@ -163,7 +190,7 @@ def delta_s(sys: MVSystem, t: int, s_cols: Sequence[Expo]) -> Scalar:
     """Subresultant of order (t, S): det of the S-deleted matrix divided by
     the extraneous factor, an exact division."""
     e = extraneous_factor(sys, t)
-    return _divide_out(det_exact(macaulay_matrix(sys, t, s_cols)), e)
+    return _divide_out(_det(*_macaulay(sys, t, s_cols)), e)
 
 
 def leading_form_subres(
@@ -195,5 +222,5 @@ def leading_form_subres(
         if m not in degree_j:
             raise DomainError("T_j monomial %r is not a degree-%d monomial" % (m, j))
     columns = [m for m in degree_j if m not in t_list]
-    det = det_exact(_square_matrix(forms, _row_indices(degrees, j, n), columns))
+    det = _det(*_square_matrix(forms, _row_indices(degrees, j, n), columns))
     return _divide_out(det, _corner(forms, degrees, j, n))

@@ -20,10 +20,9 @@ from .confluent import (
     wronskian_det_closed,
 )
 from .errors import DomainError
-from .matrix import det_exact
 from .mv.duality import assemble_dual_basis, inverse_system
 from .mv.hilbert import build_monomial_sets
-from .mv.macaulay import _divide_out, extraneous_factor, macaulay_matrix
+from .mv.macaulay import _det, _divide_out, _macaulay, extraneous_factor
 from .mv.poisson import SINGULAR_V_T, _poisson
 from .roots_formulas import VARIANTS, sres_dm1_hermite, sres_one, sres_roots_all
 from .rootsets import MultiRootSet, pairing_R, poly_from_roots
@@ -194,10 +193,10 @@ def mv_checks(doc: SystemDocument) -> List[Check]:
         "|T|=%d, product=%d" % (len(sets.T), combo.bezout),
     )
 
-    m = macaulay_matrix(sys, t, s_cols)
-    _record(checks, "subresultant matrix is square", m.nrows == m.ncols,
-            "%dx%d" % (m.nrows, m.ncols))
-    det = det_exact(m)
+    rows, scales = _macaulay(sys, t, s_cols)
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    _record(checks, "subresultant matrix is square", nrows == ncols, "%dx%d" % (nrows, ncols))
+    det = _det(rows, scales)
     e_factor = extraneous_factor(sys, t)
     delta = _divide_out(det, e_factor)
     ok = det == e_factor * delta

@@ -36,6 +36,12 @@ before it took them column by column (``gauss_jordan_by_rows``): one
 row-by-row fraction-free Gauss-Jordan loop over the whole matrix.  The
 dialytic inverse system counts its kernels with the same loop.
 
+The Bareiss kernel is kept as it was before it scaled rows lazily
+(``bareiss_eager``): every step updates every entry below and right of
+its pivot.  The Macaulay-type matrices are kept as the package built them
+before their rows were integral (``square_by_rationals``): each row holds
+its polynomial's own rational coefficients, for ``det_exact`` to scale.
+
 ``RatParamPoly`` is the parameter polynomial as the package held it before
 it moved to int numerators over one denominator: one rational per term,
 every operation in rationals.  ``CoeffUniPoly`` and ``coeff_taylor`` are the
@@ -61,6 +67,8 @@ from subres import (
     param,
     taylor_coeff,
 )
+from subres.combinat import monomials_of_degree
+from subres.mv.macaulay import _row_indices
 from subres.scalar import as_scalar, is_rational
 
 
@@ -81,6 +89,31 @@ def det_cofactor(rows):
         piece = entry * det_cofactor(minor)
         total = total - piece if j % 2 else total + piece
     return total
+
+
+def bareiss_eager(a, steps, prev=1, start=0):
+    """``matrix._bareiss`` as it was before it scaled rows lazily: every
+    step updates every entry below and right of its pivot, a zero
+    multiplier included, dividing by the previous pivot."""
+    n = len(a)
+    width = len(a[0]) if a else 0
+    sign = 1
+    for k in range(start, steps):
+        if not a[k][k]:
+            p = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if p is None:
+                return None
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        pivot = a[k][k]
+        row_k = a[k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            row_i = a[i]
+            for j in range(k + 1, width):
+                row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // prev
+        prev = pivot
+    return sign, prev
 
 
 def matrix_rows(m: ExactMatrix):
@@ -319,6 +352,44 @@ def poisson_by_matrices(sys, t, s_cols, basis, sets):
     for j in range(max(0, t - sys.degrees[-1] + 1), t + 1):
         factor = factor * leading_form_subres(forms, sys.degrees[:-1], j, sets.tj[j].monomials)
     return factor * det_exact(o_s) / det_vt
+
+
+def square_by_rationals(polys, multipliers, columns) -> ExactMatrix:
+    """``macaulay._square_matrix`` as it was before its rows were integral:
+    row x^beta p_i holds p_i's own coefficients, absent entries Rat(0)."""
+    index = {c: j for j, c in enumerate(columns)}
+    rows = []
+    for i, beta in multipliers:
+        row = [Rat(0)] * len(columns)
+        for alpha, c in polys[i].terms.items():
+            j = index.get(tuple(a + b for a, b in zip(alpha, beta)))
+            if j is not None:
+                row[j] = c
+        rows.append(row)
+    return ExactMatrix(rows)
+
+
+def macaulay_by_rationals(sys, t, s_cols) -> ExactMatrix:
+    """The S-deleted degree-t Macaulay matrix from ``square_by_rationals``."""
+    homog = [p.homogenize(d) for p, d in zip(sys.polys, sys.degrees)]
+    deleted = {tuple(g) + (t - sum(g),) for g in s_cols}
+    columns = [m for m in monomials_of_degree(sys.n + 1, t) if m not in deleted]
+    return square_by_rationals(homog, _row_indices(sys.degrees, t, sys.n + 1), columns)
+
+
+def corner_by_rationals(forms, degrees, degree, nvars) -> ExactMatrix:
+    """The doubly-reducible corner of the degree-``degree`` matrix of the
+    homogeneous ``forms``, from ``square_by_rationals``: rows and columns
+    the monomials divisible by x_j^(D_j) for two or more j, each row the
+    multiple of f_i, i the first such j."""
+    doubly, multipliers = [], []
+    for gamma in monomials_of_degree(nvars, degree):
+        hits = [i for i, (e, d) in enumerate(zip(gamma, degrees)) if e >= d]
+        if len(hits) >= 2:
+            i = hits[0]
+            doubly.append(gamma)
+            multipliers.append((i, gamma[:i] + (gamma[i] - degrees[i],) + gamma[i + 1 :]))
+    return square_by_rationals(forms, multipliers, doubly)
 
 
 def _up_to_degree(n, order):

@@ -13,15 +13,26 @@ from subres import (
     param,
     resultant,
 )
+from subres.combinat import monomials_of_degree
 from subres.matrix import ExactMatrix, det_exact
+from subres.mv.hilbert import build_monomial_sets
 from subres.mv.macaulay import (
     MVSystem,
+    _row_indices,
     delta_s,
     extraneous_factor,
     leading_form_subres,
     macaulay_matrix,
 )
-from oracles import det_cofactor, matrix_rows
+from subres.serialize import parse_system
+from oracles import (
+    corner_by_rationals,
+    det_cofactor,
+    macaulay_by_rationals,
+    matrix_rows,
+    square_by_rationals,
+)
+from run_crosschecks import BUNDLED_SYSTEM, MIXED_GRID_SYSTEM, PARAM_SYSTEM
 
 C0, C1, C2 = param("c0"), param("c1"), param("c2")
 
@@ -119,7 +130,6 @@ class TestMacaulayMatrix:
         rng = random.Random(9)
         from itertools import product as iproduct
 
-        from subres.combinat import monomials_of_degree
         from subres.mv.hilbert import hilbert_function
 
         for degs in iproduct((1, 2), (1, 2), (1, 2)):
@@ -222,8 +232,6 @@ class TestLeadingFormSubres:
 
     def test_binary_quadric_pair_against_cofactor(self):
         rng = random.Random(41)
-        from subres.combinat import monomials_of_degree
-
         degree2 = monomials_of_degree(2, 2)
         for _ in range(6):
             forms = []
@@ -255,3 +263,46 @@ class TestLeadingFormSubres:
             leading_form_subres((lf1, lf2), (2, 2), 2, [(1, 0)])
         with pytest.raises(DomainError):
             leading_form_subres((lf1, lf2), (2, 2), 2, [(0, 2), (0, 2)])
+
+
+class TestIntegralRows:
+    """The Macaulay-type matrices are built as integer rows over one scale
+    per polynomial; read back, they are the rational matrices the rows
+    were built from before (``macaulay_by_rationals``,
+    ``corner_by_rationals``), and every determinant quotient is the one
+    ``det_exact`` takes of those."""
+
+    SYSTEMS = [MIXED_GRID_SYSTEM, PARAM_SYSTEM, BUNDLED_SYSTEM]
+
+    @pytest.mark.parametrize("raw", SYSTEMS)
+    def test_macaulay_matrix_reads_back_entry_for_entry(self, raw):
+        doc = parse_system(raw)
+        got = macaulay_matrix(doc.system, doc.t, doc.s_cols)
+        want = macaulay_by_rationals(doc.system, doc.t, doc.s_cols)
+        assert matrix_rows(got) == matrix_rows(want)
+        assert [[type(v) for v in row] for row in got.rows] == [
+            [type(v) for v in row] for row in want.rows
+        ]
+
+    @pytest.mark.parametrize("raw", SYSTEMS)
+    def test_quotients_match_the_rational_matrices(self, raw):
+        doc = parse_system(raw)
+        sys_, t = doc.system, doc.t
+        homog = [p.homogenize(d) for p, d in zip(sys_.polys, sys_.degrees)]
+        e = det_exact(corner_by_rationals(homog, sys_.degrees, t, sys_.n + 1))
+        assert extraneous_factor(sys_, t) == e
+        want = det_exact(macaulay_by_rationals(sys_, t, doc.s_cols)) / e
+        got = delta_s(sys_, t, doc.s_cols)
+        assert got == want and type(got) is type(want)
+        forms, degrees = sys_.leading_forms(), sys_.degrees[:-1]
+        sets = build_monomial_sets(sys_.degrees, t, doc.t_override)
+        for j, tj in sets.tj.items():
+            columns = [m for m in monomials_of_degree(sys_.n, j) if m not in tj.monomials]
+            rows = _row_indices(degrees, j, sys_.n)
+            m = det_exact(square_by_rationals(forms, rows, columns))
+            corner = det_exact(corner_by_rationals(forms, degrees, j, sys_.n))
+            if corner:
+                assert leading_form_subres(forms, degrees, j, tj.monomials) == m / corner
+            else:
+                with pytest.raises(DomainError):
+                    leading_form_subres(forms, degrees, j, tj.monomials)

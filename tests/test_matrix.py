@@ -4,11 +4,12 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import rationals
 from oracles import (
+    bareiss_eager,
     det_cofactor,
     kernel_by_rows,
     matrix_rows,
@@ -534,6 +535,82 @@ class TestIntegerDeterminants:
         got = det_bordered([rows[0] + [Rat(1, 5)], rows[1] + [0]], Rat(3, 7))
         assert got == UniPoly([Rat(49, 9), Rat(7, 12)])
         assert all(type(z) is int for z in got.numerators)
+
+
+@st.composite
+def sparse_integer_rows(draw, nrows, width):
+    """``nrows`` integer rows of ``width`` entries, at least half of them
+    0, with now and then a zero on the diagonal (a pivot to search for) and
+    a column that is a multiple of another (dependent columns)."""
+    cells = nrows * width
+    rows = [[0] * width for _ in range(nrows)]
+    places = draw(st.permutations(range(cells)))
+    count = draw(st.integers(cells // 3, cells // 2))
+    values = draw(st.lists(st.integers(-9, 9).filter(bool), min_size=count, max_size=count))
+    for place, v in zip(places, values):
+        rows[place // width][place % width] = v
+    for k in draw(st.sets(st.integers(0, min(nrows, width) - 1), max_size=2)):
+        rows[k][k] = 0
+    if width > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(width)))[:2]
+        m = draw(st.integers(-2, 2))
+        for row in rows:
+            row[dst] = m * row[src]
+    assume(2 * sum(not v for row in rows for v in row) >= cells)
+    return rows
+
+
+class TestLazyKernel:
+    """``_bareiss`` skips a row whose pivot-column entry is 0 and scales it
+    once when it is next touched; every entry it promises to leave up to
+    date is the eager kernel's (``bareiss_eager``)."""
+
+    @staticmethod
+    def assert_trailing_equal(got, want, steps):
+        assert [row[steps:] for row in got[steps:]] == [row[steps:] for row in want[steps:]]
+
+    @given(st.integers(2, 6), st.integers(0, 3), st.data())
+    def test_one_call_and_a_resumed_call_match_the_eager_kernel(self, n, extra, data):
+        width = n + extra
+        rows = data.draw(sparse_integer_rows(n, width))
+        steps = data.draw(st.integers(1, n))
+        start = data.draw(st.integers(0, steps))
+        whole, eager = [list(r) for r in rows], [list(r) for r in rows]
+        done = matrix._bareiss(whole, steps)
+        assert done == bareiss_eager(eager, steps)
+        if done:
+            self.assert_trailing_equal(whole, eager, steps)
+        # The same steps in two calls, the second resumed from the first's
+        # last pivot on rows cut after some column past ``steps``, as
+        # ``det_orders`` cuts them between orders.
+        lazy, eager = [list(r) for r in rows], [list(r) for r in rows]
+        first = matrix._bareiss(lazy, start)
+        assert first == bareiss_eager(eager, start)
+        if first is None:
+            return
+        self.assert_trailing_equal(lazy, eager, start)
+        keep = data.draw(st.integers(steps, width))
+        for row in lazy + eager:
+            del row[keep:]
+        second = matrix._bareiss(lazy, steps, first[1], start)
+        assert second == bareiss_eager(eager, steps, first[1], start)
+        if second:
+            self.assert_trailing_equal(lazy, eager, steps)
+            assert first[0] * second[0] == done[0] and second[1] == done[1]
+        else:
+            assert done is None
+
+    @given(st.sampled_from([1, 2]), st.integers(0, 4), st.integers(1, 3), st.data())
+    def test_bordered_determinants_of_sparse_rows(self, r, shared, blocks, data):
+        n = shared + r
+        rows = data.draw(sparse_integer_rows(n, shared + r * blocks))
+        values, scale, unpack = matrix._dets([list(row) for row in rows], r)
+        assert scale == 1 and unpack is None
+        want = [
+            det_cofactor([row[:shared] + row[j : j + r] for row in rows])
+            for j in range(shared, shared + r * blocks, r)
+        ]
+        assert values == want
 
 
 class TestDetOrders:
