@@ -8,15 +8,11 @@ Wronskians, Hermite interpolation, and dual bases of quotient algebras.
 Every value is exact; the two sides cross-check each other.
 """
 
-from .combinat import canon_key, compositions, monomials_of_degree, monomials_up_to_degree
+from .combinat import canon_key, compositions, monomials_of_degree
 from .confluent import (
-    basic_hermite,
     confluent_inverse,
-    fiki,
-    hermite_interpolate,
     vandermonde_confluent,
     vandermonde_det_closed,
-    vprime,
     wronskian,
     wronskian_det_closed,
 )
@@ -43,12 +39,11 @@ from .mv import (
     leading_form_subres,
     macaulay_matrix,
     poisson_delta,
-    sigma_shift,
     tau,
 )
 from .roots_formulas import VARIANTS, sres_dm1_hermite, sres_one, sres_roots, sres_roots_all
 from .rootsets import MultiRootSet, pairing_R, poly_from_roots
-from .scalar import ParamPoly, Rat, Scalar, as_scalar, is_rational, param, rat, substitute_scalar
+from .scalar import ParamPoly, Rat, Scalar, as_scalar, is_rational, param
 from .subresultants import resultant, sres_coeff, sylv_double_sum, sylvester_identity_scale
 from .unipoly import NEG_INF, UniPoly, taylor_coeff
 from .verify import Check, mv_checks, random_pair, random_rootset, univariate_checks
@@ -59,13 +54,11 @@ __all__ = [
     "__version__",
     # scalars and polynomials
     "Rat",
-    "rat",
     "param",
     "ParamPoly",
     "Scalar",
     "as_scalar",
     "is_rational",
-    "substitute_scalar",
     "UniPoly",
     "NEG_INF",
     "taylor_coeff",
@@ -77,7 +70,6 @@ __all__ = [
     "canon_key",
     "compositions",
     "monomials_of_degree",
-    "monomials_up_to_degree",
     # root sets
     "MultiRootSet",
     "poly_from_roots",
@@ -87,16 +79,12 @@ __all__ = [
     "resultant",
     "sylv_double_sum",
     "sylvester_identity_scale",
-    # confluent matrices and Hermite interpolation
+    # confluent matrices
     "vandermonde_confluent",
     "vandermonde_det_closed",
     "wronskian",
     "wronskian_det_closed",
-    "basic_hermite",
-    "fiki",
-    "hermite_interpolate",
     "confluent_inverse",
-    "vprime",
     # root side
     "VARIANTS",
     "sres_roots",
@@ -119,7 +107,6 @@ __all__ = [
     "DualBasis",
     "InverseSystemResult",
     "inverse_system",
-    "sigma_shift",
     "dual_eval",
     "assemble_dual_basis",
     "dual_vandermonde",

@@ -29,10 +29,3 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Tuple[int, ...]]:
     out = [tuple(c) for c in compositions(degree, nvars)]
     out.sort(key=canon_key)
     return out
-
-
-def monomials_up_to_degree(nvars: int, bound: int) -> list[Tuple[int, ...]]:
-    out = []
-    for j in range(bound + 1):
-        out.extend(monomials_of_degree(nvars, j))
-    return out

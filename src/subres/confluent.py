@@ -26,11 +26,11 @@ Wronskian of 1: ``_wronskian_rows`` of 1 are its own rows, so the
 confluent Vandermonde matrix is ``wronskian`` of 1, which divides each
 row back by its scale, and det V is ``wronskian_det`` of 1.  Row 0 of
 the Wronskian of h is the Taylor data of h at A, the one place it is read
-from: by the Hermite route (``roots_formulas``) for g, by the inverse
-check (``_inverse_mismatch``) for each Hermite basis polynomial and by
-``vprime`` for each f_i.  ``wronskian_det`` divides its integral rows
-once at the end; the inverse check compares them with their scales, and
-divides them back only to show a product that is not the identity.
+from: by the Hermite route (``roots_formulas``) for g and by the inverse
+check (``_inverse_mismatch``) for each Hermite basis polynomial.
+``wronskian_det`` divides its integral rows once at the end; the inverse
+check compares them with their scales, and divides them back only to
+show a product that is not the identity.
 
 The closed forms run on integer numerators too.  Each reads the roots
 once as numerators over one common denominator q (``_numerators``, or
@@ -49,12 +49,12 @@ f_i(alpha_i) on its own.
 from __future__ import annotations
 
 from math import comb, lcm, prod
-from typing import Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
 from .errors import DomainError
 from .matrix import ExactMatrix, det_exact
 from .rootsets import MultiRootSet, _difference_product, _monic
-from .scalar import ParamPoly, Rat, Scalar, _numerators, _quotient
+from .scalar import ParamPoly, Scalar, _numerators, _quotient
 from .unipoly import UniPoly
 
 
@@ -194,15 +194,6 @@ def wronskian_det_closed(h: UniPoly, a: MultiRootSet) -> Scalar:
     return vandermonde_det_closed(a) * _quotient(acc, (big * q**n) ** a.total)
 
 
-def fiki(a: MultiRootSet, i: int, k: int) -> UniPoly:
-    """(x - alpha_i)^k times prod_{j != i} (x - alpha_j)^(d_j); i is 1-based."""
-    if not 1 <= i <= a.m:
-        raise DomainError("root index i out of range (1-based)")
-    if not isinstance(k, int) or not 0 <= k < a.pairs[i - 1][1]:
-        raise DomainError("shift order k must satisfy 0 <= k < d_i")
-    return _root(a, i)[k]
-
-
 def _root(a: MultiRootSet, i: int) -> list:
     """[f_i, (x - alpha_i) f_i, ..., (x - alpha_i)^(d_i-1) f_i] for the
     1-based root i, with f_i = prod_{j != i} (x - alpha_j)^(d_j); built
@@ -274,21 +265,6 @@ def _exact_weights(num: list, den: Scalar, formula: str, a: MultiRootSet, i: int
         ) from None
 
 
-def basic_hermite(a: MultiRootSet, i: int, j: int) -> UniPoly:
-    """The interpolation basis polynomial dual to the (i, j) Taylor datum.
-
-    Degree is below the total multiplicity d, and its coefficient of
-    (x-alpha_r)^s at each root alpha_r is 1 exactly at (r, s) = (i, j).
-    Index i is 1-based, j counts derivative order from 0.
-    """
-    if not 1 <= i <= a.m:
-        raise DomainError("root index i out of range (1-based)")
-    d_i = a.pairs[i - 1][1]
-    if not 0 <= j < d_i:
-        raise DomainError("derivative order j must satisfy 0 <= j < d_i")
-    return _hermite_row(a, i)[j]
-
-
 def _hermite_row(a: MultiRootSet, i: int) -> list:
     """The basis polynomials (i, j), j < d_i, of the 1-based root i, built
     once per set (``_hermite_basis``)."""
@@ -331,26 +307,6 @@ def _hermite_basis(a: MultiRootSet, i: int) -> list:
                     out[t] = out[t] + c * z
         row.append(UniPoly.from_integers(out, den))
     return row
-
-
-def hermite_interpolate(a: MultiRootSet, data: Mapping[Tuple[int, int], Scalar]) -> UniPoly:
-    """Unique polynomial of degree < d matching the given Taylor data.
-
-    ``data`` maps (i, j) with 1-based root index i and 0 <= j < d_i to the
-    coefficient of (x-alpha_i)^j required at that root; the key set must
-    cover exactly those pairs.  The values are read once as numerators
-    over one denominator (``_numerators``) for ``_interpolate``.
-    """
-    wanted = {(i, j) for i in range(1, a.m + 1) for j in range(a.pairs[i - 1][1])}
-    got = set(data)
-    if got != wanted:
-        raise DomainError(
-            "interpolation data must cover exactly the (root, order) pairs; "
-            "missing %s, extra %s" % (sorted(wanted - got), sorted(got - wanted))
-        )
-    keys = list(data)
-    nums, den = _numerators([data[key] for key in keys])
-    return _interpolate(a, zip(keys, nums), den)
 
 
 def _interpolate(a: MultiRootSet, data, den: int) -> UniPoly:
@@ -400,23 +356,3 @@ def _inverse_mismatch(a: MultiRootSet) -> Optional[ExactMatrix]:
     if all(v == (s if c == r else 0) for r, (row, s) in enumerate(rows) for c, v in enumerate(row)):
         return None
     return ExactMatrix([[_quotient(v, s) for v in row] for row, s in rows])
-
-
-def vprime(a: MultiRootSet) -> ExactMatrix:
-    """Block-diagonal companion of the confluent Vandermonde matrix.
-
-    Block i is upper-triangular Toeplitz in the normalized derivatives of
-    f_i = prod_{j != i}(x - alpha_j)^(d_j) at alpha_i, block i of its
-    Taylor data at A, so the determinant is the product of f_i(alpha_i)^(d_i).
-    """
-    d = a.total
-    rows = [[Rat(0)] * d for _ in range(d)]
-    offset = 0
-    for i, (_, d_i) in enumerate(a, start=1):
-        (row,), (scale,) = _wronskian_rows(_root(a, i)[0], a, 1)
-        taylor = [_quotient(v, scale) for v in row[offset : offset + d_i]]
-        for r in range(d_i):
-            for c in range(r, d_i):
-                rows[offset + r][offset + c] = taylor[c - r]
-        offset += d_i
-    return ExactMatrix(rows)

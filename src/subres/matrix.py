@@ -75,10 +75,6 @@ class ExactMatrix:
         self.nrows = len(data)
         self.ncols = len(data[0]) if data else 0
 
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[Rat(1) if i == j else Rat(0) for j in range(n)] for i in range(n)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
@@ -93,20 +89,6 @@ class ExactMatrix:
                 a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
             )
         )
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.ncols != other.nrows:
-            raise DomainError("dimension mismatch in matrix product")
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc: Scalar = Rat(0)
-                for k in range(self.ncols):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return ExactMatrix(out)
 
     def nullspace(self) -> List[List[Scalar]]:
         """Kernel basis, one vector per free column: the vectors of

@@ -16,7 +16,6 @@ from .duality import (
     dual_vandermonde,
     dual_wronskian,
     inverse_system,
-    sigma_shift,
 )
 from .poisson import poisson_delta
 
@@ -38,7 +37,6 @@ __all__ = [
     "assemble_dual_basis",
     "dual_eval",
     "inverse_system",
-    "sigma_shift",
     "dual_vandermonde",
     "dual_wronskian",
     "poisson_delta",

@@ -192,20 +192,6 @@ def _values(n: int, groups: Sequence[Tuple], polys: Sequence[Mapping[Expo, Scala
     return rows, [d for _, (_, d) in coefficients], col_dens
 
 
-def sigma_shift(func: DualFunctional, beta: Expo) -> Optional[DualFunctional]:
-    """Lower every derivative exponent by beta; None when everything drops."""
-    beta = tuple(beta)
-    if len(beta) != func.point.n or any(not isinstance(e, int) or e < 0 for e in beta):
-        raise DomainError("bad shift exponent %r" % (beta,))
-    out = {}
-    for alpha, c in func.terms:
-        if all(a >= b for a, b in zip(alpha, beta)):
-            out[tuple(a - b for a, b in zip(alpha, beta))] = c
-    if not out:
-        return None
-    return DualFunctional(func.point, out)
-
-
 def _binomial_tables(coords: Sequence[Scalar], tops: Sequence[int]) -> Tuple[list, list]:
     """(tables, dens) for the binomial expansion of each (x_i + y_i)^a, a up
     to tops[i], in integers.
@@ -328,8 +314,8 @@ def inverse_system(
     raises d_alpha to d_(alpha + e_i) when alpha_1 = ... = alpha_(i-1) = 0
     and drops it otherwise.  It lies in the dual exactly when the
     Lambda_i commute, sigma_j Lambda_i = sigma_i Lambda_j for i < j (then
-    sigma_i of it is Lambda_i, so the space stays closed under
-    ``sigma_shift``), and it kills each generator g(point + y).  The
+    sigma_i of it is Lambda_i, so the space stays closed under the sigma
+    operators), and it kills each generator g(point + y).  The
     unknowns are the coordinates of the Lambda_i in a basis of D_k: the
     functionals found so far, in order of arrival, each with its n
     unknowns.  As D_k lies in D_(k+1), order k + 1 keeps the elimination
@@ -346,8 +332,8 @@ def inverse_system(
     vector with no common content; ``resolved_groups`` hands it to the
     Poisson quotient, which does not depend on the basis.
     ``functionals``, built on first read, is the reduced echelon form of
-    the dual space taken from the last monomial of
-    ``monomials_up_to_degree`` backwards, which is unique: each
+    the dual space taken from the last monomial in graded order
+    (``canon_key``) backwards, which is unique: each
     functional ends in its own monomial with coefficient 1, on which
     every other functional is zero.  ``sres dual`` prints it.
 

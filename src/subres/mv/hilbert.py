@@ -90,11 +90,7 @@ class SystemCombinatorics:
     degrees: Tuple[int, ...]
     t: int
     k: int
-    rho: int
     bezout: int
-    tau_values: Tuple[int, ...]
-    s: int
-    r: int
 
 
 @dataclass(frozen=True)
@@ -124,8 +120,8 @@ def build_monomial_sets(
     admissible; the default takes the first ones in canonical order, and
     ``t_override`` substitutes a caller-supplied slice per degree.
 
-    The tau series of the first n degrees is built once; tau_j, k and the
-    counts are read from it.  Each T_j has tau_j elements and the series
+    The tau series of the first n degrees is built once; tau_j and k are
+    read from it.  Each T_j has tau_j elements and the series
     sums to prod D_i, so |T| = prod D_i.  R takes the degrees below the
     window t - D_{n+1} < j <= t that k sums, and T* those above it, so
     k + |T*| + |R| = prod D_i as well.
@@ -170,10 +166,6 @@ def build_monomial_sets(
         degrees=degs,
         t=t,
         k=sum(tau_values[max(0, forced_below) : t + 1]),
-        rho=rho,
         bezout=prod(first),
-        tau_values=tuple(tau_values),
-        s=len(T_star),
-        r=len(R),
     )
     return MonomialSets(tj=tj, T=T, T_star=T_star, R=R, combinatorics=combo)

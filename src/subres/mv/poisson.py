@@ -31,8 +31,8 @@ border and O_S's (S outside T, then the multiples) as the other, each
 finished from the last shared pivot and signed by its row permutation.
 Rows with a parameter entry are packed as ``det_exact`` packs them.
 Where R is empty O_S is V_T with its rows permuted, and one shared row
-serves as both borders.  ``dual_vandermonde`` and ``dual_wronskian``
-build the same matrices in rationals, and stay importable from here.
+serves as both borders.  ``duality.dual_vandermonde`` and
+``duality.dual_wronskian`` build the same matrices in rationals.
 """
 
 from __future__ import annotations
@@ -44,13 +44,9 @@ from ..errors import DomainError, StructuralError
 from ..matrix import _dets, _read
 from ..multipoly import MultiPoly
 from ..scalar import Rat, Scalar
-from . import duality
 from .duality import DualBasis, _values
 from .hilbert import MonomialSets, build_monomial_sets
 from .macaulay import MVSystem, _check_s, leading_form_subres
-
-# The public dual matrices stay importable from here, beside the quotient.
-dual_vandermonde, dual_wronskian = duality.dual_vandermonde, duality.dual_wronskian
 
 Expo = tuple
 

@@ -33,13 +33,6 @@ except ImportError:
 _RAT_T = type(Rat(0))
 
 
-def rat(p, q=1):
-    """Build a rational from ints or a "p/q" string; floats are rejected."""
-    if isinstance(p, float) or isinstance(q, float):
-        raise DomainError("floats are not exact; pass ints, strings or rationals")
-    return Rat(p) / Rat(q) if q != 1 else Rat(p)
-
-
 def is_rational(s) -> bool:
     return isinstance(s, (int, _RAT_T))
 
@@ -433,10 +426,3 @@ def _quotient(num, den) -> Scalar:
     """num / den back in the scalar domain, for an int num and a nonzero int
     den, or a ``ParamPoly`` num and an int or exact ``ParamPoly`` den."""
     return num / den if isinstance(num, ParamPoly) else Rat(num, den)
-
-
-def substitute_scalar(s: Scalar, assignment: Mapping[str, object]):
-    """Apply a parameter assignment; rationals pass through unchanged."""
-    if isinstance(s, ParamPoly):
-        return s.substitute(assignment)
-    return as_scalar(s)

@@ -28,18 +28,14 @@ __all__ = [
     "scalar_from_json",
     "unipoly_to_json",
     "parse_unipoly",
-    "rootset_to_json",
     "parse_rootset",
     "matrix_to_json",
-    "parse_matrix",
-    "multipoly_to_json",
     "parse_multipoly",
     "point_to_json",
     "parse_point",
     "functional_to_json",
     "parse_functional",
     "SystemDocument",
-    "system_to_json",
     "parse_system",
 ]
 
@@ -234,10 +230,6 @@ def parse_unipoly(doc) -> UniPoly:
 # ---------------------------------------------------------------------------
 # root sets: [[root, multiplicity], ...]
 
-def rootset_to_json(a: MultiRootSet) -> list:
-    return [[scalar_to_str(r), m] for r, m in a]
-
-
 def parse_rootset(doc) -> MultiRootSet:
     if not isinstance(doc, (list, tuple)) or not doc:
         raise DomainError("a root set document is a nonempty array of [root, multiplicity] pairs")
@@ -261,26 +253,8 @@ def matrix_to_json(m: ExactMatrix) -> list:
     return [[scalar_to_str(m[i, j]) for j in range(m.ncols)] for i in range(m.nrows)]
 
 
-def parse_matrix(doc) -> ExactMatrix:
-    if not isinstance(doc, (list, tuple)) or not doc:
-        raise DomainError("a matrix document is a nonempty array of row arrays")
-    rows = []
-    for row in doc:
-        if not isinstance(row, (list, tuple)):
-            raise DomainError("each matrix row must be an array")
-        rows.append([scalar_from_json(v) for v in row])
-    return ExactMatrix(rows)
-
-
 # ---------------------------------------------------------------------------
 # multivariate polynomials: arrays of {exponents, coeff} records
-
-def multipoly_to_json(p: MultiPoly) -> list:
-    return [
-        {"exponents": list(expo), "coeff": scalar_to_str(c)}
-        for expo, c in sorted(p.terms.items())
-    ]
-
 
 def _exponent_vector(doc, n: Optional[int]) -> Tuple[int, ...]:
     if not isinstance(doc, (list, tuple)):
@@ -453,26 +427,3 @@ def parse_system(doc) -> SystemDocument:
                 )
             t_override[j] = [_exponent_vector(g, n) for g in mons]
     return SystemDocument(system, t, s_cols, roots, t_override)
-
-
-def system_to_json(sysdoc: SystemDocument) -> dict:
-    out: dict = {
-        "n": sysdoc.system.n,
-        "polynomials": [multipoly_to_json(p) for p in sysdoc.system.polys],
-        "degrees": list(sysdoc.system.degrees),
-    }
-    if sysdoc.t is not None:
-        out["t"] = sysdoc.t
-    if sysdoc.s_cols is not None:
-        out["S"] = [list(g) for g in sysdoc.s_cols]
-    if sysdoc.roots is not None:
-        out["roots"] = [
-            {"point": point_to_json(pt)}
-            | ({} if dual is None else {"dual": [functional_to_json(f) for f in dual]})
-            for pt, dual in sysdoc.roots
-        ]
-    if sysdoc.t_override is not None:
-        out["T_override"] = {
-            str(j): [list(g) for g in mons] for j, mons in sysdoc.t_override.items()
-        }
-    return out

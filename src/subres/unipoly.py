@@ -203,10 +203,6 @@ class UniPoly:
             power *= w
         return _quotient(acc, da * power // w)
 
-    def derivative(self) -> "UniPoly":
-        a, da = self._num, self._den
-        return _reduced([k * z for k, z in enumerate(a)][1:], da)
-
     def __str__(self):
         if not self:
             return "0"

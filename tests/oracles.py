@@ -15,15 +15,20 @@ Their JSON must match the package's byte for byte.
 Likewise the root-set closed forms are kept as the package built them
 before each set derived them once: the monic product, the Vandermonde
 determinant, and a Hermite basis polynomial per call, with a fresh
-``fiki`` product for every term; the confluent inverse, ``vprime``, the
-order d-1 interpolant and the order-1 pole formula on top of them.  Their
-pole weights are the composition sums the paper displays, where the
-package multiplies one truncated series per root.
+product of root factors (``fiki_product``) for every term; the confluent
+inverse, the order d-1 interpolant and the order-1 pole formula on top of
+them.  Their pole weights are the composition sums the paper displays,
+where the package multiplies one truncated series per root.  The
+block-diagonal companion V' of the confluent Vandermonde matrix, whose
+determinant identity the acceptance gate checks, is built here only
+(``vprime_per_call``): the package has no use for it.
 
 Dual functionals are applied to multiples x^alpha h by expanding the
 multiple and translating it to the functional's point term by term, in
 rationals, where the package reads integer binomial tables and translates
-h alone.
+h alone.  The shifts sigma_beta that lower a functional's exponents
+(``sigma_shift``), and the monomials of bounded degree
+(``monomials_up_to``), live here for the tests alone.
 
 The dual-basis quotient is kept as the package formed it before it
 evaluated each root once into integer rows with known scales
@@ -118,6 +123,13 @@ def bareiss_eager(a, steps, prev=1, start=0):
 
 def matrix_rows(m: ExactMatrix):
     return [[m[i, j] for j in range(m.ncols)] for i in range(m.nrows)]
+
+
+def matrix_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """a times b, each entry summed from Rat(0) in column order."""
+    return ExactMatrix(
+        [[sum((x * y for x, y in zip(row, col)), Rat(0)) for col in zip(*b.rows)] for row in a.rows]
+    )
 
 
 def series_hilbert(degrees, t):
@@ -334,6 +346,23 @@ def functional_of_multiple(func, h, alpha):
     return total
 
 
+def sigma_shift(func, beta):
+    """The functional with every derivative exponent of func lowered by
+    beta, terms that would go negative dropped; None when every term
+    drops.  The closedness of a dual space under these shifts is what the
+    tests check of ``inverse_system``."""
+    from subres.mv.duality import DualFunctional
+
+    beta = tuple(beta)
+    if len(beta) != func.point.n or any(not isinstance(e, int) or e < 0 for e in beta):
+        raise DomainError("bad shift exponent %r" % (beta,))
+    out = {}
+    for alpha, c in func.terms:
+        if all(a >= b for a, b in zip(alpha, beta)):
+            out[tuple(a - b for a, b in zip(alpha, beta))] = c
+    return DualFunctional(func.point, out) if out else None
+
+
 def poisson_by_matrices(sys, t, s_cols, basis, sets):
     """factor * det_exact(O_S) / det_exact(V_T), O_S stacked from the rows
     of S and T* over the dual Wronskian of f_(n+1) on R, factor the
@@ -392,7 +421,9 @@ def corner_by_rationals(forms, degrees, degree, nvars) -> ExactMatrix:
     return square_by_rationals(forms, multipliers, doubly)
 
 
-def _up_to_degree(n, order):
+def monomials_up_to(n, order):
+    """The exponent vectors in n variables of degree at most order, in the
+    package's graded order, by filtering every vector of the cube."""
     monos = [v for v in iproduct(range(order + 1), repeat=n) if sum(v) <= order]
     return sorted(monos, key=lambda v: (sum(v), tuple(-e for e in v)))
 
@@ -431,7 +462,7 @@ def inverse_system_dialytic(generators, point, order_bound=None):
 
     prev = None
     for order in range(order_bound + 1):
-        columns = _up_to_degree(n, order)
+        columns = monomials_up_to(n, order)
         rows = []
         for g_p in local:
             for beta in columns:
@@ -911,9 +942,6 @@ class CoeffUniPoly:
         for c in reversed(self.coeffs):
             acc = acc * value + c
         return acc
-
-    def derivative(self):
-        return CoeffUniPoly([k * c for k, c in enumerate(self.coeffs)][1:])
 
 
 def coeff_taylor(p: CoeffUniPoly, a, j: int):

@@ -2,8 +2,9 @@
 
 Each test prints "CRITERION k: PASS/FAIL — detail" on the real stdout (so the
 line survives pytest's capture) and then asserts.  Criterion 6 bundles four
-closed-form determinant identities; for the block-diagonal companion V' it
-checks det V' = prod_i fbar_i(alpha_i)^(d_i) = (-1)^(sum_{i<j} d_i d_j) (det V)^2,
+closed-form determinant identities; for the block-diagonal companion V',
+built by the oracle ``vprime_per_call``, it checks
+det V' = prod_i fbar_i(alpha_i)^(d_i) = (-1)^(sum_{i<j} d_i d_j) (det V)^2,
 whose sign is the simple-root (-1)^(m(m-1)/2) when every d_i = 1 but not in
 general (for ((0,2),(1,1)), det V' = +1 where the simple-root sign gives -1).
 """
@@ -21,7 +22,6 @@ from subres import (
     Rat,
     UniPoly,
     VARIANTS,
-    confluent_inverse,
     param,
     poly_from_roots,
     sres_coeff,
@@ -32,17 +32,17 @@ from subres import (
     taylor_coeff,
     vandermonde_confluent,
     vandermonde_det_closed,
-    vprime,
     wronskian,
     wronskian_det_closed,
 )
-from subres.confluent import fiki
+from oracles import monomials_up_to, vprime_per_call
+from subres.confluent import _inverse_mismatch, _root
 from subres.matrix import ExactMatrix, det_exact
 from subres.mv.duality import DualFunctional, Point, assemble_dual_basis, dual_eval, inverse_system
 from subres.mv.hilbert import build_monomial_sets
 from subres.mv.macaulay import MVSystem, delta_s, extraneous_factor, macaulay_matrix
-from subres.mv.poisson import dual_vandermonde, dual_wronskian, poisson_delta
-from subres.scalar import substitute_scalar
+from subres.mv.duality import dual_vandermonde, dual_wronskian
+from subres.mv.poisson import poisson_delta
 from subres.verify import random_pair, random_rootset
 from test_roots_formulas import composition_sum_single_block
 
@@ -62,7 +62,9 @@ def _report(num: int, ok: bool, detail: str = "") -> None:
 
 
 def _specialize(p: UniPoly, assignment) -> UniPoly:
-    return UniPoly([substitute_scalar(c, assignment) for c in p.coeffs])
+    return UniPoly(
+        [c.substitute(assignment) if isinstance(c, ParamPoly) else c for c in p.coeffs]
+    )
 
 
 def test_criterion_1_multivariate_example():
@@ -285,7 +287,7 @@ def test_criterion_6_closed_form_determinants():
         w = wronskian(h, a, d)
         if det_exact(w) != wronskian_det_closed(h, a):
             wr_bad.append(a)
-        if confluent_inverse(a) @ v != ExactMatrix.identity(d):
+        if _inverse_mismatch(a) is not None:
             inv_bad.append(a)
         # det V' = prod_i fbar_i(alpha_i)^(d_i) = (-1)^(sum_{i<j} d_i d_j) (det V)^2
         mults = a.mults
@@ -294,11 +296,11 @@ def test_criterion_6_closed_form_determinants():
             signs_differ += 1
         product = Rat(1)
         for i, (alpha, mult) in enumerate(a, start=1):
-            product = product * fiki(a, i, 0)(alpha) ** mult
-        vp = det_exact(vprime(a))
+            product = product * _root(a, i)[0](alpha) ** mult
+        vp = det_exact(vprime_per_call(a))
         if vp != product or vp != Rat((-1) ** cross) * det_v ** 2:
             vprime_bad.append(a)
-    witness_vp = det_exact(vprime(witness))
+    witness_vp = det_exact(vprime_per_call(witness))
 
     checks = (
         ("Vandermonde", vdm_bad), ("Wronskian", wr_bad), ("inverse", inv_bad), ("det V'", vprime_bad)
@@ -437,8 +439,6 @@ def test_criterion_8_three_variable_properties():
     ]
 
     rng = random.Random(SEED + 8)
-    from subres.combinat import monomials_up_to_degree
-
     randoms = []
     for _ in range(3):
         polys = []
@@ -446,7 +446,7 @@ def test_criterion_8_three_variable_properties():
         for dd in degs:
             terms = {
                 m: Rat(rng.randint(-3, 3))
-                for m in monomials_up_to_degree(3, dd)
+                for m in monomials_up_to(3, dd)
             }
             polys.append(MultiPoly(3, terms))
         try:

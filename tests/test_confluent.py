@@ -23,31 +23,34 @@ from oracles import (
     vandermonde_binomial,
     vandermonde_det_product,
     vandermonde_taylor,
+    vprime_per_call,
     wronskian_taylor,
 )
 from subres import (
-    DomainError,
     ExactMatrix,
     MultiRootSet,
     ParamPoly,
     Rat,
     UniPoly,
-    basic_hermite,
     confluent_inverse,
     det_exact,
-    hermite_interpolate,
     pairing_R,
     param,
     poly_from_roots,
     taylor_coeff,
     vandermonde_confluent,
     vandermonde_det_closed,
-    vprime,
     wronskian,
     wronskian_det_closed,
 )
 from subres import confluent, rootsets as rootset_module
-from subres.confluent import _inverse_mismatch, _pole_numerators, fiki
+from subres.confluent import (
+    _hermite_row,
+    _interpolate,
+    _inverse_mismatch,
+    _pole_numerators,
+    _root,
+)
 from subres.scalar import _numerators
 from subres.verify import random_rootset, univariate_checks
 
@@ -77,6 +80,27 @@ def assert_pole_weights(alpha, slots, n, want):
 
 def q(rows):
     return ExactMatrix([[Rat(v) for v in row] for row in rows])
+
+
+def interpolate(a, data):
+    """The polynomial of degree < d with Taylor datum data[(i, j)] at each
+    (root, order) pair, through the route the order d-1 form runs
+    (``confluent._interpolate``), the values read as numerators over one
+    denominator."""
+    keys = list(data)
+    nums, den = _numerators([data[key] for key in keys])
+    return _interpolate(a, zip(keys, nums), den)
+
+
+def taylor_blocks(a):
+    """Block i of V': the Taylor data of f_i at alpha_i, read as block i of
+    row 0 of f_i's Wronskian over A, where the package reads Taylor data."""
+    blocks, offset = [], 0
+    for i, (_, d_i) in enumerate(a, start=1):
+        row = wronskian(_root(a, i)[0], a, 1).rows[0]
+        blocks.append(row[offset : offset + d_i])
+        offset += d_i
+    return blocks
 
 
 class TestVandermonde:
@@ -303,7 +327,7 @@ class TestRowTable:
                 assert type(vandermonde_det_closed(a)) is type(vandermonde_det_product(a))
                 for i, (_, d_i) in enumerate(a, start=1):
                     for j in range(d_i):
-                        assert [type(c) for c in basic_hermite(a, i, j).coeffs] == [
+                        assert [type(c) for c in _hermite_row(a, i)[j].coeffs] == [
                             type(c) for c in basic_hermite_per_call(a, i, j).coeffs
                         ]
             first = sets[0]
@@ -413,45 +437,40 @@ class TestOneRationalPerValue:
 
 
 class TestFiki:
+    """The chain (x - alpha_i)^k f_i, k < d_i, of each root (``_root``)."""
+
     def test_single_block_power(self):
         a = rs((3, 4))
-        assert fiki(a, 1, 2) == poly(9, -6, 1)  # (x-3)^2
+        assert _root(a, 1)[2] == poly(9, -6, 1)  # (x-3)^2
 
     def test_mixed_block(self):
         a = rs((0, 2), (1, 1))
-        assert fiki(a, 1, 1) == poly(0, -1, 1)  # x(x-1)
-        assert fiki(a, 2, 0) == poly(0, 0, 1)   # x^2
-
-    def test_index_validation(self):
-        a = rs((0, 2))
-        with pytest.raises(DomainError):
-            fiki(a, 2, 0)
-        with pytest.raises(DomainError):
-            fiki(a, 1, 2)
+        assert _root(a, 1)[1] == poly(0, -1, 1)  # x(x-1)
+        assert _root(a, 2)[0] == poly(0, 0, 1)   # x^2
 
 
 class TestBasicHermite:
     def test_single_block_is_shifted_power(self):
         a = rs((5, 3))
         for j in range(3):
-            assert basic_hermite(a, 1, j) == poly(-5, 1) ** j
+            assert _hermite_row(a, 1)[j] == poly(-5, 1) ** j
 
     def test_simple_roots_lagrange(self):
         a = rs((1, 1), (2, 1), (4, 1))
         roots = [Rat(1), Rat(2), Rat(4)]
         for i, alpha in enumerate(roots, start=1):
             values = [Rat(1) if r == alpha else Rat(0) for r in roots]
-            assert basic_hermite(a, i, 0) == lagrange_interpolant(roots, values)
+            assert _hermite_row(a, i)[0] == lagrange_interpolant(roots, values)
 
     def test_displayed_mixed_case(self):
         # ((0,2);(1,1)), (i,j) = (1,1) -> x - x^2
-        assert basic_hermite(rs((0, 2), (1, 1)), 1, 1) == poly(0, 1, -1)
+        assert _hermite_row(rs((0, 2), (1, 1)), 1)[1] == poly(0, 1, -1)
 
     @given(rootsets(max_blocks=3, max_mult=3))
     def test_cardinal_conditions(self, a):
         for i, (alpha, mult) in enumerate(a, start=1):
             for j in range(mult):
-                p = basic_hermite(a, i, j)
+                p = _hermite_row(a, i)[j]
                 assert p.is_zero() or p.degree < a.total
                 for i2, (alpha2, mult2) in enumerate(a, start=1):
                     for j2 in range(mult2):
@@ -467,13 +486,13 @@ class TestHermiteInterpolate:
         for i, (alpha, mult) in enumerate(a, start=1):
             for j in range(mult):
                 data[(i, j)] = taylor_coeff(f, alpha, j)
-        assert hermite_interpolate(a, data) == f
+        assert interpolate(a, data) == f
 
     def test_single_block_is_taylor_truncation(self):
         a = rs((2, 3))
         g = poly(0, 0, 0, 0, 1)  # x^4
         data = {(1, j): taylor_coeff(g, Rat(2), j) for j in range(3)}
-        p = hermite_interpolate(a, data)
+        p = interpolate(a, data)
         # truncated Taylor of x^4 at 2 to order 2: 16 + 32(x-2) + 24(x-2)^2
         shift = poly(-2, 1)
         want = poly(16) + poly(32) * shift + poly(24) * shift ** 2
@@ -487,14 +506,7 @@ class TestHermiteInterpolate:
             for i, (_, mult) in enumerate(a, start=1):
                 for j in range(mult):
                     data[(i, j)] = Rat(rng.randint(-6, 6), rng.randint(1, 3))
-            assert hermite_interpolate(a, data) == hermite_bordered(a, data)
-
-    def test_key_set_validated(self):
-        a = rs((0, 2))
-        with pytest.raises(DomainError):
-            hermite_interpolate(a, {(1, 0): Rat(1)})  # missing (1,1)
-        with pytest.raises(DomainError):
-            hermite_interpolate(a, {(1, 0): Rat(1), (1, 1): Rat(0), (2, 0): Rat(2)})
+            assert interpolate(a, data) == hermite_bordered(a, data)
 
 
 class TestConfluentInverse:
@@ -505,29 +517,36 @@ class TestConfluentInverse:
         assert confluent_inverse(rs((0, 1), (1, 1))) == q([(1, -1), (0, 1)])
 
     def test_product_is_identity_mixed(self):
-        a = rs((0, 2), (1, 1))
-        assert confluent_inverse(a) @ vandermonde_confluent(a, 3) == ExactMatrix.identity(3)
+        assert _inverse_mismatch(rs((0, 2), (1, 1))) is None
 
     @given(rootsets(max_blocks=3))
     def test_product_is_identity(self, a):
-        d = a.total
-        assert confluent_inverse(a) @ vandermonde_confluent(a, d) == ExactMatrix.identity(d)
+        assert _inverse_mismatch(a) is None
 
 
 class TestVPrime:
+    """The block-diagonal companion V' of the confluent Vandermonde matrix:
+    its blocks as the package reads Taylor data (``taylor_blocks``) against
+    the per-call oracle (``vprime_per_call``), and its determinant."""
+
     def test_single_block_is_identity(self):
-        assert vprime(rs((7, 3))) == ExactMatrix.identity(3)
+        a = rs((7, 3))
+        assert taylor_blocks(a) == [[1, 0, 0]]
+        assert vprime_per_call(a) == q([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
     def test_two_simple_roots(self):
-        m = vprime(rs((0, 1), (1, 1)))
+        a = rs((0, 1), (1, 1))
+        assert taylor_blocks(a) == [[-1], [1]]
+        m = vprime_per_call(a)
         assert m == q([(-1, 0), (0, 1)])
         assert det_exact(m) == -1
 
     def test_block_structure_holds_taylor_data(self):
         a = rs((0, 2), (1, 1))
-        m = vprime(a)
-        f1 = fiki(a, 1, 0)  # (x-1)
+        m = vprime_per_call(a)
+        f1 = _root(a, 1)[0]  # (x-1)
         # upper-left 2x2 block: Toeplitz in the Taylor coefficients of f1 at 0
+        assert taylor_blocks(a)[0] == [taylor_coeff(f1, Rat(0), j) for j in range(2)]
         assert m[0, 0] == taylor_coeff(f1, Rat(0), 0)
         assert m[0, 1] == taylor_coeff(f1, Rat(0), 1)
         assert m[1, 0] == 0
@@ -535,12 +554,16 @@ class TestVPrime:
 
     def test_mixed_case_determinant_positive(self):
         # ((0,2);(1,1)): det = f1(0)^2 * f2(1)^1 = (-1)^2 * 1 = +1
-        assert det_exact(vprime(rs((0, 2), (1, 1)))) == 1
+        a = rs((0, 2), (1, 1))
+        assert det_exact(vprime_per_call(a)) == 1
+        assert [block[0] for block in taylor_blocks(a)] == [-1, 1]
 
     @given(rootsets(max_blocks=3))
     def test_true_determinant_identity(self, a):
-        # det V' = prod_i fi(alpha_i)^{d_i} = (-1)^{sum_{i<j} d_i d_j} (det V)^2
-        got = det_exact(vprime(a))
+        # det V' = prod_i fi(alpha_i)^{d_i} = (-1)^{sum_{i<j} d_i d_j} (det V)^2;
+        # V' is block upper-triangular, so det V' is the product of the
+        # blocks' leading entries to the d_i.
+        got = det_exact(vprime_per_call(a))
         mults = a.mults
         cross = sum(
             mults[i] * mults[j] for i in range(len(mults)) for j in range(i + 1, len(mults))
@@ -549,8 +572,12 @@ class TestVPrime:
         assert got == (v2 if cross % 2 == 0 else -v2)
         prod = Rat(1)
         for i, (alpha, mult) in enumerate(a, start=1):
-            prod = prod * fiki(a, i, 0)(alpha) ** mult
+            prod = prod * _root(a, i)[0](alpha) ** mult
         assert got == prod
+        lead = Rat(1)
+        for block, mult in zip(taylor_blocks(a), mults):
+            lead = lead * block[0] ** mult
+        assert got == lead
 
 
 class TestPoleWeights:

@@ -8,10 +8,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import rationals
-from oracles import inverse_system_dialytic
+from oracles import inverse_system_dialytic, monomials_up_to, sigma_shift
 from subres import DomainError, MultiPoly, Rat, param
 from subres.matrix import ExactMatrix
-from subres.combinat import monomials_up_to_degree
 from subres.mv.duality import (
     DualBasis,
     DualFunctional,
@@ -19,7 +18,6 @@ from subres.mv.duality import (
     assemble_dual_basis,
     dual_eval,
     inverse_system,
-    sigma_shift,
 )
 from subres.serialize import functional_to_json
 
@@ -133,7 +131,7 @@ def rank(rows):
 
 
 def as_vector(func, order):
-    monos = monomials_up_to_degree(2, order)
+    monos = monomials_up_to(2, order)
     lookup = dict(func.terms)
     return [lookup.get(m, Rat(0)) for m in monos]
 
@@ -185,6 +183,8 @@ class TestDualEval:
 
 
 class TestSigmaShift:
+    """The shift the closedness check below applies (``oracles.sigma_shift``)."""
+
     def test_single_lowering(self):
         got = sigma_shift(functional({(2, 0): 1}), (1, 0))
         assert got == functional({(1, 0): 1})
@@ -248,7 +248,7 @@ class TestInverseSystem:
         order = max(f.order for f in res)
         for L in res:
             for g in (f1, f2):
-                for beta in monomials_up_to_degree(2, order):
+                for beta in monomials_up_to(2, order):
                     assert dual_eval(L, g.shift(beta)) == Rat(0)
         rows = [as_vector(f, order) for f in res]
         base_rank = rank(rows)

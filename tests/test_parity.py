@@ -1,9 +1,10 @@
 """Bordered eliminations, the shared row table and the per-set closed forms
 against the constructions they replaced: rebuild-and-interpolate
 determinants, the Taylor-recursion Wronskian, and Hermite bases rebuilt per
-call from fresh ``fiki`` products (``oracles``).  Both sides are compared as
-JSON, byte for byte.  ``scripts/parity.py``'s digests of its fixed CLI calls
-are pinned too: a change that alters an output on purpose updates them."""
+call from fresh products of root factors (``oracles``).  Both sides are
+compared as JSON, byte for byte.  ``scripts/parity.py``'s digests of its
+fixed CLI calls are pinned too: a change that alters an output on purpose
+updates them."""
 
 import json
 
@@ -25,7 +26,6 @@ from oracles import (
     sres_roots_interpolated,
     vandermonde_det_product,
     vandermonde_taylor,
-    vprime_per_call,
     wronskian_taylor,
 )
 from subres import (
@@ -35,9 +35,7 @@ from subres import (
     ParamPoly,
     Rat,
     UniPoly,
-    basic_hermite,
     confluent_inverse,
-    hermite_interpolate,
     param,
     poly_from_roots,
     sres_coeff,
@@ -46,11 +44,11 @@ from subres import (
     sres_roots,
     vandermonde_confluent,
     vandermonde_det_closed,
-    vprime,
     wronskian,
 )
-from subres.confluent import fiki
+from subres.confluent import _hermite_row, _root
 from subres.serialize import matrix_to_json, scalar_to_str, unipoly_to_json
+from test_confluent import interpolate
 
 
 def same(got, want, to_json):
@@ -121,7 +119,7 @@ class TestOracleParity:
             check_pair(MultiRootSet(pair[0]), MultiRootSet(pair[1]))
 
 
-# Taylor data for hermite_interpolate: zeros are skipped, and a parameter
+# Taylor data for the interpolant: zeros are skipped, and a parameter
 # value keeps its own entry type.
 DATA_VALUES = st.sampled_from([Rat(0), Rat(1), Rat(-3, 2), Rat(7), param("c") - 1])
 ROOT_PAIRS = st.one_of(
@@ -146,12 +144,11 @@ def check_closed_forms(a, b, values):
     same(confluent_inverse(a), confluent_inverse_per_call(a), matrix_to_json)
     for i, (_, d_i) in enumerate(a, start=1):
         for j in range(d_i):
-            same(fiki(a, i, j), fiki_product(a, i, j), unipoly_to_json)
-            same(basic_hermite(a, i, j), basic_hermite_per_call(a, i, j), unipoly_to_json)
-    same(vprime(a), vprime_per_call(a), matrix_to_json)
+            same(_root(a, i)[j], fiki_product(a, i, j), unipoly_to_json)
+            same(_hermite_row(a, i)[j], basic_hermite_per_call(a, i, j), unipoly_to_json)
     keys = [(i, j) for i, (_, d_i) in enumerate(a, start=1) for j in range(d_i)]
     data = {key: values[n % len(values)] for n, key in enumerate(keys)}
-    same(hermite_interpolate(a, data), hermite_interpolate_per_call(a, data), unipoly_to_json)
+    same(interpolate(a, data), hermite_interpolate_per_call(a, data), unipoly_to_json)
     same(sres_dm1_hermite(a, b), sres_dm1_hermite_per_call(a, b), unipoly_to_json)
     if a.total > 1 and not set(a.roots) & set(b.roots):
         same(sres_one(a, b), sres_one_per_call(a, b), unipoly_to_json)
@@ -196,10 +193,11 @@ class TestClosedFormParity:
     def test_non_constant_differences_are_refused_on_both_sides(self):
         a = MultiRootSet([(param("a"), 2), (param("b"), 1)])
         b = MultiRootSet([(param("c"), 3)])
-        for build in (basic_hermite, basic_hermite_per_call):
-            for i, j in ((1, 0), (1, 1), (2, 0)):
-                with pytest.raises(DomainError):
-                    build(a, i, j)
+        for i, j in ((1, 0), (1, 1), (2, 0)):
+            with pytest.raises(DomainError):
+                _hermite_row(a, i)[j]
+            with pytest.raises(DomainError):
+                basic_hermite_per_call(a, i, j)
         for build in (sres_dm1_hermite, sres_dm1_hermite_per_call):
             with pytest.raises(DomainError):
                 build(a, b)

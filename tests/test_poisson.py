@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import functional_of_multiple, poisson_by_matrices
+from oracles import functional_of_multiple, monomials_up_to, poisson_by_matrices
 from subres import DomainError, MultiPoly, ParamPoly, Rat, StructuralError, param
 from subres.matrix import ExactMatrix, det_exact
 from subres.mv.duality import (
@@ -15,12 +15,14 @@ from subres.mv.duality import (
     Point,
     assemble_dual_basis,
     dual_eval,
+    dual_vandermonde,
+    dual_wronskian,
     inverse_system,
 )
-from subres.combinat import monomials_of_degree, monomials_up_to_degree
+from subres.combinat import monomials_of_degree
 from subres.mv.hilbert import build_monomial_sets, hilbert_function
 from subres.mv.macaulay import MVSystem, delta_s, leading_form_subres
-from subres.mv.poisson import dual_vandermonde, dual_wronskian, poisson_delta
+from subres.mv.poisson import poisson_delta
 
 C0, C1, C2 = param("c0"), param("c1"), param("c2")
 
@@ -85,7 +87,7 @@ class TestDualWronskian:
     )
     def test_entries_are_functional_values(self, basis, h):
         # Degree 5 lies above every group's top order.
-        monos = monomials_up_to_degree(2, 5)
+        monos = monomials_up_to(2, 5)
         got = dual_wronskian(h, monos, basis).rows
         assert got == [[dual_eval(f, h.shift(e)) for f in basis] for e in monos]
         # dual_eval shares the evaluator; the oracle translates term by term.
@@ -339,7 +341,7 @@ class TestOneSharedElimination:
         nonzero = set()
         for t in range(d3 + 3):
             k = hilbert_function(sys_.degrees, t)
-            for s_cols in itertools.combinations(monomials_up_to_degree(2, t), k):
+            for s_cols in itertools.combinations(monomials_up_to(2, t), k):
                 if self.compare(sys_, t, list(s_cols), basis):
                     nonzero.add(t)
         assert nonzero >= ({0, 1, 2, 3} if d3 > 1 else {0, 1, 2})
@@ -385,7 +387,7 @@ def two_root_systems(draw):
     d3 = draw(st.integers(1, 3))
     f3 = MultiPoly(2, {
         e: Rat(draw(st.integers(-5, 5)))
-        for e in draw(st.lists(st.sampled_from(monomials_up_to_degree(2, d3)), min_size=1, max_size=5))
+        for e in draw(st.lists(st.sampled_from(monomials_up_to(2, d3)), min_size=1, max_size=5))
     })
     degrees = (1, 2, d3)
     t = draw(st.integers(0, d3 + 2))
