@@ -253,8 +253,12 @@ def _pack(rows: List[list], bound: Bound) -> Tuple[List[List[int]], Callable[[in
         nums, s = _numerators(row)
         terms.append([_integer_terms(v) for v in nums])
         scale *= s
-    names = sorted({name for row in terms for entry in row for key, _ in entry for name, _ in key})
+    # Each monomial key is resolved once: to its (parameter position,
+    # exponent) pairs here, and to its shift once the bound is known.
+    keys = {key for row in terms for entry in row for key, _ in entry}
+    names = _Names(sorted({name for key in keys for name, _ in key}))
     pos = {name: i for i, name in enumerate(names)}
+    places = {key: [(pos[name], e) for name, e in key] for key in keys}
     width = len(rows[0])
     norms, tops = [], []
     col_tops = [[0] * len(names) for _ in range(width)]
@@ -266,8 +270,7 @@ def _pack(rows: List[list], bound: Bound) -> Tuple[List[List[int]], Callable[[in
             norm = 0
             for key, z in entry:
                 norm += abs(z)
-                for name, e in key:
-                    i = pos[name]
+                for i, e in places[key]:
                     if e > top[i]:
                         top[i] = e
                     if e > col[i]:
@@ -277,15 +280,13 @@ def _pack(rows: List[list], bound: Bound) -> Tuple[List[List[int]], Callable[[in
         tops.append(top)
     squares, degrees = bound(norms, tops, col_tops)
     k = math.isqrt(squares).bit_length() + 1
-    shift = {}
+    strides = []
     stride = k
-    for name, d in zip(names, degrees):
-        shift[name] = stride
+    for d in degrees:
+        strides.append(stride)
         stride *= d + 1
-    a = [
-        [sum(z << sum(shift[name] * e for name, e in key) for key, z in entry) for entry in row]
-        for row in terms
-    ]
+    shift = {key: sum(strides[i] * e for i, e in place) for key, place in places.items()}
+    a = [[sum(z << shift[key] for key, z in entry) for entry in row] for row in terms]
     return a, lambda v: _unpack(v, k, names, degrees, scale)
 
 
@@ -348,7 +349,8 @@ def _unpack(value: int, k: int, names: List[str], degrees: List[int], scale: int
     """Read a packed determinant back as a ``ParamPoly`` divided by ``scale``.
 
     Digit i, in balanced base 2^k, is the coefficient of the monomial whose
-    exponents are the mixed-radix digits of i with radices D_p + 1.  Adding
+    exponents are the mixed-radix digits of i with radices D_p + 1
+    (``_Names.keys``; ``_pack`` passes names that keep them).  Adding
     2^(k-1) to each of the n digits turns them into the plain base-2^k
     digits of one nonnegative integer below 2^(n k), which its binary
     string splits in linear time.  A value outside that range has something
@@ -364,18 +366,45 @@ def _unpack(value: int, k: int, names: List[str], degrees: List[int], scale: int
         raise ArithmeticError("packed determinant exceeds its coefficient and degree bounds")
     bits = bin(value)[2:].zfill(n * k)
     half = 1 << (k - 1)
+    keys = (names if isinstance(names, _Names) else _Names(names)).keys(degrees, n)
     out = {}
     for index, end in enumerate(range(n * k, 0, -k)):
         chunk = bits[end - k : end]
         if chunk != zero:
-            key = []
-            rest = index
-            for name, d in zip(names, degrees):
-                rest, e = divmod(rest, d + 1)
-                if e:
-                    key.append((name, e))
-            out[tuple(key)] = int(chunk, 2) - half
+            out[keys[index]] = int(chunk, 2) - half
     return ParamPoly.from_integers(out, scale)
+
+
+class _Names(list):
+    """The sorted parameter names of one packing, with the monomial key of
+    each digit index read back so far, which every read of the packing
+    shares.  It is a list so that ``_unpack`` takes names as a list and can
+    be called on its own.  A packing may have many digits, 5^5 for a
+    Vandermonde matrix in five roots, so the keys are made only up to the
+    highest digit read."""
+
+    __slots__ = ("_keys",)
+
+    def __init__(self, names: Iterable[str]):
+        super().__init__(names)
+        self._keys = [()]
+
+    def keys(self, degrees: List[int], n: int) -> List[tuple]:
+        """The keys of digits 0..n-1 at least.  Digit i is the monomial whose
+        exponents are the mixed-radix digits of i with radices D_p + 1: for
+        L <= i < L (D_p + 1), L the product of the radices before parameter
+        p, it is the key of i mod L times p^(i // L)."""
+        keys = self._keys
+        if n <= len(keys):
+            return keys
+        stride = 1
+        for name, d in zip(self, degrees):
+            top = stride * (d + 1)
+            for index in range(max(len(keys), stride), min(n, top)):
+                e, rest = divmod(index, stride)
+                keys.append(keys[rest] + ((name, e),))
+            stride = top
+        return keys
 
 
 def _bareiss(

@@ -87,9 +87,14 @@ class ParamPoly:
     __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[Key, object] | None = None):
-        items = [(key, c if isinstance(c, _RAT_T) else Rat(c)) for key, c in (terms or {}).items()]
-        nums, self._den = _numerators([c for _, c in items])
-        self._num = {key: z for (key, _), z in zip(items, nums) if z}
+        terms = terms or {}
+        coeffs = list(terms.values())
+        for c in coeffs:
+            # A float is refused, not taken at its binary value.
+            if not is_rational(c):
+                raise DomainError("not a rational coefficient: %r" % (c,))
+        nums, self._den = _numerators(coeffs)
+        self._num = {key: z for key, z in zip(terms, nums) if z}
 
     @classmethod
     def from_integers(cls, num: Mapping[Key, int], den: int = 1) -> "ParamPoly":
@@ -103,7 +108,7 @@ class ParamPoly:
 
     @classmethod
     def variable(cls, name: str) -> "ParamPoly":
-        return cls({((name, 1),): 1})
+        return _poly({((name, 1),): 1}, 1)
 
     @property
     def terms(self) -> Mapping[Key, object]:
@@ -166,6 +171,8 @@ class ParamPoly:
         return None
 
     def __add__(self, other):
+        if type(other) is int and not other:
+            return self
         o = self._operand(other)
         if o is None:
             return NotImplemented
@@ -199,38 +206,52 @@ class ParamPoly:
         return -self + other
 
     def __mul__(self, other):
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        anum, (bnum, bden) = self._num, o
-        if not anum or not bnum:
-            return ParamPoly()
-        if len(bnum) == 1 and () in bnum:
-            c = bnum[()]
-            out = {k: z * c for k, z in anum.items()}
-        elif len(anum) == 1 and () in anum:
-            c = anum[()]
-            out = {k: z * c for k, z in bnum.items()}
-        else:
+        if isinstance(other, ParamPoly):
+            anum, bnum = self._num, other._num
+            if len(bnum) == 1 and () in bnum:
+                return self._scaled(bnum[()], other._den)
+            if len(anum) == 1 and () in anum:
+                return other._scaled(anum[()], self._den)
+            if not anum or not bnum:
+                return _poly({}, 1)
             out = {}
             for ka, za in anum.items():
                 for kb, zb in bnum.items():
                     k = _key_mul(ka, kb)
                     out[k] = out.get(k, 0) + za * zb
-        return _poly(out, self._den * bden)
+            return _poly(out, self._den * other._den)
+        if type(other) is int:
+            return self._scaled(other, 1)
+        if is_rational(other):
+            return self._scaled(int(other.numerator), int(other.denominator))
+        return NotImplemented
 
     __rmul__ = __mul__
+
+    def _scaled(self, n: int, d: int) -> "ParamPoly":
+        """self * n / d, for ints n and d != 0: the one path of every
+        product and quotient by a rational or a constant."""
+        if n == d:
+            return self
+        if not n:
+            return _poly({}, 1)
+        return _poly({k: z * n for k, z in self._num.items()}, self._den * d)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise DomainError("ParamPoly powers take nonnegative int exponents")
-        out = ParamPoly.constant(1)
+        if not n:
+            return _poly({(): 1}, 1)
         base = self
-        while n:
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        out = base
+        while n > 1:
+            base = base * base
+            n >>= 1
             if n & 1:
                 out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
         return out
 
     def __truediv__(self, other):
@@ -246,7 +267,7 @@ class ParamPoly:
                 raise ZeroDivisionError("scalar division by zero")
         else:
             return NotImplemented
-        return _poly({k: z * d for k, z in self._num.items()}, self._den * n)
+        return self._scaled(d, n)
 
     def __floordiv__(self, other):
         """The exact quotient, as ``/``: it never rounds.  Only

@@ -4,7 +4,8 @@ Everything here is deliberately naive and shares no code path with the
 package: determinants by cofactor expansion, Hilbert counting through a
 power series and by enumerating exponents, confluent Vandermonde entries
 by their binomial formula, Hermite interpolation through the bordered
-determinant, and a tiny dense Gaussian solver.  Slow is fine; different is the point.
+determinant, and Kronecker packing one term at a time.  Slow is fine;
+different is the point.
 
 The subresultant determinants are also kept in the form the package used
 before it took them by one bordered elimination: rebuilt at x = 0, ..., t,
@@ -58,7 +59,7 @@ coefficient by coefficient in the scalar domain.
 from __future__ import annotations
 
 from itertools import product as iproduct
-from math import comb
+from math import comb, isqrt, lcm, prod
 
 from subres import (
     DomainError,
@@ -132,6 +133,51 @@ def matrix_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     )
 
 
+def kronecker_shift(key, names, degrees, k):
+    """The bit offset of monomial ``key`` when the i-th of the sorted
+    ``names`` is evaluated at 2^(k prod_{j<i} (D_j + 1))."""
+    exponents = dict(key)
+    return sum(
+        exponents.get(name, 0) * k * prod(d + 1 for d in degrees[:i])
+        for i, name in enumerate(names)
+    )
+
+
+def pack_per_term(rows, bound):
+    """``matrix._pack`` one term at a time, from each entry's rational
+    coefficients: each row times the lcm of every coefficient denominator in
+    it, the 1-norms and largest degrees ``bound`` takes, and each term
+    shifted to its digit.  Returns the packed rows, the digit width k, the
+    sorted names, the degree bounds and the product of the row lcms."""
+
+    def terms(v):
+        return v.terms.items() if isinstance(v, ParamPoly) else [((), Rat(v))]
+
+    names = sorted({name for row in rows for v in row for key, _ in terms(v) for name, _ in key})
+    lcms = [lcm(*(c.denominator for v in row for _, c in terms(v))) for row in rows]
+    norms = [[int(sum(abs(c) * m for _, c in terms(v))) for v in row] for row, m in zip(rows, lcms)]
+
+    def top(entries, name):
+        return max((dict(key).get(name, 0) for v in entries for key, _ in terms(v)), default=0)
+
+    tops = [[top(row, name) for name in names] for row in rows]
+    col_tops = [[top(col, name) for name in names] for col in zip(*rows)]
+    squares, degrees = bound(norms, tops, col_tops)
+    k = isqrt(squares).bit_length() + 1
+    packed = []
+    for row, m in zip(rows, lcms):
+        out = []
+        for v in row:
+            value = 0
+            for key, c in terms(v):
+                z = c * m
+                assert z.denominator == 1
+                value += int(z) * 2 ** kronecker_shift(key, names, degrees, k)
+            out.append(value)
+        packed.append(out)
+    return packed, k, names, degrees, prod(lcms)
+
+
 def series_hilbert(degrees, t):
     """Coefficient of z^t in prod (1-z^Di) / (1-z)^len(degrees)."""
     if t < 0:
@@ -157,22 +203,6 @@ def enumerated_hilbert(degrees, t):
     return sum(
         1 for alpha in iproduct(*(range(d) for d in first)) if sum(alpha) <= t and t - sum(alpha) < last
     )
-
-
-def solve_gauss(rows, rhs):
-    """Solve a square exact system by plain Gaussian elimination."""
-    n = len(rows)
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[col])]
-    return [aug[i][n] for i in range(n)]
 
 
 def vandermonde_binomial(a: MultiRootSet, u: int):

@@ -10,7 +10,6 @@ general (for ((0,2),(1,1)), det V' = +1 where the simple-root sign gives -1).
 """
 
 import random
-import sys
 import time
 from math import comb
 

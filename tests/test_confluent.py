@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from conftest import rationals, rootsets
 from oracles import (
     basic_hermite_per_call,
-    det_cofactor,
     hermite_bordered,
     hermite_weight_sum,
     lagrange_interpolant,

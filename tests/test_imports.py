@@ -1,6 +1,7 @@
-"""Every name a module under src/subres imports is used in that module, and
-every module-level function or class, private or public, and every public
-method is named somewhere else in the package.
+"""Every name a module under src/subres, a test or a script imports is used
+in that file, and every module-level function or class of the package,
+private or public, and every public method is named somewhere else in the
+package.
 
 Package ``__init__`` files re-export what they import: they are skipped by
 the import check, and their imports and ``__all__`` lists do not count as
@@ -20,6 +21,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "subres"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+# The files whose imports are checked: the package's modules, the tests and
+# the scripts.
+IMPORTERS = MODULES + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("scripts/*.py"))
 
 # Public names that a file outside the package calls by name, each with
 # that file: deleting or renaming one breaks it, so it stays even where no
@@ -75,7 +79,11 @@ def used_names(tree):
                 yield from used_names(ast.parse(node.value, mode="eval"))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def _file_id(path):
+    return str(path.relative_to(PACKAGE if PACKAGE in path.parents else ROOT))
+
+
+@pytest.mark.parametrize("path", IMPORTERS, ids=_file_id)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unused = sorted(set(imported_names(tree)) - set(used_names(tree)))
@@ -84,6 +92,7 @@ def test_no_unused_imports(path):
 
 def test_scan_sees_the_package():
     assert len(MODULES) >= 15
+    assert len(IMPORTERS) >= len(MODULES) + 20
 
 
 def references(tree):

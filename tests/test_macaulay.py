@@ -14,7 +14,7 @@ from subres import (
     resultant,
 )
 from subres.combinat import monomials_of_degree
-from subres.matrix import ExactMatrix, det_exact
+from subres.matrix import det_exact
 from subres.mv.hilbert import build_monomial_sets
 from subres.mv.macaulay import (
     MVSystem,

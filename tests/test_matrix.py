@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import assume, given
@@ -12,9 +13,11 @@ from oracles import (
     bareiss_eager,
     det_cofactor,
     kernel_by_rows,
+    kronecker_shift,
     matrix_product,
     matrix_rows,
     nullspace_gauss_jordan,
+    pack_per_term,
     reduced_echelon_by_rows,
 )
 from subres import (
@@ -30,7 +33,9 @@ from subres import matrix
 from subres.confluent import vandermonde_det_closed, wronskian, wronskian_det_closed
 from subres.matrix import (
     _GaussJordan,
+    _bordered_bound,
     _kernel,
+    _pack,
     _unpack,
     det_bordered,
     det_orders,
@@ -290,6 +295,55 @@ class TestKroneckerPacking:
         for value in (1 << 8, 8 + (7 << 4), -(1 << 8), -9 - (8 << 4)):
             with pytest.raises(ArithmeticError):
                 _unpack(value, 4, ["p"], [1], 1)
+
+    @staticmethod
+    def reader_args(unpack):
+        """The (k, names, degrees, scale) a packing's reader passes on."""
+        seen = []
+
+        def spy(value, k, names, degrees, scale):
+            seen.append((k, names, degrees, scale))
+            return _unpack(value, k, names, degrees, scale)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(matrix, "_unpack", spy)
+            unpack(0)
+        return seen[0]
+
+    @given(st.sampled_from([("a", "b"), ("a", "b", "c")]), st.integers(1, 4), st.data())
+    def test_pack_matches_per_term_oracle(self, names, n, data):
+        # Entries of mixed degrees and denominators, with rational entries
+        # and zeros among them (key ()), and one of degree 3 in the last
+        # parameter.
+        entry = st.one_of(ENTRIES, param_polys(names))
+        rows = [[data.draw(entry) for _ in range(n + 1)] for _ in range(n)]
+        rows[0][data.draw(st.integers(0, n))] = param(names[-1]) ** 3 + Rat(1, 5)
+        bound = _bordered_bound(data.draw(st.integers(1, n)))
+        a, unpack = _pack(rows, bound)
+        want, k, want_names, degrees, scale = pack_per_term(rows, bound)
+        assert a == want
+        assert self.reader_args(unpack) == (k, want_names, degrees, scale)
+
+    @pytest.mark.parametrize("degrees", [[2, 1], [1, 2, 1], [0, 3, 2]])
+    def test_unpack_reads_every_digit(self, degrees):
+        # Every digit nonzero, each read through one packing's reader: a
+        # value of the low digits first, then every digit, then the low
+        # ones again, so the reads share and grow one table of keys.
+        names = ["a", "b", "c"][: len(degrees)]
+        k = 5
+        rows = [[sum((param(n) for n in names), ParamPoly())]]
+        _, unpack = _pack(rows, lambda norms, tops, col_tops: ((2 ** (k - 2)) ** 2, degrees))
+        assert self.reader_args(unpack)[:3] == (k, names, degrees)
+        rng = random.Random(len(degrees))
+        digits = {}
+        for exponents in iproduct(*(range(d + 1) for d in degrees)):
+            key = tuple((n, e) for n, e in zip(names, exponents) if e)
+            digits[key] = rng.choice([z for z in range(-16, 16) if z])
+        low = {key: z for key, z in digits.items() if kronecker_shift(key, names, degrees, k) < 2 * k}
+        for coeffs in (low, digits, low):
+            value = sum(z << kronecker_shift(key, names, degrees, k) for key, z in coeffs.items())
+            got = unpack(value)
+            assert got.numerators == coeffs and got.denominator == 1
 
     @staticmethod
     def packed_degrees(monkeypatch, m):

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import functional_of_multiple, monomials_up_to, poisson_by_matrices

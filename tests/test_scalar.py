@@ -51,6 +51,16 @@ class TestRat:
         with pytest.raises(DomainError):
             UniPoly([Rat(1), 0.5])
 
+    def test_floats_rejected_by_param_poly(self):
+        with pytest.raises(DomainError):
+            ParamPoly({(): 0.1})
+        with pytest.raises(DomainError):
+            ParamPoly({(("a", 1),): 1, (): 0.5})
+        with pytest.raises(DomainError):
+            ParamPoly.constant(0.5)
+        with pytest.raises(DomainError):
+            ParamPoly({(): param("a")})
+
     def test_is_rational(self):
         assert is_rational(Rat(1, 2))
         assert is_rational(3)
@@ -178,6 +188,26 @@ class TestIntegerNumerators:
         if c:
             assert_matches(p / c, rp / c)
             assert_matches(p / ParamPoly.constant(c), rp / c)
+
+    @given(poly_pairs(), st.one_of(st.integers(-3, 3), rationals(num_bound=6, den_bound=6)))
+    def test_rational_lanes_match_the_general_path(self, x, c):
+        # An int or Rat factor, an added int 0 and a power each take a
+        # shortcut; each must give what a constant ParamPoly factor and
+        # repeated products give, in lowest terms.
+        p, rp = x
+        general = p * ParamPoly.constant(c)
+        assert_matches(general, rp * c)
+        for got in (p * c, c * p, ParamPoly.constant(c) * p):
+            assert_matches(got, rp * c)
+            assert got == general
+        for got in (p + 0, 0 + p, p - 0):
+            assert_matches(got, rp)
+            assert got == p
+        product = ParamPoly.constant(1)
+        for n in range(5):
+            assert_matches(p**n, rp**n)
+            assert p**n == product
+            product = product * p
 
     @given(poly_pairs(max_terms=3), poly_pairs(max_terms=3))
     def test_exact_division(self, x, y):

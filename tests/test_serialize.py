@@ -2,7 +2,6 @@
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from subres import DomainError, MultiPoly, ParamPoly, Rat, UniPoly, param
 from subres.matrix import ExactMatrix

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import rationals
 from oracles import CoeffUniPoly, coeff_taylor
-from subres import NEG_INF, DomainError, ParamPoly, Rat, UniPoly, param, taylor_coeff
+from subres import NEG_INF, ParamPoly, Rat, UniPoly, param, taylor_coeff
 
 
 def poly(*ascending):
